@@ -7,7 +7,7 @@ focal-distance signal, auditing recorded camera trajectories against
 comfort guidelines, and scoring simulator sickness questionnaires.
 """
 
-from .attention import FocusCandidate, HeuristicWeights, depth_metric, importance, select_focus
+from .attention import FocusCandidate, HeuristicWeights, select_focus
 from .comfort import (
     ComfortConfig,
     ComfortFinding,
@@ -21,14 +21,12 @@ from .comfort import (
 from .config import SimConfig
 from .dynamics import (
     BlurConfig,
-    DofParams,
     DynamicsConfig,
     FocusSelection,
     FocusState,
     Transition,
     apply_selection,
     blur_amount,
-    dof_params,
     step,
 )
 from .errors import FocusrayError, GeometryError, ParseError, ValidationError
@@ -54,17 +52,12 @@ from .geometry import (
     StereoRig,
     Vec3,
     derive_mid_camera,
-    point_cone_distance,
-    ray_sphere_intersect,
-    roi_contains,
+    roi_mask,
 )
 from .rays import (
     GOLDEN_ANGLE,
     RayBundle,
     RayConfig,
-    WeightedRay,
-    compute_rm,
-    generate_metric_rays,
     layer_weight,
     ray_bundle,
 )
@@ -93,7 +86,6 @@ __all__ = [
     "ComfortReport",
     "ComfortRule",
     "DISORIENTATION_SYMPTOMS",
-    "DofParams",
     "DynamicsConfig",
     "FocusCandidate",
     "FocusSelection",
@@ -124,19 +116,13 @@ __all__ = [
     "Transition",
     "ValidationError",
     "Vec3",
-    "WeightedRay",
     "analyze_trajectory",
     "apply_selection",
     "blur_amount",
-    "compute_rm",
-    "depth_metric",
     "derive_mid_camera",
     "detect_acceleration_episodes",
     "detect_frame_drops",
-    "dof_params",
     "format_real",
-    "generate_metric_rays",
-    "importance",
     "layer_weight",
     "level_for_score",
     "parse_config",
@@ -144,10 +130,8 @@ __all__ = [
     "parse_scene",
     "parse_ssq_response",
     "parse_trajectory",
-    "point_cone_distance",
     "protocol_report",
     "ray_bundle",
-    "ray_sphere_intersect",
     "render_comfort_section",
     "render_config_section",
     "render_document",
@@ -155,7 +139,7 @@ __all__ = [
     "render_timeline_section",
     "resample",
     "rig_from_pose",
-    "roi_contains",
+    "roi_mask",
     "run_scenario",
     "score_questionnaire",
     "score_ssq_files",

@@ -16,12 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import MidCamera, Roi, SceneObject, StereoRig, derive_mid_camera
+from .geometry import Roi, SceneObject, StereoRig, _object_arrays, derive_mid_camera, roi_mask
 from .rays import RayBundle, RayConfig, ray_bundle, rm_scores
 
 WEIGHT_SUM_TOL = 1e-9
-# slack for rm values that overshoot 1 by accumulated rounding
-SIGNAL_TOL = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,50 +50,6 @@ class FocusCandidate:
     importance: float
 
 
-def depth_metric(cam: MidCamera, obj: SceneObject, z_far: float) -> float:
-    """Proximity score: 1 at the camera, falling linearly to 0 at z_far."""
-    if not z_far > 0.0:
-        raise ValidationError(f"z_far must be positive, got {z_far!r}")
-    dist = obj.center.distance_to(cam.m)
-    return 1.0 - min(dist, z_far) / z_far
-
-
-def importance(weights: HeuristicWeights, rm: float, d: float, v: float) -> float:
-    """Weighted sum of the three signals; a convex combination, so in [0, 1]."""
-    for name, s in (("rm", rm), ("d", d), ("v", v)):
-        if not -SIGNAL_TOL <= s <= 1.0 + SIGNAL_TOL:
-            raise ValidationError(f"{name} must be in [0, 1], got {s!r}")
-    return weights.p_rm * rm + weights.p_d * d + weights.p_v * v
-
-
-def _roi_mask(roi: Roi, objects: Sequence[SceneObject]) -> np.ndarray:
-    """Vectorized ROI membership over many objects.
-
-    Mirrors geometry.roi_contains / point_cone_distance term for term so the
-    two paths make bit-identical decisions.
-    """
-    cx = np.array([o.center.x for o in objects])
-    cy = np.array([o.center.y for o in objects])
-    cz = np.array([o.center.z for o in objects])
-    rad = np.array([o.radius for o in objects])
-
-    relx = cx - roi.apex.x
-    rely = cy - roi.apex.y
-    relz = cz - roi.apex.z
-    ax, ay, az = roi.axis.x, roi.axis.y, roi.axis.z
-    z = relx * ax + rely * ay + relz * az
-    rho_sq = (relx * relx + rely * rely + relz * relz) - z * z
-    rho = np.sqrt(np.where(rho_sq > 0.0, rho_sq, 0.0))
-    sin_t = math.sin(roi.half_angle)
-    cos_t = math.cos(roi.half_angle)
-    side = rho * cos_t - z * sin_t
-    inside = (z >= 0.0) & (side <= 0.0)
-    s = rho * sin_t + z * cos_t
-    apex_dist = np.sqrt(rho * rho + z * z)
-    dist = np.where(inside, 0.0, np.where(s <= 0.0, apex_dist, side))
-    return (dist <= rad) & (z - rad <= roi.z_far)
-
-
 def select_focus(
     scene: Sequence[SceneObject],
     rig: StereoRig,
@@ -117,7 +71,7 @@ def select_focus(
         return None, []
 
     ordered = sorted(scene, key=lambda o: o.id)
-    mask = _roi_mask(roi, ordered)
+    mask = roi_mask(roi, ordered)
     candidates = [obj for obj, keep in zip(ordered, mask.tolist()) if keep]
     if not candidates:
         return None, []
@@ -126,25 +80,18 @@ def select_focus(
     bundle: RayBundle = ray_bundle(ray_cfg, cam)
     rms = rm_scores(cam.m, bundle, candidates)
 
-    scored: list[FocusCandidate] = []
-    best: FocusCandidate | None = None
-    # Inline of depth_metric / importance with the same expression trees, so
-    # the hot loop skips Vec3 allocation and re-validation of inputs that the
-    # Roi, SceneObject, and weight constructors already checked.
-    mx, my, mz = cam.m.x, cam.m.y, cam.m.z
-    z_far = roi.z_far
-    p_rm, p_d, p_v = weights.p_rm, weights.p_d, weights.p_v
-    for obj, rm in zip(candidates, rms):
-        dx = obj.center.x - mx
-        dy = obj.center.y - my
-        dz = obj.center.z - mz
-        dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-        d = 1.0 - min(dist, z_far) / z_far
-        imp = p_rm * rm + p_d * d + p_v * obj.value
-        cand = FocusCandidate(object_id=obj.id, rm=rm, d=d, v=obj.value, importance=imp)
-        scored.append(cand)
-        if best is None or cand.importance > best.importance or (
-            cand.importance == best.importance and cand.d > best.d
-        ):
-            best = cand
-    return best, scored
+    # d: 1 at the camera, falling linearly to 0 at the ROI's far limit
+    cx, cy, cz, _ = _object_arrays(candidates)
+    values = [obj.value for obj in candidates]
+    dx = cx - cam.m.x
+    dy = cy - cam.m.y
+    dz = cz - cam.m.z
+    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+    d = 1.0 - np.minimum(dist, roi.z_far) / roi.z_far
+    imp = weights.p_rm * np.array(rms) + weights.p_d * d + weights.p_v * np.array(values)
+
+    # positional fields: object_id, rm, d, v, importance
+    scored = list(map(FocusCandidate, [obj.id for obj in candidates], rms, d.tolist(), values, imp.tolist()))
+    # highest importance, then higher d; argmax keeps the first (lowest id) of equals
+    top = np.flatnonzero(imp == imp.max())
+    return scored[top[np.argmax(d[top])]], scored

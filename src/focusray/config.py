@@ -19,6 +19,9 @@ from .rays import RayConfig
 # config-file keys that parse as integers; every other field is a float
 INT_FIELDS = frozenset({"ray_k", "ray_n"})
 
+# defaults of the fields that SimConfig hands to these sub-configs
+_DYNAMICS, _BLUR, _COMFORT = DynamicsConfig(), BlurConfig(), ComfortConfig()
+
 
 @dataclass(frozen=True, slots=True)
 class SimConfig:
@@ -32,22 +35,22 @@ class SimConfig:
     p_rm: float = 0.5
     p_d: float = 0.3
     p_v: float = 0.2
-    refocus_ms: float = 500.0
-    persistence_hold_ms: float = 300.0
-    blur_per_meter: float = 0.5
-    max_blur: float = 1.0
+    refocus_ms: float = _DYNAMICS.refocus_ms
+    persistence_hold_ms: float = _DYNAMICS.persistence_hold_ms
+    blur_per_meter: float = _BLUR.blur_per_meter
+    max_blur: float = _BLUR.max_blur
     tick_ms: float = 16.0
     ipd_m: float = 0.064
-    accel_threshold_m_s2: float = 1.0
-    min_episode_ms: float = 200.0
-    fov_delta_threshold_deg: float = 1.0
-    motion_floor_m_s: float = 0.05
-    motion_floor_deg_s: float = 5.0
-    walk_episode_ms: float = 2000.0
-    max_session_ms: float = 1_800_000.0
-    jump_distance_min_m: float = 0.5
-    target_frame_ms: float = 11.1
-    drop_factor: float = 2.0
+    accel_threshold_m_s2: float = _COMFORT.accel_threshold_m_s2
+    min_episode_ms: float = _COMFORT.min_episode_ms
+    fov_delta_threshold_deg: float = _COMFORT.fov_delta_threshold_deg
+    motion_floor_m_s: float = _COMFORT.motion_floor_m_s
+    motion_floor_deg_s: float = _COMFORT.motion_floor_deg_s
+    walk_episode_ms: float = _COMFORT.walk_episode_ms
+    max_session_ms: float = _COMFORT.max_session_ms
+    jump_distance_min_m: float = _COMFORT.jump_distance_min_m
+    target_frame_ms: float = _COMFORT.target_frame_ms
+    drop_factor: float = _COMFORT.drop_factor
 
     def __post_init__(self) -> None:
         if not (isinstance(self.ray_k, int) and self.ray_k >= 1):
@@ -79,27 +82,17 @@ class SimConfig:
         return HeuristicWeights(p_rm=self.p_rm, p_d=self.p_d, p_v=self.p_v)
 
     def dynamics_config(self) -> DynamicsConfig:
-        return DynamicsConfig(
-            refocus_ms=self.refocus_ms,
-            persistence_hold_ms=self.persistence_hold_ms,
-        )
+        return self._sub_config(DynamicsConfig)
 
     def blur_config(self) -> BlurConfig:
-        return BlurConfig(blur_per_meter=self.blur_per_meter, max_blur=self.max_blur)
+        return self._sub_config(BlurConfig)
 
     def comfort_config(self) -> ComfortConfig:
-        return ComfortConfig(
-            accel_threshold_m_s2=self.accel_threshold_m_s2,
-            min_episode_ms=self.min_episode_ms,
-            fov_delta_threshold_deg=self.fov_delta_threshold_deg,
-            motion_floor_m_s=self.motion_floor_m_s,
-            motion_floor_deg_s=self.motion_floor_deg_s,
-            walk_episode_ms=self.walk_episode_ms,
-            max_session_ms=self.max_session_ms,
-            jump_distance_min_m=self.jump_distance_min_m,
-            target_frame_ms=self.target_frame_ms,
-            drop_factor=self.drop_factor,
-        )
+        return self._sub_config(ComfortConfig)
+
+    def _sub_config(self, cls):
+        """An instance of `cls` built from the SimConfig fields of the same names."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
 
 
 CONFIG_FIELD_NAMES = tuple(f.name for f in fields(SimConfig))

@@ -173,23 +173,3 @@ def blur_amount(depth: float, focal_distance: float, cfg: BlurConfig) -> float:
     _require_non_negative("depth", depth)
     _require_non_negative("focal_distance", focal_distance)
     return min(abs(depth - focal_distance) * cfg.blur_per_meter, cfg.max_blur)
-
-
-@dataclass(frozen=True, slots=True)
-class DofParams:
-    """Depth-of-field parameters handed to a renderer: focal plane + blur scale."""
-
-    focal_distance: float
-    blur_scale: float
-
-    def __post_init__(self) -> None:
-        _require_non_negative("focal_distance", self.focal_distance)
-        _require_non_negative("blur_scale", self.blur_scale)
-
-
-def dof_params(state: FocusState, depth: float, cfg: BlurConfig) -> DofParams:
-    """DoF parameters for content at `depth` under the current focus state."""
-    return DofParams(
-        focal_distance=state.focal_distance,
-        blur_scale=blur_amount(depth, state.focal_distance, cfg),
-    )

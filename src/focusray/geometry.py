@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .errors import GeometryError, ValidationError
 
@@ -148,62 +151,39 @@ def derive_mid_camera(rig: StereoRig) -> MidCamera:
     return MidCamera(m=m, forward=rig.forward, up=rig.up)
 
 
-def ray_sphere_intersect(origin: Vec3, direction: Vec3, obj: SceneObject) -> float | None:
-    """Smallest non-negative hit distance along a unit-direction ray, or None on miss.
+def _object_arrays(objects: Sequence[SceneObject]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Center x, y, z and radius of each object, as float64 arrays in input order."""
+    cx = np.array([o.center.x for o in objects])
+    cy = np.array([o.center.y for o in objects])
+    cz = np.array([o.center.z for o in objects])
+    rad = np.array([o.radius for o in objects])
+    return cx, cy, cz, rad
 
-    An origin inside (or on) the sphere counts as a hit at distance zero: the
-    object occupies the camera. The quadratic is evaluated in a fixed operand
-    order so the vectorized scorer in `rays` stays bitwise identical to it.
+
+def roi_mask(roi: Roi, objects: Sequence[SceneObject]) -> np.ndarray:
+    """Per object, True when its bounding sphere overlaps the truncated ROI cone.
+
+    Partial overlap counts. The distance from a center to the solid infinite
+    cone is taken in the (radial, axial) half-plane, where the cone is convex:
+    zero inside, else the distance to the apex or to the lateral boundary ray.
+    Truncation: the sphere point closest to the apex plane along the axis must
+    lie at axial distance <= z_far.
     """
-    ocx = origin.x - obj.center.x
-    ocy = origin.y - obj.center.y
-    ocz = origin.z - obj.center.z
-    b = ocx * direction.x + ocy * direction.y + ocz * direction.z
-    c = ocx * ocx + ocy * ocy + ocz * ocz - obj.radius * obj.radius
-    disc = b * b - c
-    if disc < 0.0:
-        return None
-    root = math.sqrt(disc)
-    t0 = -b - root
-    if t0 >= 0.0:
-        return t0
-    if -b + root >= 0.0:
-        return 0.0
-    return None
-
-
-def point_cone_distance(p: Vec3, apex: Vec3, axis: Vec3, half_angle: float) -> float:
-    """Distance from a point to the solid infinite cone (0 when inside).
-
-    Works in the (radial, axial) half-plane: the solid cone is convex there,
-    so the nearest boundary point is either the apex or the foot of the
-    perpendicular onto the lateral boundary ray.
-    """
-    rel = p - apex
-    z = rel.dot(axis)
-    rho_sq = rel.dot(rel) - z * z
-    rho = math.sqrt(rho_sq) if rho_sq > 0.0 else 0.0
-    sin_t = math.sin(half_angle)
-    cos_t = math.cos(half_angle)
+    cx, cy, cz, rad = _object_arrays(objects)
+    relx = cx - roi.apex.x
+    rely = cy - roi.apex.y
+    relz = cz - roi.apex.z
+    ax, ay, az = roi.axis.x, roi.axis.y, roi.axis.z
+    z = relx * ax + rely * ay + relz * az
+    rho_sq = (relx * relx + rely * rely + relz * relz) - z * z
+    rho = np.sqrt(np.where(rho_sq > 0.0, rho_sq, 0.0))
+    sin_t = math.sin(roi.half_angle)
+    cos_t = math.cos(roi.half_angle)
     side = rho * cos_t - z * sin_t
-    if z >= 0.0 and side <= 0.0:
-        return 0.0
+    inside = (z >= 0.0) & (side <= 0.0)
     s = rho * sin_t + z * cos_t
-    if s <= 0.0:
-        # plain sqrt, not hypot: the vectorized ROI filter mirrors this
-        # expression tree and must produce bit-identical values
-        return math.sqrt(rho * rho + z * z)
-    return side
-
-
-def roi_contains(roi: Roi, obj: SceneObject) -> bool:
-    """True when the object's bounding sphere overlaps the truncated ROI cone.
-
-    Partial overlap counts. Truncation: the sphere point closest to the apex
-    plane along the axis must lie at axial distance <= z_far.
-    """
-    dist = point_cone_distance(obj.center, roi.apex, roi.axis, roi.half_angle)
-    if dist > obj.radius:
-        return False
-    z = (obj.center - roi.apex).dot(roi.axis)
-    return z - obj.radius <= roi.z_far
+    # plain sqrt, not hypot, so the scalar reference in tests/oracles.py
+    # reproduces these values bit for bit
+    apex_dist = np.sqrt(rho * rho + z * z)
+    dist = np.where(inside, 0.0, np.where(s <= 0.0, apex_dist, side))
+    return (dist <= rad) & (z - rad <= roi.z_far)

@@ -123,9 +123,11 @@ def parse_trajectory(path: str) -> list[TrajectorySample]:
         if tokens[11] not in ("0", "1"):
             raise ParseError(path, lineno, f"user_initiated must be 0 or 1, got {tokens[11]!r}")
         frame_time = _parse_float(path, lineno, tokens[12], "frame_time_ms")
-        forward = _unit_or_parse_error(path, lineno, Vec3(vals[4], vals[5], vals[6]), "forward")
-        up = _unit_or_parse_error(path, lineno, Vec3(vals[7], vals[8], vals[9]), "up")
         try:
+            forward = _unit_or_parse_error(path, lineno, Vec3(vals[4], vals[5], vals[6]), "forward")
+            up = _unit_or_parse_error(path, lineno, Vec3(vals[7], vals[8], vals[9]), "up")
+            # the eye baseline runs along forward x up, so the two must not be parallel
+            _unit_or_parse_error(path, lineno, forward.cross(up), "right (forward x up)")
             sample = TrajectorySample(
                 t_ms=vals[0],
                 position=Vec3(vals[1], vals[2], vals[3]),

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import MidCamera, SceneObject, Vec3
+from .geometry import MidCamera, SceneObject, Vec3, _object_arrays
 
 # 2*pi*(1 - 1/phi), phi the golden ratio: ~137.5 degrees per step.
 GOLDEN_ANGLE = 2.0 * math.pi * (1.0 - 2.0 / (1.0 + math.sqrt(5.0)))
@@ -44,26 +44,9 @@ class RayConfig:
             raise ValidationError(f"half_angle must be in (0, pi/2), got {self.half_angle!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class WeightedRay:
-    """One ray of the cone: unit direction, 1-based layer, per-ray weight."""
-
-    direction: Vec3
-    layer: int
-    weight: float
-
-    def __post_init__(self) -> None:
-        if not self.direction.is_unit():
-            raise ValidationError("ray direction must be a unit vector")
-        if self.layer < 1:
-            raise ValidationError(f"layer must be >= 1, got {self.layer!r}")
-        if not self.weight > 0.0:
-            raise ValidationError(f"weight must be positive, got {self.weight!r}")
-
-
 @dataclass(frozen=True)
 class RayBundle:
-    """Array-backed form of the ray cone used by the vectorized scorer.
+    """The ray cone as arrays, in the order `ray_bundle` builds it.
 
     directions: (R, 3) unit vectors; layers: (R,) 1-based ints;
     weights: (R,) per-ray weights summing to 1. Arrays are read-only.
@@ -106,43 +89,20 @@ def ray_bundle(config: RayConfig, cam: MidCamera) -> RayBundle:
     lateral = np.cos(phi)[:, None] * right[None, :] + np.sin(phi)[:, None] * up[None, :]
     directions = np.cos(theta)[:, None] * fwd[None, :] + sin_t[:, None] * lateral
 
-    alpha = (k - layers + 1) / (k * (k + 1) // 2)
-    weights = alpha / n
+    weights = np.repeat([layer_weight(i, k) for i in range(1, k + 1)], n) / n
 
     for arr in (directions, layers, weights):
         arr.flags.writeable = False
     return RayBundle(directions=directions, layers=layers, weights=weights)
 
 
-def generate_metric_rays(config: RayConfig, cam: MidCamera) -> list[WeightedRay]:
-    """The ray cone as a deterministic list of WeightedRay values."""
-    bundle = ray_bundle(config, cam)
-    dirs = bundle.directions
-    return [
-        WeightedRay(
-            direction=Vec3(float(dirs[i, 0]), float(dirs[i, 1]), float(dirs[i, 2])),
-            layer=int(bundle.layers[i]),
-            weight=float(bundle.weights[i]),
-        )
-        for i in range(dirs.shape[0])
-    ]
-
-
-def _object_arrays(objects: Sequence[SceneObject]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    cx = np.array([o.center.x for o in objects])
-    cy = np.array([o.center.y for o in objects])
-    cz = np.array([o.center.z for o in objects])
-    rad = np.array([o.radius for o in objects])
-    return cx, cy, cz, rad
-
-
 def nearest_hit_indices(origin: Vec3, directions: np.ndarray, objects: Sequence[SceneObject]) -> np.ndarray:
     """Index (into `objects`) of the nearest-hit object per ray, -1 on miss.
 
     Ties at identical hit distance go to the earliest object in `objects`;
-    callers pass objects in ascending id order so the lower id wins. The
-    quadratic uses the same operand order as `ray_sphere_intersect`, keeping
-    the two paths bitwise identical.
+    callers pass objects in ascending id order so the lower id wins. An
+    origin inside (or on) a sphere counts as a hit at distance zero: the
+    object occupies the camera.
     """
     n_rays = directions.shape[0]
     if not objects:
@@ -156,8 +116,8 @@ def nearest_hit_indices(origin: Vec3, directions: np.ndarray, objects: Sequence[
     dy = directions[:, 1][:, None]
     dz = directions[:, 2][:, None]
 
-    # In-place accumulation; each elementwise op keeps the operand order of
-    # the scalar path (b, then disc = b*b - c) so results stay bit-identical.
+    # In-place accumulation in a fixed operand order (b = oc.d, c = oc.oc - r^2,
+    # disc = b*b - c), which the scalar reference in tests/oracles.py mirrors.
     b = ocx * dx
     b += ocy * dy
     b += ocz * dz
@@ -190,25 +150,3 @@ def rm_scores(origin: Vec3, bundle: RayBundle, objects: Sequence[SceneObject]) -
         if obj_idx >= 0:
             scores[obj_idx] += weights[j]
     return scores
-
-
-def compute_rm(cam: MidCamera, rays: Sequence[WeightedRay], scene: Sequence[SceneObject], target: int) -> float:
-    """Centrality score of the target object: summed weight of rays whose
-    nearest hit over `scene` is that object."""
-    ids = [o.id for o in scene]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("scene contains duplicate object ids")
-    if target not in ids:
-        raise ValidationError(f"target id {target} not present in scene")
-
-    ordered = sorted(scene, key=lambda o: o.id)
-    directions = np.array([[r.direction.x, r.direction.y, r.direction.z] for r in rays])
-    weights = np.array([r.weight for r in rays])
-    weights.flags.writeable = False
-    directions.flags.writeable = False
-    bundle = RayBundle(directions=directions, layers=np.zeros(len(rays), dtype=np.int64), weights=weights)
-    scores = rm_scores(cam.m, bundle, ordered)
-    for obj, score in zip(ordered, scores):
-        if obj.id == target:
-            return score
-    raise AssertionError("unreachable")

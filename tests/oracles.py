@@ -2,14 +2,28 @@
 
 Everything here is deliberately written as brute force: scalar loops, dense
 sampling, hard-coded tables. None of it calls the vectorized production
-code paths it is used to verify.
+code paths it is used to verify; the only library outputs it consumes are a
+ray cone from `ray_bundle` (checked on its own by the ray-cone tests) and the
+midpoint camera from `derive_mid_camera`.
 """
 
 from __future__ import annotations
 
 import math
 
-from focusray import MidCamera, SceneObject, Vec3, WeightedRay
+from focusray import (
+    FocusCandidate,
+    HeuristicWeights,
+    MidCamera,
+    RayBundle,
+    RayConfig,
+    Roi,
+    SceneObject,
+    StereoRig,
+    Vec3,
+    derive_mid_camera,
+    ray_bundle,
+)
 
 
 def ray_sphere_t(origin: Vec3, direction: Vec3, center: Vec3, radius: float) -> float | None:
@@ -35,7 +49,7 @@ def ray_sphere_t(origin: Vec3, direction: Vec3, center: Vec3, radius: float) -> 
     return None
 
 
-def rm_by_enumeration(cam: MidCamera, rays: list[WeightedRay], scene: list[SceneObject]) -> dict[int, float]:
+def rm_by_enumeration(cam: MidCamera, bundle: RayBundle, scene: list[SceneObject]) -> dict[int, float]:
     """Per-object centrality by walking every ray and picking its nearest hit.
 
     Objects are scanned in ascending id order with a strict < comparison, so
@@ -43,17 +57,82 @@ def rm_by_enumeration(cam: MidCamera, rays: list[WeightedRay], scene: list[Scene
     """
     ordered = sorted(scene, key=lambda o: o.id)
     scores = {obj.id: 0.0 for obj in ordered}
-    for ray in rays:
+    for (dx, dy, dz), weight in zip(bundle.directions.tolist(), bundle.weights.tolist()):
+        direction = Vec3(dx, dy, dz)
         best_id: int | None = None
         best_t = math.inf
         for obj in ordered:
-            t = ray_sphere_t(cam.m, ray.direction, obj.center, obj.radius)
+            t = ray_sphere_t(cam.m, direction, obj.center, obj.radius)
             if t is not None and t < best_t:
                 best_t = t
                 best_id = obj.id
         if best_id is not None:
-            scores[best_id] += ray.weight
+            scores[best_id] += weight
     return scores
+
+
+def point_cone_distance(p: Vec3, apex: Vec3, axis: Vec3, half_angle: float) -> float:
+    """Distance from a point to the solid infinite cone (0 when inside).
+
+    Works in the (radial, axial) half-plane: the solid cone is convex there,
+    so the nearest boundary point is either the apex or the foot of the
+    perpendicular onto the lateral boundary ray.
+    """
+    rel = p - apex
+    z = rel.dot(axis)
+    rho_sq = rel.dot(rel) - z * z
+    rho = math.sqrt(rho_sq) if rho_sq > 0.0 else 0.0
+    sin_t = math.sin(half_angle)
+    cos_t = math.cos(half_angle)
+    side = rho * cos_t - z * sin_t
+    if z >= 0.0 and side <= 0.0:
+        return 0.0
+    s = rho * sin_t + z * cos_t
+    if s <= 0.0:
+        # plain sqrt, not hypot: the vectorized ROI filter mirrors this
+        # expression tree and must produce bit-identical values
+        return math.sqrt(rho * rho + z * z)
+    return side
+
+
+def roi_contains(roi: Roi, obj: SceneObject) -> bool:
+    """True when the object's bounding sphere overlaps the truncated ROI cone.
+
+    Partial overlap counts. Truncation: the sphere point closest to the apex
+    plane along the axis must lie at axial distance <= z_far.
+    """
+    dist = point_cone_distance(obj.center, roi.apex, roi.axis, roi.half_angle)
+    if dist > obj.radius:
+        return False
+    z = (obj.center - roi.apex).dot(roi.axis)
+    return z - obj.radius <= roi.z_far
+
+
+def select_by_enumeration(
+    scene: list[SceneObject],
+    rig: StereoRig,
+    roi: Roi,
+    ray_cfg: RayConfig,
+    weights: HeuristicWeights,
+) -> tuple[FocusCandidate | None, list[FocusCandidate]]:
+    """Focus selection one object at a time: ROI test, per-ray rm, then d,
+    importance and a running best under the tie rule (higher importance,
+    then higher d, then the lower id, which comes first in id order)."""
+    cam = derive_mid_camera(rig)
+    candidates = [obj for obj in sorted(scene, key=lambda o: o.id) if roi_contains(roi, obj)]
+    rms = rm_by_enumeration(cam, ray_bundle(ray_cfg, cam), candidates)
+    best: FocusCandidate | None = None
+    scored: list[FocusCandidate] = []
+    for obj in candidates:
+        dist = obj.center.distance_to(cam.m)
+        d = 1.0 - min(dist, roi.z_far) / roi.z_far
+        rm = rms[obj.id]
+        imp = weights.p_rm * rm + weights.p_d * d + weights.p_v * obj.value
+        cand = FocusCandidate(object_id=obj.id, rm=rm, d=d, v=obj.value, importance=imp)
+        scored.append(cand)
+        if best is None or imp > best.importance or (imp == best.importance and d > best.d):
+            best = cand
+    return best, scored
 
 
 def hit_by_marching(

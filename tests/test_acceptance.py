@@ -30,19 +30,18 @@ from focusray import (
     TrajectorySample,
     Vec3,
     analyze_trajectory,
-    compute_rm,
     derive_mid_camera,
-    generate_metric_rays,
     layer_weight,
     level_for_score,
     ray_bundle,
-    roi_contains,
+    roi_mask,
     score_questionnaire,
     select_focus,
     step,
 )
 
-from oracles import rm_by_enumeration, ssq_scores_by_matrix
+from focusray.rays import rm_scores
+from oracles import rm_by_enumeration, roi_contains, ssq_scores_by_matrix
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 # Directory holding the imported package, so CLI children run the code under test.
@@ -139,10 +138,12 @@ def test_criterion_2_rm_matches_enumeration_bitwise(criterion):
                 )
                 for oid in ids
             ]
-            rays = generate_metric_rays(cfg, cam)
-            want = rm_by_enumeration(cam, rays, scene)
+            bundle = ray_bundle(cfg, cam)
+            want = rm_by_enumeration(cam, bundle, scene)
+            ordered = sorted(scene, key=lambda o: o.id)
+            scores = dict(zip((o.id for o in ordered), rm_scores(cam.m, bundle, ordered)))
             for oid in ids:
-                got = compute_rm(cam, rays, scene, oid)
+                got = scores[oid]
                 assert got == want[oid], (oid, got, want[oid])
         assert time.perf_counter() - start < 10.0
 
@@ -195,6 +196,7 @@ def test_criterion_4_selection_properties(criterion):
         ]
         scene = inside + outside
         in_roi_ids = {o.id for o in scene if roi_contains(roi, o)}
+        assert roi_mask(roi, scene).tolist() == [o.id in in_roi_ids for o in scene]
         assert in_roi_ids and all(o.id not in in_roi_ids for o in outside)
 
         best0, scored0 = select_focus(scene, rig, roi, ray_cfg, weights)
@@ -221,6 +223,7 @@ def test_criterion_4_selection_properties(criterion):
             ]
             best, scored = select_focus(spread, rig, roi, ray_cfg, weights)
             kept = {o.id for o in spread if roi_contains(roi, o)}
+            assert roi_mask(roi, spread).tolist() == [o.id in kept for o in spread]
             assert {c.object_id for c in scored} == kept
             if best is not None:
                 assert best.object_id in kept

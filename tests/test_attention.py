@@ -8,18 +8,17 @@ from focusray import (
     RayConfig,
     Roi,
     SceneObject,
+    StereoRig,
     ValidationError,
     Vec3,
-    depth_metric,
-    importance,
-    roi_contains,
+    derive_mid_camera,
+    roi_mask,
     select_focus,
 )
-from focusray.attention import _roi_mask
-from builders import axial_cam, axial_rig
+from builders import axial_rig
+from oracles import roi_contains, select_by_enumeration
 
 RIG = axial_rig(0.0, 0.0, 0.0)
-CAM = axial_cam(0.0, 0.0, 0.0)
 ROI = Roi(apex=Vec3(0, 0, 0), axis=Vec3(0, 0, -1), half_angle=math.radians(30.0), z_far=100.0)
 RAYS = RayConfig(k=2, n=16, half_angle=math.radians(20.0))
 DEFAULT_W = HeuristicWeights(p_rm=0.5, p_d=0.3, p_v=0.2)
@@ -47,47 +46,53 @@ class TestHeuristicWeights:
 
 
 class TestDepthMetric:
+    """The proximity signal d of a lone candidate, as `select_focus` scores it."""
+
+    def depth(self, o):
+        _, ranked = select_focus([o], RIG, ROI, RAYS, DEFAULT_W)
+        assert [c.object_id for c in ranked] == [o.id]
+        return ranked[0].d
+
     def test_at_camera_scores_one(self):
-        assert depth_metric(CAM, obj(1, 0, 0, 0), 100.0) == 1.0
+        assert self.depth(obj(1, 0, 0, 0)) == 1.0
 
     def test_linear_falloff(self):
-        assert depth_metric(CAM, obj(1, 0, 0, -25), 100.0) == 0.75
-        assert depth_metric(CAM, obj(1, 0, 0, -50), 100.0) == 0.5
+        assert self.depth(obj(1, 0, 0, -25)) == 0.75
+        assert self.depth(obj(1, 0, 0, -50)) == 0.5
 
     def test_clamps_at_far_limit(self):
-        assert depth_metric(CAM, obj(1, 0, 0, -100), 100.0) == 0.0
-        assert depth_metric(CAM, obj(1, 0, 0, -400), 100.0) == 0.0
+        assert self.depth(obj(1, 0, 0, -100)) == 0.0
+        # a sphere big enough to reach back inside z_far, centered far beyond it
+        assert self.depth(obj(1, 0, 0, -400, r=350.0)) == 0.0
 
     def test_uses_euclidean_distance(self):
-        assert depth_metric(CAM, obj(1, 3, 0, -4), 100.0) == pytest.approx(0.95, abs=1e-12)
+        assert self.depth(obj(1, 3, 0, -4)) == pytest.approx(0.95, abs=1e-12)
 
     def test_invalid_far_limit(self):
+        # the far limit of d is the ROI's z_far, which must be positive
         with pytest.raises(ValidationError):
-            depth_metric(CAM, obj(1, 0, 0, -5), 0.0)
+            Roi(apex=Vec3(0, 0, 0), axis=Vec3(0, 0, -1), half_angle=math.radians(30.0), z_far=0.0)
 
 
 class TestImportance:
     def test_weighted_sum(self):
         w = HeuristicWeights(p_rm=0.5, p_d=0.3, p_v=0.2)
-        assert importance(w, 1.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
-        assert importance(w, 0.4, 0.6, 0.8) == pytest.approx(0.5 * 0.4 + 0.3 * 0.6 + 0.2 * 0.8, abs=1e-15)
+        _, ranked = select_focus([obj(1, 0, 0, -5, r=1.2, value=0.2), obj(2, 0, 0, -12, r=5.0, value=1.0)],
+                                 RIG, ROI, RAYS, w)
+        assert len(ranked) == 2
+        for c in ranked:
+            assert c.importance == 0.5 * c.rm + 0.3 * c.d + 0.2 * c.v
 
     def test_bounds(self):
-        w = DEFAULT_W
         rng = random.Random(5)
-        for _ in range(200):
-            v = importance(w, rng.random(), rng.random(), rng.random())
-            assert 0.0 <= v <= 1.0 + 1e-12
-
-    def test_signal_range_enforced(self):
-        with pytest.raises(ValidationError):
-            importance(DEFAULT_W, 1.5, 0.0, 0.0)
-        with pytest.raises(ValidationError):
-            importance(DEFAULT_W, 0.0, -0.1, 0.0)
-
-    def test_rounding_slack_accepted(self):
-        importance(DEFAULT_W, 1.0 + 5e-10, 0.0, 0.0)
-        importance(DEFAULT_W, -5e-10, 1.0, 1.0)
+        for _ in range(40):
+            scene = [
+                obj(oid, rng.uniform(-8, 8), rng.uniform(-8, 8), rng.uniform(-60, 2), rng.uniform(0.3, 4.0), rng.random())
+                for oid in range(1, 9)
+            ]
+            _, ranked = select_focus(scene, RIG, ROI, RAYS, DEFAULT_W)
+            for c in ranked:
+                assert 0.0 <= c.importance <= 1.0 + 1e-12
 
 
 class TestSelectFocusFixture:
@@ -211,6 +216,85 @@ class TestRoiMaskMirror:
             obj(i, rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(-40, 10), rng.uniform(0.1, 5.0))
             for i in range(1, 400)
         ]
-        mask = _roi_mask(roi, objects)
+        mask = roi_mask(roi, objects)
         for o, keep in zip(objects, mask.tolist()):
             assert keep == roi_contains(roi, o)
+
+
+def _tie_scene(rng: random.Random) -> tuple[StereoRig, list[SceneObject]]:
+    """Axis-aligned rig and objects on a 1/8 m grid, so distances are exact.
+
+    About half the objects copy an earlier offset with one coordinate
+    mirrored or swapped (an exact distance tie); values come from a short
+    list (value ties). The forward axis is any of the six axis directions.
+    """
+    m = Vec3(*(rng.randint(-16, 16) / 8 for _ in range(3)))
+    axes = [Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)]
+    fwd_i = rng.randrange(3)
+    forward = axes[fwd_i] * rng.choice((-1.0, 1.0))
+    up = axes[(fwd_i + 1) % 3]
+    right = forward.cross(up)
+    half = right * 0.03125
+    rig = StereoRig(ol=m - half, or_=m + half, up=up, forward=forward)
+    offsets: list[tuple[float, float, float]] = []
+    scene = []
+    for oid in rng.sample(range(1, 100), rng.randint(1, 14)):
+        if offsets and rng.random() < 0.5:
+            a, b, depth = rng.choice(offsets)
+            a, b = rng.choice(((-a, b), (a, -b), (b, a)))
+        else:
+            a, b, depth = rng.randint(-48, 48) / 8, rng.randint(-48, 48) / 8, rng.randint(0, 320) / 8
+            offsets.append((a, b, depth))
+        center = m + right * a + up * b + forward * depth
+        value = rng.choice((0.0, 0.25, 0.5, 1.0))
+        scene.append(SceneObject(id=oid, center=center, radius=rng.choice((0.5, 1.0, 2.0)), value=value))
+    return rig, scene
+
+
+class TestSelectFocusOracle:
+    """`select_focus` against the scalar one-object-at-a-time reference."""
+
+    WEIGHTS = (
+        HeuristicWeights(p_rm=0.0, p_d=0.0, p_v=1.0),
+        HeuristicWeights(p_rm=0.0, p_d=0.5, p_v=0.5),
+        HeuristicWeights(p_rm=0.0, p_d=1.0, p_v=0.0),
+        HeuristicWeights(p_rm=0.5, p_d=0.3, p_v=0.2),
+        HeuristicWeights(p_rm=1.0, p_d=0.0, p_v=0.0),
+    )
+
+    def test_winner_and_candidates_match_enumeration(self):
+        rng = random.Random(6021)
+        importance_ties = distance_ties = 0
+        for case in range(320):
+            rig, scene = _tie_scene(rng)
+            roi = Roi(apex=derive_mid_camera(rig).m, axis=rig.forward, half_angle=math.radians(rng.uniform(15.0, 60.0)),
+                      z_far=rng.randint(80, 400) / 8)  # on the grid: spheres can touch z_far exactly
+            ray_cfg = RayConfig(k=rng.randint(1, 4), n=rng.randint(1, 24), half_angle=math.radians(rng.uniform(5.0, 30.0)))
+            weights = rng.choice(self.WEIGHTS)
+            got = select_focus(scene, rig, roi, ray_cfg, weights)
+            assert got == select_by_enumeration(scene, rig, roi, ray_cfg, weights), case
+            best, ranked = got
+            if best is not None:
+                tied = [c for c in ranked if c.importance == best.importance]
+                importance_ties += len(tied) > 1
+                distance_ties += sum(c.d == best.d for c in tied) > 1
+        # the tie rule must actually have been exercised at both levels
+        assert importance_ties >= 50
+        assert distance_ties >= 30
+
+        # dense scenes at the default cone size
+        rig = axial_rig(0.0, 0.0, 0.0)
+        roi = Roi(apex=Vec3(0, 0, 0), axis=Vec3(0, 0, -1), half_angle=math.radians(30.0), z_far=100.0)
+        ray_cfg = RayConfig(k=4, n=64, half_angle=math.radians(20.0))
+        for _ in range(5):
+            scene = []
+            for oid in range(1, 201):
+                theta = rng.uniform(0.0, 0.45)
+                phi = rng.uniform(0.0, 2.0 * math.pi)
+                dist = rng.uniform(3.0, 110.0)
+                center = Vec3(dist * math.sin(theta) * math.cos(phi), dist * math.sin(theta) * math.sin(phi),
+                              -dist * math.cos(theta))
+                scene.append(SceneObject(id=oid, center=center, radius=rng.uniform(0.3, 3.0), value=rng.random()))
+            got = select_focus(scene, rig, roi, ray_cfg, DEFAULT_W)
+            assert len(got[1]) >= 150
+            assert got == select_by_enumeration(scene, rig, roi, ray_cfg, DEFAULT_W)

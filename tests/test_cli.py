@@ -123,6 +123,18 @@ class TestRunCommand:
         assert code == EXIT_PARSE
         assert "traj.txt:2" in err
 
+    def test_non_finite_orientation_is_parse_exit(self, tmp_path):
+        p = run_files(tmp_path, traj=TRAJ.replace("100 0 0 0 0 0 -1", "100 0 0 0 nan 0 -1"))
+        code, err = quiet_main(self.argv(p))
+        assert code == EXIT_PARSE
+        assert "traj.txt:3" in err
+
+    def test_forward_parallel_to_up_is_parse_exit(self, tmp_path):
+        p = run_files(tmp_path, traj=TRAJ.replace("0 0 0 0 0 0 -1 0 1 0", "0 0 0 0 0 1 0 0 1 0", 1))
+        code, err = quiet_main(self.argv(p))
+        assert code == EXIT_PARSE
+        assert "traj.txt:2" in err
+
     def test_unknown_config_key_is_parse_exit(self, tmp_path):
         p = run_files(tmp_path, config="warp_speed = 9\n")
         code, err = quiet_main(self.argv(p))

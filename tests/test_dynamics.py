@@ -12,7 +12,6 @@ from focusray import (
     Transition,
     ValidationError,
     blur_amount,
-    dof_params,
     step,
 )
 from focusray.dynamics import apply_selection
@@ -217,12 +216,6 @@ class TestBlur:
     def test_cap(self):
         assert blur_amount(6.0, 4.0, BLUR) == 1.0  # exactly at the cap
         assert blur_amount(50.0, 4.0, BLUR) == 1.0
-
-    def test_dof_params_bundle(self):
-        s = acquire(4.0)
-        p = dof_params(s, 5.0, BLUR)
-        assert p.focal_distance == 4.0
-        assert p.blur_scale == 0.5
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValidationError):

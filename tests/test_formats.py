@@ -149,6 +149,21 @@ class TestParseTrajectory:
         with pytest.raises(ParseError, match="forward vector must be non-zero"):
             parse_trajectory(path)
 
+    def test_non_finite_orientation_names_line(self, tmp_path):
+        for row in ("100 0 0 0 nan 0 -1 0 1 0 90 1 11.1", "100 0 0 0 0 0 -1 0 inf 0 90 1 11.1"):
+            path = put(tmp_path, "traj.txt", self.rows("0 0 0 0 0 0 -1 0 1 0 90 1 11.1", row))
+            with pytest.raises(ParseError, match=r"traj\.txt:3: Vec3 components must be finite"):
+                parse_trajectory(path)
+
+    def test_forward_parallel_to_up_names_line(self, tmp_path):
+        path = put(
+            tmp_path,
+            "traj.txt",
+            self.rows("0 0 0 0 0 1 0 0 1 0 90 1 11.1", "100 0 0 0 0 0 -1 0 1 0 90 1 11.1"),
+        )
+        with pytest.raises(ParseError, match=r"traj\.txt:2: right \(forward x up\) vector must be non-zero"):
+            parse_trajectory(path)
+
     def test_non_monotonic_time(self, tmp_path):
         path = put(
             tmp_path,

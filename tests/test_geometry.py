@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,11 +15,10 @@ from focusray import (
     ValidationError,
     Vec3,
     derive_mid_camera,
-    point_cone_distance,
-    ray_sphere_intersect,
-    roi_contains,
+    roi_mask,
 )
-from oracles import cone_distance_by_sampling, hit_by_marching
+from focusray.rays import nearest_hit_indices
+from oracles import cone_distance_by_sampling, hit_by_marching, point_cone_distance, ray_sphere_t
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -105,26 +105,50 @@ def sphere(cx, cy, cz, r, oid=1):
     return SceneObject(id=oid, center=Vec3(cx, cy, cz), radius=r, value=0.5)
 
 
+def ray_t(origin: Vec3, direction: Vec3, obj: SceneObject) -> float | None:
+    """Hit distance of one ray from the scalar reference (None on miss)."""
+    return ray_sphere_t(origin, direction, obj.center, obj.radius)
+
+
+def hits(origin: Vec3, direction: Vec3, obj: SceneObject) -> bool:
+    """Hit/miss of one ray against one sphere, from the library's nearest-hit kernel."""
+    d = np.array([[direction.x, direction.y, direction.z]])
+    return bool(nearest_hit_indices(origin, d, [obj])[0] == 0)
+
+
+def in_roi(roi: Roi, obj: SceneObject) -> bool:
+    """ROI membership of one object, from the library's `roi_mask`."""
+    return bool(roi_mask(roi, [obj])[0])
+
+
 class TestRaySphere:
+    """Distances come from the scalar reference that criterion 2 trusts;
+    hit/miss also from the library kernel."""
+
     origin = Vec3(0.0, 0.0, 0.0)
     down_z = Vec3(0.0, 0.0, -1.0)
 
     def test_axial_hit(self):
-        assert ray_sphere_intersect(self.origin, self.down_z, sphere(0, 0, -5, 1.0)) == 4.0
+        assert ray_t(self.origin, self.down_z, sphere(0, 0, -5, 1.0)) == 4.0
+        assert hits(self.origin, self.down_z, sphere(0, 0, -5, 1.0))
 
     def test_offset_miss(self):
-        assert ray_sphere_intersect(self.origin, self.down_z, sphere(0, 3, -5, 1.0)) is None
+        assert ray_t(self.origin, self.down_z, sphere(0, 3, -5, 1.0)) is None
+        assert not hits(self.origin, self.down_z, sphere(0, 3, -5, 1.0))
 
     def test_oblique_hit_distance(self):
         # closest approach 0.6 at depth 5: t = 5 - sqrt(1 - 0.36)
-        t = ray_sphere_intersect(self.origin, self.down_z, sphere(0, 0.6, -5, 1.0))
+        t = ray_t(self.origin, self.down_z, sphere(0, 0.6, -5, 1.0))
         assert t == pytest.approx(5.0 - math.sqrt(1.0 - 0.36), abs=1e-12)
+        assert hits(self.origin, self.down_z, sphere(0, 0.6, -5, 1.0))
 
     def test_origin_inside_hits_at_zero(self):
-        assert ray_sphere_intersect(self.origin, self.down_z, sphere(0.1, 0, 0, 1.0)) == 0.0
+        assert ray_t(self.origin, self.down_z, sphere(0.1, 0, 0, 1.0)) == 0.0
+        assert hits(self.origin, self.down_z, sphere(0.1, 0, 0, 1.0))
 
     def test_sphere_behind_misses(self):
-        assert ray_sphere_intersect(self.origin, self.down_z, sphere(0, 0, 5, 1.0)) is None
+        assert ray_t(self.origin, self.down_z, sphere(0, 0, 5, 1.0)) is None
+        assert not hits(self.origin, self.down_z, sphere(0, 0, 5, 1.0))
 
     def test_hit_soundness_on_random_pairs(self):
         rng = random.Random(20240811)
@@ -132,7 +156,8 @@ class TestRaySphere:
             origin = Vec3(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-5, 5))
             direction = unit(rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))
             s = sphere(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(0.1, 4.0))
-            t = ray_sphere_intersect(origin, direction, s)
+            t = ray_t(origin, direction, s)
+            assert hits(origin, direction, s) == (t is not None)
             if t is None:
                 continue
             assert t >= 0.0
@@ -153,10 +178,10 @@ class TestRaySphere:
             hit_oracle, closest = hit_by_marching(origin, direction, s.center, s.radius, t_max, steps=2500)
             if abs(closest - s.radius) < 2e-2:
                 continue  # marching cannot resolve grazing contact
-            t = ray_sphere_intersect(origin, direction, s)
-            hit_lib = t is not None and t <= t_max
+            t = ray_t(origin, direction, s)
             if t is not None and t > t_max:
                 continue  # beyond the oracle's march range
+            hit_lib = hits(origin, direction, s)
             assert hit_lib == hit_oracle, f"origin={origin} dir={direction} sphere={s} t={t}"
             checked += 1
         assert checked > 600  # the margin must not have eaten the sample
@@ -198,11 +223,11 @@ def rodrigues(v: Vec3, k: Vec3, angle: float) -> Vec3:
 class TestRoiContains:
     def test_axial_object_inside(self):
         roi = Roi(apex=Vec3(0, 0, 0), axis=Vec3(0, 0, -1), half_angle=math.radians(15), z_far=100.0)
-        assert roi_contains(roi, sphere(0, 0, -5, 1.0))
+        assert in_roi(roi, sphere(0, 0, -5, 1.0))
 
     def test_behind_apex_excluded(self):
         roi = Roi(apex=Vec3(0, 0, 0), axis=Vec3(0, 0, -1), half_angle=math.radians(15), z_far=100.0)
-        assert not roi_contains(roi, sphere(0, 0, 4, 1.0))
+        assert not in_roi(roi, sphere(0, 0, 4, 1.0))
 
     def test_grazing_sphere_included(self):
         half = math.radians(20)
@@ -212,14 +237,14 @@ class TestRoiContains:
         on_surface = Vec3(z * math.tan(half), 0.0, -z)
         center = on_surface + Vec3(math.cos(half), 0.0, math.sin(half)) * 0.5
         assert point_cone_distance(center, roi.apex, roi.axis, half) == pytest.approx(0.5, abs=1e-9)
-        assert roi_contains(roi, SceneObject(id=1, center=center, radius=0.6, value=0.5))
-        assert not roi_contains(roi, SceneObject(id=1, center=center, radius=0.4, value=0.5))
+        assert in_roi(roi, SceneObject(id=1, center=center, radius=0.6, value=0.5))
+        assert not in_roi(roi, SceneObject(id=1, center=center, radius=0.4, value=0.5))
 
     def test_z_far_truncation(self):
         roi = Roi(apex=Vec3(0, 0, 0), axis=Vec3(0, 0, -1), half_angle=math.radians(15), z_far=50.0)
-        assert roi_contains(roi, sphere(0, 0, -49, 1.0))
-        assert roi_contains(roi, sphere(0, 0, -50.5, 1.0))  # sphere front crosses z_far
-        assert not roi_contains(roi, sphere(0, 0, -52, 1.0))
+        assert in_roi(roi, sphere(0, 0, -49, 1.0))
+        assert in_roi(roi, sphere(0, 0, -50.5, 1.0))  # sphere front crosses z_far
+        assert not in_roi(roi, sphere(0, 0, -52, 1.0))
 
     def test_rigid_transform_invariance(self):
         rng = random.Random(77)
@@ -241,7 +266,7 @@ class TestRoiContains:
                 radius=obj.radius,
                 value=obj.value,
             )
-            assert roi_contains(base_roi, obj) == roi_contains(moved_roi, moved_obj)
+            assert in_roi(base_roi, obj) == in_roi(moved_roi, moved_obj)
 
     def test_invalid_roi_rejected(self):
         with pytest.raises(ValidationError):

@@ -11,9 +11,6 @@ from focusray import (
     SceneObject,
     ValidationError,
     Vec3,
-    WeightedRay,
-    compute_rm,
-    generate_metric_rays,
     layer_weight,
     ray_bundle,
 )
@@ -121,14 +118,13 @@ class TestBundleGeometry:
         assert b.directions[0, 1] == 0.0  # azimuth exactly zero
 
     def test_single_ray_example(self):
-        rays = generate_metric_rays(RayConfig(k=1, n=1, half_angle=math.radians(15.0)), self.cam)
-        assert len(rays) == 1
-        ray = rays[0]
-        assert ray.layer == 1
-        assert ray.weight == 1.0
-        assert ray.direction.x == pytest.approx(math.sin(math.radians(15.0)), abs=1e-15)
-        assert ray.direction.y == 0.0
-        assert ray.direction.z == pytest.approx(-math.cos(math.radians(15.0)), abs=1e-15)
+        b = ray_bundle(RayConfig(k=1, n=1, half_angle=math.radians(15.0)), self.cam)
+        assert b.directions.shape == (1, 3)
+        assert int(b.layers[0]) == 1
+        assert b.weights[0] == 1.0
+        assert b.directions[0, 0] == pytest.approx(math.sin(math.radians(15.0)), abs=1e-15)
+        assert b.directions[0, 1] == 0.0
+        assert b.directions[0, 2] == pytest.approx(-math.cos(math.radians(15.0)), abs=1e-15)
 
     def test_azimuth_coverage_within_each_layer(self):
         # golden-angle spacing never clumps: the largest circular gap in a
@@ -157,15 +153,6 @@ class TestBundleGeometry:
         assert a.directions.tobytes() == b.directions.tobytes()
         assert a.weights.tobytes() == b.weights.tobytes()
 
-    def test_list_form_matches_arrays_bitwise(self):
-        c = cfg(k=3, n=9, half_deg=22.0)
-        b = ray_bundle(c, self.cam)
-        rays = generate_metric_rays(c, self.cam)
-        for i, ray in enumerate(rays):
-            assert (ray.direction.x, ray.direction.y, ray.direction.z) == tuple(b.directions[i])
-            assert ray.weight == b.weights[i]
-            assert ray.layer == int(b.layers[i])
-
     def test_tilted_camera_keeps_cone_shape(self):
         fwd = Vec3(1.0, 1.0, -1.0).normalized()
         cam = MidCamera(m=Vec3(2.0, -1.0, 3.0), forward=fwd, up=Vec3(0, 1, 0))
@@ -175,16 +162,6 @@ class TestBundleGeometry:
         for i in range(12):
             polar = math.acos(min(1.0, max(-1.0, float(b.directions[i] @ f))))
             assert polar == pytest.approx(half * int(b.layers[i]) / 2, abs=1e-9)
-
-
-class TestWeightedRay:
-    def test_non_unit_direction_rejected(self):
-        with pytest.raises(ValidationError):
-            WeightedRay(direction=Vec3(0, 0, -2), layer=1, weight=0.5)
-
-    def test_non_positive_weight_rejected(self):
-        with pytest.raises(ValidationError):
-            WeightedRay(direction=Vec3(0, 0, -1), layer=1, weight=0.0)
 
 
 def obj(oid, cx, cy, cz, r, value=0.5):
@@ -215,54 +192,43 @@ class TestNearestHits:
 
 
 class TestComputeRm:
+    """The rm signal of one object, from `rm_scores` over the scene as given."""
+
     cam = axial_cam(0.0, 0.0, 0.0)
 
-    def rays(self, **kw):
-        return generate_metric_rays(cfg(**kw), self.cam)
+    def rm(self, scene, target, **kw):
+        scores = rm_scores(self.cam.m, ray_bundle(cfg(**kw), self.cam), scene)
+        return dict(zip((o.id for o in scene), scores))[target]
 
     def test_enclosing_sphere_scores_one(self):
-        rays = self.rays(k=1, n=16)
         scene = [obj(1, 0, 0, -10, 500.0)]
-        assert compute_rm(self.cam, rays, scene, 1) == 1.0
+        assert self.rm(scene, 1, k=1, n=16) == 1.0
 
     def test_full_cover_multi_layer(self):
-        rays = self.rays(k=3, n=10)
         scene = [obj(1, 0, 0, -10, 500.0)]
-        assert compute_rm(self.cam, rays, scene, 1) == pytest.approx(1.0, abs=1e-9)
+        assert self.rm(scene, 1, k=3, n=10) == pytest.approx(1.0, abs=1e-9)
 
     def test_miss_scores_zero(self):
-        rays = self.rays(k=2, n=8)
         scene = [obj(1, 100, 0, -10, 0.5)]
-        assert compute_rm(self.cam, rays, scene, 1) == 0.0
+        assert self.rm(scene, 1, k=2, n=8) == 0.0
 
     def test_layer_occlusion_split(self):
         # sphere A swallows layer 1 (polar 10 deg) but not layer 2 (20 deg);
         # sphere B covers the whole cone from behind. Weight taper for k=2
         # gives A 2/3 and B 1/3.
-        rays = self.rays(k=2, n=16, half_deg=20.0)
         a = obj(1, 0, 0, -5, 1.2)
         b = obj(2, 0, 0, -12, 5.0)
-        rm_a = compute_rm(self.cam, rays, [a, b], 1)
-        rm_b = compute_rm(self.cam, rays, [a, b], 2)
+        rm_a = self.rm([a, b], 1, k=2, n=16, half_deg=20.0)
+        rm_b = self.rm([a, b], 2, k=2, n=16, half_deg=20.0)
         assert rm_a == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert rm_b == pytest.approx(1.0 / 3.0, rel=1e-12)
         assert rm_a + rm_b == pytest.approx(1.0, abs=1e-12)
 
     def test_scene_order_does_not_matter(self):
-        rays = self.rays(k=2, n=16, half_deg=20.0)
         a = obj(1, 0, 0, -5, 1.2)
         b = obj(2, 0, 0, -12, 5.0)
-        assert compute_rm(self.cam, rays, [a, b], 2) == compute_rm(self.cam, rays, [b, a], 2)
-
-    def test_duplicate_ids_rejected(self):
-        rays = self.rays(k=1, n=2)
-        with pytest.raises(ValidationError):
-            compute_rm(self.cam, rays, [obj(1, 0, 0, -5, 1.0), obj(1, 0, 0, -9, 1.0)], 1)
-
-    def test_missing_target_rejected(self):
-        rays = self.rays(k=1, n=2)
-        with pytest.raises(ValidationError):
-            compute_rm(self.cam, rays, [obj(1, 0, 0, -5, 1.0)], 2)
+        kw = dict(k=2, n=16, half_deg=20.0)
+        assert self.rm([a, b], 2, **kw) == self.rm([b, a], 2, **kw)
 
     def test_matches_enumeration_oracle_bitwise(self):
         rng = random.Random(31415)
@@ -271,7 +237,7 @@ class TestComputeRm:
             n = rng.randint(1, 24)
             half = math.radians(rng.uniform(5.0, 40.0))
             cam = axial_cam(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
-            rays = generate_metric_rays(RayConfig(k=k, n=n, half_angle=half), cam)
+            bundle = ray_bundle(RayConfig(k=k, n=n, half_angle=half), cam)
             scene = [
                 obj(
                     oid,
@@ -282,10 +248,10 @@ class TestComputeRm:
                 )
                 for oid in range(1, rng.randint(2, 9))
             ]
-            want = rm_by_enumeration(cam, rays, scene)
-            for target in want:
-                got = compute_rm(cam, rays, scene, target)
-                assert got == want[target], f"trial {trial} target {target}"
+            want = rm_by_enumeration(cam, bundle, scene)
+            got = rm_scores(cam.m, bundle, scene)  # built in ascending id order
+            for o, score in zip(scene, got):
+                assert score == want[o.id], f"trial {trial} target {o.id}"
 
 
 class TestRmScoresBundleForm:
