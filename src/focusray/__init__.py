@@ -15,8 +15,6 @@ from .comfort import (
     ComfortRule,
     TrajectorySample,
     analyze_trajectory,
-    detect_acceleration_episodes,
-    detect_frame_drops,
 )
 from .config import SimConfig
 from .dynamics import (
@@ -120,8 +118,6 @@ __all__ = [
     "apply_selection",
     "blur_amount",
     "derive_mid_camera",
-    "detect_acceleration_episodes",
-    "detect_frame_drops",
     "format_real",
     "layer_weight",
     "level_for_score",

@@ -10,20 +10,27 @@ frames, session length, and long stretches of continuous locomotion
 Severity numbers are heuristic rankings for triage, not a validated
 sickness predictor, and reports label them accordingly.
 
-Velocity and acceleration come from central finite differences over the
-(possibly non-uniform) sample timestamps; endpoints use one-sided
-differences.
+`analyze_trajectory` is the entry point: it validates once, and the rules
+share one motion pass. Velocity and acceleration come from central finite
+differences over the (possibly non-uniform) sample timestamps; endpoints
+use one-sided differences.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Iterator, Sequence
 
 from .errors import ValidationError
 from .geometry import Vec3
+
+# the acceleration rule differentiates twice, so its stencil needs three samples
+MIN_SAMPLES = 3
+
+# ComfortConfig thresholds that may be zero; every other one must be positive
+_MAY_BE_ZERO = ("min_episode_ms", "fov_delta_threshold_deg", "motion_floor_m_s", "motion_floor_deg_s")
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,24 +103,12 @@ class ComfortConfig:
     drop_factor: float = 2.0
 
     def __post_init__(self) -> None:
-        positive = (
-            ("accel_threshold_m_s2", self.accel_threshold_m_s2),
-            ("walk_episode_ms", self.walk_episode_ms),
-            ("max_session_ms", self.max_session_ms),
-            ("jump_distance_min_m", self.jump_distance_min_m),
-            ("target_frame_ms", self.target_frame_ms),
-            ("drop_factor", self.drop_factor),
-        )
-        for name, x in positive:
-            if not (math.isfinite(x) and x > 0.0):
-                raise ValidationError(f"{name} must be positive, got {x!r}")
-        non_negative = (
-            ("min_episode_ms", self.min_episode_ms),
-            ("fov_delta_threshold_deg", self.fov_delta_threshold_deg),
-            ("motion_floor_m_s", self.motion_floor_m_s),
-            ("motion_floor_deg_s", self.motion_floor_deg_s),
-        )
-        for name, x in non_negative:
+        for f in fields(self):
+            x = getattr(self, f.name)
+            if f.name not in _MAY_BE_ZERO and not (math.isfinite(x) and x > 0.0):
+                raise ValidationError(f"{f.name} must be positive, got {x!r}")
+        for name in _MAY_BE_ZERO:
+            x = getattr(self, name)
             if not (math.isfinite(x) and x >= 0.0):
                 raise ValidationError(f"{name} must be >= 0, got {x!r}")
 
@@ -127,41 +122,47 @@ class ComfortReport:
     duration_ms: float
 
 
-def _check_trajectory(traj: Sequence[TrajectorySample], min_samples: int) -> None:
-    if len(traj) < min_samples:
-        raise ValidationError(f"trajectory needs at least {min_samples} samples, got {len(traj)}")
+Trajectory = Sequence[TrajectorySample]
+
+
+@dataclass(frozen=True, slots=True)
+class _Motion:
+    """Derived once per analysis: the series two or more rules read, plus the
+    session duration, so that every rule takes (traj, motion, cfg)."""
+
+    duration_ms: float
+    ts_s: list[float]
+    velocities: list[Vec3]
+    gap_speeds: list[float]
+    jumps: set[int]
+
+
+def _check_trajectory(traj: Trajectory) -> None:
+    if len(traj) < MIN_SAMPLES:
+        raise ValidationError(f"trajectory needs at least {MIN_SAMPLES} samples, got {len(traj)}")
     for prev, cur in zip(traj, traj[1:]):
         if not cur.t_ms > prev.t_ms:
             raise ValidationError("trajectory samples must strictly increase in t_ms")
 
 
-def _central_rate(values: Sequence[Vec3], ts_s: Sequence[float]) -> list[Vec3]:
-    """First derivative of a vector series: central differences, one-sided ends."""
-    n = len(values)
-    out: list[Vec3] = []
+def _stencil(ts_s: Sequence[float]) -> Iterator[tuple[int, int, float]]:
+    """(lo, hi, dt) per sample for central differences, one-sided at the ends."""
+    n = len(ts_s)
     for i in range(n):
         lo = max(i - 1, 0)
         hi = min(i + 1, n - 1)
-        dt = ts_s[hi] - ts_s[lo]
-        out.append((values[hi] - values[lo]) * (1.0 / dt))
-    return out
+        yield lo, hi, ts_s[hi] - ts_s[lo]
+
+
+def _central_rate(values: Sequence[Vec3], ts_s: Sequence[float]) -> list[Vec3]:
+    """First derivative of a vector series."""
+    return [(values[hi] - values[lo]) * (1.0 / dt) for lo, hi, dt in _stencil(ts_s)]
 
 
 def _angle_deg(a: Vec3, b: Vec3) -> float:
     d = a.dot(b)
     d = max(-1.0, min(1.0, d))
     return math.degrees(math.acos(d))
-
-
-def _angular_rates_deg_s(traj: Sequence[TrajectorySample], ts_s: Sequence[float]) -> list[float]:
-    n = len(traj)
-    out: list[float] = []
-    for i in range(n):
-        lo = max(i - 1, 0)
-        hi = min(i + 1, n - 1)
-        dt = ts_s[hi] - ts_s[lo]
-        out.append(_angle_deg(traj[lo].forward, traj[hi].forward) / dt)
-    return out
 
 
 def _runs(flags: Sequence[bool]) -> list[tuple[int, int]]:
@@ -179,7 +180,7 @@ def _runs(flags: Sequence[bool]) -> list[tuple[int, int]]:
     return runs
 
 
-def _gap_speeds_m_s(traj: Sequence[TrajectorySample]) -> list[float]:
+def _gap_speeds_m_s(traj: Trajectory) -> list[float]:
     """Mean speed across each inter-sample gap, indexed by the gap's left sample."""
     speeds: list[float] = []
     for a, b in zip(traj, traj[1:]):
@@ -188,11 +189,10 @@ def _gap_speeds_m_s(traj: Sequence[TrajectorySample]) -> list[float]:
     return speeds
 
 
-def _jump_gaps(traj: Sequence[TrajectorySample], cfg: ComfortConfig) -> set[int]:
+def _jump_gaps(traj: Trajectory, speeds: Sequence[float], cfg: ComfortConfig) -> set[int]:
     """Gaps that look like deliberate teleports: a large position discontinuity
     with no motion on either side. These are exempt from the acceleration and
     locomotion rules."""
-    speeds = _gap_speeds_m_s(traj)
     jumps: set[int] = set()
     for i, (a, b) in enumerate(zip(traj, traj[1:])):
         if b.position.distance_to(a.position) <= cfg.jump_distance_min_m:
@@ -204,9 +204,7 @@ def _jump_gaps(traj: Sequence[TrajectorySample], cfg: ComfortConfig) -> set[int]
     return jumps
 
 
-def detect_acceleration_episodes(
-    traj: Sequence[TrajectorySample], cfg: ComfortConfig = ComfortConfig()
-) -> list[ComfortFinding]:
+def detect_acceleration_episodes(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) -> list[ComfortFinding]:
     """Episodes of sustained acceleration above the threshold.
 
     A run of consecutive over-threshold samples becomes a finding only when
@@ -214,16 +212,12 @@ def detect_acceleration_episodes(
     seconds. Single-sample spikes (the instant velocity step) and
     teleport-style jumps therefore never register.
     """
-    _check_trajectory(traj, 3)
-    ts_s = [s.t_ms / 1000.0 for s in traj]
-    positions = [s.position for s in traj]
-    velocities = _central_rate(positions, ts_s)
-    accelerations = _central_rate(velocities, ts_s)
+    accelerations = _central_rate(motion.velocities, motion.ts_s)
     magnitudes = [a.norm() for a in accelerations]
 
     # a teleport gap corrupts the finite differences of the four samples
     # whose stencils straddle it; blank them instead of flagging the jump
-    for gap in _jump_gaps(traj, cfg):
+    for gap in motion.jumps:
         for idx in range(gap - 1, gap + 3):
             if 0 <= idx < len(magnitudes):
                 magnitudes[idx] = 0.0
@@ -247,15 +241,12 @@ def detect_acceleration_episodes(
     return findings
 
 
-def detect_frame_drops(
-    traj: Sequence[TrajectorySample], cfg: ComfortConfig = ComfortConfig()
-) -> list[ComfortFinding]:
+def detect_frame_drops(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) -> list[ComfortFinding]:
     """Samples whose frame time blows the budget, merged into episodes.
 
     A sample is flagged when frame_time_ms exceeds drop_factor times the
     target; severity is the summed time over budget, in seconds.
     """
-    _check_trajectory(traj, 1)
     limit = cfg.drop_factor * cfg.target_frame_ms
     flags = [s.frame_time_ms > limit for s in traj]
     findings: list[ComfortFinding] = []
@@ -275,14 +266,10 @@ def detect_frame_drops(
     return findings
 
 
-def _detect_uncontrolled(traj: Sequence[TrajectorySample], cfg: ComfortConfig) -> list[ComfortFinding]:
-    if len(traj) < 2:
-        return []
-    ts_s = [s.t_ms / 1000.0 for s in traj]
-    velocities = _central_rate([s.position for s in traj], ts_s)
-    angular = _angular_rates_deg_s(traj, ts_s)
+def _detect_uncontrolled(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) -> list[ComfortFinding]:
+    angular = [_angle_deg(traj[lo].forward, traj[hi].forward) / dt for lo, hi, dt in _stencil(motion.ts_s)]
     flags = [
-        (velocities[i].norm() > cfg.motion_floor_m_s or angular[i] > cfg.motion_floor_deg_s)
+        (motion.velocities[i].norm() > cfg.motion_floor_m_s or angular[i] > cfg.motion_floor_deg_s)
         and not traj[i].user_initiated
         for i in range(len(traj))
     ]
@@ -301,9 +288,7 @@ def _detect_uncontrolled(traj: Sequence[TrajectorySample], cfg: ComfortConfig) -
     return findings
 
 
-def _detect_fov_manipulation(traj: Sequence[TrajectorySample], cfg: ComfortConfig) -> list[ComfortFinding]:
-    if len(traj) < 2:
-        return []
+def _detect_fov_manipulation(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) -> list[ComfortFinding]:
     deltas = [b.fov_deg - a.fov_deg for a, b in zip(traj, traj[1:])]
     flags = [abs(d) > cfg.fov_delta_threshold_deg for d in deltas]
     findings: list[ComfortFinding] = []
@@ -321,13 +306,9 @@ def _detect_fov_manipulation(traj: Sequence[TrajectorySample], cfg: ComfortConfi
     return findings
 
 
-def _detect_locomotion(traj: Sequence[TrajectorySample], cfg: ComfortConfig) -> list[ComfortFinding]:
-    if len(traj) < 2:
-        return []
-    speeds = _gap_speeds_m_s(traj)
-    for gap in _jump_gaps(traj, cfg):
-        speeds[gap] = 0.0
-    flags = [v > cfg.motion_floor_m_s for v in speeds]
+def _detect_locomotion(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) -> list[ComfortFinding]:
+    # teleport gaps count as standing still
+    flags = [v > cfg.motion_floor_m_s and i not in motion.jumps for i, v in enumerate(motion.gap_speeds)]
     findings: list[ComfortFinding] = []
     for start, end in _runs(flags):
         duration_ms = traj[end + 1].t_ms - traj[start].t_ms
@@ -345,9 +326,8 @@ def _detect_locomotion(traj: Sequence[TrajectorySample], cfg: ComfortConfig) -> 
     return findings
 
 
-def _detect_session_duration(
-    traj: Sequence[TrajectorySample], duration_ms: float, cfg: ComfortConfig
-) -> list[ComfortFinding]:
+def _detect_session_duration(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) -> list[ComfortFinding]:
+    duration_ms = motion.duration_ms
     if duration_ms <= cfg.max_session_ms:
         return []
     t0 = traj[0].t_ms
@@ -363,7 +343,7 @@ def _detect_session_duration(
 
 
 def analyze_trajectory(
-    traj: Sequence[TrajectorySample],
+    traj: Trajectory,
     duration_ms: float | None = None,
     cfg: ComfortConfig = ComfortConfig(),
 ) -> ComfortReport:
@@ -372,19 +352,29 @@ def analyze_trajectory(
     duration_ms defaults to the trajectory's time span. Findings are sorted
     by start time, ties by rule declaration order, so reports are stable.
     """
-    _check_trajectory(traj, 3)
+    _check_trajectory(traj)
     if duration_ms is None:
         duration_ms = traj[-1].t_ms - traj[0].t_ms
     if not (math.isfinite(duration_ms) and duration_ms >= 0.0):
         raise ValidationError(f"duration_ms must be >= 0, got {duration_ms!r}")
+    ts_s = [s.t_ms / 1000.0 for s in traj]
+    gap_speeds = _gap_speeds_m_s(traj)
+    motion = _Motion(
+        duration_ms=duration_ms,
+        ts_s=ts_s,
+        velocities=_central_rate([s.position for s in traj], ts_s),
+        gap_speeds=gap_speeds,
+        jumps=_jump_gaps(traj, gap_speeds, cfg),
+    )
 
+    # called by module name, so a tracer that rebinds a rule sees the call
     findings: list[ComfortFinding] = []
-    findings.extend(detect_acceleration_episodes(traj, cfg))
-    findings.extend(_detect_uncontrolled(traj, cfg))
-    findings.extend(_detect_fov_manipulation(traj, cfg))
-    findings.extend(detect_frame_drops(traj, cfg))
-    findings.extend(_detect_session_duration(traj, duration_ms, cfg))
-    findings.extend(_detect_locomotion(traj, cfg))
+    findings.extend(detect_acceleration_episodes(traj, motion, cfg))
+    findings.extend(_detect_uncontrolled(traj, motion, cfg))
+    findings.extend(_detect_fov_manipulation(traj, motion, cfg))
+    findings.extend(detect_frame_drops(traj, motion, cfg))
+    findings.extend(_detect_session_duration(traj, motion, cfg))
+    findings.extend(_detect_locomotion(traj, motion, cfg))
     findings.sort(key=lambda f: (f.start_ms, _RULE_ORDER[f.rule]))
 
     counts = {rule: 0 for rule in ComfortRule}

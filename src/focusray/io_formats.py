@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
-from .comfort import ComfortReport, ComfortRule, TrajectorySample
+from .comfort import MIN_SAMPLES, ComfortReport, ComfortRule, TrajectorySample
 from .config import CONFIG_FIELD_NAMES, INT_FIELDS, SimConfig
 from .errors import GeometryError, ParseError, ValidationError
 from .geometry import SceneObject, Vec3
@@ -50,7 +50,13 @@ class TimelineRow:
 
 def _content_lines(path: str) -> list[tuple[int, str]]:
     """Non-empty lines with comments stripped, as (line number, text) pairs."""
-    raw = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        raw = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # number lines as splitlines() below does, with "x" standing in for the bad byte
+        lineno = len((data[: e.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(path, lineno, f"invalid UTF-8 byte 0x{data[e.start]:02x}") from None
     out: list[tuple[int, str]] = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
@@ -142,8 +148,8 @@ def parse_trajectory(path: str) -> list[TrajectorySample]:
         if samples and not sample.t_ms > samples[-1].t_ms:
             raise ParseError(path, lineno, "t_ms must strictly increase")
         samples.append(sample)
-    if len(samples) < 2:
-        raise ParseError(path, 0, f"trajectory needs at least 2 samples, got {len(samples)}")
+    if len(samples) < MIN_SAMPLES:
+        raise ParseError(path, 0, f"trajectory needs at least {MIN_SAMPLES} samples, got {len(samples)}")
     return samples
 
 

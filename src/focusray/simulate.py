@@ -58,14 +58,17 @@ def level_for_score(score: int) -> int:
     return 6
 
 
-def _slerp(a: Vec3, b: Vec3, s: float) -> Vec3:
-    """Spherical interpolation between unit vectors (great-circle arc)."""
+def _slerp(left: TrajectorySample, right: TrajectorySample, name: str, s: float) -> Vec3:
+    """Spherical interpolation of the samples' `name` vector (forward or up) on the great-circle arc."""
+    a, b = getattr(left, name), getattr(right, name)
     d = max(-1.0, min(1.0, a.dot(b)))
     omega = math.acos(d)
     sin_omega = math.sin(omega)
     if sin_omega < 1e-9:
         if d < 0.0:
-            raise ValidationError("cannot interpolate between opposite orientations")
+            raise ValidationError(
+                f"cannot interpolate {name} between opposite orientations at t_ms {left.t_ms!r} and {right.t_ms!r}"
+            )
         # near-parallel: a straight lerp renormalized is exact enough
         return (a + (b - a) * s).normalized()
     wa = math.sin((1.0 - s) * omega) / sin_omega
@@ -111,8 +114,8 @@ def resample(traj: Sequence[TrajectorySample], tick_ms: float) -> list[Trajector
             TrajectorySample(
                 t_ms=t,
                 position=left.position + (right.position - left.position) * s,
-                forward=_slerp(left.forward, right.forward, s),
-                up=_slerp(left.up, right.up, s),
+                forward=_slerp(left, right, "forward", s),
+                up=_slerp(left, right, "up", s),
                 fov_deg=_lerp(left.fov_deg, right.fov_deg, s),
                 user_initiated=left.user_initiated,
                 frame_time_ms=_lerp(left.frame_time_ms, right.frame_time_ms, s),

@@ -135,6 +135,26 @@ class TestRunCommand:
         assert code == EXIT_PARSE
         assert "traj.txt:2" in err
 
+    def test_two_sample_trajectory_is_parse_exit(self, tmp_path):
+        p = run_files(tmp_path, traj=TRAJ.rsplit("200 ", 1)[0])
+        code, err = quiet_main(self.argv(p))
+        assert code == EXIT_PARSE
+        assert "traj.txt:0: trajectory needs at least 3 samples, got 2" in err
+
+    def test_non_utf8_scene_is_parse_exit(self, tmp_path):
+        p = run_files(tmp_path)
+        with open(p["scene"], "ab") as fh:
+            fh.write(b"2 0 0 -5 1.0 1.0 caf\xff\n")
+        code, err = quiet_main(self.argv(p))
+        assert code == EXIT_PARSE
+        assert "scene.txt:2: invalid UTF-8 byte 0xff" in err
+
+    def test_opposite_orientations_is_validation_exit(self, tmp_path):
+        p = run_files(tmp_path, traj=TRAJ.replace("100 0 0 0 0 0 -1", "100 0 0 0 0 0 1"), config="tick_ms = 50\n")
+        code, err = quiet_main(self.argv(p))
+        assert code == EXIT_VALIDATION
+        assert "forward between opposite orientations at t_ms 0.0 and 100.0" in err
+
     def test_unknown_config_key_is_parse_exit(self, tmp_path):
         p = run_files(tmp_path, config="warp_speed = 9\n")
         code, err = quiet_main(self.argv(p))
@@ -175,6 +195,16 @@ class TestSsqCommand:
         p = ssq_files(tmp_path, profile="name = P01\nage = minus\ngender = x\nacademic_background = y\n")
         code, err = quiet_main(self.argv(p))
         assert code == EXIT_PARSE
+
+    def test_non_utf8_profile_is_parse_exit(self, tmp_path):
+        p = ssq_files(tmp_path)
+        with open(p["profile"], "rb") as fh:
+            data = fh.read()
+        with open(p["profile"], "wb") as fh:
+            fh.write(data.replace(b"male", b"m\xffle"))
+        code, err = quiet_main(self.argv(p))
+        assert code == EXIT_PARSE
+        assert "profile.txt:3: invalid UTF-8 byte 0xff" in err
 
     def test_missing_questionnaire_file(self, tmp_path):
         p = ssq_files(tmp_path)

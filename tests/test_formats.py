@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from focusray import (
     ComfortFinding,
@@ -105,10 +107,11 @@ class TestParseTrajectory:
             self.rows(
                 "0 0 0 0 0 0 -1 0 1 0 90 1 11.1",
                 "100 0.5 0 0 0 0 -2 0 1 0 90 0 11.1",
+                "200 1 0 0 0 0 -1 0 1 0 90 1 11.1",
             ),
         )
         traj = parse_trajectory(path)
-        assert len(traj) == 2
+        assert len(traj) == 3
         assert traj[0].t_ms == 0.0
         assert traj[0].user_initiated is True
         assert traj[1].user_initiated is False
@@ -179,7 +182,13 @@ class TestParseTrajectory:
 
     def test_single_sample_rejected(self, tmp_path):
         path = put(tmp_path, "traj.txt", self.rows("0 0 0 0 0 0 -1 0 1 0 90 1 11.1"))
-        with pytest.raises(ParseError, match="at least 2 samples"):
+        with pytest.raises(ParseError, match="at least 3 samples"):
+            parse_trajectory(path)
+
+    def test_two_samples_rejected(self, tmp_path):
+        # the comfort rules' difference stencils need three samples
+        path = put(tmp_path, "traj.txt", self.rows("0 0 0 0 0 0 -1 0 1 0 90 1 11.1", "100 0 0 0 0 0 -1 0 1 0 90 1 11.1"))
+        with pytest.raises(ParseError, match=r"traj\.txt:0: trajectory needs at least 3 samples, got 2"):
             parse_trajectory(path)
 
     def test_line_numbers_skip_comments(self, tmp_path):
@@ -309,6 +318,53 @@ class TestParseProfile:
         path = put(tmp_path, "profile.txt", self.GOOD.replace("27", "0"))
         with pytest.raises(ParseError, match=r"profile\.txt:2"):
             parse_profile(path)
+
+
+class TestUndecodableInput:
+    def test_names_file_and_line_of_first_bad_byte(self, tmp_path):
+        path = tmp_path / "scene.txt"
+        path.write_bytes(b"1 0 0 -10 1.0 1.0 orb\n2 0 0 -5 1.0 1.0 b\xffd\n3 \xfe\n")
+        with pytest.raises(ParseError, match=r"scene\.txt:2: invalid UTF-8 byte 0xff"):
+            parse_scene(str(path))
+
+    def test_line_count_follows_every_line_ending(self, tmp_path):
+        path = tmp_path / "profile.txt"
+        path.write_bytes(b"name = P01\r\n\rage = \x80\n")
+        with pytest.raises(ParseError, match=r"profile\.txt:3: invalid UTF-8 byte 0x80"):
+            parse_profile(str(path))
+
+
+# parser vocabulary, so the fuzzer also reaches past the first token
+_FUZZ_TOKENS = [
+    b" ", b"\n", b"\r\n", b"#", b"=", b"0", b"1", b"-3", b"0.5", b"1e400", b"nan", b"inf", b"9" * 40,
+    b"\xc3\xa9", TRAJ_HEADER.encode(), b"0 0 0 0 0 0 -1 0 1 0 90 1 11.1",
+    b"ray_k", b"tick_ms", b"p_rm", b"name", b"age", b"gender", b"academic_background",
+]
+_FUZZ_TEXT = st.lists(st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=14).map(b" ".join), max_size=8).map(b"\n".join)
+_FUZZ_BYTES = st.one_of(
+    st.binary(max_size=300),
+    _FUZZ_TEXT,
+    _FUZZ_TEXT.map(lambda rows: TRAJ_HEADER.encode() + b"\n" + rows),
+)
+
+
+class TestParserFuzz:
+    @pytest.mark.parametrize(
+        "parser", [parse_scene, parse_trajectory, parse_config, parse_ssq_response, parse_profile],
+        ids=lambda parser: parser.__name__,
+    )
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=_FUZZ_BYTES)
+    def test_any_bytes_parse_or_raise_parse_error(self, tmp_path, parser, data):
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        try:
+            parser(str(path))
+        except ParseError:
+            pass
+        except ValidationError:
+            # a config that parses but breaks an invariant is the documented exit-4 path
+            assert parser is parse_config
 
 
 class TestFormatReal:

@@ -98,6 +98,12 @@ class TestResample:
         with pytest.raises(ValidationError, match="opposite orientations"):
             resample([left, right], 50.0)
 
+    def test_antipodal_error_names_vector_and_sample_times(self):
+        left = sample(0.0, Vec3(0, 0, 0))
+        right = sample(250.0, Vec3(0, 0, 0), forward=Vec3(0.0, 0.0, -1.0), up=Vec3(0.0, -1.0, 0.0))
+        with pytest.raises(ValidationError, match=r"interpolate up between opposite orientations at t_ms 0\.0 and 250\.0"):
+            resample([left, right], 100.0)
+
     def test_tick_larger_than_span(self):
         traj = [sample(0.0, Vec3(0, 0, 0)), sample(100.0, Vec3(1, 0, 0))]
         out = resample(traj, 1000.0)
