@@ -27,7 +27,7 @@ from .dynamics import (
     blur_amount,
     step,
 )
-from .errors import FocusrayError, GeometryError, ParseError, ValidationError
+from .errors import FocusrayError, GeometryError, OutputError, ParseError, ValidationError
 from .io_formats import (
     TimelineRow,
     format_real,
@@ -95,6 +95,7 @@ __all__ = [
     "MidCamera",
     "NAUSEA_SYMPTOMS",
     "OCULOMOTOR_SYMPTOMS",
+    "OutputError",
     "ParseError",
     "Profile",
     "ProtocolReport",

@@ -4,7 +4,8 @@ Subcommands: `run` replays a scenario to an output document, `ssq` scores a
 three-questionnaire protocol, `level` maps a play score to its level.
 
 Exit codes: 0 success, 2 usage, 3 parse failure (bad or unreadable file),
-4 validation failure (a value violating a documented invariant).
+4 validation failure (a value violating a documented invariant), 5 output
+failure (the document could not be written; nothing partial is left).
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import GeometryError, ParseError, ValidationError
+from .errors import GeometryError, OutputError, ParseError, ValidationError
 from .simulate import level_for_score, run_scenario, score_ssq_files
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_VALIDATION = 4
+EXIT_OUTPUT = 5
 
 
 def _non_negative_int(text: str) -> int:
@@ -81,6 +83,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, GeometryError) as e:
         print(f"focusray: {e}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OutputError as e:
+        print(f"focusray: {e}", file=sys.stderr)
+        return EXIT_OUTPUT
     return EXIT_OK
 
 

@@ -127,12 +127,14 @@ Trajectory = Sequence[TrajectorySample]
 
 @dataclass(frozen=True, slots=True)
 class _Motion:
-    """Derived once per analysis: the series two or more rules read, plus the
-    session duration, so that every rule takes (traj, motion, cfg)."""
+    """Derived once per analysis: the series two or more rules read, the
+    per-gap distances they come from, plus the session duration, so that
+    every rule takes (traj, motion, cfg)."""
 
     duration_ms: float
     ts_s: list[float]
     velocities: list[Vec3]
+    gap_distances: list[float]
     gap_speeds: list[float]
     jumps: set[int]
 
@@ -180,22 +182,18 @@ def _runs(flags: Sequence[bool]) -> list[tuple[int, int]]:
     return runs
 
 
-def _gap_speeds_m_s(traj: Trajectory) -> list[float]:
+def _gap_speeds_m_s(traj: Trajectory, distances: Sequence[float]) -> list[float]:
     """Mean speed across each inter-sample gap, indexed by the gap's left sample."""
-    speeds: list[float] = []
-    for a, b in zip(traj, traj[1:]):
-        dt_s = (b.t_ms - a.t_ms) / 1000.0
-        speeds.append(b.position.distance_to(a.position) / dt_s)
-    return speeds
+    return [dist / ((b.t_ms - a.t_ms) / 1000.0) for a, b, dist in zip(traj, traj[1:], distances)]
 
 
-def _jump_gaps(traj: Trajectory, speeds: Sequence[float], cfg: ComfortConfig) -> set[int]:
+def _jump_gaps(distances: Sequence[float], speeds: Sequence[float], cfg: ComfortConfig) -> set[int]:
     """Gaps that look like deliberate teleports: a large position discontinuity
     with no motion on either side. These are exempt from the acceleration and
     locomotion rules."""
     jumps: set[int] = set()
-    for i, (a, b) in enumerate(zip(traj, traj[1:])):
-        if b.position.distance_to(a.position) <= cfg.jump_distance_min_m:
+    for i, dist in enumerate(distances):
+        if dist <= cfg.jump_distance_min_m:
             continue
         calm_before = i == 0 or speeds[i - 1] <= cfg.motion_floor_m_s
         calm_after = i == len(speeds) - 1 or speeds[i + 1] <= cfg.motion_floor_m_s
@@ -358,13 +356,15 @@ def analyze_trajectory(
     if not (math.isfinite(duration_ms) and duration_ms >= 0.0):
         raise ValidationError(f"duration_ms must be >= 0, got {duration_ms!r}")
     ts_s = [s.t_ms / 1000.0 for s in traj]
-    gap_speeds = _gap_speeds_m_s(traj)
+    gap_distances = [b.position.distance_to(a.position) for a, b in zip(traj, traj[1:])]
+    gap_speeds = _gap_speeds_m_s(traj, gap_distances)
     motion = _Motion(
         duration_ms=duration_ms,
         ts_s=ts_s,
         velocities=_central_rate([s.position for s in traj], ts_s),
+        gap_distances=gap_distances,
         gap_speeds=gap_speeds,
-        jumps=_jump_gaps(traj, gap_speeds, cfg),
+        jumps=_jump_gaps(gap_distances, gap_speeds, cfg),
     )
 
     # called by module name, so a tracer that rebinds a rule sees the call

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto distinct exit codes: parse failures (3) and
-validation failures (4); usage errors are handled by argparse itself (2).
+The CLI maps these onto distinct exit codes: parse failures (3),
+validation failures (4) and output failures (5); usage errors are handled
+by argparse itself (2).
 """
 
 from __future__ import annotations
@@ -26,3 +27,7 @@ class ParseError(FocusrayError):
         super().__init__(f"{path}:{line}: {message}")
         self.path = str(path)
         self.line = line
+
+
+class OutputError(FocusrayError):
+    """The output document could not be written; message carries the path."""

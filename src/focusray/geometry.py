@@ -151,34 +151,32 @@ def derive_mid_camera(rig: StereoRig) -> MidCamera:
     return MidCamera(m=m, forward=rig.forward, up=rig.up)
 
 
-def _object_arrays(objects: Sequence[SceneObject]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Center x, y, z and radius of each object, as float64 arrays in input order."""
-    cx = np.array([o.center.x for o in objects])
-    cy = np.array([o.center.y for o in objects])
-    cz = np.array([o.center.z for o in objects])
-    rad = np.array([o.radius for o in objects])
-    return cx, cy, cz, rad
+def sphere_array(objects: Sequence[SceneObject]) -> np.ndarray:
+    """Bounding spheres as an (N, 4) float64 array of center x, y, z and radius, in input order."""
+    return np.array(
+        [(o.center.x, o.center.y, o.center.z, o.radius) for o in objects], dtype=np.float64
+    ).reshape(-1, 4)
 
 
-def roi_mask(roi: Roi, objects: Sequence[SceneObject]) -> np.ndarray:
-    """Per object, True when its bounding sphere overlaps the truncated ROI cone.
+def cone_mask(apex: Vec3, axis: Vec3, half_angle: float, z_far: float, centers: np.ndarray, rad: np.ndarray) -> np.ndarray:
+    """Per sphere, True when it overlaps the solid cone truncated at `z_far`.
 
-    Partial overlap counts. The distance from a center to the solid infinite
-    cone is taken in the (radial, axial) half-plane, where the cone is convex:
-    zero inside, else the distance to the apex or to the lateral boundary ray.
-    Truncation: the sphere point closest to the apex plane along the axis must
-    lie at axial distance <= z_far.
+    `centers` holds x, y, z in its first three columns. Partial overlap
+    counts. The distance from a center to the solid infinite cone is taken
+    in the (radial, axial) half-plane, where the cone is convex: zero
+    inside, else the distance to the apex or to the lateral boundary ray.
+    Truncation: the sphere point closest to the apex plane along the axis
+    must lie at axial distance <= z_far.
     """
-    cx, cy, cz, rad = _object_arrays(objects)
-    relx = cx - roi.apex.x
-    rely = cy - roi.apex.y
-    relz = cz - roi.apex.z
-    ax, ay, az = roi.axis.x, roi.axis.y, roi.axis.z
+    relx = centers[:, 0] - apex.x
+    rely = centers[:, 1] - apex.y
+    relz = centers[:, 2] - apex.z
+    ax, ay, az = axis.x, axis.y, axis.z
     z = relx * ax + rely * ay + relz * az
     rho_sq = (relx * relx + rely * rely + relz * relz) - z * z
     rho = np.sqrt(np.where(rho_sq > 0.0, rho_sq, 0.0))
-    sin_t = math.sin(roi.half_angle)
-    cos_t = math.cos(roi.half_angle)
+    sin_t = math.sin(half_angle)
+    cos_t = math.cos(half_angle)
     side = rho * cos_t - z * sin_t
     inside = (z >= 0.0) & (side <= 0.0)
     s = rho * sin_t + z * cos_t
@@ -186,4 +184,10 @@ def roi_mask(roi: Roi, objects: Sequence[SceneObject]) -> np.ndarray:
     # reproduces these values bit for bit
     apex_dist = np.sqrt(rho * rho + z * z)
     dist = np.where(inside, 0.0, np.where(s <= 0.0, apex_dist, side))
-    return (dist <= rad) & (z - rad <= roi.z_far)
+    return (dist <= rad) & (z - rad <= z_far)
+
+
+def roi_mask(roi: Roi, objects: Sequence[SceneObject]) -> np.ndarray:
+    """Per object, True when its bounding sphere overlaps the truncated ROI cone."""
+    spheres = sphere_array(objects)
+    return cone_mask(roi.apex, roi.axis, roi.half_angle, roi.z_far, spheres, spheres[:, 3])

@@ -12,13 +12,14 @@ produce byte-identical bytes.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 from .comfort import MIN_SAMPLES, ComfortReport, ComfortRule, TrajectorySample
 from .config import CONFIG_FIELD_NAMES, INT_FIELDS, SimConfig
-from .errors import GeometryError, ParseError, ValidationError
+from .errors import GeometryError, OutputError, ParseError, ValidationError
 from .geometry import SceneObject, Vec3
 from .ssq import Profile, ProtocolReport, SsqResponse
 
@@ -327,5 +328,19 @@ def render_document(sections: Sequence[Sequence[str]]) -> str:
 
 
 def write_document(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write `text` to `path` through a temp file beside the file it names and
+    a rename, so a failed write never leaves a truncated or partial document.
+    A symlink is written through, as `open` would; a path naming a device or
+    pipe (`/dev/stdout`) is written directly, since it cannot be replaced."""
+    special = os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path))
+    target = path if special else os.path.realpath(path)
+    tmp = target if special else f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        if tmp != target:
+            os.replace(tmp, target)
+    except OSError as e:
+        if tmp != target and os.path.lexists(tmp):
+            os.remove(tmp)
+        raise OutputError(f"cannot write output {path}: {e.strerror or e}") from None

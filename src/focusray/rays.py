@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import MidCamera, SceneObject, Vec3, _object_arrays
+from .geometry import MidCamera, Vec3, cone_mask
 
 # 2*pi*(1 - 1/phi), phi the golden ratio: ~137.5 degrees per step.
 GOLDEN_ANGLE = 2.0 * math.pi * (1.0 - 2.0 / (1.0 + math.sqrt(5.0)))
@@ -50,11 +50,14 @@ class RayBundle:
 
     directions: (R, 3) unit vectors; layers: (R,) 1-based ints;
     weights: (R,) per-ray weights summing to 1. Arrays are read-only.
+    axis and half_angle give the solid cone every ray lies in.
     """
 
     directions: np.ndarray
     layers: np.ndarray
     weights: np.ndarray
+    axis: Vec3
+    half_angle: float
 
 
 def layer_weight(i: int, k: int) -> float:
@@ -76,42 +79,48 @@ def _orthonormal_frame(cam: MidCamera) -> tuple[np.ndarray, np.ndarray, np.ndarr
     )
 
 
-def ray_bundle(config: RayConfig, cam: MidCamera) -> RayBundle:
-    """Build the k*n ray cone as arrays, ordered layer-major, azimuth-index minor."""
+@lru_cache(maxsize=16)
+def _cone_trig(config: RayConfig) -> tuple[np.ndarray, ...]:
+    """Layers, weights, and cos/sin of each ray's polar angle and azimuth as
+    (R, 1) columns: everything of the cone that does not depend on the camera."""
     k, n = config.k, config.n
-    fwd, right, up = _orthonormal_frame(cam)
-
     layers = np.repeat(np.arange(1, k + 1), n)
     theta = config.half_angle * layers / k
     phi = np.arange(k * n, dtype=np.float64) * GOLDEN_ANGLE
-
-    sin_t = np.sin(theta)
-    lateral = np.cos(phi)[:, None] * right[None, :] + np.sin(phi)[:, None] * up[None, :]
-    directions = np.cos(theta)[:, None] * fwd[None, :] + sin_t[:, None] * lateral
-
     weights = np.repeat([layer_weight(i, k) for i in range(1, k + 1)], n) / n
-
-    for arr in (directions, layers, weights):
+    arrays = (layers, weights, np.cos(theta)[:, None], np.sin(theta)[:, None], np.cos(phi)[:, None], np.sin(phi)[:, None])
+    for arr in arrays:
         arr.flags.writeable = False
-    return RayBundle(directions=directions, layers=layers, weights=weights)
+    return arrays
 
 
-def nearest_hit_indices(origin: Vec3, directions: np.ndarray, objects: Sequence[SceneObject]) -> np.ndarray:
-    """Index (into `objects`) of the nearest-hit object per ray, -1 on miss.
+def ray_bundle(config: RayConfig, cam: MidCamera) -> RayBundle:
+    """Build the k*n ray cone as arrays, ordered layer-major, azimuth-index minor."""
+    layers, weights, cos_t, sin_t, cos_p, sin_p = _cone_trig(config)
+    fwd, right, up = _orthonormal_frame(cam)
+    lateral = cos_p * right[None, :] + sin_p * up[None, :]
+    directions = cos_t * fwd[None, :] + sin_t * lateral
+    directions.flags.writeable = False
+    return RayBundle(directions, layers, weights, Vec3(*fwd.tolist()), config.half_angle)
 
-    Ties at identical hit distance go to the earliest object in `objects`;
-    callers pass objects in ascending id order so the lower id wins. An
-    origin inside (or on) a sphere counts as a hit at distance zero: the
-    object occupies the camera.
+
+def nearest_hit_indices(origin: Vec3, directions: np.ndarray, spheres: np.ndarray) -> np.ndarray:
+    """Row of `spheres` (see `sphere_array`) hit nearest by each ray, -1 on miss.
+
+    Ties at identical hit distance go to the earliest row; callers pass
+    spheres in ascending id order so the lower id wins. An origin inside (or
+    on) a sphere counts as a hit at distance zero: the object occupies the
+    camera. The discriminant is dense over rays x spheres; roots, distances
+    and the per-ray minimum are taken over the hit pairs only.
     """
-    n_rays = directions.shape[0]
-    if not objects:
-        return np.full(n_rays, -1, dtype=np.int64)
+    nearest = np.full(directions.shape[0], -1, dtype=np.int64)
+    if not len(spheres):
+        return nearest
 
-    cx, cy, cz, rad = _object_arrays(objects)
-    ocx = (origin.x - cx)[None, :]
-    ocy = (origin.y - cy)[None, :]
-    ocz = (origin.z - cz)[None, :]
+    ocx = (origin.x - spheres[:, 0])[None, :]
+    ocy = (origin.y - spheres[:, 1])[None, :]
+    ocz = (origin.z - spheres[:, 2])[None, :]
+    rad = spheres[:, 3]
     dx = directions[:, 0][:, None]
     dy = directions[:, 1][:, None]
     dz = directions[:, 2][:, None]
@@ -124,29 +133,42 @@ def nearest_hit_indices(origin: Vec3, directions: np.ndarray, objects: Sequence[
     c = (ocx * ocx + ocy * ocy + ocz * ocz) - (rad * rad)[None, :]
     disc = b * b
     disc -= c
-    hit = disc >= 0.0
-    np.copyto(disc, 0.0, where=~hit)
-    root = np.sqrt(disc, out=disc)
-    t1 = -b
+    n_cols = disc.shape[1]
+    pairs = np.flatnonzero(disc >= 0.0)  # flat ray * n_cols + col: ray-major, columns ascending
+    root = np.sqrt(disc.ravel()[pairs])
+    t1 = -b.ravel()[pairs]
     t0 = t1 - root
     t1 += root
-    t = np.where(hit & (t0 >= 0.0), t0, np.where(hit & (t1 >= 0.0), 0.0, np.inf))
-
-    nearest = np.argmin(t, axis=1)
-    missed = ~np.isfinite(t[np.arange(n_rays), nearest])
-    nearest[missed] = -1
+    t = np.where(t0 >= 0.0, t0, np.where(t1 >= 0.0, 0.0, np.inf))
+    ahead = t < np.inf
+    ray = pairs[ahead] // n_cols
+    order = np.lexsort((t[ahead], ray))  # stable: ties keep column order
+    pairs, ray = pairs[ahead][order], ray[order]
+    first = np.ones(ray.shape, dtype=bool)
+    first[1:] = ray[1:] != ray[:-1]
+    nearest[ray[first]] = pairs[first] % n_cols
     return nearest
 
 
-def rm_scores(origin: Vec3, bundle: RayBundle, objects: Sequence[SceneObject]) -> list[float]:
-    """Per-object centrality scores, one per entry of `objects`, in order.
+def _ray_cone_columns(origin: Vec3, bundle: RayBundle, spheres: np.ndarray) -> np.ndarray:
+    """Rows of `spheres` that overlap the solid cone all rays lie in; the rest
+    are missed by every ray. Radii grow by 1e-6 of the sphere's reach, far
+    above the rounding of this test and of `nearest_hit_indices`' hit test
+    (about 4e-8 of the reach), so no sphere the kernel would hit is dropped."""
+    rel = spheres[:, :3] - (origin.x, origin.y, origin.z)
+    rad = spheres[:, 3] + 1e-6 * (np.sqrt((rel * rel).sum(axis=1)) + spheres[:, 3])
+    return np.flatnonzero(cone_mask(origin, bundle.axis, bundle.half_angle, math.inf, spheres, rad))
 
-    Weights accumulate in ray-index order so the reduction is deterministic.
+
+def rm_scores(origin: Vec3, bundle: RayBundle, spheres: np.ndarray) -> np.ndarray:
+    """Per-sphere centrality scores, one per row of `spheres`, in order.
+
+    Only spheres in the ray cone are intersected. Weights accumulate in ray
+    order (`np.bincount` adds sequentially), so the sum is deterministic.
     """
-    nearest = nearest_hit_indices(origin, bundle.directions, objects)
-    scores = [0.0] * len(objects)
-    weights = bundle.weights.tolist()
-    for j, obj_idx in enumerate(nearest.tolist()):
-        if obj_idx >= 0:
-            scores[obj_idx] += weights[j]
+    cols = _ray_cone_columns(origin, bundle, spheres)
+    nearest = nearest_hit_indices(origin, bundle.directions, spheres[cols])
+    hit = nearest >= 0
+    scores = np.zeros(len(spheres))
+    scores[cols] = np.bincount(nearest[hit], weights=bundle.weights[hit], minlength=len(cols))
     return scores

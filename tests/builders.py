@@ -137,3 +137,70 @@ def comfort_tour(seed: int = 11) -> list[TrajectorySample]:
     advance(750)
     teleport(6.0)  # last gap
     return samples
+
+
+PINNED_CONFIG = {
+    "ray_k": 4, "ray_n": 64, "ray_half_angle_deg": 15.0, "roi_half_angle_deg": 30.0,
+    "roi_z_far_m": 60.0, "p_rm": 0.5, "p_d": 0.3, "p_v": 0.2, "refocus_ms": 500.0,
+    "persistence_hold_ms": 300.0, "blur_per_meter": 0.5, "max_blur": 1.0, "tick_ms": 16.0,
+    "ipd_m": 0.064, "accel_threshold_m_s2": 1.0, "min_episode_ms": 200.0,
+    "fov_delta_threshold_deg": 1.0, "motion_floor_m_s": 0.05, "motion_floor_deg_s": 5.0,
+    "walk_episode_ms": 2000.0, "max_session_ms": 1800000.0, "jump_distance_min_m": 0.5,
+    "target_frame_ms": 11.1, "drop_factor": 2.0,
+}
+
+
+def write_large_scenario(directory, seed: int = 5) -> dict[str, str]:
+    """Write a seeded 200-object scenario for `focusray run` into `directory`.
+
+    The scene surrounds the viewer: objects on jittered rings ahead of and
+    beside the head, values on a 0.05 grid (so importance ties happen), and
+    a few coincident twins with different ids (so ray-hit and importance
+    ties go to the lower id). The head sweeps yaw and pitch over 10 s,
+    recorded every 40 ms, which replays as 626 ticks at k=4, n=64.
+    Returns the paths of the three input files and of the output.
+    """
+    rng = random.Random(seed)
+    lines = []
+    oid = 1
+    while oid <= 200:
+        azimuth = rng.uniform(-math.pi * 0.6, math.pi * 0.6)
+        elevation = rng.uniform(-0.35, 0.35)
+        dist = rng.uniform(6.0, 55.0)
+        x = dist * math.cos(elevation) * math.sin(azimuth)
+        y = 1.6 + dist * math.sin(elevation)
+        z = -dist * math.cos(elevation) * math.cos(azimuth)
+        radius = rng.uniform(0.3, 2.0)
+        value = round(rng.randint(0, 20) * 0.05, 2)
+        twins = 2 if oid % 25 == 0 and oid < 200 else 1
+        for _ in range(twins):
+            lines.append(f"{oid} {x:.6f} {y:.6f} {z:.6f} {radius:.4f} {value:.2f} obj{oid}")
+            oid += 1
+    rows = ["t_ms px py pz fx fy fz ux uy uz fov_deg user_initiated frame_time_ms"]
+    phases = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(4)]
+    for i in range(251):
+        t_s = i * 0.04
+        yaw = 1.1 * math.sin(0.9 * t_s + phases[0]) + 0.3 * math.sin(2.3 * t_s + phases[1])
+        pitch = 0.2 * math.sin(1.1 * t_s + phases[2]) + 0.08 * math.sin(3.1 * t_s + phases[3])
+        fwd = (math.cos(pitch) * math.sin(yaw), math.sin(pitch), -math.cos(pitch) * math.cos(yaw))
+        up = (-math.sin(pitch) * math.sin(yaw), math.cos(pitch), math.sin(pitch) * math.cos(yaw))
+        px = 0.4 * math.sin(0.3 * t_s)
+        pz = -0.05 * t_s
+        rows.append(
+            f"{t_s * 1000.0:.1f} {px:.6f} 1.600000 {pz:.6f} "
+            + " ".join(f"{c:.9f}" for c in fwd + up)
+            + " 90.0 1 11.1"
+        )
+    texts = {
+        "scene": "\n".join(lines) + "\n",
+        "trajectory": "\n".join(rows) + "\n",
+        "config": "".join(f"{key} = {value}\n" for key, value in PINNED_CONFIG.items()),
+    }
+    paths = {}
+    for name, text in texts.items():
+        path = f"{directory}/{name}.txt"
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        paths[name] = path
+    paths["out"] = f"{directory}/out.txt"
+    return paths

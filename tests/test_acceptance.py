@@ -40,6 +40,7 @@ from focusray import (
     step,
 )
 
+from focusray.geometry import sphere_array
 from focusray.rays import rm_scores
 from oracles import rm_by_enumeration, roi_contains, ssq_scores_by_matrix
 
@@ -141,7 +142,7 @@ def test_criterion_2_rm_matches_enumeration_bitwise(criterion):
             bundle = ray_bundle(cfg, cam)
             want = rm_by_enumeration(cam, bundle, scene)
             ordered = sorted(scene, key=lambda o: o.id)
-            scores = dict(zip((o.id for o in ordered), rm_scores(cam.m, bundle, ordered)))
+            scores = dict(zip((o.id for o in ordered), rm_scores(cam.m, bundle, sphere_array(ordered))))
             for oid in ids:
                 got = scores[oid]
                 assert got == want[oid], (oid, got, want[oid])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -15,6 +16,7 @@ from focusray import (
     roi_mask,
     select_focus,
 )
+from focusray.attention import _prepare
 from builders import axial_rig
 from oracles import roi_contains, select_by_enumeration
 
@@ -164,6 +166,14 @@ class TestSelectFocusCulling:
         with pytest.raises(ValidationError):
             select_focus([obj(1, 0, 0, -5), obj(1, 0, 0, -9)], RIG, ROI, RAYS, DEFAULT_W)
 
+    def test_duplicate_ids_rejected_on_every_call(self):
+        scene = [obj(1, 0, 0, -5), obj(2, 0, 0, -9)]
+        assert select_focus(scene, RIG, ROI, RAYS, DEFAULT_W)[0] is not None
+        scene[1] = obj(1, 0, 0, -9)  # in place: a duplicate id appears
+        for _ in range(3):
+            with pytest.raises(ValidationError):
+                select_focus(scene, RIG, ROI, RAYS, DEFAULT_W)
+
 
 class TestSelectFocusOrdering:
     def test_input_permutation_invariance(self):
@@ -298,3 +308,60 @@ class TestSelectFocusOracle:
             got = select_focus(scene, rig, roi, ray_cfg, DEFAULT_W)
             assert len(got[1]) >= 150
             assert got == select_by_enumeration(scene, rig, roi, ray_cfg, DEFAULT_W)
+
+
+class TestPreparedSceneMemo:
+    """`select_focus` keeps the prepared scene only while it is passed the
+    very same objects in the same order; every other change re-prepares."""
+
+    def scene(self):
+        return [obj(oid, 0.4 * oid - 2.0, 0.0, -3.0 - oid, r=0.8, value=0.1 * oid) for oid in range(1, 9)]
+
+    def check(self, scene):
+        assert select_focus(scene, RIG, ROI, RAYS, DEFAULT_W) == select_by_enumeration(scene, RIG, ROI, RAYS, DEFAULT_W)
+
+    def test_same_objects_reuse_the_preparation(self):
+        scene = self.scene()
+        first = _prepare(scene)
+        assert _prepare(scene) is first
+        assert _prepare(list(scene)) is first  # a new list of the same objects
+        assert _prepare(tuple(scene)) is first
+
+    def test_element_replaced_in_place(self):
+        scene = self.scene()
+        self.check(scene)
+        before = _prepare(scene)
+        winner = select_focus(scene, RIG, ROI, RAYS, DEFAULT_W)[0].object_id
+        i = [o.id for o in scene].index(winner)
+        scene[i] = dataclasses.replace(scene[i], center=Vec3(40.0, 0.0, -3.0), value=0.0)  # now outside the ROI
+        assert _prepare(scene) is not before
+        assert select_focus(scene, RIG, ROI, RAYS, DEFAULT_W)[0].object_id != winner
+        self.check(scene)
+
+    def test_append(self):
+        scene = self.scene()
+        self.check(scene)
+        before = _prepare(scene)
+        scene.append(obj(99, 0.0, 0.0, -2.0, r=1.5, value=1.0))
+        assert _prepare(scene) is not before
+        assert select_focus(scene, RIG, ROI, RAYS, DEFAULT_W)[0].object_id == 99
+        self.check(scene)
+
+    def test_reorder(self):
+        scene = self.scene()
+        self.check(scene)
+        before = _prepare(scene)
+        scene.reverse()
+        assert _prepare(scene) is not before
+        self.check(scene)
+
+    def test_equal_but_new_objects(self):
+        scene = self.scene()
+        self.check(scene)
+        before = _prepare(scene)
+        copies = [dataclasses.replace(o) for o in scene]
+        assert copies == scene
+        prepared = _prepare(copies)
+        assert prepared is not before
+        assert all(a is b for a, b in zip(prepared.given, copies))
+        self.check(copies)

@@ -1,7 +1,10 @@
 import contextlib
 import io
+import os
+import stat
+import threading
 
-from focusray.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATION, main
+from focusray.cli import EXIT_OK, EXIT_OUTPUT, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATION, main
 
 TRAJ = (
     "t_ms px py pz fx fy fz ux uy uz fov_deg user_initiated frame_time_ms\n"
@@ -110,6 +113,57 @@ class TestRunCommand:
         code, err = quiet_main(self.argv(p))
         assert code == EXIT_PARSE
         assert "focusray:" in err
+
+    def test_out_in_missing_directory_is_output_exit(self, tmp_path):
+        p = run_files(tmp_path)
+        p["out"] = str(tmp_path / "missing" / "out.txt")
+        code, err = quiet_main(self.argv(p))
+        assert code == EXIT_OUTPUT
+        assert p["out"] in err
+        assert not (tmp_path / "missing").exists()
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path):
+        # the output path is an existing directory: the temp file is written
+        # beside it, then the rename onto the directory fails
+        p = run_files(tmp_path)
+        target = tmp_path / "report"
+        target.mkdir()
+        p["out"] = str(target)
+        before = sorted(tmp_path.iterdir())
+        code, err = quiet_main(self.argv(p))
+        assert code == EXIT_OUTPUT
+        assert p["out"] in err
+        assert sorted(tmp_path.iterdir()) == before
+        assert list(target.iterdir()) == []
+
+    def test_symlinked_out_is_written_through(self, tmp_path):
+        p = run_files(tmp_path)
+        (tmp_path / "real.txt").write_text("stale\n", encoding="utf-8")
+        os.symlink(tmp_path / "real.txt", p["out"])
+        assert quiet_main(self.argv(p))[0] == EXIT_OK
+        assert os.path.islink(p["out"])
+        assert (tmp_path / "real.txt").read_text(encoding="utf-8").startswith("[CONFIG]\n")
+
+    def test_pipe_out_is_written_directly(self, tmp_path):
+        # a pipe cannot be replaced by a rename: the document goes into it
+        p = run_files(tmp_path)
+        os.mkfifo(p["out"])
+        received = []
+        reader = threading.Thread(target=lambda: received.append(open(p["out"], "rb").read()), daemon=True)
+        reader.start()
+        assert quiet_main(self.argv(p))[0] == EXIT_OK
+        reader.join(timeout=10.0)
+        assert not reader.is_alive()
+        assert received[0].startswith(b"[CONFIG]\n")
+        assert stat.S_ISFIFO(os.stat(p["out"]).st_mode)
+
+    def test_rewrite_replaces_existing_document(self, tmp_path):
+        p = run_files(tmp_path)
+        with open(p["out"], "w", encoding="utf-8") as fh:
+            fh.write("stale\n" * 10_000)
+        assert quiet_main(self.argv(p))[0] == EXIT_OK
+        assert open(p["out"], encoding="utf-8").read().startswith("[CONFIG]\n")
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["config.txt", "out.txt", "scene.txt", "traj.txt"]
 
     def test_malformed_scene_is_parse_exit(self, tmp_path):
         p = run_files(tmp_path, scene="1 0 0 -10 1.0\n")

@@ -14,9 +14,10 @@ from focusray import (
     layer_weight,
     ray_bundle,
 )
-from focusray.rays import nearest_hit_indices, rm_scores
+from focusray.geometry import sphere_array
+from focusray.rays import _ray_cone_columns, nearest_hit_indices, rm_scores
 from builders import FORWARD, UP, axial_cam
-from oracles import rm_by_enumeration
+from oracles import ray_sphere_t, rm_by_enumeration
 
 TWO_PI = 2.0 * math.pi
 
@@ -173,13 +174,13 @@ class TestNearestHits:
 
     def test_empty_scene_all_miss(self):
         b = ray_bundle(cfg(), self.cam)
-        nearest = nearest_hit_indices(self.cam.m, b.directions, [])
+        nearest = nearest_hit_indices(self.cam.m, b.directions, sphere_array([]))
         assert (nearest == -1).all()
 
     def test_occluder_wins(self):
         b = ray_bundle(cfg(k=1, n=1), self.cam)
         scene = [obj(1, 0, 0, -20, 3.0), obj(2, 0, 0, -5, 2.0)]
-        nearest = nearest_hit_indices(self.cam.m, b.directions, scene)
+        nearest = nearest_hit_indices(self.cam.m, b.directions, sphere_array(scene))
         assert nearest[0] == 1  # index of the closer sphere
 
     def test_tie_goes_to_earlier_entry(self):
@@ -187,7 +188,7 @@ class TestNearestHits:
         d = np.array([[0.0, 0.0, -1.0]])
         d.flags.writeable = False
         scene = [obj(7, 0, 0, -10, 2.0), obj(9, 0, 0, -10, 2.0)]
-        nearest = nearest_hit_indices(self.cam.m, d, scene)
+        nearest = nearest_hit_indices(self.cam.m, d, sphere_array(scene))
         assert nearest[0] == 0
 
 
@@ -197,7 +198,7 @@ class TestComputeRm:
     cam = axial_cam(0.0, 0.0, 0.0)
 
     def rm(self, scene, target, **kw):
-        scores = rm_scores(self.cam.m, ray_bundle(cfg(**kw), self.cam), scene)
+        scores = rm_scores(self.cam.m, ray_bundle(cfg(**kw), self.cam), sphere_array(scene))
         return dict(zip((o.id for o in scene), scores))[target]
 
     def test_enclosing_sphere_scores_one(self):
@@ -249,7 +250,7 @@ class TestComputeRm:
                 for oid in range(1, rng.randint(2, 9))
             ]
             want = rm_by_enumeration(cam, bundle, scene)
-            got = rm_scores(cam.m, bundle, scene)  # built in ascending id order
+            got = rm_scores(cam.m, bundle, sphere_array(scene))  # built in ascending id order
             for o, score in zip(scene, got):
                 assert score == want[o.id], f"trial {trial} target {o.id}"
 
@@ -259,6 +260,112 @@ class TestRmScoresBundleForm:
         cam = axial_cam(0.0, 0.0, 0.0)
         b = ray_bundle(cfg(k=2, n=16, half_deg=20.0), cam)
         scene = [obj(1, 0, 0, -5, 1.2), obj(2, 0, 0, -12, 5.0)]
-        scores = rm_scores(cam.m, b, scene)
+        scores = rm_scores(cam.m, b, sphere_array(scene))
         assert scores[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert scores[1] == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+
+def _tilted_cam(rng):
+    yaw = rng.uniform(-math.pi, math.pi)
+    pitch = rng.uniform(-1.2, 1.2)
+    fwd = Vec3(math.cos(pitch) * math.sin(yaw), math.sin(pitch), -math.cos(pitch) * math.cos(yaw))
+    up = Vec3(-math.sin(pitch) * math.sin(yaw), math.cos(pitch), math.sin(pitch) * math.cos(yaw))
+    return MidCamera(m=Vec3(rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(-50, 50)), forward=fwd, up=up)
+
+
+def _oracle_hit(cam, bundle, sphere):
+    cx, cy, cz, r = sphere
+    center = Vec3(cx, cy, cz)
+    return any(ray_sphere_t(cam.m, Vec3(*d), center, r) is not None for d in bundle.directions.tolist())
+
+
+class TestRayConeCull:
+    """`rm_scores` intersects only the spheres `_ray_cone_columns` keeps."""
+
+    def test_spheres_grazing_the_outer_layer_are_kept_when_hit(self):
+        # Each sphere touches one outermost ray from outside the cone, its
+        # offset jittered by the kernel's rounding at that reach and radius,
+        # so the reference hit test falls on both sides of the boundary.
+        rng = random.Random(1618)
+        hits = misses = 0
+        for _ in range(60):
+            cam = _tilted_cam(rng)
+            k = rng.randint(1, 4)
+            bundle = ray_bundle(RayConfig(k=k, n=rng.randint(4, 24), half_angle=math.radians(rng.uniform(2.0, 60.0))), cam)
+            axis = bundle.axis
+            rows = []
+            for j in np.flatnonzero(bundle.layers == k).tolist():
+                d = Vec3(*bundle.directions[j].tolist())
+                cos_t = d.dot(axis)
+                sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
+                normal = (d - axis * cos_t).normalized() * cos_t - axis * sin_t  # outward, normal to the cone
+                for _ in range(3):
+                    reach = 10.0 ** rng.uniform(-0.5, 2.5)
+                    r = reach * 10.0 ** rng.uniform(-4.0, -0.5)
+                    offset = r * (1.0 + rng.uniform(-1.0, 1.0) * 1.6e-15 * (reach / r) ** 2)
+                    c = cam.m + d * reach + normal * offset
+                    rows.append((c.x, c.y, c.z, r))
+            spheres = np.array(rows)
+            kept = set(_ray_cone_columns(cam.m, bundle, spheres).tolist())
+            for col, sphere in enumerate(spheres.tolist()):
+                if _oracle_hit(cam, bundle, sphere):
+                    hits += 1
+                    assert col in kept, (col, sphere)
+                else:
+                    misses += 1
+        assert hits >= 500 and misses >= 500
+
+    def test_spheres_clearly_outside_are_dropped(self):
+        rng = random.Random(1619)
+        for _ in range(20):
+            cam = _tilted_cam(rng)
+            bundle = ray_bundle(RayConfig(k=3, n=12, half_angle=math.radians(rng.uniform(2.0, 60.0))), cam)
+            axis = bundle.axis
+            rows = []
+            for d in bundle.directions[bundle.layers == 3].tolist():
+                d = Vec3(*d)
+                cos_t = d.dot(axis)
+                sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
+                normal = (d - axis * cos_t).normalized() * cos_t - axis * sin_t
+                reach = rng.uniform(1.0, 100.0)
+                r = rng.uniform(0.01, 0.5) * reach
+                c = cam.m + d * reach + normal * (r + 1e-4 * reach)
+                rows.append((c.x, c.y, c.z, r))
+                c = cam.m - axis * reach  # behind the camera
+                rows.append((c.x, c.y, c.z, r))
+            assert _ray_cone_columns(cam.m, bundle, np.array(rows)).size == 0
+
+
+class TestSparseTailTies:
+    """Equal hit distances go to the lowest column, as a scan with strict < gives."""
+
+    def test_duplicate_spheres_go_to_the_first_column(self):
+        rng = random.Random(4242)
+        cam = axial_cam(0.0, 0.0, 0.0)
+        bundle = ray_bundle(cfg(k=3, n=24, half_deg=25.0), cam)
+        ties = 0
+        for _ in range(40):
+            base = [
+                (rng.uniform(-4, 4), rng.uniform(-4, 4), rng.uniform(-30, -2), rng.uniform(0.5, 4.0))
+                for _ in range(rng.randint(1, 5))
+            ]
+            base.append((0.0, 0.0, rng.uniform(-1.0, 1.0), 1.5))  # encloses the camera: hits at t = 0
+            rows = [rng.choice(base) for _ in range(rng.randint(4, 14))]
+            spheres = np.array(rows)
+            got = nearest_hit_indices(cam.m, bundle.directions, spheres).tolist()
+            for j, d in enumerate(bundle.directions.tolist()):
+                best, best_t = -1, math.inf
+                for col, (cx, cy, cz, r) in enumerate(rows):
+                    t = ray_sphere_t(cam.m, Vec3(*d), Vec3(cx, cy, cz), r)
+                    if t is not None and t < best_t:
+                        best, best_t = col, t
+                ties += best >= 0 and rows.count(rows[best]) > 1
+                assert got[j] == best, (j, rows)
+        assert ties >= 1000
+
+    def test_duplicate_takes_the_whole_weight(self):
+        cam = axial_cam(0.0, 0.0, 0.0)
+        bundle = ray_bundle(cfg(k=1, n=16, half_deg=20.0), cam)
+        twin = (0.0, 0.0, -10.0, 500.0)
+        scores = rm_scores(cam.m, bundle, np.array([twin, twin, twin]))
+        assert scores.tolist() == [1.0, 0.0, 0.0]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -12,7 +13,8 @@ from focusray import (
     run_scenario,
     score_ssq_files,
 )
-from builders import FORWARD, UP, sample
+from focusray.cli import EXIT_OK, main
+from builders import FORWARD, UP, sample, write_large_scenario
 
 
 class TestLevelForScore:
@@ -287,6 +289,22 @@ class TestRunScenario:
         assert "\n\n[COMFORT]\n" in doc
         assert doc.endswith("\n")
         assert "\r" not in doc
+
+
+class TestLargeScenario:
+    # sha256 of the report of `write_large_scenario(seed=5)`: 200 objects,
+    # 626 ticks at k=4, n=64. It pins selection, dynamics and rendering at
+    # scale, so a faster kernel must reproduce every byte.
+    PINNED_SHA256 = "375c52b397c2ac7870d5d911d6f9aa2c9d498f9f26b91be8942f90a72f09e1e5"
+
+    def test_report_sha256_is_pinned(self, tmp_path):
+        paths = write_large_scenario(tmp_path)
+        argv = ["run", "--scene", paths["scene"], "--trajectory", paths["trajectory"],
+                "--config", paths["config"], "--out", paths["out"]]
+        assert main(argv) == EXIT_OK
+        doc = open(paths["out"], "rb").read()
+        assert len(timeline_rows(doc.decode("utf-8"))) == 626
+        assert hashlib.sha256(doc).hexdigest() == self.PINNED_SHA256
 
 
 class TestScoreSsqFiles:
