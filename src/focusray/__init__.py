@@ -7,7 +7,7 @@ focal-distance signal, auditing recorded camera trajectories against
 comfort guidelines, and scoring simulator sickness questionnaires.
 """
 
-from .attention import FocusCandidate, HeuristicWeights, select_focus
+from .attention import Candidates, FocusCandidate, HeuristicWeights, select_focus
 from .comfort import (
     ComfortConfig,
     ComfortFinding,
@@ -79,6 +79,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlurConfig",
+    "Candidates",
     "ComfortConfig",
     "ComfortFinding",
     "ComfortReport",

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,10 +52,30 @@ class FocusCandidate:
     importance: float
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class Candidates(Sequence[FocusCandidate]):
+    """The ROI candidates of one `select_focus` call in ascending id order, as
+    arrays (ids int64, the rest float64); each `FocusCandidate` is built on access."""
+
+    ids: np.ndarray
+    rm: np.ndarray
+    d: np.ndarray
+    v: np.ndarray
+    importance: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> FocusCandidate:
+        i = operator.index(i)
+        return FocusCandidate(int(self.ids[i]), *(float(a[i]) for a in (self.rm, self.d, self.v, self.importance)))
+
+
 class _PreparedScene(NamedTuple):
     given: tuple[SceneObject, ...]  # as passed, for the identity check
-    objects: tuple[SceneObject, ...]  # id-sorted, ids checked unique
-    spheres: np.ndarray  # sphere_array(objects), read-only
+    spheres: np.ndarray  # sphere_array, ids (int64, checked unique) and values:
+    ids: np.ndarray  # read-only arrays in ascending id order
+    values: np.ndarray
 
 
 _last_prepared: _PreparedScene | None = None
@@ -70,10 +91,11 @@ def _prepare(scene: Sequence[SceneObject]) -> _PreparedScene:
     ids = [o.id for o in scene]
     if len(set(ids)) != len(ids):
         raise ValidationError("scene contains duplicate object ids")
-    objects = tuple(sorted(scene, key=lambda o: o.id))
-    spheres = sphere_array(objects)
-    spheres.flags.writeable = False
-    _last_prepared = _PreparedScene(tuple(scene), objects, spheres)
+    objects = sorted(scene, key=lambda o: o.id)
+    arrays = sphere_array(objects), np.array([o.id for o in objects], np.int64), np.array([o.value for o in objects], float)
+    for arr in arrays:
+        arr.flags.writeable = False
+    _last_prepared = _PreparedScene(tuple(scene), *arrays)
     return _last_prepared
 
 
@@ -83,22 +105,22 @@ def select_focus(
     roi: Roi,
     ray_cfg: RayConfig,
     weights: HeuristicWeights,
-) -> tuple[FocusCandidate | None, list[FocusCandidate]]:
+) -> tuple[FocusCandidate | None, Candidates]:
     """Pick the focus object among ROI candidates; also return every candidate.
 
     Pipeline: cull the scene to the ROI, cast the ray cone once, score each
     candidate, take the argmax of importance. Ties go to the higher proximity
-    score, then the lower object id. The candidate list is always in
-    ascending object-id order; an empty candidate set yields (None, []).
-    The scene's id check, sort and arrays are kept from the previous call
-    while it passes the very same objects in the same order.
+    score, then the lower object id. The candidates are always in ascending
+    object-id order; only the winner is built as a `FocusCandidate`, and an
+    empty candidate set yields None and no candidates. The scene's id check,
+    sort and arrays are kept from the previous call while it passes the very
+    same objects in the same order.
     """
     prepared = _prepare(scene)
     every = prepared.spheres
     cols = np.flatnonzero(cone_mask(roi.apex, roi.axis, roi.half_angle, roi.z_far, every, every[:, 3]))
     if not cols.size:
-        return None, []
-    candidates = [prepared.objects[i] for i in cols.tolist()]
+        return None, Candidates(prepared.ids[cols], *[np.empty(0)] * 4)
     spheres = every[cols]
 
     cam = derive_mid_camera(rig)
@@ -106,16 +128,15 @@ def select_focus(
     rms = rm_scores(cam.m, bundle, spheres)
 
     # d: 1 at the camera, falling linearly to 0 at the ROI's far limit
-    values = [obj.value for obj in candidates]
+    v = prepared.values[cols]
     dx = spheres[:, 0] - cam.m.x
     dy = spheres[:, 1] - cam.m.y
     dz = spheres[:, 2] - cam.m.z
     dist = np.sqrt(dx * dx + dy * dy + dz * dz)
     d = 1.0 - np.minimum(dist, roi.z_far) / roi.z_far
-    imp = weights.p_rm * rms + weights.p_d * d + weights.p_v * np.array(values)
+    imp = weights.p_rm * rms + weights.p_d * d + weights.p_v * v
 
-    # positional fields: object_id, rm, d, v, importance
-    scored = list(map(FocusCandidate, [obj.id for obj in candidates], rms.tolist(), d.tolist(), values, imp.tolist()))
+    candidates = Candidates(prepared.ids[cols], rms, d, v, imp)
     # highest importance, then higher d; argmax keeps the first (lowest id) of equals
     top = np.flatnonzero(imp == imp.max())
-    return scored[top[np.argmax(d[top])]], scored
+    return candidates[top[np.argmax(d[top])]], candidates

@@ -118,6 +118,8 @@ class SceneObject:
     label: str = ""
 
     def __post_init__(self) -> None:
+        if not -(2**63) <= self.id < 2**63:  # selection holds ids as int64
+            raise ValidationError(f"object id must fit in 64 bits, got {self.id!r}")
         if not self.radius > 0.0:
             raise ValidationError(f"object {self.id}: radius must be positive, got {self.radius!r}")
         if not 0.0 <= self.value <= 1.0:

@@ -110,43 +110,43 @@ def nearest_hit_indices(origin: Vec3, directions: np.ndarray, spheres: np.ndarra
     Ties at identical hit distance go to the earliest row; callers pass
     spheres in ascending id order so the lower id wins. An origin inside (or
     on) a sphere counts as a hit at distance zero: the object occupies the
-    camera. The discriminant is dense over rays x spheres; roots, distances
-    and the per-ray minimum are taken over the hit pairs only.
+    camera. One matrix product prefilters the ray x sphere pairs; the exact
+    hit test, distances and the per-ray minimum run on the kept pairs only.
     """
     nearest = np.full(directions.shape[0], -1, dtype=np.int64)
     if not len(spheres):
         return nearest
 
-    ocx = (origin.x - spheres[:, 0])[None, :]
-    ocy = (origin.y - spheres[:, 1])[None, :]
-    ocz = (origin.z - spheres[:, 2])[None, :]
+    oc = np.subtract((origin.x, origin.y, origin.z), spheres[:, :3])
+    ocx, ocy, ocz = oc.T
     rad = spheres[:, 3]
-    dx = directions[:, 0][:, None]
-    dy = directions[:, 1][:, None]
-    dz = directions[:, 2][:, None]
-
-    # In-place accumulation in a fixed operand order (b = oc.d, c = oc.oc - r^2,
-    # disc = b*b - c), which the scalar reference in tests/oracles.py mirrors.
-    b = ocx * dx
-    b += ocy * dy
-    b += ocz * dz
-    c = (ocx * ocx + ocy * ocy + ocz * ocz) - (rad * rad)[None, :]
-    disc = b * b
-    disc -= c
-    n_cols = disc.shape[1]
-    pairs = np.flatnonzero(disc >= 0.0)  # flat ray * n_cols + col: ray-major, columns ascending
-    root = np.sqrt(disc.ravel()[pairs])
-    t1 = -b.ravel()[pairs]
-    t0 = t1 - root
-    t1 += root
-    t = np.where(t0 >= 0.0, t0, np.where(t1 >= 0.0, 0.0, np.inf))
-    ahead = t < np.inf
-    ray = pairs[ahead] // n_cols
-    order = np.lexsort((t[ahead], ray))  # stable: ties keep column order
-    pairs, ray = pairs[ahead][order], ray[order]
-    first = np.ones(ray.shape, dtype=bool)
-    first[1:] = ray[1:] != ray[:-1]
-    nearest[ray[first]] = pairs[first] % n_cols
+    # Fixed operand order (c = oc.oc - r^2, b = oc.d, disc = b*b - c), which
+    # the scalar reference in tests/oracles.py mirrors.
+    ococ = ocx * ocx + ocy * ocy + ocz * ocz
+    c = ococ - rad * rad
+    # A ray hits a sphere ahead only if it holds the origin (c <= 0) or b <=
+    # -sqrt(c). The product sums b in another order; with the roundings of
+    # both tests that is a few ulps of the reach |oc| + r, far below a margin
+    # of 1e-6 of it. Within the margin of holding the origin, rounding can
+    # hit even a sphere behind it, so such a sphere keeps every ray.
+    margin = 1e-6 * (np.sqrt(ococ) + rad)
+    bound = np.where(c > margin * margin, margin - np.sqrt(np.maximum(c, 0.0)), np.inf)
+    pairs = (directions.dot(oc.T) <= bound).ravel().nonzero()[0]  # ray-major, columns ascending
+    ray, col = np.divmod(pairs, len(spheres))
+    d, o = directions.take(ray, axis=0), oc.take(col, axis=0)
+    b = o[:, 0] * d[:, 0] + o[:, 1] * d[:, 1] + o[:, 2] * d[:, 2]
+    disc = b * b - c[col]
+    root = np.sqrt(np.maximum(disc, 0.0))
+    # distance ahead: the near root, 0 from inside; inf on a miss or behind
+    t = np.where((disc >= 0.0) & (root - b >= 0.0), np.maximum(-b - root, 0.0), np.inf)
+    # Sort-free nearest per ray: the per-ray minimum, then the first pair
+    # attaining it, which has the lowest column. `min` and `==` are exact.
+    tmin = np.full(len(nearest), np.inf)
+    np.minimum.at(tmin, ray, t)
+    best = (t == tmin[ray]).nonzero()[0]
+    ray, col = ray[best], col[best]
+    hit_rays = (tmin < np.inf).nonzero()[0]
+    nearest[hit_rays] = col[ray.searchsorted(hit_rays)]
     return nearest
 
 

@@ -33,6 +33,9 @@ from .io_formats import (
 )
 from .ssq import ProtocolSession, protocol_report
 
+# Most ticks `resample` builds: 4.4 hours at 16 ms, 133 times a 2-minute recording.
+MAX_TICKS = 1_000_000
+
 
 def level_for_score(score: int) -> int:
     """Map an integer play score onto difficulty levels 1..6.
@@ -95,7 +98,10 @@ def resample(traj: Sequence[TrajectorySample], tick_ms: float) -> list[Trajector
 
     t0 = traj[0].t_ms
     span = traj[-1].t_ms - t0
-    n_ticks = int(math.floor(span / tick_ms + 1e-9)) + 1
+    steps = span / tick_ms + 1e-9
+    n_ticks = math.floor(steps) + 1 if math.isfinite(steps) else steps
+    if not n_ticks <= MAX_TICKS:  # checked before any sample is built
+        raise ValidationError(f"resampling needs {n_ticks} ticks of {tick_ms!r} ms, above the limit of {MAX_TICKS}")
     out: list[TrajectorySample] = []
     seg = 0
     for i in range(n_ticks):

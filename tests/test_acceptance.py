@@ -209,7 +209,7 @@ def test_criterion_4_selection_properties(criterion):
         for _ in range(1000):
             rng.shuffle(shuffled)
             best, scored = select_focus(shuffled, rig, roi, ray_cfg, weights)
-            if best != best0 or scored != scored0:
+            if best != best0 or list(scored) != list(scored0):
                 discrepancies += 1
             assert best is not None and best.object_id in in_roi_ids
             check_bounds(scored)

@@ -2,9 +2,12 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from focusray import (
+    Candidates,
+    FocusCandidate,
     HeuristicWeights,
     RayConfig,
     Roi,
@@ -155,12 +158,13 @@ class TestSelectFocusCulling:
         assert [c.object_id for c in ranked] == [1]
 
     def test_empty_scene(self):
-        assert select_focus([], RIG, ROI, RAYS, DEFAULT_W) == (None, [])
+        best, ranked = select_focus([], RIG, ROI, RAYS, DEFAULT_W)
+        assert (best, list(ranked)) == (None, [])
 
     def test_everything_culled(self):
         best, ranked = select_focus([obj(1, 0, 0, 50)], RIG, ROI, RAYS, DEFAULT_W)
         assert best is None
-        assert ranked == []
+        assert list(ranked) == []
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError):
@@ -188,7 +192,7 @@ class TestSelectFocusOrdering:
             rng.shuffle(shuffled)
             best, ranked = select_focus(shuffled, RIG, ROI, RAYS, DEFAULT_W)
             assert best == baseline_best
-            assert ranked == baseline_ranked
+            assert list(ranked) == list(baseline_ranked)
 
     def test_candidates_ascend_by_id(self):
         scene = [obj(9, 2, 0, -9), obj(3, -2, 0, -9), obj(5, 0, 2, -9)]
@@ -281,9 +285,8 @@ class TestSelectFocusOracle:
                       z_far=rng.randint(80, 400) / 8)  # on the grid: spheres can touch z_far exactly
             ray_cfg = RayConfig(k=rng.randint(1, 4), n=rng.randint(1, 24), half_angle=math.radians(rng.uniform(5.0, 30.0)))
             weights = rng.choice(self.WEIGHTS)
-            got = select_focus(scene, rig, roi, ray_cfg, weights)
-            assert got == select_by_enumeration(scene, rig, roi, ray_cfg, weights), case
-            best, ranked = got
+            best, ranked = select_focus(scene, rig, roi, ray_cfg, weights)
+            assert (best, list(ranked)) == select_by_enumeration(scene, rig, roi, ray_cfg, weights), case
             if best is not None:
                 tied = [c for c in ranked if c.importance == best.importance]
                 importance_ties += len(tied) > 1
@@ -305,9 +308,9 @@ class TestSelectFocusOracle:
                 center = Vec3(dist * math.sin(theta) * math.cos(phi), dist * math.sin(theta) * math.sin(phi),
                               -dist * math.cos(theta))
                 scene.append(SceneObject(id=oid, center=center, radius=rng.uniform(0.3, 3.0), value=rng.random()))
-            got = select_focus(scene, rig, roi, ray_cfg, DEFAULT_W)
-            assert len(got[1]) >= 150
-            assert got == select_by_enumeration(scene, rig, roi, ray_cfg, DEFAULT_W)
+            best, ranked = select_focus(scene, rig, roi, ray_cfg, DEFAULT_W)
+            assert len(ranked) >= 150
+            assert (best, list(ranked)) == select_by_enumeration(scene, rig, roi, ray_cfg, DEFAULT_W)
 
 
 class TestPreparedSceneMemo:
@@ -318,7 +321,8 @@ class TestPreparedSceneMemo:
         return [obj(oid, 0.4 * oid - 2.0, 0.0, -3.0 - oid, r=0.8, value=0.1 * oid) for oid in range(1, 9)]
 
     def check(self, scene):
-        assert select_focus(scene, RIG, ROI, RAYS, DEFAULT_W) == select_by_enumeration(scene, RIG, ROI, RAYS, DEFAULT_W)
+        best, ranked = select_focus(scene, RIG, ROI, RAYS, DEFAULT_W)
+        assert (best, list(ranked)) == select_by_enumeration(scene, RIG, ROI, RAYS, DEFAULT_W)
 
     def test_same_objects_reuse_the_preparation(self):
         scene = self.scene()
@@ -365,3 +369,55 @@ class TestPreparedSceneMemo:
         assert prepared is not before
         assert all(a is b for a, b in zip(prepared.given, copies))
         self.check(copies)
+
+
+class TestCandidates:
+    """The candidate sequence `select_focus` returns: arrays, with each
+    `FocusCandidate` built on access."""
+
+    def scene(self, rng):
+        scene = []
+        for oid in rng.sample(range(1, 1000), 150):
+            theta, phi, dist = rng.uniform(0.0, 0.5), rng.uniform(0.0, 2.0 * math.pi), rng.uniform(2.0, 120.0)
+            center = Vec3(dist * math.sin(theta) * math.cos(phi), dist * math.sin(theta) * math.sin(phi), -dist * math.cos(theta))
+            scene.append(SceneObject(id=oid, center=center, radius=rng.uniform(0.3, 3.0), value=rng.random()))
+        return scene
+
+    def test_sequence_matches_enumeration_exactly(self):
+        rng = random.Random(77)
+        rays = RayConfig(k=4, n=64, half_angle=math.radians(20.0))
+        for _ in range(3):
+            scene = self.scene(rng)
+            best, cands = select_focus(scene, RIG, ROI, rays, DEFAULT_W)
+            want_best, want = select_by_enumeration(scene, RIG, ROI, rays, DEFAULT_W)
+            assert isinstance(cands, Candidates)
+            assert len(cands) == len(want) >= 100
+            # iteration order and float identity: repr shows every bit, and the type
+            assert [repr(c) for c in cands] == [repr(w) for w in want]
+            for i, w in enumerate(want):
+                got = cands[i]
+                assert type(got) is FocusCandidate and repr(got) == repr(w)
+                assert all(type(getattr(got, f)) is type(getattr(w, f)) for f in ("object_id", "rm", "d", "v", "importance"))
+                assert repr(cands[i - len(want)]) == repr(w)
+            assert repr(best) == repr(want_best)
+            assert best == cands[int(np.flatnonzero(cands.ids == best.object_id)[0])]
+            assert cands.ids.tolist() == [w.object_id for w in want]
+            assert cands.ids.dtype == np.int64 and cands.importance.dtype == np.float64
+            with pytest.raises(IndexError):
+                cands[len(want)]
+            with pytest.raises(TypeError):
+                cands[0:2]
+
+    def test_read_only(self):
+        _, cands = select_focus([obj(1, 0, 0, -5), obj(2, 1, 0, -9)], RIG, ROI, RAYS, DEFAULT_W)
+        with pytest.raises(TypeError):
+            cands[0] = cands[1]
+        with pytest.raises(AttributeError):
+            cands.rm = cands.d
+
+    def test_empty(self):
+        best, cands = select_focus([obj(1, 0, 0, 50)], RIG, ROI, RAYS, DEFAULT_W)
+        assert best is None and len(cands) == 0 and list(cands) == []
+        with pytest.raises(IndexError):
+            cands[0]
+

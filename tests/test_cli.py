@@ -4,6 +4,7 @@ import os
 import stat
 import threading
 
+from focusray import simulate
 from focusray.cli import EXIT_OK, EXIT_OUTPUT, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATION, main
 
 TRAJ = (
@@ -208,6 +209,23 @@ class TestRunCommand:
         code, err = quiet_main(self.argv(p))
         assert code == EXIT_VALIDATION
         assert "forward between opposite orientations at t_ms 0.0 and 100.0" in err
+
+    def test_huge_time_span_is_validation_exit(self, tmp_path, monkeypatch):
+        def no_samples(**fields):
+            raise AssertionError("resample built a sample")
+
+        monkeypatch.setattr(simulate, "TrajectorySample", no_samples)
+        p = run_files(tmp_path, traj=TRAJ.replace("\n200 ", "\n1000000000000 "), config="tick_ms = 16\n")
+        code, err = quiet_main(self.argv(p))
+        assert code == EXIT_VALIDATION
+        assert "needs 62500000001 ticks of 16.0 ms, above the limit of 1000000" in err
+        assert not os.path.exists(p["out"])
+
+    def test_object_id_beyond_64_bits_is_parse_exit(self, tmp_path):
+        p = run_files(tmp_path, scene="9223372036854775808 0 0 -10 1.0 1.0 orb\n")
+        code, err = quiet_main(self.argv(p))
+        assert code == EXIT_PARSE
+        assert "scene.txt:1: object id must fit in 64 bits" in err
 
     def test_unknown_config_key_is_parse_exit(self, tmp_path):
         p = run_files(tmp_path, config="warp_speed = 9\n")

@@ -273,14 +273,16 @@ def _tilted_cam(rng):
     return MidCamera(m=Vec3(rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(-50, 50)), forward=fwd, up=up)
 
 
-def _oracle_hit(cam, bundle, sphere):
+def _oracle_hits(cam, bundle, sphere):
+    """Per ray, whether the scalar reference hits `sphere` (x, y, z, r)."""
     cx, cy, cz, r = sphere
     center = Vec3(cx, cy, cz)
-    return any(ray_sphere_t(cam.m, Vec3(*d), center, r) is not None for d in bundle.directions.tolist())
+    return [ray_sphere_t(cam.m, Vec3(*d), center, r) is not None for d in bundle.directions.tolist()]
 
 
 class TestRayConeCull:
-    """`rm_scores` intersects only the spheres `_ray_cone_columns` keeps."""
+    """`rm_scores` intersects only the spheres `_ray_cone_columns` keeps, and
+    `nearest_hit_indices` tests only the ray-sphere pairs its prefilter keeps."""
 
     def test_spheres_grazing_the_outer_layer_are_kept_when_hit(self):
         # Each sphere touches one outermost ray from outside the cone, its
@@ -308,11 +310,15 @@ class TestRayConeCull:
             spheres = np.array(rows)
             kept = set(_ray_cone_columns(cam.m, bundle, spheres).tolist())
             for col, sphere in enumerate(spheres.tolist()):
-                if _oracle_hit(cam, bundle, sphere):
+                want = _oracle_hits(cam, bundle, sphere)
+                if any(want):
                     hits += 1
                     assert col in kept, (col, sphere)
                 else:
                     misses += 1
+                # the pair prefilter keeps every ray the exact test hits
+                got = nearest_hit_indices(cam.m, bundle.directions, spheres[col:col + 1])
+                assert (got == 0).tolist() == want, (col, sphere)
         assert hits >= 500 and misses >= 500
 
     def test_spheres_clearly_outside_are_dropped(self):
@@ -369,3 +375,81 @@ class TestSparseTailTies:
         twin = (0.0, 0.0, -10.0, 500.0)
         scores = rm_scores(cam.m, bundle, np.array([twin, twin, twin]))
         assert scores.tolist() == [1.0, 0.0, 0.0]
+
+
+def _strict_scan(cam, directions, rows):
+    """Per ray, the first row with the smallest reference hit distance (-1
+    on a miss) and how many rows share that distance."""
+    nearest = []
+    for d in directions.tolist():
+        best, best_t, sharing = -1, math.inf, 0
+        for col, (cx, cy, cz, r) in enumerate(rows):
+            t = ray_sphere_t(cam.m, Vec3(*d), Vec3(cx, cy, cz), r)
+            if t is not None and t < best_t:
+                best, best_t, sharing = col, t, 1
+            elif t == best_t:
+                sharing += 1
+        nearest.append((best, sharing))
+    return nearest
+
+
+class TestNearestHitScan:
+    """`nearest_hit_indices` against a strict-< scalar scan over scenes of
+    a few hundred spheres: open space, spheres holding the origin or
+    touching it, near-tangent spheres and duplicates."""
+
+    def test_matches_strict_scan(self):
+        rng = random.Random(2718)
+        from_inside = tangent_hits = tangent_misses = tied = 0
+        for scene in range(4):
+            cam = _tilted_cam(rng)
+            bundle = ray_bundle(RayConfig(k=4, n=16, half_angle=math.radians(rng.uniform(10.0, 40.0))), cam)
+            directions = bundle.directions.tolist()
+            rows, kinds = [], []
+
+            def add(center, r, kind):
+                rows.append((center.x, center.y, center.z, r))
+                kinds.append(kind)
+
+            for _ in range(150):  # around the cone, in front and behind
+                d = Vec3(*rng.choice(directions))
+                jitter = Vec3(rng.gauss(0, 0.3), rng.gauss(0, 0.3), rng.gauss(0, 0.3))
+                dist = 10.0 ** rng.uniform(0.5, 2.0)
+                add(cam.m + (d + jitter) * (rng.choice((1.0, -0.3)) * dist), dist * rng.uniform(0.005, 0.05), ("open", None))
+            for _ in range(30):  # touching one ray, within the kernel's rounding
+                j = rng.randrange(len(directions))
+                d = Vec3(*directions[j])
+                side = d.cross(Vec3(rng.random(), rng.random(), rng.random())).normalized()
+                reach = 10.0 ** rng.uniform(0.0, 2.0)
+                r = reach * rng.uniform(0.01, 0.3)
+                offset = r * (1.0 + rng.uniform(-1.0, 1.0) * 1.6e-15 * (reach / r) ** 2)
+                add(cam.m + d * reach + side * offset, r, ("tangent", d))
+            if scene == 0:
+                # The origin on the surface, within rounding, behind the camera
+                # and ahead of it, and held inside: every ray hits one of them
+                # at t = 0, so this scene is all ties at t = 0.
+                for away in [bundle.axis * -1.0] * 8 + [bundle.axis]:
+                    u = (away + Vec3(rng.gauss(0, 0.3), rng.gauss(0, 0.3), rng.gauss(0, 0.3))).normalized()
+                    dist = rng.uniform(0.5, 20.0)
+                    add(cam.m + u * dist, dist * (1.0 + rng.randint(-2, 2) * 1e-16), ("origin", None))
+                add(cam.m + bundle.axis * 2.0, 3.0, ("origin", None))
+            for _ in range(40):  # exact duplicates at later columns
+                i = rng.randrange(len(rows))
+                j = rng.randrange(i + 1, len(rows) + 1)
+                rows.insert(j, rows[i])
+                kinds.insert(j, kinds[i])
+            assert len(rows) >= 200
+            got = nearest_hit_indices(cam.m, bundle.directions, np.array(rows)).tolist()
+            scan = _strict_scan(cam, bundle.directions, rows)
+            want = [best for best, _ in scan]
+            assert got == want
+            from_inside += sum(w >= 0 and kinds[w][0] == "origin" for w in want)
+            tied += sum(sharing > 1 for _, sharing in scan)
+            for (cx, cy, cz, r), (kind, touched) in zip(rows, kinds):
+                if kind == "tangent":
+                    hit = ray_sphere_t(cam.m, touched, Vec3(cx, cy, cz), r) is not None
+                    tangent_hits += hit
+                    tangent_misses += not hit
+        # exercised: rays won from inside, ties, and both sides of tangency
+        assert from_inside >= 20 and tied >= 50
+        assert tangent_hits >= 20 and tangent_misses >= 20

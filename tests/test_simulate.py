@@ -13,6 +13,7 @@ from focusray import (
     run_scenario,
     score_ssq_files,
 )
+from focusray import simulate
 from focusray.cli import EXIT_OK, main
 from builders import FORWARD, UP, sample, write_large_scenario
 
@@ -122,6 +123,22 @@ class TestResample:
         assert [s.t_ms for s in out] == [0.0, 45.0, 90.0]
         # 45 ms sits in the second segment: 3.0 + (45-30)/(90-30) * 6.0
         assert out[1].position.x == pytest.approx(4.5, abs=1e-12)
+
+    def test_tick_count_is_bounded_before_any_sample_is_built(self, monkeypatch):
+        def no_samples(**fields):
+            raise AssertionError("resample built a sample")
+
+        traj = [sample(0.0, Vec3(0, 0, 0)), sample(16.0, Vec3(1, 0, 0)), sample(1e12, Vec3(2, 0, 0))]
+        monkeypatch.setattr(simulate, "TrajectorySample", no_samples)
+        with pytest.raises(ValidationError, match=r"needs 62500000001 ticks of 16\.0 ms, above the limit of 1000000$"):
+            resample(traj, 16.0)
+
+    def test_tick_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(simulate, "MAX_TICKS", 5)
+        traj = [sample(0.0, Vec3(0, 0, 0)), sample(64.0, Vec3(1, 0, 0))]
+        assert len(resample(traj, 16.0)) == 5
+        with pytest.raises(ValidationError, match="needs 6 ticks"):
+            resample(traj[:1] + [sample(80.0, Vec3(1, 0, 0))], 16.0)
 
     def test_validation(self):
         traj = [sample(0.0, Vec3(0, 0, 0)), sample(100.0, Vec3(0, 0, 0))]
