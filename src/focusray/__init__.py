@@ -7,12 +7,15 @@ focal-distance signal, auditing recorded camera trajectories against
 comfort guidelines, and scoring simulator sickness questionnaires.
 """
 
+from types import ModuleType as _ModuleType
+
 from .attention import Candidates, FocusCandidate, HeuristicWeights, select_focus
 from .comfort import (
     ComfortConfig,
     ComfortFinding,
     ComfortReport,
     ComfortRule,
+    Trajectory,
     TrajectorySample,
     analyze_trajectory,
 )
@@ -77,71 +80,5 @@ from .ssq import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlurConfig",
-    "Candidates",
-    "ComfortConfig",
-    "ComfortFinding",
-    "ComfortReport",
-    "ComfortRule",
-    "DISORIENTATION_SYMPTOMS",
-    "DynamicsConfig",
-    "FocusCandidate",
-    "FocusSelection",
-    "FocusState",
-    "FocusrayError",
-    "GOLDEN_ANGLE",
-    "GeometryError",
-    "HeuristicWeights",
-    "MidCamera",
-    "NAUSEA_SYMPTOMS",
-    "OCULOMOTOR_SYMPTOMS",
-    "OutputError",
-    "ParseError",
-    "Profile",
-    "ProtocolReport",
-    "ProtocolSession",
-    "RayBundle",
-    "RayConfig",
-    "Roi",
-    "SYMPTOM_NAMES",
-    "SceneObject",
-    "SimConfig",
-    "SsqDelta",
-    "SsqResponse",
-    "SsqScore",
-    "StereoRig",
-    "TimelineRow",
-    "TrajectorySample",
-    "Transition",
-    "ValidationError",
-    "Vec3",
-    "analyze_trajectory",
-    "apply_selection",
-    "blur_amount",
-    "derive_mid_camera",
-    "format_real",
-    "layer_weight",
-    "level_for_score",
-    "parse_config",
-    "parse_profile",
-    "parse_scene",
-    "parse_ssq_response",
-    "parse_trajectory",
-    "protocol_report",
-    "ray_bundle",
-    "render_comfort_section",
-    "render_config_section",
-    "render_document",
-    "render_ssq_section",
-    "render_timeline_section",
-    "resample",
-    "rig_from_pose",
-    "roi_mask",
-    "run_scenario",
-    "score_questionnaire",
-    "score_ssq_files",
-    "select_focus",
-    "step",
-    "write_document",
-]
+# every name imported above; the submodules themselves are not part of the API
+__all__ = sorted(name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _ModuleType)))

@@ -11,20 +11,27 @@ Severity numbers are heuristic rankings for triage, not a validated
 sickness predictor, and reports label them accordingly.
 
 `analyze_trajectory` is the entry point: it validates once, and the rules
-share one motion pass. Velocity and acceleration come from central finite
-differences over the (possibly non-uniform) sample timestamps; endpoints
-use one-sided differences.
+share one motion pass over the `Trajectory` columns. Velocity and
+acceleration come from central finite differences over the (possibly
+non-uniform) sample timestamps; endpoints use one-sided differences. Every
+per-sample value is an elementwise array expression in the operand order
+of the scalar formula, angles come from `math` per sample, and per-episode
+sums are sequential Python sums, so the report does not depend on how
+NumPy groups a reduction.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import ValidationError
-from .geometry import Vec3
+from .geometry import UNIT_TOL, Vec3, dot_rows, norm_rows
 
 # the acceleration rule differentiates twice, so its stencil needs three samples
 MIN_SAMPLES = 3
@@ -56,6 +63,76 @@ class TrajectorySample:
             raise ValidationError(f"fov_deg must be in (0, 180), got {self.fov_deg!r}")
         if not (math.isfinite(self.frame_time_ms) and self.frame_time_ms > 0.0):
             raise ValidationError(f"frame_time_ms must be positive, got {self.frame_time_ms!r}")
+
+
+def invalid_sample_rows(t_ms, pos, fwd, up, fov, frame_ms) -> np.ndarray:
+    """Per row of trajectory columns, True when the row would fail a `Vec3` or
+    `TrajectorySample` check: the same tests, bit for bit, as array screens."""
+    with np.errstate(all="ignore"):
+        bad = ~np.isfinite(t_ms) | ~np.isfinite(pos).all(axis=1)
+        for v in (fwd, up):  # a non-finite row has a non-finite norm
+            bad |= ~(np.abs(norm_rows(v) - 1.0) <= UNIT_TOL)
+        bad |= ~((fov > 0.0) & (fov < 180.0))
+        return bad | ~(np.isfinite(frame_ms) & (frame_ms > 0.0))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Trajectory(Sequence[TrajectorySample]):
+    """A recording as read-only columns, one row per sample: `t_ms`, `fov`
+    and `frame_ms` (N,) float64, `pos`, `fwd` and `up` (N, 3) float64 and
+    `user` (N,) bool. Every row meets the `TrajectorySample` invariants (the
+    first that does not raises that sample's error); rows need not be in
+    time order. Each `TrajectorySample` is built on access, from plain
+    Python floats and a bool."""
+
+    t_ms: np.ndarray
+    pos: np.ndarray
+    fwd: np.ndarray
+    up: np.ndarray
+    fov: np.ndarray
+    user: np.ndarray
+    frame_ms: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = len(self.t_ms)
+        for f in fields(self):
+            # a read-only view: no copy, and the caller's array stays as it was
+            col = np.asarray(getattr(self, f.name), bool if f.name == "user" else np.float64).view()
+            if col.shape != ((n, 3) if f.name in ("pos", "fwd", "up") else (n,)):
+                raise ValidationError(f"trajectory column {f.name} must hold {n} rows, got shape {col.shape}")
+            col.flags.writeable = False
+            object.__setattr__(self, f.name, col)
+        for i in np.flatnonzero(invalid_sample_rows(self.t_ms, self.pos, self.fwd, self.up, self.fov, self.frame_ms)):
+            self[i]  # builds the sample, whose own check raises the row's error
+
+    @classmethod
+    def from_samples(cls, samples: Sequence[TrajectorySample]) -> Trajectory:
+        """The columns of a sequence of samples; a `Trajectory` is returned as it is."""
+        if isinstance(samples, Trajectory):
+            return samples
+
+        def vectors(name: str) -> np.ndarray:
+            return np.array([(v.x, v.y, v.z) for v in (getattr(s, name) for s in samples)], np.float64).reshape(-1, 3)
+
+        return cls(
+            [s.t_ms for s in samples], vectors("position"), vectors("forward"), vectors("up"),
+            [s.fov_deg for s in samples], [s.user_initiated for s in samples], [s.frame_time_ms for s in samples],
+        )
+
+    def __len__(self) -> int:
+        return len(self.t_ms)
+
+    def __getitem__(self, i: int) -> TrajectorySample:
+        i = range(len(self))[operator.index(i)]  # negative indices count from the end; IndexError past either end
+        return next(self._samples(slice(i, i + 1)))
+
+    def __iter__(self) -> Iterator[TrajectorySample]:
+        return self._samples(slice(None))
+
+    def _samples(self, rows: slice) -> Iterator[TrajectorySample]:
+        columns = [getattr(self, f.name)[rows].tolist() for f in fields(self)]
+        for t, p, f, u, fov, user, frame in zip(*columns):
+            yield TrajectorySample(t, Vec3(*p), Vec3(*f), Vec3(*u), fov, user, frame)
 
 
 class ComfortRule(enum.Enum):
@@ -122,84 +199,31 @@ class ComfortReport:
     duration_ms: float
 
 
-Trajectory = Sequence[TrajectorySample]
-
-
 @dataclass(frozen=True, slots=True)
 class _Motion:
-    """Derived once per analysis: the series two or more rules read, the
-    per-gap distances they come from, plus the session duration, so that
-    every rule takes (traj, motion, cfg)."""
+    """Derived once per analysis: the central-difference stencil (`lo`, `hi`
+    and `dt` in seconds per sample), the velocities, the per-gap speeds and
+    the teleport gaps, plus the session duration, so that every rule takes
+    (traj, motion, cfg)."""
 
     duration_ms: float
-    ts_s: list[float]
-    velocities: list[Vec3]
-    gap_distances: list[float]
-    gap_speeds: list[float]
-    jumps: set[int]
+    lo: np.ndarray
+    hi: np.ndarray
+    dt: np.ndarray
+    velocities: np.ndarray
+    gap_speeds: np.ndarray
+    jumps: np.ndarray
 
 
-def _check_trajectory(traj: Trajectory) -> None:
-    if len(traj) < MIN_SAMPLES:
-        raise ValidationError(f"trajectory needs at least {MIN_SAMPLES} samples, got {len(traj)}")
-    for prev, cur in zip(traj, traj[1:]):
-        if not cur.t_ms > prev.t_ms:
-            raise ValidationError("trajectory samples must strictly increase in t_ms")
+def _central_rate(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """First derivative of a series of row vectors over the stencil."""
+    return (values[hi] - values[lo]) * (1.0 / dt)[:, None]
 
 
-def _stencil(ts_s: Sequence[float]) -> Iterator[tuple[int, int, float]]:
-    """(lo, hi, dt) per sample for central differences, one-sided at the ends."""
-    n = len(ts_s)
-    for i in range(n):
-        lo = max(i - 1, 0)
-        hi = min(i + 1, n - 1)
-        yield lo, hi, ts_s[hi] - ts_s[lo]
-
-
-def _central_rate(values: Sequence[Vec3], ts_s: Sequence[float]) -> list[Vec3]:
-    """First derivative of a vector series."""
-    return [(values[hi] - values[lo]) * (1.0 / dt) for lo, hi, dt in _stencil(ts_s)]
-
-
-def _angle_deg(a: Vec3, b: Vec3) -> float:
-    d = a.dot(b)
-    d = max(-1.0, min(1.0, d))
-    return math.degrees(math.acos(d))
-
-
-def _runs(flags: Sequence[bool]) -> list[tuple[int, int]]:
+def _runs(flags: np.ndarray) -> list[tuple[int, int]]:
     """Maximal runs of consecutive True flags as inclusive (start, end) indices."""
-    runs: list[tuple[int, int]] = []
-    start: int | None = None
-    for i, flag in enumerate(flags):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(flags) - 1))
-    return runs
-
-
-def _gap_speeds_m_s(traj: Trajectory, distances: Sequence[float]) -> list[float]:
-    """Mean speed across each inter-sample gap, indexed by the gap's left sample."""
-    return [dist / ((b.t_ms - a.t_ms) / 1000.0) for a, b, dist in zip(traj, traj[1:], distances)]
-
-
-def _jump_gaps(distances: Sequence[float], speeds: Sequence[float], cfg: ComfortConfig) -> set[int]:
-    """Gaps that look like deliberate teleports: a large position discontinuity
-    with no motion on either side. These are exempt from the acceleration and
-    locomotion rules."""
-    jumps: set[int] = set()
-    for i, dist in enumerate(distances):
-        if dist <= cfg.jump_distance_min_m:
-            continue
-        calm_before = i == 0 or speeds[i - 1] <= cfg.motion_floor_m_s
-        calm_after = i == len(speeds) - 1 or speeds[i + 1] <= cfg.motion_floor_m_s
-        if calm_before and calm_after:
-            jumps.add(i)
-    return jumps
+    edges = np.diff(flags.astype(np.int8), prepend=0, append=0)
+    return list(zip(np.flatnonzero(edges == 1).tolist(), (np.flatnonzero(edges == -1) - 1).tolist()))
 
 
 def detect_acceleration_episodes(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) -> list[ComfortFinding]:
@@ -210,32 +234,25 @@ def detect_acceleration_episodes(traj: Trajectory, motion: _Motion, cfg: Comfort
     seconds. Single-sample spikes (the instant velocity step) and
     teleport-style jumps therefore never register.
     """
-    accelerations = _central_rate(motion.velocities, motion.ts_s)
-    magnitudes = [a.norm() for a in accelerations]
+    magnitudes = norm_rows(_central_rate(motion.velocities, motion.lo, motion.hi, motion.dt))
 
     # a teleport gap corrupts the finite differences of the four samples
-    # whose stencils straddle it; blank them instead of flagging the jump
-    for gap in motion.jumps:
-        for idx in range(gap - 1, gap + 3):
-            if 0 <= idx < len(magnitudes):
-                magnitudes[idx] = 0.0
+    # whose stencils straddle it (gap - 1 through gap + 2): blank them
+    # instead of flagging the jump; sample i is entry i + 1 here
+    near_jump = np.zeros(len(magnitudes) + 3, bool)
+    for offset in range(4):
+        near_jump[offset : offset + len(motion.jumps)] |= motion.jumps
+    magnitudes[near_jump[1:-2]] = 0.0
 
-    flags = [m > cfg.accel_threshold_m_s2 for m in magnitudes]
+    t = traj.t_ms.tolist()
     findings: list[ComfortFinding] = []
-    for start, end in _runs(flags):
-        duration_ms = traj[end].t_ms - traj[start].t_ms
+    for start, end in _runs(magnitudes > cfg.accel_threshold_m_s2):
+        duration_ms = t[end] - t[start]
         if duration_ms < cfg.min_episode_ms:
             continue
-        peak = max(magnitudes[start : end + 1])
-        findings.append(
-            ComfortFinding(
-                rule=ComfortRule.AccelerationRamp,
-                start_ms=traj[start].t_ms,
-                end_ms=traj[end].t_ms,
-                severity=duration_ms / 1000.0,
-                detail=f"sustained acceleration for {duration_ms / 1000.0:.3f} s (peak {peak:.3f} m/s^2)",
-            )
-        )
+        peak = max(magnitudes[start : end + 1].tolist())
+        detail = f"sustained acceleration for {duration_ms / 1000.0:.3f} s (peak {peak:.3f} m/s^2)"
+        findings.append(ComfortFinding(ComfortRule.AccelerationRamp, t[start], t[end], duration_ms / 1000.0, detail))
     return findings
 
 
@@ -245,82 +262,50 @@ def detect_frame_drops(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) ->
     A sample is flagged when frame_time_ms exceeds drop_factor times the
     target; severity is the summed time over budget, in seconds.
     """
-    limit = cfg.drop_factor * cfg.target_frame_ms
-    flags = [s.frame_time_ms > limit for s in traj]
+    t = traj.t_ms.tolist()
     findings: list[ComfortFinding] = []
-    for start, end in _runs(flags):
-        run = traj[start : end + 1]
-        excess_ms = sum(s.frame_time_ms - cfg.target_frame_ms for s in run)
-        worst = max(s.frame_time_ms for s in run)
-        findings.append(
-            ComfortFinding(
-                rule=ComfortRule.FrameDrop,
-                start_ms=traj[start].t_ms,
-                end_ms=traj[end].t_ms,
-                severity=excess_ms / 1000.0,
-                detail=f"{len(run)} slow frames (worst {worst:.3f} ms against {cfg.target_frame_ms:.3f} ms budget)",
-            )
-        )
+    for start, end in _runs(traj.frame_ms > cfg.drop_factor * cfg.target_frame_ms):
+        run = traj.frame_ms[start : end + 1].tolist()
+        excess_ms = sum(ft - cfg.target_frame_ms for ft in run)
+        detail = f"{len(run)} slow frames (worst {max(run):.3f} ms against {cfg.target_frame_ms:.3f} ms budget)"
+        findings.append(ComfortFinding(ComfortRule.FrameDrop, t[start], t[end], excess_ms / 1000.0, detail))
     return findings
 
 
 def _detect_uncontrolled(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) -> list[ComfortFinding]:
-    angular = [_angle_deg(traj[lo].forward, traj[hi].forward) / dt for lo, hi, dt in _stencil(motion.ts_s)]
-    flags = [
-        (motion.velocities[i].norm() > cfg.motion_floor_m_s or angular[i] > cfg.motion_floor_deg_s)
-        and not traj[i].user_initiated
-        for i in range(len(traj))
-    ]
-    findings: list[ComfortFinding] = []
-    for start, end in _runs(flags):
-        duration_ms = traj[end].t_ms - traj[start].t_ms
-        findings.append(
-            ComfortFinding(
-                rule=ComfortRule.UncontrolledCamera,
-                start_ms=traj[start].t_ms,
-                end_ms=traj[end].t_ms,
-                severity=duration_ms / 1000.0,
-                detail="camera motion not initiated by the user",
-            )
+    cosines = dot_rows(traj.fwd[motion.lo], traj.fwd[motion.hi]).tolist()
+    degrees = np.array([math.degrees(math.acos(max(-1.0, min(1.0, d)))) for d in cosines])
+    moving = (norm_rows(motion.velocities) > cfg.motion_floor_m_s) | (degrees / motion.dt > cfg.motion_floor_deg_s)
+    t = traj.t_ms.tolist()
+    return [
+        ComfortFinding(
+            ComfortRule.UncontrolledCamera, t[start], t[end], (t[end] - t[start]) / 1000.0,
+            "camera motion not initiated by the user",
         )
-    return findings
+        for start, end in _runs(moving & ~traj.user)
+    ]
 
 
 def _detect_fov_manipulation(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) -> list[ComfortFinding]:
-    deltas = [b.fov_deg - a.fov_deg for a, b in zip(traj, traj[1:])]
-    flags = [abs(d) > cfg.fov_delta_threshold_deg for d in deltas]
+    steps = np.abs(np.diff(traj.fov))
+    t = traj.t_ms.tolist()
     findings: list[ComfortFinding] = []
-    for start, end in _runs(flags):
-        total = sum(abs(d) for d in deltas[start : end + 1])
-        findings.append(
-            ComfortFinding(
-                rule=ComfortRule.FovManipulation,
-                start_ms=traj[start].t_ms,
-                end_ms=traj[end + 1].t_ms,
-                severity=total,
-                detail=f"fov changed by {total:.3f} deg over {end - start + 1} steps",
-            )
-        )
+    for start, end in _runs(steps > cfg.fov_delta_threshold_deg):
+        total = sum(steps[start : end + 1].tolist())
+        detail = f"fov changed by {total:.3f} deg over {end - start + 1} steps"
+        findings.append(ComfortFinding(ComfortRule.FovManipulation, t[start], t[end + 1], total, detail))
     return findings
 
 
 def _detect_locomotion(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) -> list[ComfortFinding]:
-    # teleport gaps count as standing still
-    flags = [v > cfg.motion_floor_m_s and i not in motion.jumps for i, v in enumerate(motion.gap_speeds)]
+    t = traj.t_ms.tolist()
     findings: list[ComfortFinding] = []
-    for start, end in _runs(flags):
-        duration_ms = traj[end + 1].t_ms - traj[start].t_ms
-        if duration_ms <= cfg.walk_episode_ms:
-            continue
-        findings.append(
-            ComfortFinding(
-                rule=ComfortRule.ContinuousLocomotion,
-                start_ms=traj[start].t_ms,
-                end_ms=traj[end + 1].t_ms,
-                severity=duration_ms / 1000.0,
-                detail=f"continuous locomotion for {duration_ms / 1000.0:.3f} s",
-            )
-        )
+    # teleport gaps count as standing still
+    for start, end in _runs((motion.gap_speeds > cfg.motion_floor_m_s) & ~motion.jumps):
+        duration_ms = t[end + 1] - t[start]
+        if duration_ms > cfg.walk_episode_ms:
+            detail = f"continuous locomotion for {duration_ms / 1000.0:.3f} s"
+            findings.append(ComfortFinding(ComfortRule.ContinuousLocomotion, t[start], t[end + 1], duration_ms / 1000.0, detail))
     return findings
 
 
@@ -328,7 +313,7 @@ def _detect_session_duration(traj: Trajectory, motion: _Motion, cfg: ComfortConf
     duration_ms = motion.duration_ms
     if duration_ms <= cfg.max_session_ms:
         return []
-    t0 = traj[0].t_ms
+    t0 = float(traj.t_ms[0])
     return [
         ComfortFinding(
             rule=ComfortRule.SessionDuration,
@@ -341,31 +326,35 @@ def _detect_session_duration(traj: Trajectory, motion: _Motion, cfg: ComfortConf
 
 
 def analyze_trajectory(
-    traj: Trajectory,
+    traj: Sequence[TrajectorySample],
     duration_ms: float | None = None,
     cfg: ComfortConfig = ComfortConfig(),
 ) -> ComfortReport:
     """Run every rule over the trajectory and return the merged report.
 
+    `traj` is any sequence of samples; a `Trajectory` is read as it is.
     duration_ms defaults to the trajectory's time span. Findings are sorted
     by start time, ties by rule declaration order, so reports are stable.
     """
-    _check_trajectory(traj)
+    if len(traj) < MIN_SAMPLES:
+        raise ValidationError(f"trajectory needs at least {MIN_SAMPLES} samples, got {len(traj)}")
+    traj = Trajectory.from_samples(traj)
+    if not (traj.t_ms[1:] > traj.t_ms[:-1]).all():
+        raise ValidationError("trajectory samples must strictly increase in t_ms")
     if duration_ms is None:
-        duration_ms = traj[-1].t_ms - traj[0].t_ms
+        duration_ms = float(traj.t_ms[-1] - traj.t_ms[0])
     if not (math.isfinite(duration_ms) and duration_ms >= 0.0):
         raise ValidationError(f"duration_ms must be >= 0, got {duration_ms!r}")
-    ts_s = [s.t_ms / 1000.0 for s in traj]
-    gap_distances = [b.position.distance_to(a.position) for a, b in zip(traj, traj[1:])]
-    gap_speeds = _gap_speeds_m_s(traj, gap_distances)
-    motion = _Motion(
-        duration_ms=duration_ms,
-        ts_s=ts_s,
-        velocities=_central_rate([s.position for s in traj], ts_s),
-        gap_distances=gap_distances,
-        gap_speeds=gap_speeds,
-        jumps=_jump_gaps(gap_distances, gap_speeds, cfg),
-    )
+    ts_s = traj.t_ms / 1000.0
+    rows = np.arange(len(ts_s))
+    lo, hi = np.maximum(rows - 1, 0), np.minimum(rows + 1, len(ts_s) - 1)
+    gap_distances = norm_rows(traj.pos[1:] - traj.pos[:-1])
+    gap_speeds = gap_distances / (np.diff(traj.t_ms) / 1000.0)
+    # teleports: a large position discontinuity with no motion on either side
+    calm = gap_speeds <= cfg.motion_floor_m_s
+    jumps = ~(gap_distances <= cfg.jump_distance_min_m) & np.r_[True, calm[:-1]] & np.r_[calm[1:], True]
+    dt = ts_s[hi] - ts_s[lo]
+    motion = _Motion(duration_ms, lo, hi, dt, _central_rate(traj.pos, lo, hi, dt), gap_speeds, jumps)
 
     # called by module name, so a tracer that rebinds a rule sees the call
     findings: list[ComfortFinding] = []

@@ -40,11 +40,6 @@ class Vec3:
     def __mul__(self, s: float) -> "Vec3":
         return Vec3(self.x * s, self.y * s, self.z * s)
 
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Vec3":
-        return Vec3(-self.x, -self.y, -self.z)
-
     def dot(self, other: "Vec3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
@@ -69,6 +64,16 @@ class Vec3:
 
     def is_unit(self, tol: float = UNIT_TOL) -> bool:
         return abs(self.norm() - 1.0) <= tol
+
+
+def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (N, 3) arrays, summed in `Vec3.dot`'s order."""
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+
+
+def norm_rows(a: np.ndarray) -> np.ndarray:
+    """Row-wise lengths of an (N, 3) array, bit for bit `Vec3.norm` of each row."""
+    return np.sqrt(dot_rows(a, a))
 
 
 def _require_unit(v: Vec3, name: str) -> None:

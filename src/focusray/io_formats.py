@@ -17,10 +17,12 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
-from .comfort import MIN_SAMPLES, ComfortReport, ComfortRule, TrajectorySample
+import numpy as np
+
+from .comfort import MIN_SAMPLES, ComfortReport, ComfortRule, Trajectory, TrajectorySample, invalid_sample_rows
 from .config import CONFIG_FIELD_NAMES, INT_FIELDS, SimConfig
 from .errors import GeometryError, OutputError, ParseError, ValidationError
-from .geometry import SceneObject, Vec3
+from .geometry import SceneObject, Vec3, norm_rows
 from .ssq import Profile, ProtocolReport, SsqResponse
 
 TRAJECTORY_HEADER = (
@@ -32,6 +34,10 @@ TIMELINE_HEADER = "t_ms,selected_object_id,importance,rm,d,v,focal_distance_m,in
 FINDINGS_HEADER = "rule,start_ms,end_ms,heuristic_severity,detail"
 
 PROFILE_KEYS = ("name", "age", "gender", "academic_background")
+
+# trajectory rows tokenised and converted at a time: a chunk's tokens and
+# floats take about 1.3 kB a row at peak, the (N, 13) array they fill 104 bytes
+_CHUNK_ROWS = 250
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,8 +118,62 @@ def _unit_or_parse_error(path: str, lineno: int, v: Vec3, name: str) -> Vec3:
         raise ParseError(path, lineno, f"{name} vector must be non-zero") from None
 
 
-def parse_trajectory(path: str) -> list[TrajectorySample]:
-    """Trajectory file: the fixed 13-column header, then one row per sample."""
+def _check_trajectory_row(path: str, lineno: int, text: str, prev_t_ms: float | None) -> None:
+    """Every check of one trajectory row, in order; raises the row's first fault."""
+    tokens = text.split()
+    if len(tokens) != len(TRAJECTORY_HEADER):
+        raise ParseError(path, lineno, f"expected {len(TRAJECTORY_HEADER)} fields, got {len(tokens)}")
+    vals = [_parse_float(path, lineno, tok, name) for tok, name in zip(tokens[:11], TRAJECTORY_HEADER)]
+    if tokens[11] not in ("0", "1"):
+        raise ParseError(path, lineno, f"user_initiated must be 0 or 1, got {tokens[11]!r}")
+    frame_time = _parse_float(path, lineno, tokens[12], "frame_time_ms")
+    try:
+        forward = _unit_or_parse_error(path, lineno, Vec3(vals[4], vals[5], vals[6]), "forward")
+        up = _unit_or_parse_error(path, lineno, Vec3(vals[7], vals[8], vals[9]), "up")
+        # the eye baseline runs along forward x up, so the two must not be parallel
+        _unit_or_parse_error(path, lineno, forward.cross(up), "right (forward x up)")
+        TrajectorySample(vals[0], Vec3(vals[1], vals[2], vals[3]), forward, up, vals[10], tokens[11] == "1", frame_time)
+    except ValidationError as e:
+        raise ParseError(path, lineno, str(e)) from None
+    if prev_t_ms is not None and not vals[0] > prev_t_ms:
+        raise ParseError(path, lineno, "t_ms must strictly increase")
+
+
+def _float_rows(rows: list[list[str]]) -> np.ndarray:
+    """The leading rows of tokens that hold 13 numbers each, as an (n, 13) array:
+    n stops at the first row with another field count or a token `float` rejects."""
+    values = []
+    for row in rows:
+        if len(row) != len(TRAJECTORY_HEADER):
+            break
+        try:
+            values.append(list(map(float, row)))
+        except ValueError:
+            break
+    return np.array(values, np.float64).reshape(-1, len(TRAJECTORY_HEADER))
+
+
+def _unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`Vec3.normalized` per row, and where it raises: a non-finite or near-zero row."""
+    n = norm_rows(v)
+    return v / n[:, None], ~np.isfinite(v).all(axis=1) | ~(n >= 1e-12)
+
+
+def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`Vec3.cross` per row."""
+    ax, ay, az, bx, by, bz = *a.T, *b.T
+    return np.stack((ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx), axis=1)
+
+
+def parse_trajectory(path: str) -> Trajectory:
+    """Trajectory file: the fixed 13-column header, then one row per sample.
+
+    Rows are converted with `float` in chunks and checked as columns. The
+    first faulty row is then checked on its own, so the error names the same
+    line and fault as a row-by-row parse: the field count and numbers, the
+    user flag, forward, up and right, the position, the sample invariants,
+    then time order.
+    """
     lines = _content_lines(path)
     if not lines:
         raise ParseError(path, 0, "missing trajectory header")
@@ -121,37 +181,30 @@ def parse_trajectory(path: str) -> list[TrajectorySample]:
     if tuple(header_text.split()) != TRAJECTORY_HEADER:
         raise ParseError(path, header_lineno, f"expected header '{' '.join(TRAJECTORY_HEADER)}'")
 
-    samples: list[TrajectorySample] = []
-    for lineno, text in lines[1:]:
-        tokens = text.split()
-        if len(tokens) != len(TRAJECTORY_HEADER):
-            raise ParseError(path, lineno, f"expected {len(TRAJECTORY_HEADER)} fields, got {len(tokens)}")
-        vals = [_parse_float(path, lineno, tok, name) for tok, name in zip(tokens[:11], TRAJECTORY_HEADER)]
-        if tokens[11] not in ("0", "1"):
-            raise ParseError(path, lineno, f"user_initiated must be 0 or 1, got {tokens[11]!r}")
-        frame_time = _parse_float(path, lineno, tokens[12], "frame_time_ms")
-        try:
-            forward = _unit_or_parse_error(path, lineno, Vec3(vals[4], vals[5], vals[6]), "forward")
-            up = _unit_or_parse_error(path, lineno, Vec3(vals[7], vals[8], vals[9]), "up")
-            # the eye baseline runs along forward x up, so the two must not be parallel
-            _unit_or_parse_error(path, lineno, forward.cross(up), "right (forward x up)")
-            sample = TrajectorySample(
-                t_ms=vals[0],
-                position=Vec3(vals[1], vals[2], vals[3]),
-                forward=forward,
-                up=up,
-                fov_deg=vals[10],
-                user_initiated=tokens[11] == "1",
-                frame_time_ms=frame_time,
-            )
-        except ValidationError as e:
-            raise ParseError(path, lineno, str(e)) from None
-        if samples and not sample.t_ms > samples[-1].t_ms:
-            raise ParseError(path, lineno, "t_ms must strictly increase")
-        samples.append(sample)
-    if len(samples) < MIN_SAMPLES:
-        raise ParseError(path, 0, f"trajectory needs at least {MIN_SAMPLES} samples, got {len(samples)}")
-    return samples
+    rows = lines[1:]
+    chunks: list[np.ndarray] = []
+    user_tokens: list[str] = []
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        tokens = [text.split() for _, text in rows[start : start + _CHUNK_ROWS]]
+        chunks.append(_float_rows(tokens))
+        user_tokens += [row[11] for row in tokens[: len(chunks[-1])]]
+        if len(chunks[-1]) < len(tokens):
+            break
+    vals = np.concatenate(chunks) if chunks else np.empty((0, len(TRAJECTORY_HEADER)))
+    t_ms, pos, fov, frame_ms = vals[:, 0], vals[:, 1:4], vals[:, 10], vals[:, 12]
+    user = np.array(user_tokens, dtype=str)
+    with np.errstate(all="ignore"):
+        fwd, bad = _unit_rows(vals[:, 4:7])
+        up, bad_up = _unit_rows(vals[:, 7:10])
+        bad |= bad_up | ((user != "0") & (user != "1")) | ~(norm_rows(_cross_rows(fwd, up)) >= 1e-12)
+    bad |= invalid_sample_rows(t_ms, pos, fwd, up, fov, frame_ms)
+    bad[1:] |= ~(t_ms[1:] > t_ms[:-1])
+    # the screens are exact, so the first flagged row raises; an unconverted row is faulty too
+    for i in np.flatnonzero(bad).tolist() + [len(vals)] * (len(vals) < len(rows)):
+        _check_trajectory_row(path, *rows[i], float(t_ms[i - 1]) if i else None)
+    if len(vals) < MIN_SAMPLES:
+        raise ParseError(path, 0, f"trajectory needs at least {MIN_SAMPLES} samples, got {len(vals)}")
+    return Trajectory(t_ms, pos, fwd, up, fov, user == "1", frame_ms)
 
 
 def _split_key_value(path: str, lineno: int, text: str) -> tuple[str, str]:

@@ -10,13 +10,16 @@ output document is byte-identical across runs for identical inputs.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from typing import Sequence
 
+import numpy as np
+
 from .attention import select_focus
-from .comfort import TrajectorySample, analyze_trajectory
+from .comfort import Trajectory, TrajectorySample, analyze_trajectory
 from .dynamics import FocusSelection, FocusState, apply_selection, step
 from .errors import ValidationError
-from .geometry import Roi, StereoRig, Vec3, derive_mid_camera
+from .geometry import Roi, StereoRig, derive_mid_camera, dot_rows, norm_rows
 from .io_formats import (
     TimelineRow,
     parse_config,
@@ -61,73 +64,84 @@ def level_for_score(score: int) -> int:
     return 6
 
 
-def _slerp(left: TrajectorySample, right: TrajectorySample, name: str, s: float) -> Vec3:
-    """Spherical interpolation of the samples' `name` vector (forward or up) on the great-circle arc."""
-    a, b = getattr(left, name), getattr(right, name)
-    d = max(-1.0, min(1.0, a.dot(b)))
-    omega = math.acos(d)
-    sin_omega = math.sin(omega)
-    if sin_omega < 1e-9:
-        if d < 0.0:
-            raise ValidationError(
-                f"cannot interpolate {name} between opposite orientations at t_ms {left.t_ms!r} and {right.t_ms!r}"
-            )
-        # near-parallel: a straight lerp renormalized is exact enough
-        return (a + (b - a) * s).normalized()
-    wa = math.sin((1.0 - s) * omega) / sin_omega
-    wb = math.sin(s * omega) / sin_omega
-    return a * wa + b * wb
+def _slerp(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rows of the unit vectors `a` and `b` interpolated at `s` on the great-circle
+    arc, and the first row where the two are opposite (len(s) when none is).
+    The weights come from scalar `math` per row."""
+    wa, wb, straight = [], [], []
+    opposite = len(s)
+    for k, (d, sk) in enumerate(zip(dot_rows(a, b).tolist(), s.tolist())):
+        d = max(-1.0, min(1.0, d))
+        omega = math.acos(d)
+        sin_omega = math.sin(omega)
+        if sin_omega < 1e-9:
+            if d < 0.0 and opposite == len(s):
+                opposite = k
+            straight.append(k)
+            wa.append(0.0)
+            wb.append(0.0)
+            continue
+        wa.append(math.sin((1.0 - sk) * omega) / sin_omega)
+        wb.append(math.sin(sk * omega) / sin_omega)
+    out = a * np.array(wa)[:, None] + b * np.array(wb)[:, None]
+    if straight:  # near-parallel: a straight lerp renormalized is exact enough
+        lerp = a[straight] + (b[straight] - a[straight]) * s[straight, None]
+        out[straight] = lerp / norm_rows(lerp)[:, None]
+    return out, opposite
 
 
-def _lerp(a: float, b: float, s: float) -> float:
-    return a + (b - a) * s
-
-
-def resample(traj: Sequence[TrajectorySample], tick_ms: float) -> list[TrajectorySample]:
+def resample(traj: Sequence[TrajectorySample], tick_ms: float) -> Trajectory:
     """Resample a trajectory onto the tick grid anchored at its first sample.
 
     Ticks that land exactly on a recorded sample copy it unchanged, so an
     already-aligned trajectory round-trips identically. Between samples,
     position / fov / frame time interpolate linearly, orientation vectors
-    spherically; user_initiated holds the left sample's value.
+    spherically; user_initiated holds the left sample's value. `traj` is any
+    sequence of samples; a `Trajectory` is read as it is.
     """
     if not (math.isfinite(tick_ms) and tick_ms > 0.0):
         raise ValidationError(f"tick_ms must be positive, got {tick_ms!r}")
     if len(traj) < 2:
         raise ValidationError(f"resampling needs at least 2 samples, got {len(traj)}")
+    traj = Trajectory.from_samples(traj)
 
-    t0 = traj[0].t_ms
-    span = traj[-1].t_ms - t0
+    t0 = float(traj.t_ms[0])
+    span = float(traj.t_ms[-1]) - t0
     steps = span / tick_ms + 1e-9
     n_ticks = math.floor(steps) + 1 if math.isfinite(steps) else steps
-    if not n_ticks <= MAX_TICKS:  # checked before any sample is built
+    if not n_ticks <= MAX_TICKS:  # checked before any column is built
         raise ValidationError(f"resampling needs {n_ticks} ticks of {tick_ms!r} ms, above the limit of {MAX_TICKS}")
-    out: list[TrajectorySample] = []
-    seg = 0
-    for i in range(n_ticks):
-        t = t0 + i * tick_ms
-        while seg + 1 < len(traj) - 1 and traj[seg + 1].t_ms < t:
-            seg += 1
-        left, right = traj[seg], traj[seg + 1]
-        if t == left.t_ms:
-            out.append(left)
-            continue
-        if t == right.t_ms:
-            out.append(right)
-            continue
-        s = (t - left.t_ms) / (right.t_ms - left.t_ms)
-        out.append(
-            TrajectorySample(
-                t_ms=t,
-                position=left.position + (right.position - left.position) * s,
-                forward=_slerp(left, right, "forward", s),
-                up=_slerp(left, right, "up", s),
-                fov_deg=_lerp(left.fov_deg, right.fov_deg, s),
-                user_initiated=left.user_initiated,
-                frame_time_ms=_lerp(left.frame_time_ms, right.frame_time_ms, s),
+    t = t0 + np.arange(max(n_ticks, 0)) * tick_ms
+    # each tick's segment starts at the last sample before it, as a scan that
+    # only moves forward finds it (the running maximum keeps that true for
+    # samples out of time order)
+    seg = np.maximum.accumulate(traj.t_ms[1:-1]).searchsorted(t)
+    on_right = (t != traj.t_ms[seg]) & (t == traj.t_ms[seg + 1])
+    cols = {f.name: getattr(traj, f.name)[seg + on_right] for f in fields(Trajectory)}
+
+    # ticks that land on neither end of their segment are interpolated
+    mid = np.flatnonzero((t != traj.t_ms[seg]) & ~on_right)
+    left, right = seg[mid], seg[mid] + 1
+    tl, tr = traj.t_ms[left], traj.t_ms[right]
+    opposite = {}
+    with np.errstate(all="ignore"):  # a row that overflows fails the checks below
+        s = (t[mid] - tl) / (tr - tl)
+        cols["t_ms"][mid] = t[mid]
+        for name in ("pos", "fov", "frame_ms"):
+            a, b = getattr(traj, name)[left], getattr(traj, name)[right]
+            cols[name][mid] = a + (b - a) * (s[:, None] if a.ndim == 2 else s)
+        for name, label in (("fwd", "forward"), ("up", "up")):
+            cols[name][mid], k = _slerp(getattr(traj, name)[left], getattr(traj, name)[right], s)
+            opposite.setdefault(k, label)
+    k = min(opposite)
+    if k < len(mid):
+        tick = mid[k]
+        Trajectory(**{name: col[:tick] for name, col in cols.items()})  # an earlier faulty tick raises first
+        if np.isfinite(cols["pos"][tick]).all():  # a tick's position is checked before its orientation
+            raise ValidationError(
+                f"cannot interpolate {opposite[k]} between opposite orientations at t_ms {tl[k].item()!r} and {tr[k].item()!r}"
             )
-        )
-    return out
+    return Trajectory(**cols)
 
 
 def rig_from_pose(sample: TrajectorySample, ipd_m: float) -> StereoRig:
@@ -170,12 +184,12 @@ def run_scenario(
     roi_half = math.radians(cfg.roi_half_angle_deg)
     center_of = {obj.id: obj.center for obj in scene}
 
+    ticks = resample(traj, cfg.tick_ms)
     rows: list[TimelineRow] = []
+    if no_focus:  # only the tick times are read
+        rows = [TimelineRow(t, None, None, None, None, None, None, None) for t in ticks.t_ms.tolist()]
     state = FocusState.initial()
-    for sample in resample(traj, cfg.tick_ms):
-        if no_focus:
-            rows.append(TimelineRow(sample.t_ms, None, None, None, None, None, None, None))
-            continue
+    for sample in () if no_focus else ticks:
         rig = rig_from_pose(sample, cfg.ipd_m)
         cam = derive_mid_camera(rig)
         roi = Roi(apex=cam.m, axis=cam.forward, half_angle=roi_half, z_far=cfg.roi_z_far_m)

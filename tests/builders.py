@@ -41,6 +41,13 @@ def sample(
     )
 
 
+def sample_bits(s: TrajectorySample) -> tuple:
+    """Every field of a sample, floats as `float.hex`, for bit-for-bit comparison."""
+    vectors = (s.position, s.forward, s.up)
+    floats = (s.t_ms, *(c for v in vectors for c in (v.x, v.y, v.z)), s.fov_deg, s.frame_time_ms)
+    return (*(float(x).hex() for x in floats), s.user_initiated)
+
+
 def trajectory_along_x(x_of_t_s, t_end_ms: float, dt_ms: float = 50.0, **sample_kwargs) -> list[TrajectorySample]:
     """Trajectory moving along +x with position x_of_t_s(t_seconds), sampled
     every dt_ms from 0 through t_end_ms inclusive."""

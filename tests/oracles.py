@@ -3,27 +3,41 @@
 Everything here is deliberately written as brute force: scalar loops, dense
 sampling, hard-coded tables. None of it calls the vectorized production
 code paths it is used to verify; the only library outputs it consumes are a
-ray cone from `ray_bundle` (checked on its own by the ray-cone tests) and the
-midpoint camera from `derive_mid_camera`.
+ray cone from `ray_bundle` (checked on its own by the ray-cone tests), the
+midpoint camera from `derive_mid_camera` and, for the trajectory references,
+the comment-stripped lines of `io_formats._content_lines`.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from focusray import (
+    ComfortConfig,
+    ComfortFinding,
+    ComfortReport,
+    ComfortRule,
     FocusCandidate,
+    GeometryError,
     HeuristicWeights,
     MidCamera,
+    ParseError,
     RayBundle,
     RayConfig,
     Roi,
     SceneObject,
     StereoRig,
+    TrajectorySample,
+    ValidationError,
     Vec3,
     derive_mid_camera,
     ray_bundle,
 )
+from focusray import simulate
+from focusray.comfort import _RULE_ORDER, MIN_SAMPLES
+from focusray.io_formats import TRAJECTORY_HEADER, _content_lines
 
 
 def ray_sphere_t(origin: Vec3, direction: Vec3, center: Vec3, radius: float) -> float | None:
@@ -231,3 +245,397 @@ def ssq_scores_by_matrix(ratings: tuple[int, ...]) -> tuple[float, float, float,
         raw_d * 13.92,
         (raw_n + raw_o + raw_d) * 3.74,
     )
+
+
+# --- the row-wise trajectory path, kept as the reference for the columns ---
+#
+# parse_trajectory, resample and the comfort rules as they were written
+# before the library held a recording as columns: one TrajectorySample per
+# row and one Vec3 per intermediate vector, scalar `math`, sequential sums.
+# `tests/test_trajectory.py` requires the columnar path to reproduce every
+# sample, column and finding field of these bit for bit.
+
+Trajectory = Sequence[TrajectorySample]
+
+
+def _parse_float(path: str, lineno: int, token: str, name: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ParseError(path, lineno, f"{name} must be a number, got {token!r}") from None
+
+
+def _unit_or_parse_error(path: str, lineno: int, v: Vec3, name: str) -> Vec3:
+    try:
+        return v.normalized()
+    except GeometryError:
+        raise ParseError(path, lineno, f"{name} vector must be non-zero") from None
+
+
+def parse_trajectory_by_rows(path: str) -> list[TrajectorySample]:
+    """Trajectory file: the fixed 13-column header, then one row per sample."""
+    lines = _content_lines(path)
+    if not lines:
+        raise ParseError(path, 0, "missing trajectory header")
+    header_lineno, header_text = lines[0]
+    if tuple(header_text.split()) != TRAJECTORY_HEADER:
+        raise ParseError(path, header_lineno, f"expected header '{' '.join(TRAJECTORY_HEADER)}'")
+
+    samples: list[TrajectorySample] = []
+    for lineno, text in lines[1:]:
+        tokens = text.split()
+        if len(tokens) != len(TRAJECTORY_HEADER):
+            raise ParseError(path, lineno, f"expected {len(TRAJECTORY_HEADER)} fields, got {len(tokens)}")
+        vals = [_parse_float(path, lineno, tok, name) for tok, name in zip(tokens[:11], TRAJECTORY_HEADER)]
+        if tokens[11] not in ("0", "1"):
+            raise ParseError(path, lineno, f"user_initiated must be 0 or 1, got {tokens[11]!r}")
+        frame_time = _parse_float(path, lineno, tokens[12], "frame_time_ms")
+        try:
+            forward = _unit_or_parse_error(path, lineno, Vec3(vals[4], vals[5], vals[6]), "forward")
+            up = _unit_or_parse_error(path, lineno, Vec3(vals[7], vals[8], vals[9]), "up")
+            # the eye baseline runs along forward x up, so the two must not be parallel
+            _unit_or_parse_error(path, lineno, forward.cross(up), "right (forward x up)")
+            sample = TrajectorySample(
+                t_ms=vals[0],
+                position=Vec3(vals[1], vals[2], vals[3]),
+                forward=forward,
+                up=up,
+                fov_deg=vals[10],
+                user_initiated=tokens[11] == "1",
+                frame_time_ms=frame_time,
+            )
+        except ValidationError as e:
+            raise ParseError(path, lineno, str(e)) from None
+        if samples and not sample.t_ms > samples[-1].t_ms:
+            raise ParseError(path, lineno, "t_ms must strictly increase")
+        samples.append(sample)
+    if len(samples) < MIN_SAMPLES:
+        raise ParseError(path, 0, f"trajectory needs at least {MIN_SAMPLES} samples, got {len(samples)}")
+    return samples
+
+
+def _slerp(left: TrajectorySample, right: TrajectorySample, name: str, s: float) -> Vec3:
+    """Spherical interpolation of the samples' `name` vector (forward or up) on the great-circle arc."""
+    a, b = getattr(left, name), getattr(right, name)
+    d = max(-1.0, min(1.0, a.dot(b)))
+    omega = math.acos(d)
+    sin_omega = math.sin(omega)
+    if sin_omega < 1e-9:
+        if d < 0.0:
+            raise ValidationError(
+                f"cannot interpolate {name} between opposite orientations at t_ms {left.t_ms!r} and {right.t_ms!r}"
+            )
+        # near-parallel: a straight lerp renormalized is exact enough
+        return (a + (b - a) * s).normalized()
+    wa = math.sin((1.0 - s) * omega) / sin_omega
+    wb = math.sin(s * omega) / sin_omega
+    return a * wa + b * wb
+
+
+def _lerp(a: float, b: float, s: float) -> float:
+    return a + (b - a) * s
+
+
+def resample_by_rows(traj: Sequence[TrajectorySample], tick_ms: float) -> list[TrajectorySample]:
+    """Resample a trajectory onto the tick grid anchored at its first sample.
+
+    Ticks that land exactly on a recorded sample copy it unchanged, so an
+    already-aligned trajectory round-trips identically. Between samples,
+    position / fov / frame time interpolate linearly, orientation vectors
+    spherically; user_initiated holds the left sample's value.
+    """
+    if not (math.isfinite(tick_ms) and tick_ms > 0.0):
+        raise ValidationError(f"tick_ms must be positive, got {tick_ms!r}")
+    if len(traj) < 2:
+        raise ValidationError(f"resampling needs at least 2 samples, got {len(traj)}")
+
+    t0 = traj[0].t_ms
+    span = traj[-1].t_ms - t0
+    steps = span / tick_ms + 1e-9
+    n_ticks = math.floor(steps) + 1 if math.isfinite(steps) else steps
+    if not n_ticks <= simulate.MAX_TICKS:  # checked before any sample is built
+        raise ValidationError(f"resampling needs {n_ticks} ticks of {tick_ms!r} ms, above the limit of {simulate.MAX_TICKS}")
+    out: list[TrajectorySample] = []
+    seg = 0
+    for i in range(n_ticks):
+        t = t0 + i * tick_ms
+        while seg + 1 < len(traj) - 1 and traj[seg + 1].t_ms < t:
+            seg += 1
+        left, right = traj[seg], traj[seg + 1]
+        if t == left.t_ms:
+            out.append(left)
+            continue
+        if t == right.t_ms:
+            out.append(right)
+            continue
+        s = (t - left.t_ms) / (right.t_ms - left.t_ms)
+        out.append(
+            TrajectorySample(
+                t_ms=t,
+                position=left.position + (right.position - left.position) * s,
+                forward=_slerp(left, right, "forward", s),
+                up=_slerp(left, right, "up", s),
+                fov_deg=_lerp(left.fov_deg, right.fov_deg, s),
+                user_initiated=left.user_initiated,
+                frame_time_ms=_lerp(left.frame_time_ms, right.frame_time_ms, s),
+            )
+        )
+    return out
+
+
+@dataclass(frozen=True, slots=True)
+class _Motion:
+    """Derived once per analysis: the series two or more rules read, the
+    per-gap distances they come from, plus the session duration, so that
+    every rule takes (traj, motion, cfg)."""
+
+    duration_ms: float
+    ts_s: list[float]
+    velocities: list[Vec3]
+    gap_distances: list[float]
+    gap_speeds: list[float]
+    jumps: set[int]
+
+
+def _check_trajectory(traj: Trajectory) -> None:
+    if len(traj) < MIN_SAMPLES:
+        raise ValidationError(f"trajectory needs at least {MIN_SAMPLES} samples, got {len(traj)}")
+    for prev, cur in zip(traj, traj[1:]):
+        if not cur.t_ms > prev.t_ms:
+            raise ValidationError("trajectory samples must strictly increase in t_ms")
+
+
+def _stencil(ts_s: Sequence[float]) -> Iterator[tuple[int, int, float]]:
+    """(lo, hi, dt) per sample for central differences, one-sided at the ends."""
+    n = len(ts_s)
+    for i in range(n):
+        lo = max(i - 1, 0)
+        hi = min(i + 1, n - 1)
+        yield lo, hi, ts_s[hi] - ts_s[lo]
+
+
+def _central_rate(values: Sequence[Vec3], ts_s: Sequence[float]) -> list[Vec3]:
+    """First derivative of a vector series."""
+    return [(values[hi] - values[lo]) * (1.0 / dt) for lo, hi, dt in _stencil(ts_s)]
+
+
+def _angle_deg(a: Vec3, b: Vec3) -> float:
+    d = a.dot(b)
+    d = max(-1.0, min(1.0, d))
+    return math.degrees(math.acos(d))
+
+
+def _runs(flags: Sequence[bool]) -> list[tuple[int, int]]:
+    """Maximal runs of consecutive True flags as inclusive (start, end) indices."""
+    runs: list[tuple[int, int]] = []
+    start: int | None = None
+    for i, flag in enumerate(flags):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(flags) - 1))
+    return runs
+
+
+def _gap_speeds_m_s(traj: Trajectory, distances: Sequence[float]) -> list[float]:
+    """Mean speed across each inter-sample gap, indexed by the gap's left sample."""
+    return [dist / ((b.t_ms - a.t_ms) / 1000.0) for a, b, dist in zip(traj, traj[1:], distances)]
+
+
+def _jump_gaps(distances: Sequence[float], speeds: Sequence[float], cfg: ComfortConfig) -> set[int]:
+    """Gaps that look like deliberate teleports: a large position discontinuity
+    with no motion on either side. These are exempt from the acceleration and
+    locomotion rules."""
+    jumps: set[int] = set()
+    for i, dist in enumerate(distances):
+        if dist <= cfg.jump_distance_min_m:
+            continue
+        calm_before = i == 0 or speeds[i - 1] <= cfg.motion_floor_m_s
+        calm_after = i == len(speeds) - 1 or speeds[i + 1] <= cfg.motion_floor_m_s
+        if calm_before and calm_after:
+            jumps.add(i)
+    return jumps
+
+
+def detect_acceleration_episodes(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) -> list[ComfortFinding]:
+    """Episodes of sustained acceleration above the threshold.
+
+    A run of consecutive over-threshold samples becomes a finding only when
+    it spans at least min_episode_ms; its severity is the episode duration in
+    seconds. Single-sample spikes (the instant velocity step) and
+    teleport-style jumps therefore never register.
+    """
+    accelerations = _central_rate(motion.velocities, motion.ts_s)
+    magnitudes = [a.norm() for a in accelerations]
+
+    # a teleport gap corrupts the finite differences of the four samples
+    # whose stencils straddle it; blank them instead of flagging the jump
+    for gap in motion.jumps:
+        for idx in range(gap - 1, gap + 3):
+            if 0 <= idx < len(magnitudes):
+                magnitudes[idx] = 0.0
+
+    flags = [m > cfg.accel_threshold_m_s2 for m in magnitudes]
+    findings: list[ComfortFinding] = []
+    for start, end in _runs(flags):
+        duration_ms = traj[end].t_ms - traj[start].t_ms
+        if duration_ms < cfg.min_episode_ms:
+            continue
+        peak = max(magnitudes[start : end + 1])
+        findings.append(
+            ComfortFinding(
+                rule=ComfortRule.AccelerationRamp,
+                start_ms=traj[start].t_ms,
+                end_ms=traj[end].t_ms,
+                severity=duration_ms / 1000.0,
+                detail=f"sustained acceleration for {duration_ms / 1000.0:.3f} s (peak {peak:.3f} m/s^2)",
+            )
+        )
+    return findings
+
+
+def detect_frame_drops(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) -> list[ComfortFinding]:
+    """Samples whose frame time blows the budget, merged into episodes.
+
+    A sample is flagged when frame_time_ms exceeds drop_factor times the
+    target; severity is the summed time over budget, in seconds.
+    """
+    limit = cfg.drop_factor * cfg.target_frame_ms
+    flags = [s.frame_time_ms > limit for s in traj]
+    findings: list[ComfortFinding] = []
+    for start, end in _runs(flags):
+        run = traj[start : end + 1]
+        excess_ms = sum(s.frame_time_ms - cfg.target_frame_ms for s in run)
+        worst = max(s.frame_time_ms for s in run)
+        findings.append(
+            ComfortFinding(
+                rule=ComfortRule.FrameDrop,
+                start_ms=traj[start].t_ms,
+                end_ms=traj[end].t_ms,
+                severity=excess_ms / 1000.0,
+                detail=f"{len(run)} slow frames (worst {worst:.3f} ms against {cfg.target_frame_ms:.3f} ms budget)",
+            )
+        )
+    return findings
+
+
+def _detect_uncontrolled(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) -> list[ComfortFinding]:
+    angular = [_angle_deg(traj[lo].forward, traj[hi].forward) / dt for lo, hi, dt in _stencil(motion.ts_s)]
+    flags = [
+        (motion.velocities[i].norm() > cfg.motion_floor_m_s or angular[i] > cfg.motion_floor_deg_s)
+        and not traj[i].user_initiated
+        for i in range(len(traj))
+    ]
+    findings: list[ComfortFinding] = []
+    for start, end in _runs(flags):
+        duration_ms = traj[end].t_ms - traj[start].t_ms
+        findings.append(
+            ComfortFinding(
+                rule=ComfortRule.UncontrolledCamera,
+                start_ms=traj[start].t_ms,
+                end_ms=traj[end].t_ms,
+                severity=duration_ms / 1000.0,
+                detail="camera motion not initiated by the user",
+            )
+        )
+    return findings
+
+
+def _detect_fov_manipulation(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) -> list[ComfortFinding]:
+    deltas = [b.fov_deg - a.fov_deg for a, b in zip(traj, traj[1:])]
+    flags = [abs(d) > cfg.fov_delta_threshold_deg for d in deltas]
+    findings: list[ComfortFinding] = []
+    for start, end in _runs(flags):
+        total = sum(abs(d) for d in deltas[start : end + 1])
+        findings.append(
+            ComfortFinding(
+                rule=ComfortRule.FovManipulation,
+                start_ms=traj[start].t_ms,
+                end_ms=traj[end + 1].t_ms,
+                severity=total,
+                detail=f"fov changed by {total:.3f} deg over {end - start + 1} steps",
+            )
+        )
+    return findings
+
+
+def _detect_locomotion(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) -> list[ComfortFinding]:
+    # teleport gaps count as standing still
+    flags = [v > cfg.motion_floor_m_s and i not in motion.jumps for i, v in enumerate(motion.gap_speeds)]
+    findings: list[ComfortFinding] = []
+    for start, end in _runs(flags):
+        duration_ms = traj[end + 1].t_ms - traj[start].t_ms
+        if duration_ms <= cfg.walk_episode_ms:
+            continue
+        findings.append(
+            ComfortFinding(
+                rule=ComfortRule.ContinuousLocomotion,
+                start_ms=traj[start].t_ms,
+                end_ms=traj[end + 1].t_ms,
+                severity=duration_ms / 1000.0,
+                detail=f"continuous locomotion for {duration_ms / 1000.0:.3f} s",
+            )
+        )
+    return findings
+
+
+def _detect_session_duration(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) -> list[ComfortFinding]:
+    duration_ms = motion.duration_ms
+    if duration_ms <= cfg.max_session_ms:
+        return []
+    t0 = traj[0].t_ms
+    return [
+        ComfortFinding(
+            rule=ComfortRule.SessionDuration,
+            start_ms=t0 + cfg.max_session_ms,
+            end_ms=t0 + duration_ms,
+            severity=(duration_ms - cfg.max_session_ms) / 1000.0,
+            detail=f"session of {duration_ms / 60000.0:.1f} min exceeds the {cfg.max_session_ms / 60000.0:.1f} min budget",
+        )
+    ]
+
+
+def analyze_by_rows(
+    traj: Trajectory,
+    duration_ms: float | None = None,
+    cfg: ComfortConfig = ComfortConfig(),
+) -> ComfortReport:
+    """Run every rule over the trajectory and return the merged report.
+
+    duration_ms defaults to the trajectory's time span. Findings are sorted
+    by start time, ties by rule declaration order, so reports are stable.
+    """
+    _check_trajectory(traj)
+    if duration_ms is None:
+        duration_ms = traj[-1].t_ms - traj[0].t_ms
+    if not (math.isfinite(duration_ms) and duration_ms >= 0.0):
+        raise ValidationError(f"duration_ms must be >= 0, got {duration_ms!r}")
+    ts_s = [s.t_ms / 1000.0 for s in traj]
+    gap_distances = [b.position.distance_to(a.position) for a, b in zip(traj, traj[1:])]
+    gap_speeds = _gap_speeds_m_s(traj, gap_distances)
+    motion = _Motion(
+        duration_ms=duration_ms,
+        ts_s=ts_s,
+        velocities=_central_rate([s.position for s in traj], ts_s),
+        gap_distances=gap_distances,
+        gap_speeds=gap_speeds,
+        jumps=_jump_gaps(gap_distances, gap_speeds, cfg),
+    )
+
+    # called by module name, so a tracer that rebinds a rule sees the call
+    findings: list[ComfortFinding] = []
+    findings.extend(detect_acceleration_episodes(traj, motion, cfg))
+    findings.extend(_detect_uncontrolled(traj, motion, cfg))
+    findings.extend(_detect_fov_manipulation(traj, motion, cfg))
+    findings.extend(detect_frame_drops(traj, motion, cfg))
+    findings.extend(_detect_session_duration(traj, motion, cfg))
+    findings.extend(_detect_locomotion(traj, motion, cfg))
+    findings.sort(key=lambda f: (f.start_ms, _RULE_ORDER[f.rule]))
+
+    counts = {rule: 0 for rule in ComfortRule}
+    for f in findings:
+        counts[f.rule] += 1
+    return ComfortReport(findings=tuple(findings), counts=counts, duration_ms=duration_ms)

@@ -41,7 +41,6 @@ class TestVec3:
         assert a + b == Vec3(5.0, -3.0, 9.0)
         assert a - b == Vec3(-3.0, 7.0, -3.0)
         assert a * 2.0 == Vec3(2.0, 4.0, 6.0)
-        assert -a == Vec3(-1.0, -2.0, -3.0)
         assert a.dot(b) == 4.0 - 10.0 + 18.0
 
     def test_cross_follows_right_hand_rule(self):
