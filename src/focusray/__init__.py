@@ -81,4 +81,4 @@ from .ssq import (
 __version__ = "0.1.0"
 
 # every name imported above; the submodules themselves are not part of the API
-__all__ = sorted(name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _ModuleType)))
+__all__ = sorted(n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, _ModuleType)))

@@ -110,12 +110,10 @@ class Trajectory(Sequence[TrajectorySample]):
         """The columns of a sequence of samples; a `Trajectory` is returned as it is."""
         if isinstance(samples, Trajectory):
             return samples
-
-        def vectors(name: str) -> np.ndarray:
-            return np.array([(v.x, v.y, v.z) for v in (getattr(s, name) for s in samples)], np.float64).reshape(-1, 3)
-
+        vectors = np.array([(v.x, v.y, v.z) for s in samples for v in (s.position, s.forward, s.up)], np.float64)
+        pos, fwd, up = vectors.reshape(-1, 3, 3).transpose(1, 0, 2)
         return cls(
-            [s.t_ms for s in samples], vectors("position"), vectors("forward"), vectors("up"),
+            [s.t_ms for s in samples], pos, fwd, up,
             [s.fov_deg for s in samples], [s.user_initiated for s in samples], [s.frame_time_ms for s in samples],
         )
 
@@ -215,9 +213,20 @@ class _Motion:
     jumps: np.ndarray
 
 
+def _check_vectors(*steps: np.ndarray) -> None:
+    """Raise what the per-row formula raises when a step is not a finite `Vec3`:
+    at the first such row, the vector of each step is built in order."""
+    for i in np.flatnonzero(~np.isfinite(np.hstack(steps)).all(axis=1)):
+        for step in steps:
+            Vec3(*step[i].tolist())
+
+
 def _central_rate(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, dt: np.ndarray) -> np.ndarray:
     """First derivative of a series of row vectors over the stencil."""
-    return (values[hi] - values[lo]) * (1.0 / dt)[:, None]
+    delta = values[hi] - values[lo]
+    rate = delta * (1.0 / dt)[:, None]
+    _check_vectors(delta, rate)
+    return rate
 
 
 def _runs(flags: np.ndarray) -> list[tuple[int, int]]:
@@ -342,28 +351,32 @@ def analyze_trajectory(
     if not (traj.t_ms[1:] > traj.t_ms[:-1]).all():
         raise ValidationError("trajectory samples must strictly increase in t_ms")
     if duration_ms is None:
-        duration_ms = float(traj.t_ms[-1] - traj.t_ms[0])
+        duration_ms = float(traj.t_ms[-1]) - float(traj.t_ms[0])
     if not (math.isfinite(duration_ms) and duration_ms >= 0.0):
         raise ValidationError(f"duration_ms must be >= 0, got {duration_ms!r}")
-    ts_s = traj.t_ms / 1000.0
-    rows = np.arange(len(ts_s))
-    lo, hi = np.maximum(rows - 1, 0), np.minimum(rows + 1, len(ts_s) - 1)
-    gap_distances = norm_rows(traj.pos[1:] - traj.pos[:-1])
-    gap_speeds = gap_distances / (np.diff(traj.t_ms) / 1000.0)
-    # teleports: a large position discontinuity with no motion on either side
-    calm = gap_speeds <= cfg.motion_floor_m_s
-    jumps = ~(gap_distances <= cfg.jump_distance_min_m) & np.r_[True, calm[:-1]] & np.r_[calm[1:], True]
-    dt = ts_s[hi] - ts_s[lo]
-    motion = _Motion(duration_ms, lo, hi, dt, _central_rate(traj.pos, lo, hi, dt), gap_speeds, jumps)
+    # overflow gives inf or nan, as Python floats do; vectors are checked as Vec3s are
+    with np.errstate(all="ignore"):
+        ts_s = traj.t_ms / 1000.0
+        rows = np.arange(len(ts_s))
+        lo, hi = np.maximum(rows - 1, 0), np.minimum(rows + 1, len(ts_s) - 1)
+        gaps = traj.pos[1:] - traj.pos[:-1]
+        _check_vectors(gaps)
+        gap_distances = norm_rows(gaps)
+        gap_speeds = gap_distances / (np.diff(traj.t_ms) / 1000.0)
+        # teleports: a large position discontinuity with no motion on either side
+        calm = gap_speeds <= cfg.motion_floor_m_s
+        jumps = ~(gap_distances <= cfg.jump_distance_min_m) & np.r_[True, calm[:-1]] & np.r_[calm[1:], True]
+        dt = ts_s[hi] - ts_s[lo]
+        motion = _Motion(duration_ms, lo, hi, dt, _central_rate(traj.pos, lo, hi, dt), gap_speeds, jumps)
 
-    # called by module name, so a tracer that rebinds a rule sees the call
-    findings: list[ComfortFinding] = []
-    findings.extend(detect_acceleration_episodes(traj, motion, cfg))
-    findings.extend(_detect_uncontrolled(traj, motion, cfg))
-    findings.extend(_detect_fov_manipulation(traj, motion, cfg))
-    findings.extend(detect_frame_drops(traj, motion, cfg))
-    findings.extend(_detect_session_duration(traj, motion, cfg))
-    findings.extend(_detect_locomotion(traj, motion, cfg))
+        # called by module name, so a tracer that rebinds a rule sees the call
+        findings: list[ComfortFinding] = []
+        findings.extend(detect_acceleration_episodes(traj, motion, cfg))
+        findings.extend(_detect_uncontrolled(traj, motion, cfg))
+        findings.extend(_detect_fov_manipulation(traj, motion, cfg))
+        findings.extend(detect_frame_drops(traj, motion, cfg))
+        findings.extend(_detect_session_duration(traj, motion, cfg))
+        findings.extend(_detect_locomotion(traj, motion, cfg))
     findings.sort(key=lambda f: (f.start_ms, _RULE_ORDER[f.rule]))
 
     counts = {rule: 0 for rule in ComfortRule}

@@ -153,18 +153,6 @@ def _float_rows(rows: list[list[str]]) -> np.ndarray:
     return np.array(values, np.float64).reshape(-1, len(TRAJECTORY_HEADER))
 
 
-def _unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`Vec3.normalized` per row, and where it raises: a non-finite or near-zero row."""
-    n = norm_rows(v)
-    return v / n[:, None], ~np.isfinite(v).all(axis=1) | ~(n >= 1e-12)
-
-
-def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`Vec3.cross` per row."""
-    ax, ay, az, bx, by, bz = *a.T, *b.T
-    return np.stack((ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx), axis=1)
-
-
 def parse_trajectory(path: str) -> Trajectory:
     """Trajectory file: the fixed 13-column header, then one row per sample.
 
@@ -193,11 +181,12 @@ def parse_trajectory(path: str) -> Trajectory:
     vals = np.concatenate(chunks) if chunks else np.empty((0, len(TRAJECTORY_HEADER)))
     t_ms, pos, fov, frame_ms = vals[:, 0], vals[:, 1:4], vals[:, 10], vals[:, 12]
     user = np.array(user_tokens, dtype=str)
-    with np.errstate(all="ignore"):
-        fwd, bad = _unit_rows(vals[:, 4:7])
-        up, bad_up = _unit_rows(vals[:, 7:10])
-        bad |= bad_up | ((user != "0") & (user != "1")) | ~(norm_rows(_cross_rows(fwd, up)) >= 1e-12)
-    bad |= invalid_sample_rows(t_ms, pos, fwd, up, fov, frame_ms)
+    with np.errstate(all="ignore"):  # a non-finite row normalizes to nan, which the sample check flags
+        fwd_norm, up_norm = norm_rows(vals[:, 4:7]), norm_rows(vals[:, 7:10])
+        fwd, up = vals[:, 4:7] / fwd_norm[:, None], vals[:, 7:10] / up_norm[:, None]
+        # np.cross evaluates Vec3.cross's expressions, so the right vector is checked exactly
+        bad = ~(fwd_norm >= 1e-12) | ~(up_norm >= 1e-12) | ~(norm_rows(np.cross(fwd, up)) >= 1e-12)
+    bad |= (user != "0") & (user != "1") | invalid_sample_rows(t_ms, pos, fwd, up, fov, frame_ms)
     bad[1:] |= ~(t_ms[1:] > t_ms[:-1])
     # the screens are exact, so the first flagged row raises; an unconverted row is faulty too
     for i in np.flatnonzero(bad).tolist() + [len(vals)] * (len(vals) < len(rows)):

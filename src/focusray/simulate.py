@@ -68,7 +68,7 @@ def _slerp(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, int
     """Rows of the unit vectors `a` and `b` interpolated at `s` on the great-circle
     arc, and the first row where the two are opposite (len(s) when none is).
     The weights come from scalar `math` per row."""
-    wa, wb, straight = [], [], []
+    weights, straight = [], []
     opposite = len(s)
     for k, (d, sk) in enumerate(zip(dot_rows(a, b).tolist(), s.tolist())):
         d = max(-1.0, min(1.0, d))
@@ -78,12 +78,11 @@ def _slerp(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, int
             if d < 0.0 and opposite == len(s):
                 opposite = k
             straight.append(k)
-            wa.append(0.0)
-            wb.append(0.0)
-            continue
-        wa.append(math.sin((1.0 - sk) * omega) / sin_omega)
-        wb.append(math.sin(sk * omega) / sin_omega)
-    out = a * np.array(wa)[:, None] + b * np.array(wb)[:, None]
+            weights.append((0.0, 0.0))
+        else:
+            weights.append((math.sin((1.0 - sk) * omega) / sin_omega, math.sin(sk * omega) / sin_omega))
+    w = np.array(weights).reshape(-1, 2)
+    out = a * w[:, :1] + b * w[:, 1:]
     if straight:  # near-parallel: a straight lerp renormalized is exact enough
         lerp = a[straight] + (b[straight] - a[straight]) * s[straight, None]
         out[straight] = lerp / norm_rows(lerp)[:, None]
@@ -139,7 +138,8 @@ def resample(traj: Sequence[TrajectorySample], tick_ms: float) -> Trajectory:
         Trajectory(**{name: col[:tick] for name, col in cols.items()})  # an earlier faulty tick raises first
         if np.isfinite(cols["pos"][tick]).all():  # a tick's position is checked before its orientation
             raise ValidationError(
-                f"cannot interpolate {opposite[k]} between opposite orientations at t_ms {tl[k].item()!r} and {tr[k].item()!r}"
+                f"cannot interpolate {opposite[k]} between opposite orientations"
+                f" at t_ms {tl[k].item()!r} and {tr[k].item()!r}"
             )
     return Trajectory(**cols)
 
@@ -185,9 +185,8 @@ def run_scenario(
     center_of = {obj.id: obj.center for obj in scene}
 
     ticks = resample(traj, cfg.tick_ms)
-    rows: list[TimelineRow] = []
-    if no_focus:  # only the tick times are read
-        rows = [TimelineRow(t, None, None, None, None, None, None, None) for t in ticks.t_ms.tolist()]
+    # without focus only the tick times are read, and no sample is built
+    rows = [TimelineRow(t, None, None, None, None, None, None, None) for t in ticks.t_ms.tolist()] if no_focus else []
     state = FocusState.initial()
     for sample in () if no_focus else ticks:
         rig = rig_from_pose(sample, cfg.ipd_m)

@@ -364,3 +364,33 @@ class TestResampleErrors:
         with pytest.raises(ValidationError) as got:
             resample(traj, 40.0)
         assert str(got.value) == str(want.value)
+
+
+class TestAnalyzeOverflow:
+    """Finite positions far enough apart overflow a difference; the row-wise
+    rules then raise the `Vec3` error of the first vector that is not finite."""
+
+    @staticmethod
+    def path(xs, ts=None):
+        ts = ts or [100.0 * i for i in range(len(xs))]
+        return [sample(t, Vec3(x, 0.0, 0.0)) for t, x in zip(ts, xs)]
+
+    @pytest.mark.parametrize(
+        "traj",
+        [
+            path([0.0, 1.5e308, -1.5e308, 0.0]),  # a gap overflows
+            path([-1e308, 0.0, 1e308, 1e308]),  # gaps fit, the central difference does not
+            path([0.0, 1e300, 1e300, 1e300], [0.0, 1e-6, 1.0, 2.0]),  # the velocity overflows
+            path([0.0, 1e290, 0.0, 1e290, 0.0], [0.0, 1e-6, 2e-6, 3e-6, 4e-6]),  # the acceleration overflows
+            path([0.0, 1e200, 2e200, 3e200]),  # finite vectors whose norms overflow: no error
+        ],
+    )
+    def test_matches_the_row_wise_rules(self, traj):
+        try:
+            want = finding_bits(analyze_by_rows(traj, cfg=SENSITIVE))
+        except ValidationError as e:
+            with pytest.raises(ValidationError) as got:
+                analyze_trajectory(traj, cfg=SENSITIVE)
+            assert str(got.value) == str(e)
+        else:
+            assert finding_bits(analyze_trajectory(traj, cfg=SENSITIVE)) == want
