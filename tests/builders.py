@@ -41,6 +41,13 @@ def sample(
     )
 
 
+class NoArrays:
+    """Stands in for a module's `np`: any use of it fails the test."""
+
+    def __getattr__(self, name: str):
+        raise AssertionError(f"np.{name} was used")
+
+
 def sample_bits(s: TrajectorySample) -> tuple:
     """Every field of a sample, floats as `float.hex`, for bit-for-bit comparison."""
     vectors = (s.position, s.forward, s.up)

@@ -6,6 +6,7 @@ import threading
 
 from focusray import simulate
 from focusray.cli import EXIT_OK, EXIT_OUTPUT, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATION, main
+from builders import NoArrays
 
 TRAJ = (
     "t_ms px py pz fx fy fz ux uy uz fov_deg user_initiated frame_time_ms\n"
@@ -215,6 +216,7 @@ class TestRunCommand:
             raise AssertionError("resample built a sample")
 
         monkeypatch.setattr(simulate, "TrajectorySample", no_samples)
+        monkeypatch.setattr(simulate, "np", NoArrays())  # nor any column
         p = run_files(tmp_path, traj=TRAJ.replace("\n200 ", "\n1000000000000 "), config="tick_ms = 16\n")
         code, err = quiet_main(self.argv(p))
         assert code == EXIT_VALIDATION

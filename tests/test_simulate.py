@@ -15,7 +15,7 @@ from focusray import (
 )
 from focusray import simulate
 from focusray.cli import EXIT_OK, main
-from builders import FORWARD, UP, sample, sample_bits, write_large_scenario
+from builders import FORWARD, UP, NoArrays, sample, sample_bits, write_large_scenario
 
 
 class TestLevelForScore:
@@ -130,6 +130,7 @@ class TestResample:
 
         traj = [sample(0.0, Vec3(0, 0, 0)), sample(16.0, Vec3(1, 0, 0)), sample(1e12, Vec3(2, 0, 0))]
         monkeypatch.setattr(simulate, "TrajectorySample", no_samples)
+        monkeypatch.setattr(simulate, "np", NoArrays())  # nor any column
         with pytest.raises(ValidationError, match=r"needs 62500000001 ticks of 16\.0 ms, above the limit of 1000000$"):
             resample(traj, 16.0)
 
