@@ -48,11 +48,13 @@ from .io_formats import (
 )
 from .geometry import (
     MidCamera,
+    PreparedScene,
     Roi,
     SceneObject,
     StereoRig,
     Vec3,
     derive_mid_camera,
+    prepare_scene,
     roi_mask,
 )
 from .rays import (

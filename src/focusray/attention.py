@@ -13,12 +13,11 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Roi, SceneObject, StereoRig, cone_mask, derive_mid_camera, sphere_array
+from .geometry import Roi, SceneObject, StereoRig, derive_mid_camera, prepare_scene
 from .rays import RayBundle, RayConfig, ray_bundle, rm_scores
 
 WEIGHT_SUM_TOL = 1e-9
@@ -71,34 +70,6 @@ class Candidates(Sequence[FocusCandidate]):
         return FocusCandidate(int(self.ids[i]), *(float(a[i]) for a in (self.rm, self.d, self.v, self.importance)))
 
 
-class _PreparedScene(NamedTuple):
-    given: tuple[SceneObject, ...]  # as passed, for the identity check
-    spheres: np.ndarray  # sphere_array, ids (int64, checked unique) and values:
-    ids: np.ndarray  # read-only arrays in ascending id order
-    values: np.ndarray
-
-
-_last_prepared: _PreparedScene | None = None
-
-
-def _prepare(scene: Sequence[SceneObject]) -> _PreparedScene:
-    """The prepared form of `scene`, reused from the last call while `scene`
-    holds the very same objects in the same order (objects are frozen)."""
-    global _last_prepared
-    last = _last_prepared
-    if last is not None and len(last.given) == len(scene) and all(map(operator.is_, last.given, scene)):
-        return last
-    ids = [o.id for o in scene]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("scene contains duplicate object ids")
-    objects = sorted(scene, key=lambda o: o.id)
-    arrays = sphere_array(objects), np.array([o.id for o in objects], np.int64), np.array([o.value for o in objects], float)
-    for arr in arrays:
-        arr.flags.writeable = False
-    _last_prepared = _PreparedScene(tuple(scene), *arrays)
-    return _last_prepared
-
-
 def select_focus(
     scene: Sequence[SceneObject],
     rig: StereoRig,
@@ -112,16 +83,14 @@ def select_focus(
     candidate, take the argmax of importance. Ties go to the higher proximity
     score, then the lower object id. The candidates are always in ascending
     object-id order; only the winner is built as a `FocusCandidate`, and an
-    empty candidate set yields None and no candidates. The scene's id check,
-    sort and arrays are kept from the previous call while it passes the very
-    same objects in the same order.
+    empty candidate set yields None and no candidates. A `PreparedScene` is
+    used as it is; any other sequence is prepared for this call alone.
     """
-    prepared = _prepare(scene)
-    every = prepared.spheres
-    cols = np.flatnonzero(cone_mask(roi.apex, roi.axis, roi.half_angle, roi.z_far, every, every[:, 3]))
+    prepared = prepare_scene(scene)
+    cols = prepared.roi_rows(roi)
     if not cols.size:
         return None, Candidates(prepared.ids[cols], *[np.empty(0)] * 4)
-    spheres = every[cols]
+    spheres = prepared.spheres[cols]
 
     cam = derive_mid_camera(rig)
     bundle: RayBundle = ray_bundle(ray_cfg, cam)

@@ -76,6 +76,18 @@ def invalid_sample_rows(t_ms, pos, fwd, up, fov, frame_ms) -> np.ndarray:
         return bad | ~(np.isfinite(frame_ms) & (frame_ms > 0.0))
 
 
+# A row of a `Trajectory` passed every check when the columns were built, so
+# its sample is made by setting the frozen classes' slots directly.
+_SET_X, _SET_Y, _SET_Z = (getattr(Vec3, name).__set__ for name in Vec3.__slots__)
+_SET_SAMPLE = [getattr(TrajectorySample, name).__set__ for name in TrajectorySample.__slots__]
+
+
+def _vec3(x: float, y: float, z: float) -> Vec3:
+    v = object.__new__(Vec3)
+    _SET_X(v, x), _SET_Y(v, y), _SET_Z(v, z)
+    return v
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class Trajectory(Sequence[TrajectorySample]):
     """A recording as read-only columns, one row per sample: `t_ms`, `fov`
@@ -96,14 +108,17 @@ class Trajectory(Sequence[TrajectorySample]):
     def __post_init__(self) -> None:
         n = len(self.t_ms)
         for f in fields(self):
-            # a read-only view: no copy, and the caller's array stays as it was
-            col = np.asarray(getattr(self, f.name), bool if f.name == "user" else np.float64).view()
+            value = getattr(self, f.name)
+            # the columns are checked once, here, so a caller's writable array is copied
+            trusted = isinstance(value, np.ndarray) and not value.flags.writeable
+            col = (np.asarray if trusted else np.array)(value, bool if f.name == "user" else np.float64)
             if col.shape != ((n, 3) if f.name in ("pos", "fwd", "up") else (n,)):
                 raise ValidationError(f"trajectory column {f.name} must hold {n} rows, got shape {col.shape}")
             col.flags.writeable = False
             object.__setattr__(self, f.name, col)
         for i in np.flatnonzero(invalid_sample_rows(self.t_ms, self.pos, self.fwd, self.up, self.fov, self.frame_ms)):
-            self[i]  # builds the sample, whose own check raises the row's error
+            t, p, f, u, fov, user, frame = (getattr(self, c.name)[i].tolist() for c in fields(self))
+            TrajectorySample(t, Vec3(*p), Vec3(*f), Vec3(*u), fov, user, frame)  # the row's own check raises
 
     @classmethod
     def from_samples(cls, samples: Sequence[TrajectorySample]) -> Trajectory:
@@ -130,7 +145,10 @@ class Trajectory(Sequence[TrajectorySample]):
     def _samples(self, rows: slice) -> Iterator[TrajectorySample]:
         columns = [getattr(self, f.name)[rows].tolist() for f in fields(self)]
         for t, p, f, u, fov, user, frame in zip(*columns):
-            yield TrajectorySample(t, Vec3(*p), Vec3(*f), Vec3(*u), fov, user, frame)
+            sample = object.__new__(TrajectorySample)
+            for set_field, value in zip(_SET_SAMPLE, (t, _vec3(*p), _vec3(*f), _vec3(*u), fov, user, frame)):
+                set_field(sample, value)
+            yield sample
 
 
 class ComfortRule(enum.Enum):

@@ -15,14 +15,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .comfort import MIN_SAMPLES, ComfortReport, ComfortRule, Trajectory, TrajectorySample, invalid_sample_rows
 from .config import CONFIG_FIELD_NAMES, INT_FIELDS, SimConfig
 from .errors import GeometryError, OutputError, ParseError, ValidationError
-from .geometry import SceneObject, Vec3, norm_rows
+from .geometry import PreparedScene, SceneObject, Vec3, norm_rows, prepare_scene
 from .ssq import Profile, ProtocolReport, SsqResponse
 
 TRAJECTORY_HEADER = (
@@ -86,8 +86,9 @@ def _parse_int(path: str, lineno: int, token: str, name: str) -> int:
         raise ParseError(path, lineno, f"{name} must be an integer, got {token!r}") from None
 
 
-def parse_scene(path: str) -> list[SceneObject]:
-    """Scene file: `id cx cy cz radius value label` per line; label optional."""
+def parse_scene(path: str) -> PreparedScene:
+    """Scene file: `id cx cy cz radius value label` per line; label optional.
+    The objects come back in file order, prepared for selection."""
     objects: list[SceneObject] = []
     seen: set[int] = set()
     for lineno, text in _content_lines(path):
@@ -108,7 +109,7 @@ def parse_scene(path: str) -> list[SceneObject]:
             objects.append(SceneObject(id=obj_id, center=Vec3(cx, cy, cz), radius=radius, value=value, label=label))
         except ValidationError as e:
             raise ParseError(path, lineno, str(e)) from None
-    return objects
+    return prepare_scene(objects)
 
 
 def _unit_or_parse_error(path: str, lineno: int, v: Vec3, name: str) -> Vec3:
@@ -196,31 +197,28 @@ def parse_trajectory(path: str) -> Trajectory:
     return Trajectory(t_ms, pos, fwd, up, fov, user == "1", frame_ms)
 
 
-def _split_key_value(path: str, lineno: int, text: str) -> tuple[str, str]:
-    if "=" not in text:
-        raise ParseError(path, lineno, "expected 'key = value'")
-    key, value = text.split("=", 1)
-    key = key.strip()
-    value = value.strip()
-    if not key:
-        raise ParseError(path, lineno, "expected 'key = value'")
-    return key, value
+def _key_values(path: str, kind: str, keys: Sequence[str]) -> Iterator[tuple[int, str, str]]:
+    """The `key = value` lines of a config or profile file as (line, key,
+    value text), in file order; an unknown or repeated key fails at its line."""
+    seen: set[str] = set()
+    for lineno, text in _content_lines(path):
+        key, value = (part.strip() for part in text.split("=", 1)) if "=" in text else ("", "")
+        if not key:
+            raise ParseError(path, lineno, "expected 'key = value'")
+        if key not in keys:
+            raise ParseError(path, lineno, f"unknown {kind} key {key!r}")
+        if key in seen:
+            raise ParseError(path, lineno, f"duplicate {kind} key {key!r}")
+        seen.add(key)
+        yield lineno, key, value
 
 
 def parse_config(path: str) -> SimConfig:
     """Config file: flat `key = value` pairs; unknown keys are errors."""
-    values: dict[str, object] = {}
-    for lineno, text in _content_lines(path):
-        key, value_text = _split_key_value(path, lineno, text)
-        if key not in CONFIG_FIELD_NAMES:
-            raise ParseError(path, lineno, f"unknown config key {key!r}")
-        if key in values:
-            raise ParseError(path, lineno, f"duplicate config key {key!r}")
-        if key in INT_FIELDS:
-            values[key] = _parse_int(path, lineno, value_text, key)
-        else:
-            values[key] = _parse_float(path, lineno, value_text, key)
-    return SimConfig(**values)
+    return SimConfig(**{
+        key: (_parse_int if key in INT_FIELDS else _parse_float)(path, lineno, text, key)
+        for lineno, key, text in _key_values(path, "config", CONFIG_FIELD_NAMES)
+    })
 
 
 def parse_ssq_response(path: str) -> SsqResponse:
@@ -246,14 +244,8 @@ def parse_profile(path: str) -> Profile:
     """Profile file: `key = value` pairs for name, age, gender, academic_background."""
     values: dict[str, str] = {}
     line_of: dict[str, int] = {}
-    for lineno, text in _content_lines(path):
-        key, value_text = _split_key_value(path, lineno, text)
-        if key not in PROFILE_KEYS:
-            raise ParseError(path, lineno, f"unknown profile key {key!r}")
-        if key in values:
-            raise ParseError(path, lineno, f"duplicate profile key {key!r}")
-        values[key] = value_text
-        line_of[key] = lineno
+    for lineno, key, text in _key_values(path, "profile", PROFILE_KEYS):
+        values[key], line_of[key] = text, lineno
     for key in PROFILE_KEYS:
         if key not in values:
             raise ParseError(path, 0, f"missing required profile key {key!r}")
@@ -296,8 +288,11 @@ def _cell(x: float | None) -> str:
     return "" if x is None else format_real(x)
 
 
-def render_timeline_section(rows: Sequence[TimelineRow]) -> list[str]:
+def render_timeline_section(rows: Sequence[TimelineRow] | np.ndarray) -> list[str]:
+    """The timeline of `rows`, or of bare tick times (an array) with every focus cell empty."""
     lines = ["[TIMELINE]", TIMELINE_HEADER]
+    if isinstance(rows, np.ndarray):
+        return lines + [format_real(t) + "," * TIMELINE_HEADER.count(",") for t in rows.tolist()]
     for row in rows:
         obj = "" if row.selected_object_id is None else str(row.selected_object_id)
         flag = "" if row.in_transition is None else ("true" if row.in_transition else "false")

@@ -185,8 +185,8 @@ def run_scenario(
     center_of = {obj.id: obj.center for obj in scene}
 
     ticks = resample(traj, cfg.tick_ms)
-    # without focus only the tick times are read, and no sample is built
-    rows = [TimelineRow(t, None, None, None, None, None, None, None) for t in ticks.t_ms.tolist()] if no_focus else []
+    # without focus the timeline is the tick times alone, and no sample is built
+    rows: list[TimelineRow] = []
     state = FocusState.initial()
     for sample in () if no_focus else ticks:
         rig = rig_from_pose(sample, cfg.ipd_m)
@@ -217,7 +217,7 @@ def run_scenario(
     doc = render_document(
         (
             render_config_section(cfg),
-            render_timeline_section(rows),
+            render_timeline_section(ticks.t_ms if no_focus else rows),
             render_comfort_section(report),
         )
     )

@@ -9,6 +9,7 @@ from focusray import (
     Candidates,
     FocusCandidate,
     HeuristicWeights,
+    PreparedScene,
     RayConfig,
     Roi,
     SceneObject,
@@ -16,11 +17,12 @@ from focusray import (
     ValidationError,
     Vec3,
     derive_mid_camera,
+    prepare_scene,
+    rig_from_pose,
     roi_mask,
     select_focus,
 )
-from focusray.attention import _prepare
-from builders import axial_rig
+from builders import axial_rig, sample
 from oracles import roi_contains, select_by_enumeration
 
 RIG = axial_rig(0.0, 0.0, 0.0)
@@ -313,62 +315,121 @@ class TestSelectFocusOracle:
             assert (best, list(ranked)) == select_by_enumeration(scene, rig, roi, ray_cfg, DEFAULT_W)
 
 
-class TestPreparedSceneMemo:
-    """`select_focus` keeps the prepared scene only while it is passed the
-    very same objects in the same order; every other change re-prepares."""
+class TestPreparedScene:
+    """A `PreparedScene` is built once and holds what it was given; a plain
+    sequence is prepared afresh on every `select_focus` call, so any change
+    to it shows at once. No state survives between calls."""
 
     def scene(self):
         return [obj(oid, 0.4 * oid - 2.0, 0.0, -3.0 - oid, r=0.8, value=0.1 * oid) for oid in range(1, 9)]
 
     def check(self, scene):
         best, ranked = select_focus(scene, RIG, ROI, RAYS, DEFAULT_W)
-        assert (best, list(ranked)) == select_by_enumeration(scene, RIG, ROI, RAYS, DEFAULT_W)
+        assert (best, list(ranked)) == select_by_enumeration(list(scene), RIG, ROI, RAYS, DEFAULT_W)
+        return best
 
     def test_same_objects_reuse_the_preparation(self):
         scene = self.scene()
-        first = _prepare(scene)
-        assert _prepare(scene) is first
-        assert _prepare(list(scene)) is first  # a new list of the same objects
-        assert _prepare(tuple(scene)) is first
+        prepared = prepare_scene(scene)
+        assert prepare_scene(prepared) is prepared
+        assert prepare_scene(scene) is not prepared  # a plain list is prepared again
+        assert self.check(prepared) == self.check(scene)
+
+    def test_sequence_in_callers_order(self):
+        scene = self.scene()
+        random.Random(3).shuffle(scene)
+        prepared = PreparedScene(iter(scene))
+        assert len(prepared) == len(scene) and list(prepared) == scene
+        assert all(a is b for a, b in zip(prepared, scene))
+        assert prepared[0] is scene[0] and prepared[-1] is scene[-1]
+        assert prepared.ids.tolist() == sorted(o.id for o in scene)
+        by_id = sorted(scene, key=lambda o: o.id)
+        assert prepared.spheres.tolist() == [[o.center.x, o.center.y, o.center.z, o.radius] for o in by_id]
+        assert prepared.values.tolist() == [o.value for o in by_id]
+
+    def test_duplicate_ids_rejected(self):
+        scene = self.scene() + [obj(3, 9.0, 9.0, 9.0)]
+        with pytest.raises(ValidationError, match="duplicate object ids"):
+            prepare_scene(scene)
+
+    def test_read_only(self):
+        prepared = prepare_scene(self.scene())
+        for name in ("spheres", "ids", "values", "order", "starts"):
+            with pytest.raises(ValueError):
+                getattr(prepared, name)[0] = 0
+        with pytest.raises(AttributeError):
+            prepared.objects = ()
+        with pytest.raises(TypeError):
+            prepared[0] = prepared[1]
 
     def test_element_replaced_in_place(self):
         scene = self.scene()
-        self.check(scene)
-        before = _prepare(scene)
-        winner = select_focus(scene, RIG, ROI, RAYS, DEFAULT_W)[0].object_id
+        prepared = prepare_scene(scene)
+        winner = self.check(scene).object_id
         i = [o.id for o in scene].index(winner)
         scene[i] = dataclasses.replace(scene[i], center=Vec3(40.0, 0.0, -3.0), value=0.0)  # now outside the ROI
-        assert _prepare(scene) is not before
-        assert select_focus(scene, RIG, ROI, RAYS, DEFAULT_W)[0].object_id != winner
-        self.check(scene)
+        assert self.check(scene).object_id != winner
+        assert self.check(prepared).object_id == winner  # prepared before the change
 
     def test_append(self):
         scene = self.scene()
-        self.check(scene)
-        before = _prepare(scene)
+        prepared = prepare_scene(scene)
         scene.append(obj(99, 0.0, 0.0, -2.0, r=1.5, value=1.0))
-        assert _prepare(scene) is not before
-        assert select_focus(scene, RIG, ROI, RAYS, DEFAULT_W)[0].object_id == 99
-        self.check(scene)
+        assert self.check(scene).object_id == 99
+        assert self.check(prepared).object_id != 99
 
     def test_reorder(self):
         scene = self.scene()
-        self.check(scene)
-        before = _prepare(scene)
+        best = self.check(scene)
         scene.reverse()
-        assert _prepare(scene) is not before
-        self.check(scene)
+        assert self.check(scene) == best == self.check(prepare_scene(scene))
 
     def test_equal_but_new_objects(self):
         scene = self.scene()
-        self.check(scene)
-        before = _prepare(scene)
         copies = [dataclasses.replace(o) for o in scene]
         assert copies == scene
-        prepared = _prepare(copies)
-        assert prepared is not before
-        assert all(a is b for a, b in zip(prepared.given, copies))
-        self.check(copies)
+        prepared = prepare_scene(copies)
+        assert all(a is b for a, b in zip(prepared, copies))
+        assert self.check(prepared) == self.check(scene)
+
+
+def _disc_world(rng: random.Random, n: int) -> list[SceneObject]:
+    """n objects on a 300 m disc at 0.3-3 m height, as a large open world."""
+    scene = []
+    for oid in rng.sample(range(1, 10 * n), n):
+        r, phi = 300.0 * math.sqrt(rng.random()), rng.uniform(0.0, 2.0 * math.pi)
+        center = Vec3(r * math.cos(phi), rng.uniform(0.3, 3.0), r * math.sin(phi))
+        scene.append(SceneObject(id=oid, center=center, radius=rng.uniform(0.3, 1.5), value=rng.random()))
+    return scene
+
+
+class TestSelectFocusAtScale:
+    """Selection through the grid cull on a large world, bit for bit against
+    the scalar reference, with the scene prepared once or per call."""
+
+    def test_disc_world_matches_enumeration(self):
+        rng = random.Random(4000)
+        scene = _disc_world(rng, 4000)
+        prepared = prepare_scene(scene)
+        assert prepared.dims[0] > 1 and prepared.dims[2] > 1
+        rays = RayConfig(k=2, n=32, half_angle=math.radians(15.0))
+        gathered = kept = 0
+        for _ in range(100):
+            ang = rng.uniform(0.0, 2.0 * math.pi)
+            pos = Vec3(60.0 * math.cos(ang), 1.6, 60.0 * math.sin(ang))
+            yaw, pitch = math.pi - ang + rng.uniform(-1.2, 1.2), rng.uniform(-0.15, 0.05)
+            forward = Vec3(math.cos(pitch) * math.sin(yaw), math.sin(pitch), -math.cos(pitch) * math.cos(yaw))
+            up = Vec3(-math.sin(pitch) * math.sin(yaw), math.cos(pitch), math.sin(pitch) * math.cos(yaw))
+            rig = rig_from_pose(sample(0.0, pos, forward=forward, up=up), 0.064)
+            roi = Roi(apex=derive_mid_camera(rig).m, axis=forward, half_angle=math.radians(30.0), z_far=45.0)
+            best, ranked = select_focus(prepared, rig, roi, rays, DEFAULT_W)
+            assert (best, list(ranked)) == select_by_enumeration(scene, rig, roi, rays, DEFAULT_W)
+            plain_best, plain = select_focus(scene, rig, roi, rays, DEFAULT_W)
+            assert repr(plain_best) == repr(best) and [repr(c) for c in plain] == [repr(c) for c in ranked]
+            gathered += prepared._rows_near(roi) is not None
+            kept += len(ranked)
+        assert gathered == 100  # every call took the grid path
+        assert 500 <= kept <= 5000
 
 
 class TestCandidates:

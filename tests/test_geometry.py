@@ -15,11 +15,12 @@ from focusray import (
     ValidationError,
     Vec3,
     derive_mid_camera,
+    prepare_scene,
     roi_mask,
 )
 from focusray.geometry import sphere_array
 from focusray.rays import nearest_hit_indices
-from oracles import cone_distance_by_sampling, hit_by_marching, point_cone_distance, ray_sphere_t
+from oracles import cone_distance_by_sampling, hit_by_marching, point_cone_distance, ray_sphere_t, roi_contains
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -281,3 +282,133 @@ class TestSceneObject:
             sphere(0, 0, 0, -1.0)
         with pytest.raises(ValidationError):
             SceneObject(id=1, center=Vec3(0, 0, 0), radius=1.0, value=1.5)
+
+
+def random_unit(rng: random.Random) -> Vec3:
+    return unit(rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))
+
+
+def random_roi(rng: random.Random, reach: float, half_angle: float | None = None, z_far: float | None = None) -> Roi:
+    apex = Vec3(*(rng.uniform(-reach, reach) for _ in range(3)))
+    if half_angle is None:
+        half_angle = rng.choice((rng.uniform(0.001, 0.3), rng.uniform(0.3, 1.2), rng.uniform(1.2, 1.55)))
+    return Roi(apex=apex, axis=random_unit(rng), half_angle=half_angle, z_far=z_far or rng.uniform(1.0, 30.0))
+
+
+def edge_objects(rng: random.Random, roi: Roi, radius: float, first_id: int) -> list[SceneObject]:
+    """Spheres on the limits of what `roi` keeps: off the lateral boundary
+    at every depth up to the corner with the z_far cut, beyond the cut on
+    the axis, and behind the apex; each at the limiting distance, and a
+    hair nearer and farther."""
+    a, t = roi.axis, roi.half_angle
+    u = (random_unit(rng).cross(a)).normalized()  # a radial direction
+    normal = u * math.cos(t) - a * math.sin(t)  # outward, off the lateral boundary
+    centers = []
+    for s in (1.0 - 1e-9, 1.0, 1.0 + 1e-9):
+        reach = radius * s
+        # deepest: the center sits reach beyond z_far, its nearest cone point reach*sin(t) deeper still
+        for depth in (rng.uniform(0.0, roi.z_far), roi.z_far + reach + reach * math.sin(t)):
+            centers.append(roi.apex + a * depth + u * (depth * math.tan(t)) + normal * reach)
+        centers.append(roi.apex + a * (roi.z_far + reach))
+        centers.append(roi.apex - a * reach)
+    return [SceneObject(id=first_id + i, center=c, radius=radius, value=0.5) for i, c in enumerate(centers)]
+
+
+class TestPreparedSceneGrid:
+    """The grid cull keeps exactly what the scalar ROI test keeps, however
+    the centers sit against the cells and the ROI's limits."""
+
+    def check(self, objects, roi) -> tuple[int, bool]:
+        prepared = prepare_scene(objects)
+        want = [i for i, o in enumerate(sorted(objects, key=lambda o: o.id)) if roi_contains(roi, o)]
+        assert prepared.roi_rows(roi).tolist() == want
+        assert roi_mask(roi, objects).sum() == len(want)
+        return len(want), prepared._rows_near(roi) is not None
+
+    def background(self, rng: random.Random, n: int = 600, reach: float = 40.0, first: int = 1) -> list[SceneObject]:
+        return [
+            SceneObject(id=i, center=Vec3(*(rng.uniform(-reach, reach) for _ in range(3))),
+                        radius=rng.uniform(0.1, 2.0), value=0.5)
+            for i in range(first, first + n)
+        ]
+
+    def test_roi_limits(self):
+        rng = random.Random(7101)
+        base = self.background(rng)
+        kept_on_edges = gathered = 0
+        for case in range(120):
+            roi = random_roi(rng, 30.0)
+            edges = edge_objects(rng, roi, 2.0, 10_000) + edge_objects(rng, roi, rng.uniform(0.1, 2.0), 20_000)
+            kept, grid = self.check(base + edges, roi)
+            kept_on_edges += sum(roi_contains(roi, o) for o in edges)
+            gathered += grid
+        assert kept_on_edges > 120 * 10
+        assert gathered > 40  # the grid path, not only the whole-scene scan
+
+    def test_centers_on_cell_edges(self):
+        rng = random.Random(7102)
+        # the two corners fix the grid's origin and extent, so the cells stay put when the rest move
+        corners = [sphere(-40.0, -40.0, -40.0, 2.0, oid=1), sphere(40.0, 40.0, 40.0, 2.0, oid=2)]
+        grid = prepare_scene(corners + self.background(rng, 598, 39.0, first=3))
+        h, origin = grid.cell, grid.origin
+
+        def on_edge(axis):
+            x = origin[axis] + h * rng.randint(1, grid.dims[axis] - 1)
+            return rng.choice((x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)))
+
+        edged = corners + [
+            SceneObject(id=i, center=Vec3(on_edge(0), on_edge(1), on_edge(2)), radius=rng.uniform(0.1, 2.0), value=0.5)
+            for i in range(3, 601)
+        ]
+        prepared = prepare_scene(edged)
+        assert (prepared.cell, prepared.origin, prepared.dims) == (h, origin, grid.dims) and h > 4.0
+        kept = gathered = 0
+        for _ in range(150):
+            roi = random_roi(rng, 40.0, half_angle=rng.uniform(0.001, 0.8), z_far=rng.uniform(1.0, 25.0))
+            n, grid_path = self.check(edged, roi)
+            kept += n
+            gathered += grid_path
+        assert kept > 150 and gathered > 75
+
+    def test_degenerate_scenes(self):
+        rng = random.Random(7103)
+        roi = Roi(apex=Vec3(0, 0, 0), axis=Vec3(0, 0, -1), half_angle=math.radians(30.0), z_far=50.0)
+        assert self.check([], roi) == (0, False)
+        assert self.check([sphere(0, 0, -10, 1.0)], roi) == (1, False)
+        assert self.check([sphere(0, 0, 10, 1.0)], roi) == (0, False)
+        coincident = [sphere(1.0, 2.0, -9.0, rng.uniform(0.1, 3.0), oid=i) for i in range(1, 601)]
+        assert prepare_scene(coincident).dims == (1, 1, 1)
+        assert self.check(coincident, roi) == (600, False)
+        assert self.check(coincident, Roi(apex=Vec3(0, 0, 0), axis=Vec3(0, 0, 1), half_angle=0.5, z_far=5.0))[0] == 0
+
+    def test_flat_axis(self):
+        rng = random.Random(7104)
+        flat = [sphere(rng.uniform(-100, 100), 1.5, rng.uniform(-100, 100), rng.uniform(0.1, 1.5), oid=i)
+                for i in range(1, 801)]
+        assert prepare_scene(flat).dims[1] == 1
+        gathered = 0
+        for _ in range(60):
+            roi = random_roi(rng, 90.0, half_angle=rng.uniform(0.05, 0.9), z_far=rng.uniform(5.0, 40.0))
+            roi = Roi(apex=Vec3(roi.apex.x, rng.uniform(0.0, 3.0), roi.apex.z), axis=unit(roi.axis.x, 0.1 * roi.axis.y, roi.axis.z),
+                      half_angle=roi.half_angle, z_far=roi.z_far)
+            gathered += self.check(flat + edge_objects(rng, roi, 1.5, 1000), roi)[1]
+        assert gathered > 30
+
+    def test_far_outlier(self):
+        rng = random.Random(7105)
+        scene = self.background(rng, 599, 20.0) + [sphere(1e7, -3e6, 5.0, 1.0, oid=600)]
+        for _ in range(40):
+            self.check(scene, random_roi(rng, 20.0))
+        toward = unit(1e7, -3e6, 5.0)
+        assert self.check(scene, Roi(apex=Vec3(0, 0, 0), axis=toward, half_angle=0.01, z_far=2e7))[0] >= 1
+
+    def test_unbounded_and_wide_cones(self):
+        rng = random.Random(7106)
+        scene = self.background(rng)
+        for half_angle in (0.2, 1.2, math.pi / 2 - 1e-9, math.nextafter(math.pi / 2, 0.0)):
+            for z_far in (math.inf, 3.0, 1e300):
+                for _ in range(5):
+                    roi = random_roi(rng, 30.0, half_angle=half_angle, z_far=z_far)
+                    edges = [] if math.isinf(z_far) or z_far > 1e6 else edge_objects(rng, roi, 2.0, 10_000)
+                    kept, grid = self.check(scene + edges, roi)
+                    assert not grid or half_angle < 1.3

@@ -18,6 +18,7 @@ from focusray import (
     ComfortRule,
     ParseError,
     Trajectory,
+    TrajectorySample,
     ValidationError,
     Vec3,
     analyze_trajectory,
@@ -323,6 +324,29 @@ class TestTrajectoryType:
             traj.pos[0, 0] = 1.0
         assert Trajectory.from_samples(traj) is traj
         assert len(Trajectory.from_samples([])) == 0
+
+    def test_owns_its_columns(self):
+        traj = self.traj()
+        pos, fov = traj.pos.copy(), traj.fov.copy()
+        owned = Trajectory(traj.t_ms, pos, traj.fwd, traj.up, fov, traj.user, traj.frame_ms)
+        pos[0, 0], fov[1] = math.nan, 180.0  # after the check: the trajectory holds copies
+        assert owned.pos is not pos and owned.fov is not fov
+        assert [sample_bits(s) for s in owned] == [sample_bits(s) for s in traj]
+        assert owned.t_ms is traj.t_ms  # a read-only column is held as it is
+
+    def test_samples_are_not_checked_again(self, monkeypatch):
+        traj = self.traj()
+        want = [sample_bits(s) for s in traj]
+
+        def refuse(self):
+            raise AssertionError("checked again")
+
+        monkeypatch.setattr(TrajectorySample, "__post_init__", refuse)
+        monkeypatch.setattr(Vec3, "__post_init__", refuse)
+        assert [sample_bits(s) for s in traj] == want
+        assert traj[2] == traj[-2] and hash(traj[2]) == hash(traj[-2])
+        with pytest.raises(AssertionError, match="checked again"):
+            sample(0.0, Vec3(0.0, 0.0, 0.0))  # one a caller builds is still checked
 
     def test_invalid_rows_raise_the_sample_error(self):
         traj = self.traj()
