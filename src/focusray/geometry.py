@@ -217,6 +217,24 @@ def _cell_size(extent: list[float], r_max: float, cells: float) -> float:
     return max(h, 2.0 * r_max)
 
 
+def _grid(centers: np.ndarray, r_max: float) -> tuple:
+    """`origin`, `cell`, `dims`, `order` and `starts` of a `PreparedScene`'s
+    grid: one cell for a small scene, or for centers too far apart to subtract."""
+    n = len(centers)
+    if n >= _GRID_MIN_OBJECTS:
+        origin = centers.min(axis=0)
+        with np.errstate(all="ignore"):
+            cell = _cell_size((centers.max(axis=0) - origin).tolist(), r_max, n / 4.0)
+            ijk = np.floor((centers - origin) / cell)
+        if np.isfinite(ijk).all():
+            ijk = ijk.astype(np.intp)
+            dims = tuple(int(d) + 1 for d in ijk.max(axis=0))
+            keys = (ijk[:, 0] * dims[1] + ijk[:, 1]) * dims[2] + ijk[:, 2]
+            order = np.argsort(keys, kind="stable")
+            return tuple(origin.tolist()), cell, dims, order, np.searchsorted(keys[order], np.arange(math.prod(dims) + 1))
+    return (0.0, 0.0, 0.0), math.inf, (1, 1, 1), np.arange(n), np.array([0, n])
+
+
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class PreparedScene(Sequence[SceneObject]):
     """A scene prepared once for ROI queries: a sequence of its objects in the
@@ -246,25 +264,12 @@ class PreparedScene(Sequence[SceneObject]):
         ids, *columns = zip(*table) if table else [()] * 6
         if len(set(ids)) != len(ids):
             raise ValidationError("scene contains duplicate object ids")
-        columns = np.array(columns, np.float64).reshape(5, -1)
-        spheres, n = np.ascontiguousarray(columns[:4].T), len(objects)
-        r_max = float(spheres[:, 3].max()) if n else 0.0
-        origin, cell, ijk = np.zeros(3), math.inf, np.zeros((n, 3))
-        if n >= _GRID_MIN_OBJECTS:
-            origin = spheres[:, :3].min(axis=0)
-            with np.errstate(all="ignore"):  # centers too far apart to subtract leave one cell
-                cell = _cell_size((spheres[:, :3].max(axis=0) - origin).tolist(), r_max, n / 4.0)
-                ijk = np.floor((spheres[:, :3] - origin) / cell)
-            if not np.isfinite(ijk).all():
-                ijk = np.zeros((n, 3))
-        ijk = ijk.astype(np.intp)
-        dims = tuple(int(d) + 1 for d in ijk.max(axis=0, initial=0))
-        keys = (ijk[:, 0] * dims[1] + ijk[:, 1]) * dims[2] + ijk[:, 2]
-        order = np.argsort(keys, kind="stable")
-        starts = np.searchsorted(keys[order], np.arange(math.prod(dims) + 1))
-        for name, value in (("objects", objects), ("spheres", spheres), ("ids", np.array(ids, np.int64)),
-                            ("values", columns[4]), ("r_max", r_max), ("origin", tuple(origin.tolist())),
-                            ("cell", cell), ("dims", dims), ("order", order), ("starts", starts)):
+        arrays = np.array(columns, np.float64).reshape(5, -1)
+        spheres = np.ascontiguousarray(arrays[:4].T)
+        r_max = max(columns[3], default=0.0)
+        attrs = dict(objects=objects, spheres=spheres, ids=np.array(ids, np.int64), values=arrays[4], r_max=r_max)
+        attrs.update(zip(("origin", "cell", "dims", "order", "starts"), _grid(spheres[:, :3], r_max)))
+        for name, value in attrs.items():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
