@@ -74,10 +74,7 @@ def main(argv: list[str] | None = None) -> int:
             score_ssq_files(args.q1, args.q2, args.q3, args.profile, args.out)
         else:
             print(level_for_score(args.score))
-    except ParseError as e:
-        print(f"focusray: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as e:
+    except (ParseError, OSError) as e:
         print(f"focusray: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (ValidationError, GeometryError) as e:

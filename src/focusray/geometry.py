@@ -165,25 +165,25 @@ def sphere_array(objects: Sequence[SceneObject]) -> np.ndarray:
     ).reshape(-1, 4)
 
 
-def cone_mask(apex: Vec3, axis: Vec3, half_angle: float, z_far: float, centers: np.ndarray, rad: np.ndarray) -> np.ndarray:
-    """Per sphere, True when it overlaps the solid cone truncated at `z_far`.
+def cone_mask(roi: Roi, spheres: np.ndarray) -> np.ndarray:
+    """Per row of `spheres` (see `sphere_array`), True when it overlaps the ROI.
 
-    `centers` holds x, y, z in its first three columns. Partial overlap
-    counts. The distance from a center to the solid infinite cone is taken
-    in the (radial, axial) half-plane, where the cone is convex: zero
-    inside, else the distance to the apex or to the lateral boundary ray.
-    Truncation: the sphere point closest to the apex plane along the axis
-    must lie at axial distance <= z_far.
+    Partial overlap counts. The distance from a center to the solid infinite
+    cone is taken in the (radial, axial) half-plane, where the cone is
+    convex: zero inside, else the distance to the apex or to the lateral
+    boundary ray. Truncation: the sphere point closest to the apex plane
+    along the axis must lie at axial distance <= z_far.
     """
-    relx = centers[:, 0] - apex.x
-    rely = centers[:, 1] - apex.y
-    relz = centers[:, 2] - apex.z
-    ax, ay, az = axis.x, axis.y, axis.z
+    apex, rad = roi.apex, spheres[:, 3]
+    relx = spheres[:, 0] - apex.x
+    rely = spheres[:, 1] - apex.y
+    relz = spheres[:, 2] - apex.z
+    ax, ay, az = roi.axis.x, roi.axis.y, roi.axis.z
     z = relx * ax + rely * ay + relz * az
     rho_sq = (relx * relx + rely * rely + relz * relz) - z * z
     rho = np.sqrt(np.where(rho_sq > 0.0, rho_sq, 0.0))
-    sin_t = math.sin(half_angle)
-    cos_t = math.cos(half_angle)
+    sin_t = math.sin(roi.half_angle)
+    cos_t = math.cos(roi.half_angle)
     side = rho * cos_t - z * sin_t
     inside = (z >= 0.0) & (side <= 0.0)
     s = rho * sin_t + z * cos_t
@@ -191,13 +191,12 @@ def cone_mask(apex: Vec3, axis: Vec3, half_angle: float, z_far: float, centers: 
     # reproduces these values bit for bit
     apex_dist = np.sqrt(rho * rho + z * z)
     dist = np.where(inside, 0.0, np.where(s <= 0.0, apex_dist, side))
-    return (dist <= rad) & (z - rad <= z_far)
+    return (dist <= rad) & (z - rad <= roi.z_far)
 
 
 def roi_mask(roi: Roi, objects: Sequence[SceneObject]) -> np.ndarray:
     """Per object, True when its bounding sphere overlaps the truncated ROI cone."""
-    spheres = sphere_array(objects)
-    return cone_mask(roi.apex, roi.axis, roi.half_angle, roi.z_far, spheres, spheres[:, 3])
+    return cone_mask(roi, sphere_array(objects))
 
 
 # Below this many objects a scene is one cell, scanned whole: `cone_mask` takes
@@ -290,7 +289,7 @@ class PreparedScene(Sequence[SceneObject]):
         grid, or holds over half the rows."""
         rows = self._rows_near(roi)
         spheres = self.spheres if rows is None else self.spheres[rows]
-        keep = cone_mask(roi.apex, roi.axis, roi.half_angle, roi.z_far, spheres, spheres[:, 3])
+        keep = cone_mask(roi, spheres)
         return np.flatnonzero(keep) if rows is None else rows[keep]
 
     def _rows_near(self, roi: Roi) -> np.ndarray | None:

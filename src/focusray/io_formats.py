@@ -261,18 +261,11 @@ def parse_profile(path: str) -> Profile:
         raise ParseError(path, line_of["age"], str(e)) from None
 
 
-def format_real(x: float) -> str:
-    """Fixed 6-decimal rendering; negative zero collapses to zero."""
+def format_real(x: float, places: int = 6) -> str:
+    """Fixed-point rendering, 6 decimals unless given; negative zero collapses to zero."""
     if x == 0.0:
         x = 0.0
-    return f"{x:.6f}"
-
-
-def _format_score(x: float) -> str:
-    """Questionnaire scores render at 2 decimals."""
-    if x == 0.0:
-        x = 0.0
-    return f"{x:.2f}"
+    return f"{x:.{places}f}"
 
 
 def render_config_section(cfg: SimConfig) -> list[str]:
@@ -347,10 +340,10 @@ def render_ssq_section(report: ProtocolReport) -> list[str]:
     lines.append(f"academic_background = {report.profile.academic_background}")
     for tag, score in (("q1", report.q1), ("q2", report.q2), ("q3", report.q3)):
         for cls in ("nausea", "oculomotor", "disorientation", "total"):
-            lines.append(f"{tag}_{cls} = {_format_score(getattr(score, cls))}")
+            lines.append(f"{tag}_{cls} = {format_real(getattr(score, cls), 2)}")
     for tag, delta in (("delta_q2", report.delta_q2), ("delta_q3", report.delta_q3)):
         for cls in ("nausea", "oculomotor", "disorientation", "total"):
-            lines.append(f"{tag}_{cls} = {_format_score(getattr(delta, cls))}")
+            lines.append(f"{tag}_{cls} = {format_real(getattr(delta, cls), 2)}")
     return lines
 
 

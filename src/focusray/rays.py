@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import MidCamera, Vec3, cone_mask
+from .geometry import MidCamera, Vec3
 
 # 2*pi*(1 - 1/phi), phi the golden ratio: ~137.5 degrees per step.
 GOLDEN_ANGLE = 2.0 * math.pi * (1.0 - 2.0 / (1.0 + math.sqrt(5.0)))
@@ -50,14 +50,11 @@ class RayBundle:
 
     directions: (R, 3) unit vectors; layers: (R,) 1-based ints;
     weights: (R,) per-ray weights summing to 1. Arrays are read-only.
-    axis and half_angle give the solid cone every ray lies in.
     """
 
     directions: np.ndarray
     layers: np.ndarray
     weights: np.ndarray
-    axis: Vec3
-    half_angle: float
 
 
 def layer_weight(i: int, k: int) -> float:
@@ -101,7 +98,7 @@ def ray_bundle(config: RayConfig, cam: MidCamera) -> RayBundle:
     lateral = cos_p * right[None, :] + sin_p * up[None, :]
     directions = cos_t * fwd[None, :] + sin_t * lateral
     directions.flags.writeable = False
-    return RayBundle(directions, layers, weights, Vec3(*fwd.tolist()), config.half_angle)
+    return RayBundle(directions, layers, weights)
 
 
 def nearest_hit_indices(origin: Vec3, directions: np.ndarray, spheres: np.ndarray) -> np.ndarray:
@@ -150,25 +147,12 @@ def nearest_hit_indices(origin: Vec3, directions: np.ndarray, spheres: np.ndarra
     return nearest
 
 
-def _ray_cone_columns(origin: Vec3, bundle: RayBundle, spheres: np.ndarray) -> np.ndarray:
-    """Rows of `spheres` that overlap the solid cone all rays lie in; the rest
-    are missed by every ray. Radii grow by 1e-6 of the sphere's reach, far
-    above the rounding of this test and of `nearest_hit_indices`' hit test
-    (about 4e-8 of the reach), so no sphere the kernel would hit is dropped."""
-    rel = spheres[:, :3] - (origin.x, origin.y, origin.z)
-    rad = spheres[:, 3] + 1e-6 * (np.sqrt((rel * rel).sum(axis=1)) + spheres[:, 3])
-    return np.flatnonzero(cone_mask(origin, bundle.axis, bundle.half_angle, math.inf, spheres, rad))
-
-
 def rm_scores(origin: Vec3, bundle: RayBundle, spheres: np.ndarray) -> np.ndarray:
     """Per-sphere centrality scores, one per row of `spheres`, in order.
 
-    Only spheres in the ray cone are intersected. Weights accumulate in ray
-    order (`np.bincount` adds sequentially), so the sum is deterministic.
+    Weights accumulate in ray order (`np.bincount` adds sequentially), so
+    the sum is deterministic.
     """
-    cols = _ray_cone_columns(origin, bundle, spheres)
-    nearest = nearest_hit_indices(origin, bundle.directions, spheres[cols])
+    nearest = nearest_hit_indices(origin, bundle.directions, spheres)
     hit = nearest >= 0
-    scores = np.zeros(len(spheres))
-    scores[cols] = np.bincount(nearest[hit], weights=bundle.weights[hit], minlength=len(cols))
-    return scores
+    return np.bincount(nearest[hit], weights=bundle.weights[hit], minlength=len(spheres))

@@ -30,7 +30,6 @@ from focusray import (
     render_timeline_section,
     write_document,
 )
-from focusray.io_formats import _format_score
 
 
 def put(tmp_path, name, text):
@@ -376,11 +375,12 @@ class TestFormatReal:
 
     def test_negative_zero_collapses(self):
         assert format_real(-0.0) == "0.000000"
-        assert _format_score(-0.0) == "0.00"
+        assert format_real(-0.0, 2) == "0.00"
 
     def test_rounding(self):
         assert format_real(0.1234567) == "0.123457"
         assert format_real(12.0934) == "12.093400"
+        assert format_real(12.0934, 2) == "12.09"
 
 
 class TestRendering:
