@@ -32,7 +32,6 @@ from .dynamics import (
 )
 from .errors import FocusrayError, GeometryError, OutputError, ParseError, ValidationError
 from .io_formats import (
-    TimelineRow,
     format_real,
     parse_config,
     parse_profile,

@@ -109,9 +109,8 @@ class Trajectory(Sequence[TrajectorySample]):
         n = len(self.t_ms)
         for f in fields(self):
             value = getattr(self, f.name)
-            # the columns are checked once, here, so a caller's writable array is copied
-            trusted = isinstance(value, np.ndarray) and not value.flags.writeable
-            col = (np.asarray if trusted else np.array)(value, bool if f.name == "user" else np.float64)
+            # the columns are checked once, here, so the trajectory holds its own copies
+            col = np.array(value, bool if f.name == "user" else np.float64)
             if col.shape != ((n, 3) if f.name in ("pos", "fwd", "up") else (n,)):
                 raise ValidationError(f"trajectory column {f.name} must hold {n} rows, got shape {col.shape}")
             col.flags.writeable = False

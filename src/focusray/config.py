@@ -66,6 +66,7 @@ class SimConfig:
             if not (math.isfinite(x) and x > 0.0):
                 raise ValidationError(f"{name} must be positive, got {x!r}")
         # these constructors re-check their own invariants and name the field
+        self.ray_config()
         self.heuristic_weights()
         self.dynamics_config()
         self.blur_config()

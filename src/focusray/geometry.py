@@ -17,6 +17,10 @@ from .errors import GeometryError, ValidationError
 
 UNIT_TOL = 1e-9
 ORTHO_TOL = 1e-6
+# Largest coordinate or radius, in meters, that a scene or trajectory file
+# may give: the squared distances of the ROI and ray tests then stay far
+# below the float64 limit (~1.8e308), so none of them overflows.
+MAX_COORD_M = 1e100
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,16 +13,17 @@ produce byte-identical bytes.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from .attention import FocusCandidate
 from .comfort import MIN_SAMPLES, ComfortReport, ComfortRule, Trajectory, TrajectorySample, invalid_sample_rows
 from .config import CONFIG_FIELD_NAMES, INT_FIELDS, SimConfig
 from .errors import GeometryError, OutputError, ParseError, ValidationError
-from .geometry import PreparedScene, SceneObject, Vec3, norm_rows, prepare_scene
+from .geometry import MAX_COORD_M, PreparedScene, SceneObject, Vec3, norm_rows, prepare_scene
 from .ssq import Profile, ProtocolReport, SsqResponse
 
 TRAJECTORY_HEADER = (
@@ -38,21 +39,6 @@ PROFILE_KEYS = ("name", "age", "gender", "academic_background")
 # trajectory rows tokenised and converted at a time: a chunk's tokens and
 # floats take about 1.3 kB a row at peak, the (N, 13) array they fill 104 bytes
 _CHUNK_ROWS = 250
-
-
-@dataclass(frozen=True, slots=True)
-class TimelineRow:
-    """One tick of the scenario timeline; focus fields are None when the tick
-    had no selection (or focus was disabled)."""
-
-    t_ms: float
-    selected_object_id: int | None
-    importance: float | None
-    rm: float | None
-    d: float | None
-    v: float | None
-    focal_distance_m: float | None
-    in_transition: bool | None
 
 
 def _content_lines(path: str) -> list[tuple[int, str]]:
@@ -109,6 +95,8 @@ def parse_scene(path: str) -> PreparedScene:
             objects.append(SceneObject(id=obj_id, center=Vec3(cx, cy, cz), radius=radius, value=value, label=label))
         except ValidationError as e:
             raise ParseError(path, lineno, str(e)) from None
+        if not max(abs(cx), abs(cy), abs(cz), radius) <= MAX_COORD_M:
+            raise ParseError(path, lineno, f"object {obj_id}: center and radius must be within {MAX_COORD_M:g} m")
     return prepare_scene(objects)
 
 
@@ -136,6 +124,8 @@ def _check_trajectory_row(path: str, lineno: int, text: str, prev_t_ms: float | 
         TrajectorySample(vals[0], Vec3(vals[1], vals[2], vals[3]), forward, up, vals[10], tokens[11] == "1", frame_time)
     except ValidationError as e:
         raise ParseError(path, lineno, str(e)) from None
+    if not max(map(abs, vals[1:4])) <= MAX_COORD_M:
+        raise ParseError(path, lineno, f"position must be within {MAX_COORD_M:g} m on each axis")
     if prev_t_ms is not None and not vals[0] > prev_t_ms:
         raise ParseError(path, lineno, "t_ms must strictly increase")
 
@@ -161,7 +151,7 @@ def parse_trajectory(path: str) -> Trajectory:
     first faulty row is then checked on its own, so the error names the same
     line and fault as a row-by-row parse: the field count and numbers, the
     user flag, forward, up and right, the position, the sample invariants,
-    then time order.
+    the position's magnitude, then time order.
     """
     lines = _content_lines(path)
     if not lines:
@@ -188,6 +178,7 @@ def parse_trajectory(path: str) -> Trajectory:
         # np.cross evaluates Vec3.cross's expressions, so the right vector is checked exactly
         bad = ~(fwd_norm >= 1e-12) | ~(up_norm >= 1e-12) | ~(norm_rows(np.cross(fwd, up)) >= 1e-12)
     bad |= (user != "0") & (user != "1") | invalid_sample_rows(t_ms, pos, fwd, up, fov, frame_ms)
+    bad |= ~(np.abs(pos) <= MAX_COORD_M).all(axis=1)
     bad[1:] |= ~(t_ms[1:] > t_ms[:-1])
     # the screens are exact, so the first flagged row raises; an unconverted row is faulty too
     for i in np.flatnonzero(bad).tolist() + [len(vals)] * (len(vals) < len(rows)):
@@ -277,32 +268,20 @@ def render_config_section(cfg: SimConfig) -> list[str]:
     return lines
 
 
-def _cell(x: float | None) -> str:
-    return "" if x is None else format_real(x)
-
-
-def render_timeline_section(rows: Sequence[TimelineRow] | np.ndarray) -> list[str]:
-    """The timeline of `rows`, or of bare tick times (an array) with every focus cell empty."""
+def render_timeline_section(
+    t_ms: np.ndarray, focus: Sequence[tuple[FocusCandidate | None, float, bool]] | None = None
+) -> list[str]:
+    """One row per tick time. `focus` holds each tick's winner, focal
+    distance and transition flag; without it every focus cell is empty."""
     lines = ["[TIMELINE]", TIMELINE_HEADER]
-    if isinstance(rows, np.ndarray):
-        return lines + [format_real(t) + "," * TIMELINE_HEADER.count(",") for t in rows.tolist()]
-    for row in rows:
-        obj = "" if row.selected_object_id is None else str(row.selected_object_id)
-        flag = "" if row.in_transition is None else ("true" if row.in_transition else "false")
-        lines.append(
-            ",".join(
-                (
-                    format_real(row.t_ms),
-                    obj,
-                    _cell(row.importance),
-                    _cell(row.rm),
-                    _cell(row.d),
-                    _cell(row.v),
-                    _cell(row.focal_distance_m),
-                    flag,
-                )
-            )
-        )
+    if focus is None:
+        return lines + [format_real(t) + "," * TIMELINE_HEADER.count(",") for t in t_ms.tolist()]
+    for t, (winner, focal, moving) in zip(t_ms.tolist(), focus):
+        if winner is None:
+            scores = ("",) * 5
+        else:
+            scores = (str(winner.object_id), *map(format_real, (winner.importance, winner.rm, winner.d, winner.v)))
+        lines.append(",".join((format_real(t), *scores, format_real(focal), "true" if moving else "false")))
     return lines
 
 

@@ -25,6 +25,9 @@ from .geometry import MidCamera, Vec3
 
 # 2*pi*(1 - 1/phi), phi the golden ratio: ~137.5 degrees per step.
 GOLDEN_ANGLE = 2.0 * math.pi * (1.0 - 2.0 / (1.0 + math.sqrt(5.0)))
+# Most rays in a cone, 256 times the default 4 x 64: the nearest-hit kernel
+# holds a float64 per ray and candidate, so the count bounds its memory.
+MAX_RAYS = 65_536
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,6 +43,8 @@ class RayConfig:
             raise ValidationError(f"k must be >= 1, got {self.k!r}")
         if self.n < 1:
             raise ValidationError(f"n must be >= 1, got {self.n!r}")
+        if self.k * self.n > MAX_RAYS:
+            raise ValidationError(f"k * n must be at most {MAX_RAYS} rays, got {self.k * self.n}")
         if not 0.0 < self.half_angle < math.pi / 2.0:
             raise ValidationError(f"half_angle must be in (0, pi/2), got {self.half_angle!r}")
 

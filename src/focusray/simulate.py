@@ -15,13 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .attention import select_focus
+from .attention import FocusCandidate, select_focus
 from .comfort import Trajectory, TrajectorySample, analyze_trajectory
 from .dynamics import FocusSelection, FocusState, apply_selection, step
 from .errors import ValidationError
 from .geometry import Roi, StereoRig, derive_mid_camera, dot_rows, norm_rows
 from .io_formats import (
-    TimelineRow,
     parse_config,
     parse_profile,
     parse_scene,
@@ -186,7 +185,7 @@ def run_scenario(
 
     ticks = resample(traj, cfg.tick_ms)
     # without focus the timeline is the tick times alone, and no sample is built
-    rows: list[TimelineRow] = []
+    focus: list[tuple[FocusCandidate | None, float, bool]] = []
     state = FocusState.initial()
     for sample in () if no_focus else ticks:
         rig = rig_from_pose(sample, cfg.ipd_m)
@@ -199,25 +198,14 @@ def run_scenario(
             distance = center_of[winner.object_id].distance_to(cam.m)
             selection = FocusSelection(object_id=winner.object_id, distance=distance)
         applied = apply_selection(state, selection, dyn_cfg)
-        rows.append(
-            TimelineRow(
-                t_ms=sample.t_ms,
-                selected_object_id=winner.object_id if winner else None,
-                importance=winner.importance if winner else None,
-                rm=winner.rm if winner else None,
-                d=winner.d if winner else None,
-                v=winner.v if winner else None,
-                focal_distance_m=applied.focal_distance,
-                in_transition=applied.transition is not None,
-            )
-        )
+        focus.append((winner, applied.focal_distance, applied.transition is not None))
         state = step(state, selection, cfg.tick_ms, dyn_cfg)
 
     report = analyze_trajectory(traj, duration_ms=None, cfg=cfg.comfort_config())
     doc = render_document(
         (
             render_config_section(cfg),
-            render_timeline_section(ticks.t_ms if no_focus else rows),
+            render_timeline_section(ticks.t_ms, None if no_focus else focus),
             render_comfort_section(report),
         )
     )

@@ -37,6 +37,7 @@ from focusray import (
 )
 from focusray import simulate
 from focusray.comfort import _RULE_ORDER, MIN_SAMPLES
+from focusray.geometry import MAX_COORD_M
 from focusray.io_formats import TRAJECTORY_HEADER, _content_lines
 
 
@@ -306,6 +307,8 @@ def parse_trajectory_by_rows(path: str) -> list[TrajectorySample]:
             )
         except ValidationError as e:
             raise ParseError(path, lineno, str(e)) from None
+        if not max(abs(vals[1]), abs(vals[2]), abs(vals[3])) <= MAX_COORD_M:
+            raise ParseError(path, lineno, f"position must be within {MAX_COORD_M:g} m on each axis")
         if samples and not sample.t_ms > samples[-1].t_ms:
             raise ParseError(path, lineno, "t_ms must strictly increase")
         samples.append(sample)

@@ -2,10 +2,18 @@ import contextlib
 import io
 import os
 import stat
+import tempfile
 import threading
+import warnings
+from pathlib import Path
+from unittest import mock
 
-from focusray import simulate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from focusray import SimConfig, simulate
 from focusray.cli import EXIT_OK, EXIT_OUTPUT, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATION, main
+from focusray.config import CONFIG_FIELD_NAMES
 from builders import NoArrays
 
 TRAJ = (
@@ -87,16 +95,19 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
 
 
+def run_argv(p, *extra):
+    return [
+        "run",
+        "--scene", p["scene"],
+        "--trajectory", p["traj"],
+        "--config", p["config"],
+        "--out", p["out"],
+        *extra,
+    ]
+
+
 class TestRunCommand:
-    def argv(self, p, *extra):
-        return [
-            "run",
-            "--scene", p["scene"],
-            "--trajectory", p["traj"],
-            "--config", p["config"],
-            "--out", p["out"],
-            *extra,
-        ]
+    argv = staticmethod(run_argv)
 
     def test_success(self, tmp_path):
         p = run_files(tmp_path)
@@ -229,6 +240,35 @@ class TestRunCommand:
         assert code == EXIT_PARSE
         assert "scene.txt:1: object id must fit in 64 bits" in err
 
+    def test_huge_radius_is_parse_exit(self, tmp_path):
+        # squared, a radius of 1e300 would overflow the ray test
+        p = run_files(tmp_path, scene="1 0 0 -5 1e300 0.5\n")
+        code, err = quiet_main(self.argv(p))
+        assert code == EXIT_PARSE
+        assert "scene.txt:1: object 1: center and radius must be within 1e+100 m" in err
+        assert not os.path.exists(p["out"])
+
+    def test_huge_center_is_parse_exit(self, tmp_path):
+        # squared, a center at x = 1e308 would overflow the ROI test
+        p = run_files(tmp_path, scene="2 0 0 -5 1 0.5\n1 1e308 0 -5 1 0.5\n")
+        code, err = quiet_main(self.argv(p))
+        assert code == EXIT_PARSE
+        assert "scene.txt:2: object 1: center and radius must be within 1e+100 m" in err
+
+    def test_huge_position_is_parse_exit(self, tmp_path):
+        p = run_files(tmp_path, traj=TRAJ.replace("\n200 0 0 0 ", "\n200 0 1.5e154 0 "))
+        for extra in ((), ("--no-focus",)):
+            code, err = quiet_main(self.argv(p, *extra))
+            assert code == EXIT_PARSE
+            assert "traj.txt:4: position must be within 1e+100 m on each axis" in err
+
+    def test_huge_ray_count_is_validation_exit(self, tmp_path):
+        # refused when the config is read: a cone this size is never built
+        p = run_files(tmp_path, config="ray_k = 100000000000000000000\n")
+        code, err = quiet_main(self.argv(p))
+        assert code == EXIT_VALIDATION
+        assert "k * n must be at most 65536 rays, got 6400000000000000000000" in err
+
     def test_unknown_config_key_is_parse_exit(self, tmp_path):
         p = run_files(tmp_path, config="warp_speed = 9\n")
         code, err = quiet_main(self.argv(p))
@@ -239,6 +279,86 @@ class TestRunCommand:
         code, err = quiet_main(self.argv(p))
         assert code == EXIT_VALIDATION
         assert "focusray:" in err
+
+
+def real(lo: float, hi: float):
+    """A number in [lo, hi] as a file would hold it."""
+    return st.floats(lo, hi).map(repr)
+
+
+# any float at all as written (nan, infinities, subnormals, 1e308), any integer, or a word
+ANY = st.one_of(st.floats().map(repr), st.floats().map(repr), st.integers().map(str),
+               st.sampled_from(["x", "1,5", "0x10", "--"]))
+POSE = st.sampled_from(["0 0 -1 0 1 0"] * 12 + ["0.6 0 -0.8 0 1 0", "0 0 1 0 1 0"])  # forward, up
+
+
+@st.composite
+def file_text(draw, rows) -> str:
+    """Lines of tokens: a string in a row is kept as it is, a strategy's
+    token is valid. One file in three then has up to two of the valid tokens
+    overwritten by `ANY`, and one in ten a line cut short at one of them."""
+    lines, slots = [], []
+    for row in draw(rows):
+        lines.append([])
+        for part in row:
+            fixed = isinstance(part, str)
+            for token in (part if fixed else draw(part)).split():
+                lines[-1].append(token)
+                if not fixed:
+                    slots.append((len(lines) - 1, len(lines[-1]) - 1))
+    if slots and draw(st.integers(0, 2)) == 0:
+        for k, value in draw(st.lists(st.tuples(st.integers(0, len(slots) - 1), ANY), min_size=1, max_size=2)):
+            r, c = slots[k]
+            lines[r][c] = value
+    if slots and draw(st.integers(0, 9)) == 0:
+        r, c = slots[draw(st.integers(0, len(slots) - 1))]
+        del lines[r][c:]
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+def scene_rows(n: int) -> list[tuple]:
+    return [(st.just(str(i)), real(-5.0, 5.0), real(-5.0, 5.0), real(-20.0, 5.0), real(0.1, 3.0), real(0.0, 1.0),
+             st.sampled_from(["", "orb"])) for i in range(n)]
+
+
+def trajectory_rows(n: int) -> list[tuple]:
+    return [(TRAJ.splitlines()[0],)] + [
+        (st.just(repr(100.0 * i)), real(-3.0, 3.0), real(-3.0, 3.0), real(-3.0, 3.0), POSE,
+         real(30.0, 120.0), st.sampled_from(["0", "1"]), real(5.0, 40.0))
+        for i in range(n)
+    ]
+
+
+# every key at its default, a few of them drawn from a valid range instead
+CONFIG_VALUES = {name: st.just(str(getattr(SimConfig(), name))) for name in CONFIG_FIELD_NAMES} | {
+    "tick_ms": real(20.0, 200.0), "ray_k": st.integers(1, 6).map(str), "ray_n": st.integers(1, 12).map(str),
+    "roi_z_far_m": real(1.0, 200.0), "ipd_m": real(0.01, 0.1), "refocus_ms": real(1.0, 1000.0),
+    "accel_threshold_m_s2": real(0.1, 10.0), "max_session_ms": real(100.0, 1e6),
+}
+
+SCENE = file_text(st.integers(0, 4).map(scene_rows))
+TRAJECTORY = file_text(st.sampled_from([3, 4, 5, 6] * 3 + [0, 1, 2]).map(trajectory_rows))
+CONFIG = file_text(st.lists(st.sampled_from(CONFIG_FIELD_NAMES), unique=True, max_size=6).map(
+    lambda keys: [(key, "=", CONFIG_VALUES[key]) for key in keys]))
+
+
+class TestRunFuzz:
+    """`focusray run` on small generated files, valid and broken: every
+    outcome is a documented exit code, an error names itself on stderr, and
+    no exception or numpy warning gets out."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(scene=SCENE, traj=TRAJECTORY, config=CONFIG, no_focus=st.booleans())
+    def test_every_outcome_is_an_exit_code(self, scene, traj, config, no_focus):
+        with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p = run_files(Path(d), scene=scene, traj=traj, config=config)
+            # at most 400 ticks, so that a long recording is refused rather than replayed
+            with mock.patch.object(simulate, "MAX_TICKS", 400):
+                code, err = quiet_main(run_argv(p, *["--no-focus"] * no_focus))
+            assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_OUTPUT)
+            assert (err == "") if code == EXIT_OK else err.startswith("focusray: ")
+            assert os.path.exists(p["out"]) == (code == EXIT_OK)
 
 
 class TestSsqCommand:

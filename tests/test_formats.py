@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from focusray import (
     ComfortFinding,
+    FocusCandidate,
     ComfortReport,
     ComfortRule,
     ParseError,
     Profile,
     ProtocolSession,
     SimConfig,
-    TimelineRow,
     ValidationError,
     Vec3,
     format_real,
@@ -395,27 +395,8 @@ class TestRendering:
         assert len(lines) == 1 + len(SimConfig.__dataclass_fields__)
 
     def test_timeline_rows(self):
-        full = TimelineRow(
-            t_ms=50.0,
-            selected_object_id=2,
-            importance=0.849137,
-            rm=0.770833,
-            d=0.879066,
-            v=1.0,
-            focal_distance_m=1.209339,
-            in_transition=True,
-        )
-        gap = TimelineRow(
-            t_ms=100.0,
-            selected_object_id=None,
-            importance=None,
-            rm=None,
-            d=None,
-            v=None,
-            focal_distance_m=2.5,
-            in_transition=False,
-        )
-        lines = render_timeline_section([full, gap])
+        winner = FocusCandidate(object_id=2, rm=0.770833, d=0.879066, v=1.0, importance=0.849137)
+        lines = render_timeline_section(np.array([50.0, 100.0]), [(winner, 1.209339, True), (None, 2.5, False)])
         assert lines[0] == "[TIMELINE]"
         assert lines[1] == "t_ms,selected_object_id,importance,rm,d,v,focal_distance_m,in_transition"
         assert lines[2] == "50.000000,2,0.849137,0.770833,0.879066,1.000000,1.209339,true"
@@ -423,9 +404,9 @@ class TestRendering:
 
     def test_timeline_of_tick_times_alone(self):
         t_ms = np.array([0.0, 16.0, -0.0, 1e-7, 123456.789])
-        empty = [TimelineRow(t, None, None, None, None, None, None, None) for t in t_ms.tolist()]
-        assert render_timeline_section(t_ms) == render_timeline_section(empty)
-        assert render_timeline_section(t_ms)[2:4] == ["0.000000,,,,,,,", "16.000000,,,,,,,"]
+        assert render_timeline_section(t_ms)[2:] == [
+            "0.000000,,,,,,,", "16.000000,,,,,,,", "0.000000,,,,,,,", "0.000000,,,,,,,", "123456.789000,,,,,,,",
+        ]
 
     def test_comfort_section_empty_report(self):
         report = ComfortReport(findings=(), counts={r: 0 for r in ComfortRule}, duration_ms=2000.0)

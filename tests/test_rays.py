@@ -15,7 +15,7 @@ from focusray import (
     ray_bundle,
 )
 from focusray.geometry import sphere_array
-from focusray.rays import nearest_hit_indices, rm_scores
+from focusray.rays import MAX_RAYS, nearest_hit_indices, rm_scores
 from builders import FORWARD, UP, axial_cam
 from oracles import ray_sphere_t, rm_by_enumeration
 
@@ -69,6 +69,9 @@ class TestRayConfig:
             RayConfig(k=2, n=4, half_angle=0.0)
         with pytest.raises(ValidationError):
             RayConfig(k=2, n=4, half_angle=math.pi / 2.0)
+        with pytest.raises(ValidationError, match="at most 65536 rays, got 65537"):
+            RayConfig(k=1, n=MAX_RAYS + 1, half_angle=0.3)
+        assert RayConfig(k=256, n=256, half_angle=0.3).n == 256  # the limit itself is allowed
 
 
 class TestBundleGeometry:
