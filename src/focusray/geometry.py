@@ -21,6 +21,9 @@ ORTHO_TOL = 1e-6
 # may give: the squared distances of the ROI and ray tests then stay far
 # below the float64 limit (~1.8e308), so none of them overflows.
 MAX_COORD_M = 1e100
+# Largest frame time, in ms, that a trajectory file may give: the frame-drop
+# rule's summed excess then stays far below the float64 limit.
+MAX_FRAME_MS = 1e100
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,51 +206,16 @@ def roi_mask(roi: Roi, objects: Sequence[SceneObject]) -> np.ndarray:
     return cone_mask(roi, sphere_array(objects))
 
 
-# Below this many objects a scene is one cell, scanned whole: `cone_mask` takes
-# about 16 us plus 13 ns a row, the grid's box and gather about 6 us (2-CPU Xeon).
-_GRID_MIN_OBJECTS = 512
-
-
-def _cell_size(extent: list[float], r_max: float, cells: float) -> float:
-    """Edge of the cubes that split a box of this extent into about `cells`,
-    at least 2 * r_max. An axis thinner than a cube counts as one cube, and
-    the edge is solved again over the rest, so there are at most 8 * `cells`."""
-    h = 0.0
-    for _ in range(3):
-        wide = [e for e in extent if e > h]
-        if wide:  # in logs, so that no product of extents overflows
-            h = math.exp((sum(map(math.log, wide)) - math.log(cells)) / len(wide))
-    return max(h, 2.0 * r_max)
-
-
-def _grid(centers: np.ndarray, r_max: float) -> tuple:
-    """`origin`, `cell`, `dims`, `order` and `starts` of a `PreparedScene`'s
-    grid: one cell for a small scene, or for centers too far apart to subtract."""
-    n = len(centers)
-    if n >= _GRID_MIN_OBJECTS:
-        origin = centers.min(axis=0)
-        with np.errstate(all="ignore"):
-            cell = _cell_size((centers.max(axis=0) - origin).tolist(), r_max, n / 4.0)
-            ijk = np.floor((centers - origin) / cell)
-        if np.isfinite(ijk).all():
-            ijk = ijk.astype(np.intp)
-            dims = tuple(int(d) + 1 for d in ijk.max(axis=0))
-            keys = (ijk[:, 0] * dims[1] + ijk[:, 1]) * dims[2] + ijk[:, 2]
-            order = np.argsort(keys, kind="stable")
-            return tuple(origin.tolist()), cell, dims, order, np.searchsorted(keys[order], np.arange(math.prod(dims) + 1))
-    return (0.0, 0.0, 0.0), math.inf, (1, 1, 1), np.arange(n), np.array([0, n])
-
-
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class PreparedScene(Sequence[SceneObject]):
     """A scene prepared once for ROI queries: a sequence of its objects in the
     order given, ids checked unique; read-only `spheres` (as `sphere_array`),
-    `ids` (int64) and `values` in ascending id order; and a uniform grid over
-    the centers (Ericson, *Real-Time Collision Detection*, 2004, 7.1).
+    `ids` (int64) and `values` in ascending id order; and the rows sorted
+    along the world axis on which the centers spread widest, for a sort and
+    sweep cull (Ericson, *Real-Time Collision Detection*, 2004, 7.5).
 
-    A center c lies in cell floor((c - origin) / cell) per axis, of `dims`.
-    Cell (i, j, k) has the key (i * dims[1] + j) * dims[2] + k, and its rows
-    are order[starts[key]:starts[key + 1]]. A scene under 512 objects is one cell.
+    `sweep_axis` is that axis (0, 1 or 2), `order` the rows by ascending
+    coordinate on it, and `sorted_spheres` is `spheres[order]`, column-major.
     """
 
     objects: tuple[SceneObject, ...]
@@ -255,11 +223,9 @@ class PreparedScene(Sequence[SceneObject]):
     ids: np.ndarray
     values: np.ndarray
     r_max: float
-    origin: tuple[float, float, float]
-    cell: float
-    dims: tuple[int, int, int]
+    sweep_axis: int
     order: np.ndarray
-    starts: np.ndarray
+    sorted_spheres: np.ndarray
 
     def __init__(self, objects: Iterable[SceneObject]) -> None:
         objects = tuple(objects)
@@ -269,9 +235,12 @@ class PreparedScene(Sequence[SceneObject]):
             raise ValidationError("scene contains duplicate object ids")
         arrays = np.array(columns, np.float64).reshape(5, -1)
         spheres = np.ascontiguousarray(arrays[:4].T)
-        r_max = max(columns[3], default=0.0)
-        attrs = dict(objects=objects, spheres=spheres, ids=np.array(ids, np.int64), values=arrays[4], r_max=r_max)
-        attrs.update(zip(("origin", "cell", "dims", "order", "starts"), _grid(spheres[:, :3], r_max)))
+        # halved, so that no spread overflows
+        axis = int(np.argmax(np.ptp(arrays[:3] / 2.0, axis=1))) if table else 0
+        order = np.argsort(arrays[axis], kind="stable")
+        attrs = dict(objects=objects, spheres=spheres, ids=np.array(ids, np.int64), values=arrays[4],
+                     r_max=max(columns[3], default=0.0), sweep_axis=axis, order=order,
+                     sorted_spheres=arrays[:4].take(order, axis=1).T)
         for name, value in attrs.items():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -288,51 +257,31 @@ class PreparedScene(Sequence[SceneObject]):
 
     def roi_rows(self, roi: Roi) -> np.ndarray:
         """The rows of `spheres` whose spheres overlap the ROI cone, ascending:
-        `cone_mask` run on the rows in the cells that the cone's bounding box
-        touches, or on every row when that box is not finite, covers the
-        grid, or holds over half the rows."""
-        rows = self._rows_near(roi)
-        spheres = self.spheres if rows is None else self.spheres[rows]
-        keep = cone_mask(roi, spheres)
-        return np.flatnonzero(keep) if rows is None else rows[keep]
-
-    def _rows_near(self, roi: Roi) -> np.ndarray | None:
-        """The rows `roi_rows` tests, ascending; None for every row."""
-        if self.dims == (1, 1, 1):
-            return None
-        apex, axis = (roi.apex.x, roi.apex.y, roi.apex.z), (roi.axis.x, roi.axis.y, roi.axis.z)
+        `cone_mask` run on the slab of `sorted_spheres` that the cone's
+        bounding box spans along `sweep_axis`, or on every row when that box
+        is not finite or the slab holds over half the rows."""
+        e = self.sweep_axis
+        near, ax = (roi.apex.x, roi.apex.y, roi.apex.z), (roi.axis.x, roi.axis.y, roi.axis.z)
         # A kept center lies within r_max of its nearest cone point, which is
         # at most r_max * sin(half_angle) deeper than the center, itself at
         # most z_far + r_max deep: box the cone cut at z_far + 2 r_max, grown
-        # by r_max and by a margin far above the rounding of cone_mask.
+        # by r_max and by a margin far above the rounding of cone_mask, so
+        # no center on a bound is kept. The far disc's half-width is
+        # multiplied in this order so that it is NaN only when depth is
+        # infinite, and then so is the pad.
         depth = roi.z_far + 2.0 * self.r_max
-        radius = depth * math.tan(roi.half_angle)
-        pad = self.r_max + 1e-6 * (depth + max(map(abs, apex)))
-        spans = []
-        for e in range(3):
-            half = radius * math.sqrt(axis[e - 1] ** 2 + axis[e - 2] ** 2)  # the far disc's, along axis e
-            far = apex[e] + depth * axis[e]
-            lo, hi = min(apex[e], far - half) - pad, max(apex[e], far + half) + pad
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                return None
-            # the centers' own cell expression: rounding is monotone, so no center in the box is missed
-            first = max(0, math.floor((lo - self.origin[e]) / self.cell))
-            last = min(self.dims[e] - 1, math.floor((hi - self.origin[e]) / self.cell))
-            if first > last:
-                return np.empty(0, np.intp)
-            spans.append((first, last))
-        if spans == [(0, d - 1) for d in self.dims]:
-            return None
-        (i0, i1), (j0, j1), (k0, k1) = spans
-        ny, nz = self.dims[1], self.dims[2]
-        # the cells k0..k1 of each (i, j) column are one slice of `order`
-        slices = [(self.starts[q + k0], self.starts[q + k1 + 1])
-                  for i in range(i0, i1 + 1) for q in range((i * ny + j0) * nz, (i * ny + j1) * nz + 1, nz)]
-        if 2 * sum(end - begin for begin, end in slices) > len(self.spheres):
-            return None
-        rows = np.concatenate([self.order[begin:end] for begin, end in slices])
-        rows.sort()
-        return rows
+        half = math.sqrt(ax[e - 1] ** 2 + ax[e - 2] ** 2) * depth * math.tan(roi.half_angle)
+        far = near[e] + depth * ax[e]
+        pad = self.r_max + 1e-6 * (depth + max(map(abs, near)))
+        lo, hi = min(near[e], far - half) - pad, max(near[e], far + half) + pad
+        if math.isfinite(lo) and math.isfinite(hi):
+            keys = self.sorted_spheres[:, e]
+            first, last = keys.searchsorted(lo), keys.searchsorted(hi)
+            if 2 * (last - first) <= len(keys):
+                rows = self.order[first:last][cone_mask(roi, self.sorted_spheres[first:last])]
+                rows.sort()
+                return rows
+        return np.flatnonzero(cone_mask(roi, self.spheres))
 
 
 def prepare_scene(objects: Iterable[SceneObject]) -> PreparedScene:

@@ -9,6 +9,7 @@ output document is byte-identical across runs for identical inputs.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import fields
 from typing import Sequence
@@ -18,7 +19,7 @@ import numpy as np
 from .attention import FocusCandidate, select_focus
 from .comfort import Trajectory, TrajectorySample, analyze_trajectory
 from .dynamics import FocusSelection, FocusState, apply_selection, step
-from .errors import ValidationError
+from .errors import GeometryError, ValidationError
 from .geometry import Roi, StereoRig, derive_mid_camera, dot_rows, norm_rows
 from .io_formats import (
     parse_config,
@@ -37,6 +38,8 @@ from .ssq import ProtocolSession, protocol_report
 
 # Most ticks `resample` builds: 4.4 hours at 16 ms, 133 times a 2-minute recording.
 MAX_TICKS = 1_000_000
+# The highest score of levels 1 to 5; a higher score is level 6.
+_LEVEL_TOPS = (499, 1000, 2000, 3000, 5000)
 
 
 def level_for_score(score: int) -> int:
@@ -50,17 +53,7 @@ def level_for_score(score: int) -> int:
         raise ValidationError(f"score must be an integer, got {score!r}")
     if score < 0:
         raise ValidationError(f"score must be >= 0, got {score!r}")
-    if score < 500:
-        return 1
-    if score <= 1000:
-        return 2
-    if score <= 2000:
-        return 3
-    if score <= 3000:
-        return 4
-    if score <= 5000:
-        return 5
-    return 6
+    return bisect.bisect_left(_LEVEL_TOPS, score) + 1
 
 
 def _slerp(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, int]:
@@ -108,7 +101,7 @@ def resample(traj: Sequence[TrajectorySample], tick_ms: float) -> Trajectory:
     steps = span / tick_ms + 1e-9
     n_ticks = math.floor(steps) + 1 if math.isfinite(steps) else steps
     if not n_ticks <= MAX_TICKS:  # checked before any column is built
-        raise ValidationError(f"resampling needs {n_ticks} ticks of {tick_ms!r} ms, above the limit of {MAX_TICKS}")
+        raise ValidationError(f"resampling at tick_ms = {tick_ms!r} needs more than {MAX_TICKS} ticks")
     t = t0 + np.arange(max(n_ticks, 0)) * tick_ms
     # each tick's segment starts at the last sample before it, as a scan that
     # only moves forward finds it (the running maximum keeps that true for
@@ -183,12 +176,18 @@ def run_scenario(
     roi_half = math.radians(cfg.roi_half_angle_deg)
     center_of = {obj.id: obj.center for obj in scene}
 
-    ticks = resample(traj, cfg.tick_ms)
+    try:
+        ticks = resample(traj, cfg.tick_ms)
+    except ValidationError as e:  # the recording, or its span at this tick_ms
+        raise ValidationError(f"{trajectory_path}: {e}") from None
     # without focus the timeline is the tick times alone, and no sample is built
     focus: list[tuple[FocusCandidate | None, float, bool]] = []
     state = FocusState.initial()
     for sample in () if no_focus else ticks:
-        rig = rig_from_pose(sample, cfg.ipd_m)
+        try:
+            rig = rig_from_pose(sample, cfg.ipd_m)
+        except GeometryError as e:  # a position too large for the eyes to differ in floating point
+            raise GeometryError(f"{trajectory_path}: tick at t_ms {sample.t_ms!r}: {e}") from None
         cam = derive_mid_camera(rig)
         roi = Roi(apex=cam.m, axis=cam.forward, half_angle=roi_half, z_far=cfg.roi_z_far_m)
         winner, _ = select_focus(scene, rig, roi, ray_cfg, weights)

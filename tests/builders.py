@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 import random
 
-from focusray import MidCamera, StereoRig, TrajectorySample, Vec3
+import focusray.geometry
+from focusray import MidCamera, PreparedScene, Roi, StereoRig, TrajectorySample, Vec3
 
 FORWARD = Vec3(0.0, 0.0, -1.0)
 UP = Vec3(0.0, 1.0, 0.0)
@@ -46,6 +47,23 @@ class NoArrays:
 
     def __getattr__(self, name: str):
         raise AssertionError(f"np.{name} was used")
+
+
+def culled(prepared: PreparedScene, roi: Roi) -> tuple[list[int], int]:
+    """`prepared.roi_rows(roi)` as a list, and how many rows it ran
+    `cone_mask` on: fewer than the scene holds on the slab path."""
+    real, tested = focusray.geometry.cone_mask, []
+
+    def spy(r, spheres):
+        tested.append(len(spheres))
+        return real(r, spheres)
+
+    focusray.geometry.cone_mask = spy
+    try:
+        rows = prepared.roi_rows(roi).tolist()
+    finally:
+        focusray.geometry.cone_mask = real
+    return rows, sum(tested)
 
 
 def sample_bits(s: TrajectorySample) -> tuple:

@@ -37,7 +37,7 @@ from focusray import (
 )
 from focusray import simulate
 from focusray.comfort import _RULE_ORDER, MIN_SAMPLES
-from focusray.geometry import MAX_COORD_M
+from focusray.geometry import MAX_COORD_M, MAX_FRAME_MS
 from focusray.io_formats import TRAJECTORY_HEADER, _content_lines
 
 
@@ -309,6 +309,8 @@ def parse_trajectory_by_rows(path: str) -> list[TrajectorySample]:
             raise ParseError(path, lineno, str(e)) from None
         if not max(abs(vals[1]), abs(vals[2]), abs(vals[3])) <= MAX_COORD_M:
             raise ParseError(path, lineno, f"position must be within {MAX_COORD_M:g} m on each axis")
+        if not sample.frame_time_ms <= MAX_FRAME_MS:
+            raise ParseError(path, lineno, f"frame_time_ms must be at most {MAX_FRAME_MS:g}, got {sample.frame_time_ms!r}")
         if samples and not sample.t_ms > samples[-1].t_ms:
             raise ParseError(path, lineno, "t_ms must strictly increase")
         samples.append(sample)
@@ -357,7 +359,7 @@ def resample_by_rows(traj: Sequence[TrajectorySample], tick_ms: float) -> list[T
     steps = span / tick_ms + 1e-9
     n_ticks = math.floor(steps) + 1 if math.isfinite(steps) else steps
     if not n_ticks <= simulate.MAX_TICKS:  # checked before any sample is built
-        raise ValidationError(f"resampling needs {n_ticks} ticks of {tick_ms!r} ms, above the limit of {simulate.MAX_TICKS}")
+        raise ValidationError(f"resampling at tick_ms = {tick_ms!r} needs more than {simulate.MAX_TICKS} ticks")
     out: list[TrajectorySample] = []
     seg = 0
     for i in range(n_ticks):

@@ -22,7 +22,7 @@ from focusray import (
     roi_mask,
     select_focus,
 )
-from builders import axial_rig, sample
+from builders import axial_rig, culled, sample
 from oracles import roi_contains, select_by_enumeration
 
 RIG = axial_rig(0.0, 0.0, 0.0)
@@ -354,7 +354,7 @@ class TestPreparedScene:
 
     def test_read_only(self):
         prepared = prepare_scene(self.scene())
-        for name in ("spheres", "ids", "values", "order", "starts"):
+        for name in ("spheres", "ids", "values", "order", "sorted_spheres"):
             with pytest.raises(ValueError):
                 getattr(prepared, name)[0] = 0
         with pytest.raises(AttributeError):
@@ -404,14 +404,14 @@ def _disc_world(rng: random.Random, n: int) -> list[SceneObject]:
 
 
 class TestSelectFocusAtScale:
-    """Selection through the grid cull on a large world, bit for bit against
+    """Selection through the slab cull on a large world, bit for bit against
     the scalar reference, with the scene prepared once or per call."""
 
     def test_disc_world_matches_enumeration(self):
         rng = random.Random(4000)
         scene = _disc_world(rng, 4000)
         prepared = prepare_scene(scene)
-        assert prepared.dims[0] > 1 and prepared.dims[2] > 1
+        assert prepared.sweep_axis != 1  # the disc is flat in y
         rays = RayConfig(k=2, n=32, half_angle=math.radians(15.0))
         gathered = kept = 0
         for _ in range(100):
@@ -426,9 +426,9 @@ class TestSelectFocusAtScale:
             assert (best, list(ranked)) == select_by_enumeration(scene, rig, roi, rays, DEFAULT_W)
             plain_best, plain = select_focus(scene, rig, roi, rays, DEFAULT_W)
             assert repr(plain_best) == repr(best) and [repr(c) for c in plain] == [repr(c) for c in ranked]
-            gathered += prepared._rows_near(roi) is not None
+            gathered += culled(prepared, roi)[1] < len(prepared)
             kept += len(ranked)
-        assert gathered == 100  # every call took the grid path
+        assert gathered == 100  # every call took the slab path
         assert 500 <= kept <= 5000
 
 

@@ -220,7 +220,7 @@ class TestRunCommand:
         p = run_files(tmp_path, traj=TRAJ.replace("100 0 0 0 0 0 -1", "100 0 0 0 0 0 1"), config="tick_ms = 50\n")
         code, err = quiet_main(self.argv(p))
         assert code == EXIT_VALIDATION
-        assert "forward between opposite orientations at t_ms 0.0 and 100.0" in err
+        assert f"{p['traj']}: cannot interpolate forward between opposite orientations at t_ms 0.0 and 100.0" in err
 
     def test_huge_time_span_is_validation_exit(self, tmp_path, monkeypatch):
         def no_samples(**fields):
@@ -231,7 +231,7 @@ class TestRunCommand:
         p = run_files(tmp_path, traj=TRAJ.replace("\n200 ", "\n1000000000000 "), config="tick_ms = 16\n")
         code, err = quiet_main(self.argv(p))
         assert code == EXIT_VALIDATION
-        assert "needs 62500000001 ticks of 16.0 ms, above the limit of 1000000" in err
+        assert err == f"focusray: {p['traj']}: resampling at tick_ms = 16.0 needs more than 1000000 ticks\n"
         assert not os.path.exists(p["out"])
 
     def test_object_id_beyond_64_bits_is_parse_exit(self, tmp_path):
@@ -262,6 +262,28 @@ class TestRunCommand:
             assert code == EXIT_PARSE
             assert "traj.txt:4: position must be within 1e+100 m on each axis" in err
 
+    def test_huge_frame_times_are_parse_exit(self, tmp_path):
+        # summed over the slow run, two frame times of 1e308 ms would overflow the frame-drop severity
+        p = run_files(tmp_path, traj=TRAJ.replace("90 1 11.1\n1", "90 1 1e308\n1", 2))
+        for extra in ((), ("--no-focus",)):
+            code, err = quiet_main(self.argv(p, *extra))
+            assert code == EXIT_PARSE
+            assert "traj.txt:2: frame_time_ms must be at most 1e+100, got 1e+308" in err
+            assert not os.path.exists(p["out"])
+
+    def test_frame_time_limit_is_inclusive(self, tmp_path):
+        p = run_files(tmp_path, traj=TRAJ.replace(" 11.1\n", " 1e100\n"))
+        for extra in ((), ("--no-focus",)):
+            assert quiet_main(self.argv(p, *extra)) == (EXIT_OK, "")
+            assert "3 slow frames" in open(p["out"], encoding="utf-8").read()
+
+    def test_position_too_far_for_the_rig_names_the_tick(self, tmp_path):
+        # at 1e20 m, eyes 64 mm apart round to the same point
+        p = run_files(tmp_path, traj=TRAJ.replace("\n100 0 0 0 ", "\n100 1e20 0 0 "))
+        code, err = quiet_main(self.argv(p))
+        assert code == EXIT_VALIDATION
+        assert f"{p['traj']}: tick at t_ms 100.0: degenerate rig" in err
+
     def test_huge_ray_count_is_validation_exit(self, tmp_path):
         # refused when the config is read: a cone this size is never built
         p = run_files(tmp_path, config="ray_k = 100000000000000000000\n")
@@ -278,7 +300,7 @@ class TestRunCommand:
         p = run_files(tmp_path, config="p_rm = 0.9\n")
         code, err = quiet_main(self.argv(p))
         assert code == EXIT_VALIDATION
-        assert "focusray:" in err
+        assert err.startswith(f"focusray: {p['config']}: ")
 
 
 def real(lo: float, hi: float):
@@ -321,10 +343,14 @@ def scene_rows(n: int) -> list[tuple]:
              st.sampled_from(["", "orb"])) for i in range(n)]
 
 
+# mostly on budget; else any slower frame, up to the float limit, where a run of them overflows a sum
+FRAME_MS = st.one_of(real(5.0, 40.0), real(5.0, 40.0), real(40.0, 1.7976931348623157e308))
+
+
 def trajectory_rows(n: int) -> list[tuple]:
     return [(TRAJ.splitlines()[0],)] + [
         (st.just(repr(100.0 * i)), real(-3.0, 3.0), real(-3.0, 3.0), real(-3.0, 3.0), POSE,
-         real(30.0, 120.0), st.sampled_from(["0", "1"]), real(5.0, 40.0))
+         real(30.0, 120.0), st.sampled_from(["0", "1"]), FRAME_MS)
         for i in range(n)
     ]
 
@@ -344,8 +370,8 @@ CONFIG = file_text(st.lists(st.sampled_from(CONFIG_FIELD_NAMES), unique=True, ma
 
 class TestRunFuzz:
     """`focusray run` on small generated files, valid and broken: every
-    outcome is a documented exit code, an error names itself on stderr, and
-    no exception or numpy warning gets out."""
+    outcome is a documented exit code, an error names the input file, or
+    `--out` for exit 5, on stderr, and no exception or numpy warning gets out."""
 
     @settings(max_examples=80, deadline=None)
     @given(scene=SCENE, traj=TRAJECTORY, config=CONFIG, no_focus=st.booleans())
@@ -358,6 +384,8 @@ class TestRunFuzz:
                 code, err = quiet_main(run_argv(p, *["--no-focus"] * no_focus))
             assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_OUTPUT)
             assert (err == "") if code == EXIT_OK else err.startswith("focusray: ")
+            named = [p["out"]] if code == EXIT_OUTPUT else [p["scene"], p["traj"], p["config"]]
+            assert code == EXIT_OK or any(path in err for path in named), err
             assert os.path.exists(p["out"]) == (code == EXIT_OK)
 
 

@@ -20,6 +20,7 @@ from focusray import (
 )
 from focusray.geometry import sphere_array
 from focusray.rays import nearest_hit_indices
+from builders import culled
 from oracles import cone_distance_by_sampling, hit_by_marching, point_cone_distance, ray_sphere_t, roi_contains
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -314,16 +315,33 @@ def edge_objects(rng: random.Random, roi: Roi, radius: float, first_id: int) -> 
     return [SceneObject(id=first_id + i, center=c, radius=radius, value=0.5) for i, c in enumerate(centers)]
 
 
-class TestPreparedSceneGrid:
-    """The grid cull keeps exactly what the scalar ROI test keeps, however
-    the centers sit against the cells and the ROI's limits."""
+def recorded_bounds(prepared) -> list:
+    """Swap `prepared.sorted_spheres` for a view whose `searchsorted` notes
+    each value it is asked for, the slab's bounds; the notes, in order."""
+    asked = []
 
-    def check(self, objects, roi) -> tuple[int, bool]:
-        prepared = prepare_scene(objects)
+    class Recording(np.ndarray):
+        def searchsorted(self, v, *args, **kwargs):
+            asked.append(v)
+            return np.asarray(self).searchsorted(v, *args, **kwargs)
+
+    object.__setattr__(prepared, "sorted_spheres", prepared.sorted_spheres.view(Recording))
+    return asked
+
+
+class TestPreparedSceneGrid:
+    """The slab cull keeps exactly what the scalar ROI test keeps, however
+    the centers sit against the slab's bounds and the ROI's limits: random
+    scenes, centers on the edges of a lattice of cells, flat and stretched
+    scenes, and extents too wide to subtract."""
+
+    def check(self, objects, roi, prepared=None) -> tuple[int, bool]:
+        prepared = prepare_scene(objects) if prepared is None else prepared
         want = [i for i, o in enumerate(sorted(objects, key=lambda o: o.id)) if roi_contains(roi, o)]
-        assert prepared.roi_rows(roi).tolist() == want
+        rows, tested = culled(prepared, roi)
+        assert rows == want
         assert roi_mask(roi, objects).sum() == len(want)
-        return len(want), prepared._rows_near(roi) is not None
+        return len(want), tested < len(prepared)
 
     def background(self, rng: random.Random, n: int = 600, reach: float = 40.0, first: int = 1) -> list[SceneObject]:
         return [
@@ -335,40 +353,56 @@ class TestPreparedSceneGrid:
     def test_roi_limits(self):
         rng = random.Random(7101)
         base = self.background(rng)
-        kept_on_edges = gathered = 0
+        kept_on_edges = swept = 0
         for case in range(120):
             roi = random_roi(rng, 30.0)
             edges = edge_objects(rng, roi, 2.0, 10_000) + edge_objects(rng, roi, rng.uniform(0.1, 2.0), 20_000)
-            kept, grid = self.check(base + edges, roi)
+            kept, slab = self.check(base + edges, roi)
             kept_on_edges += sum(roi_contains(roi, o) for o in edges)
-            gathered += grid
+            swept += slab
         assert kept_on_edges > 120 * 10
-        assert gathered > 40  # the grid path, not only the whole-scene scan
+        assert swept > 40  # the slab path, not only the whole-scene scan
 
     def test_centers_on_cell_edges(self):
+        """Centers on the planes of a 5 m lattice, and one ulp to either
+        side, so that many share a coordinate on the sweep axis; then, per
+        ROI, centers exactly on each bound of its slab and one ulp to either
+        side, which the cone cannot keep."""
         rng = random.Random(7102)
-        # the two corners fix the grid's origin and extent, so the cells stay put when the rest move
-        corners = [sphere(-40.0, -40.0, -40.0, 2.0, oid=1), sphere(40.0, 40.0, 40.0, 2.0, oid=2)]
-        grid = prepare_scene(corners + self.background(rng, 598, 39.0, first=3))
-        h, origin = grid.cell, grid.origin
 
-        def on_edge(axis):
-            x = origin[axis] + h * rng.randint(1, grid.dims[axis] - 1)
+        def on_edge():
+            x = 5.0 * rng.randint(-8, 8)
             return rng.choice((x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)))
 
-        edged = corners + [
-            SceneObject(id=i, center=Vec3(on_edge(0), on_edge(1), on_edge(2)), radius=rng.uniform(0.1, 2.0), value=0.5)
-            for i in range(3, 601)
+        # the sphere of radius 2 fixes r_max, so added spheres leave the slab's bounds put
+        edged = [sphere(0.0, 0.0, 0.0, 2.0, oid=1)] + [
+            SceneObject(id=i, center=Vec3(on_edge(), on_edge(), on_edge()), radius=rng.uniform(0.1, 2.0), value=0.5)
+            for i in range(2, 601)
         ]
         prepared = prepare_scene(edged)
-        assert (prepared.cell, prepared.origin, prepared.dims) == (h, origin, grid.dims) and h > 4.0
-        kept = gathered = 0
+        bounds = recorded_bounds(prepared)
+        e = prepared.sweep_axis
+        kept = swept = on_bounds = 0
         for _ in range(150):
             roi = random_roi(rng, 40.0, half_angle=rng.uniform(0.001, 0.8), z_far=rng.uniform(1.0, 25.0))
-            n, grid_path = self.check(edged, roi)
+            bounds.clear()
+            n, slab = self.check(edged, roi, prepared)
             kept += n
-            gathered += grid_path
-        assert kept > 150 and gathered > 75
+            swept += slab
+            if not bounds:
+                continue  # the box is not finite
+            placed = []
+            for bound in bounds:
+                for x in (math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf)):
+                    center = [rng.uniform(-40.0, 40.0) for _ in range(3)]
+                    center[e] = x
+                    placed.append(SceneObject(id=1000 + len(placed), center=Vec3(*center), radius=2.0, value=0.5))
+            widened = prepare_scene(edged + placed)
+            again = recorded_bounds(widened)
+            self.check(edged + placed, roi, widened)
+            assert again == bounds and widened.sweep_axis == e
+            on_bounds += len(placed)
+        assert kept > 150 and swept > 75 and on_bounds > 150 * 4
 
     def test_degenerate_scenes(self):
         rng = random.Random(7103)
@@ -377,22 +411,68 @@ class TestPreparedSceneGrid:
         assert self.check([sphere(0, 0, -10, 1.0)], roi) == (1, False)
         assert self.check([sphere(0, 0, 10, 1.0)], roi) == (0, False)
         coincident = [sphere(1.0, 2.0, -9.0, rng.uniform(0.1, 3.0), oid=i) for i in range(1, 601)]
-        assert prepare_scene(coincident).dims == (1, 1, 1)
+        assert prepare_scene(coincident).sweep_axis == 0  # no axis is wider: the first
         assert self.check(coincident, roi) == (600, False)
         assert self.check(coincident, Roi(apex=Vec3(0, 0, 0), axis=Vec3(0, 0, 1), half_angle=0.5, z_far=5.0))[0] == 0
+        # a slab of over half the rows is scanned whole
+        row = prepare_scene([sphere(float(x), 0.0, -10.0, 0.5, oid=x + 1) for x in range(100)])
+        wide, narrow = (Roi(apex=Vec3(30.0, 0, 0), axis=Vec3(0, 0, -1), half_angle=t, z_far=10.0) for t in (1.19, 0.5))
+        assert culled(row, wide)[1] == 100 and 10 < culled(row, narrow)[1] < 20
 
     def test_flat_axis(self):
         rng = random.Random(7104)
         flat = [sphere(rng.uniform(-100, 100), 1.5, rng.uniform(-100, 100), rng.uniform(0.1, 1.5), oid=i)
                 for i in range(1, 801)]
-        assert prepare_scene(flat).dims[1] == 1
-        gathered = 0
+        assert prepare_scene(flat).sweep_axis != 1
+        swept = 0
         for _ in range(60):
             roi = random_roi(rng, 90.0, half_angle=rng.uniform(0.05, 0.9), z_far=rng.uniform(5.0, 40.0))
             roi = Roi(apex=Vec3(roi.apex.x, rng.uniform(0.0, 3.0), roi.apex.z), axis=unit(roi.axis.x, 0.1 * roi.axis.y, roi.axis.z),
                       half_angle=roi.half_angle, z_far=roi.z_far)
-            gathered += self.check(flat + edge_objects(rng, roi, 1.5, 1000), roi)[1]
-        assert gathered > 30
+            swept += self.check(flat + edge_objects(rng, roi, 1.5, 1000), roi)[1]
+        assert swept > 30
+
+    def test_widest_axis_is_swept(self):
+        rng = random.Random(7107)
+        for e in range(3):
+            stretch = [1.0, 1.0, 1.0]
+            stretch[e] = 4.0
+            scene = [
+                SceneObject(id=i, center=Vec3(*(s * rng.uniform(-25.0, 25.0) for s in stretch)),
+                            radius=rng.uniform(0.1, 2.0), value=0.5)
+                for i in range(1, 801)
+            ]
+            prepared = prepare_scene(scene)
+            keys = prepared.spheres[prepared.order, e]
+            assert prepared.sweep_axis == e and (np.diff(keys) >= 0.0).all()
+            assert (prepared.sorted_spheres == prepared.spheres[prepared.order]).all()
+            swept = 0
+            for _ in range(40):
+                apex = Vec3(*(s * rng.uniform(-20.0, 20.0) for s in stretch))
+                roi = Roi(apex=apex, axis=random_unit(rng), half_angle=rng.uniform(0.05, 0.8), z_far=rng.uniform(2.0, 30.0))
+                kept, slab = self.check(scene, roi)
+                swept += slab
+            assert swept > 30
+
+    def test_extent_overflows(self):
+        """Two centers 3e308 m apart on x, which no parsed scene may hold
+        (MAX_COORD_M): the spread is found without overflow, x is swept, and
+        cones among the rest never test the far pair, whose squares overflow."""
+        rng = random.Random(7108)
+        scene = [sphere(-1.5e308, 0.0, 0.0, 1.0, oid=1), sphere(1.5e308, 0.0, 0.0, 1.0, oid=2)]
+        scene += [sphere(rng.uniform(-120.0, 120.0), rng.uniform(-15.0, 15.0), rng.uniform(-15.0, 15.0),
+                         rng.uniform(0.1, 2.0), oid=i) for i in range(3, 603)]
+        prepared = prepare_scene(scene)
+        assert prepared.sweep_axis == 0 and prepared.order[[0, -1]].tolist() == [0, 1]
+        kept = 0
+        for _ in range(60):
+            apex = Vec3(rng.uniform(-90.0, 90.0), rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0))
+            roi = Roi(apex=apex, axis=random_unit(rng), half_angle=rng.uniform(0.1, 0.6), z_far=rng.uniform(5.0, 30.0))
+            rows, tested = culled(prepared, roi)
+            assert rows == [i + 2 for i, o in enumerate(scene[2:]) if roi_contains(roi, o)]
+            assert tested < len(scene) // 2
+            kept += len(rows)
+        assert kept > 60
 
     def test_far_outlier(self):
         rng = random.Random(7105)
@@ -410,5 +490,5 @@ class TestPreparedSceneGrid:
                 for _ in range(5):
                     roi = random_roi(rng, 30.0, half_angle=half_angle, z_far=z_far)
                     edges = [] if math.isinf(z_far) or z_far > 1e6 else edge_objects(rng, roi, 2.0, 10_000)
-                    kept, grid = self.check(scene + edges, roi)
-                    assert not grid or half_angle < 1.3
+                    kept, slab = self.check(scene + edges, roi)
+                    assert not slab or half_angle < 1.3

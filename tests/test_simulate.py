@@ -131,14 +131,14 @@ class TestResample:
         traj = [sample(0.0, Vec3(0, 0, 0)), sample(16.0, Vec3(1, 0, 0)), sample(1e12, Vec3(2, 0, 0))]
         monkeypatch.setattr(simulate, "TrajectorySample", no_samples)
         monkeypatch.setattr(simulate, "np", NoArrays())  # nor any column
-        with pytest.raises(ValidationError, match=r"needs 62500000001 ticks of 16\.0 ms, above the limit of 1000000$"):
+        with pytest.raises(ValidationError, match=r"^resampling at tick_ms = 16\.0 needs more than 1000000 ticks$"):
             resample(traj, 16.0)
 
     def test_tick_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(simulate, "MAX_TICKS", 5)
         traj = [sample(0.0, Vec3(0, 0, 0)), sample(64.0, Vec3(1, 0, 0))]
         assert len(resample(traj, 16.0)) == 5
-        with pytest.raises(ValidationError, match="needs 6 ticks"):
+        with pytest.raises(ValidationError, match="needs more than 5 ticks$"):
             resample(traj[:1] + [sample(80.0, Vec3(1, 0, 0))], 16.0)
 
     def test_validation(self):
