@@ -5,7 +5,9 @@ sampling, hard-coded tables. None of it calls the vectorized production
 code paths it is used to verify; the only library outputs it consumes are a
 ray cone from `ray_bundle` (checked on its own by the ray-cone tests), the
 midpoint camera from `derive_mid_camera` and, for the trajectory references,
-the comment-stripped lines of `io_formats._content_lines`.
+the comment-stripped lines of `io_formats._content_lines`. The whole-replay
+reference `replay_by_rows` also takes the parsed scene and config, the focus
+dynamics and the renderers from the library as they are.
 """
 
 from __future__ import annotations
@@ -14,12 +16,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from focusray import (
     ComfortConfig,
     ComfortFinding,
     ComfortReport,
     ComfortRule,
     FocusCandidate,
+    FocusSelection,
+    FocusState,
     GeometryError,
     HeuristicWeights,
     MidCamera,
@@ -32,8 +38,16 @@ from focusray import (
     TrajectorySample,
     ValidationError,
     Vec3,
+    apply_selection,
     derive_mid_camera,
+    parse_config,
+    parse_scene,
     ray_bundle,
+    render_comfort_section,
+    render_config_section,
+    render_document,
+    render_timeline_section,
+    step,
 )
 from focusray import simulate
 from focusray.comfort import _RULE_ORDER, MIN_SAMPLES
@@ -644,3 +658,71 @@ def analyze_by_rows(
     for f in findings:
         counts[f.rule] += 1
     return ComfortReport(findings=tuple(findings), counts=counts, duration_ms=duration_ms)
+
+
+# --- the whole replay, one tick and one object at a time ---
+
+
+def rig_by_vectors(sample: TrajectorySample, ipd_m: float) -> StereoRig:
+    """The stereo rig of a head pose as a chain of `Vec3` operations: eyes
+    straddle the position along forward x up, normalized; up is forward's
+    re-orthogonalized partner."""
+    f = sample.forward
+    r = f.cross(sample.up).normalized()
+    u = r.cross(f)
+    half = ipd_m / 2.0
+    return StereoRig(ol=sample.position - r * half, or_=sample.position + r * half, up=u, forward=f)
+
+
+@dataclass(frozen=True, slots=True)
+class ReplayTick:
+    """What `replay_by_rows` did on one tick: the ROI it culled with, the
+    winner and every candidate, and the focus state before and after the tick."""
+
+    roi: Roi
+    winner: FocusCandidate | None
+    candidates: list[FocusCandidate]
+    before: FocusState
+    after: FocusState
+
+
+def replay_by_rows(
+    scene_path: str, trajectory_path: str, config_path: str, no_focus: bool = False
+) -> tuple[str, list[ReplayTick]]:
+    """The document `run_scenario` writes, composed from the references:
+    `parse_trajectory_by_rows`, `resample_by_rows`, `rig_by_vectors` per
+    tick, `select_by_enumeration` and `analyze_by_rows`. The scene, the
+    config, `apply_selection`/`step` and the renderers are the library's.
+    Also returns what each tick did, so a test can see what it covered."""
+    cfg = parse_config(config_path)
+    scene = list(parse_scene(scene_path))
+    traj = parse_trajectory_by_rows(trajectory_path)
+    ticks = resample_by_rows(traj, cfg.tick_ms)
+    ray_cfg, weights, dyn_cfg = cfg.ray_config(), cfg.heuristic_weights(), cfg.dynamics_config()
+    center_of = {obj.id: obj.center for obj in scene}
+
+    focus: list[tuple[FocusCandidate | None, float, bool]] = []
+    trace: list[ReplayTick] = []
+    state = FocusState.initial()
+    for sample in () if no_focus else ticks:
+        rig = rig_by_vectors(sample, cfg.ipd_m)
+        cam = derive_mid_camera(rig)
+        roi = Roi(apex=cam.m, axis=cam.forward, half_angle=math.radians(cfg.roi_half_angle_deg),
+                  z_far=cfg.roi_z_far_m)
+        winner, candidates = select_by_enumeration(scene, rig, roi, ray_cfg, weights)
+        selection = None
+        if winner is not None:
+            selection = FocusSelection(object_id=winner.object_id, distance=center_of[winner.object_id].distance_to(cam.m))
+        applied = apply_selection(state, selection, dyn_cfg)
+        focus.append((winner, applied.focal_distance, applied.transition is not None))
+        after = step(state, selection, cfg.tick_ms, dyn_cfg)
+        trace.append(ReplayTick(roi, winner, candidates, state, after))
+        state = after
+
+    report = analyze_by_rows(traj, duration_ms=None, cfg=cfg.comfort_config())
+    doc = render_document((
+        render_config_section(cfg),
+        render_timeline_section(np.array([s.t_ms for s in ticks]), None if no_focus else focus),
+        render_comfort_section(report),
+    ))
+    return doc, trace

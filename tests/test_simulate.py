@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from focusray import (
     ValidationError,
     Vec3,
     level_for_score,
+    parse_scene,
     resample,
     rig_from_pose,
     run_scenario,
@@ -15,7 +17,8 @@ from focusray import (
 )
 from focusray import simulate
 from focusray.cli import EXIT_OK, main
-from builders import FORWARD, UP, NoArrays, sample, sample_bits, write_large_scenario
+from builders import FORWARD, UP, NoArrays, culled, sample, sample_bits, write_large_scenario
+from oracles import replay_by_rows
 
 
 class TestLevelForScore:
@@ -323,6 +326,129 @@ class TestLargeScenario:
         doc = open(paths["out"], "rb").read()
         assert len(timeline_rows(doc.decode("utf-8"))) == 626
         assert hashlib.sha256(doc).hexdigest() == self.PINNED_SHA256
+
+
+# Headings of the lattice replay, as (forward, up): the axis directions,
+# visited so that no two consecutive samples look in opposite directions.
+_HEADINGS = {"-z": ((0, 0, -1), (0, 1, 0)), "-x": ((-1, 0, 0), (0, 1, 0)),
+             "+x": ((1, 0, 0), (0, 1, 0)), "+z": ((0, 0, 1), (0, 1, 0))}
+_TOUR = ["-z"] * 9 + ["-x"] * 4 + ["+z"] * 8 + ["+x"] * 5 + ["-z"] * 14
+
+
+def _trajectory_text(rows) -> str:
+    """Trajectory file text from (t_ms, pos, forward, up, fov, user, frame_ms) rows."""
+    lines = ["t_ms px py pz fx fy fz ux uy uz fov_deg user_initiated frame_time_ms"]
+    for t, pos, fwd, up, fov, user, frame in rows:
+        lines.append(" ".join(map(repr, (float(t), *map(float, pos + fwd + up), float(fov)))) + f" {int(user)} {frame!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _lattice_replay(rng: random.Random, weights: str = "0.5 0.3 0.2") -> tuple[str, str, str]:
+    """Scene, trajectory and config text of a replay on a 1/8 m lattice.
+
+    Objects ahead on the lattice, about half of them mirroring an earlier
+    offset (distance ties), with values from a short list (importance
+    ties), coincident twins, and chains of occluders along the view axis;
+    more on both sides. Every 80 ms the head stands on a 1/2 m lattice,
+    often at its center, and looks along an axis direction: behind it there is nothing, long enough
+    for the persistence hold to expire. Ticks of 20 or 30 ms interpolate
+    positions exactly; a long refocus keeps transitions in flight when the
+    winner changes. `weights` gives p_rm, p_d and p_v.
+    """
+    lines, oid, offsets = [], 1, []
+
+    def put(x, y, z, r, v):
+        nonlocal oid
+        lines.append(f"{oid} {x!r} {y!r} {z!r} {r!r} {v!r}")
+        oid += rng.randint(1, 3)
+
+    for _ in range(rng.randint(18, 30)):
+        if offsets and rng.random() < 0.5:
+            a, b, depth = rng.choice(offsets)
+            a, b = rng.choice(((-a, b), (a, -b), (b, a)))
+        else:
+            a, b, depth = rng.randint(-40, 40) / 8, rng.randint(-16, 16) / 8, rng.randint(24, 240) / 8
+            offsets.append((a, b, depth))
+        r, v = rng.choice((0.5, 1.0, 2.0)), rng.choice((0.0, 0.25, 0.5, 1.0))
+        for _ in range(1 + (rng.random() < 0.15)):  # a coincident twin with a higher id
+            put(a, 1.5 + b, -depth, r, v)
+    for _ in range(3):  # occluder chains: one line of sight, growing radii
+        a, b = rng.randint(-16, 16) / 8, rng.randint(-8, 8) / 8
+        for depth, r in zip(range(rng.randint(3, 6), 60, rng.randint(4, 9)), (0.5, 0.5, 1.0, 1.0, 2.0)):
+            put(a, 1.5 + b, -float(depth), r, rng.choice((0.25, 0.5)))
+    for side in (-1.0, 1.0):
+        for _ in range(rng.randint(3, 6)):
+            put(side * rng.randint(32, 120) / 8, 1.5 + rng.randint(-8, 8) / 8, -rng.randint(12, 48) / 8,
+                rng.choice((0.5, 1.0)), rng.choice((0.0, 0.5, 1.0)))
+
+    rows, fov = [], 90.0
+    for i, heading in enumerate(_TOUR):
+        # half the samples at the lattice's center, where mirrored offsets tie
+        x, y = (0.0, 1.5) if rng.random() < 0.5 else (rng.randint(-4, 4) / 2, rng.randint(2, 4) / 2)
+        fov += rng.choice((0.0, 0.0, 1.0, 1.5, -1.5))  # a step of 1 deg sits on the rule's threshold
+        frame = rng.choice((11.1, 11.1, 11.1, 22.2, 30.0))  # 22.2 ms sits on the frame-drop limit
+        rows.append((80.0 * i, (x, y, 0.0), *_HEADINGS[heading], fov, rng.random() < 0.7, frame))
+    k, n = rng.randint(1, 3), rng.randint(4, 16)
+    config = (f"tick_ms = {rng.choice((20, 30))}\nray_k = {k}\nray_n = {n}\nray_half_angle_deg = {rng.randint(8, 25)}\n"
+              f"roi_half_angle_deg = {rng.randint(20, 50)}\nroi_z_far_m = {rng.randint(160, 320) / 8}\n"
+              f"refocus_ms = 1000\npersistence_hold_ms = 200\n"
+              + "".join(f"{key} = {w}\n" for key, w in zip(("p_rm", "p_d", "p_v"), weights.split())))
+    return "\n".join(lines) + "\n", _trajectory_text(rows), config
+
+
+def _wide_replay(rng: random.Random) -> tuple[str, str, str]:
+    """A walk through an 800-object world on a 200 m disc with a short ROI,
+    so each tick's cull takes the slab path."""
+    lines = []
+    for oid in rng.sample(range(1, 5000), 800):
+        r, phi = 200.0 * math.sqrt(rng.random()), rng.uniform(0.0, 2.0 * math.pi)
+        lines.append(f"{oid} {r * math.cos(phi):.6f} {rng.uniform(0.3, 3.0):.6f} {r * math.sin(phi):.6f} "
+                     f"{rng.uniform(0.3, 2.0):.4f} {rng.randint(0, 4) / 4}")
+    rows = []
+    for i in range(20):
+        yaw = 0.6 * math.sin(0.4 * i) + rng.uniform(-0.1, 0.1)
+        fwd = (math.sin(yaw), 0.0, -math.cos(yaw))
+        rows.append((80.0 * i, (round(-40.0 + 4.0 * i, 3), 1.6, 0.0), fwd, (0.0, 1.0, 0.0), 90.0, True, 11.1))
+    config = "tick_ms = 40\nray_k = 2\nray_n = 12\nroi_z_far_m = 25\npersistence_hold_ms = 100\n"
+    return "\n".join(lines) + "\n", _trajectory_text(rows), config
+
+
+class TestReplayOracle:
+    """`run_scenario` against `replay_by_rows`, byte for byte, on seeded
+    replays that reach the slab cull, lattice ties, occluder chains, ticks
+    with no winner, persistence expiries and retargets mid-transition."""
+
+    def check(self, tmp_path, texts, no_focus=False):
+        scene, traj, config, out = scenario_files(tmp_path, *texts[:1], config_text=texts[2], traj_text=texts[1])
+        run_scenario(scene, traj, config, out, no_focus=no_focus)
+        want, trace = replay_by_rows(scene, traj, config, no_focus=no_focus)
+        assert open(out, "rb").read() == want.encode("utf-8")
+        return scene, trace
+
+    def test_lattice_replays_match_the_reference(self, tmp_path):
+        rng = random.Random(1212)
+        seen = dict.fromkeys(("ties", "no winner", "expiry", "retarget mid-transition"), 0)
+        # p_rm, p_d, p_v: without rm, importance ties at lattice points
+        for weights in ("0.0 0.5 0.5", "0.0 1.0 0.0", "0.5 0.3 0.2", "0.0 0.0 1.0"):
+            _, trace = self.check(tmp_path, _lattice_replay(rng, weights))
+            for tick in trace:
+                before, after = tick.before, tick.after
+                seen["ties"] += sum(c.importance == getattr(tick.winner, "importance", None) for c in tick.candidates) > 1
+                seen["no winner"] += tick.winner is None
+                seen["expiry"] += before.current_target is not None and after.current_target is None
+                seen["retarget mid-transition"] += (
+                    before.transition is not None and after.current_target not in (None, before.current_target))
+        assert min(seen.values()) >= 3, seen
+
+    def test_wide_replay_takes_the_slab_path(self, tmp_path):
+        scene, trace = self.check(tmp_path, _wide_replay(random.Random(800)))
+        prepared = parse_scene(scene)
+        assert all(culled(prepared, tick.roi)[1] < len(prepared) / 2 for tick in trace)
+        assert sum(tick.winner is not None for tick in trace) >= len(trace) // 2
+
+    def test_no_focus_replay(self, tmp_path):
+        _, trace = self.check(tmp_path, _lattice_replay(random.Random(7)), no_focus=True)
+        assert trace == []
 
 
 class TestScoreSsqFiles:
