@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Roi, SceneObject, StereoRig, derive_mid_camera, prepare_scene
+from .geometry import Roi, SceneObject, StereoRig, dot_rows, prepare_scene
 from .rays import RayBundle, RayConfig, ray_bundle, rm_scores
 
 WEIGHT_SUM_TOL = 1e-9
@@ -87,25 +87,28 @@ def select_focus(
     used as it is; any other sequence is prepared for this call alone.
     """
     prepared = prepare_scene(scene)
-    cols = prepared.roi_rows(roi)
+    cols, rel, rr = prepared.roi_rows(roi)
     if not cols.size:
         return None, Candidates(prepared.ids[cols], *[np.empty(0)] * 4)
     spheres = prepared.spheres[cols]
 
-    cam = derive_mid_camera(rig)
-    bundle: RayBundle = ray_bundle(ray_cfg, cam)
-    rms = rm_scores(cam.m, bundle, spheres)
+    # with the apex at the mid camera, the cull's vectors negated are camera
+    # minus center up to the sign of a zero, with the same squared lengths
+    m = rig.midpoint()
+    if (roi.apex.x, roi.apex.y, roi.apex.z) == m:
+        oc, ococ = -rel, rr
+    else:
+        oc = np.subtract(m, spheres[:, :3])
+        ococ = dot_rows(oc, oc)
+    bundle: RayBundle = ray_bundle(ray_cfg, rig)
+    rms = rm_scores(oc, bundle, spheres, ococ)
 
     # d: 1 at the camera, falling linearly to 0 at the ROI's far limit
     v = prepared.values[cols]
-    dx = spheres[:, 0] - cam.m.x
-    dy = spheres[:, 1] - cam.m.y
-    dz = spheres[:, 2] - cam.m.z
-    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-    d = 1.0 - np.minimum(dist, roi.z_far) / roi.z_far
+    d = 1.0 - np.minimum(np.sqrt(ococ), roi.z_far) / roi.z_far
     imp = weights.p_rm * rms + weights.p_d * d + weights.p_v * v
 
     candidates = Candidates(prepared.ids[cols], rms, d, v, imp)
     # highest importance, then higher d; argmax keeps the first (lowest id) of equals
-    top = np.flatnonzero(imp == imp.max())
-    return candidates[top[np.argmax(d[top])]], candidates
+    top = (imp == imp.max()).nonzero()[0]
+    return candidates[top[d[top].argmax()] if len(top) > 1 else top[0]], candidates

@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import UNIT_TOL, Vec3, dot_rows, norm_rows
+from .geometry import MAX_FRAME_MS, UNIT_TOL, Vec3, dot_rows, norm_rows
 
 # the acceleration rule differentiates twice, so its stencil needs three samples
 MIN_SAMPLES = 3
@@ -63,6 +63,8 @@ class TrajectorySample:
             raise ValidationError(f"fov_deg must be in (0, 180), got {self.fov_deg!r}")
         if not (math.isfinite(self.frame_time_ms) and self.frame_time_ms > 0.0):
             raise ValidationError(f"frame_time_ms must be positive, got {self.frame_time_ms!r}")
+        if not self.frame_time_ms <= MAX_FRAME_MS:  # so the frame-drop rule's sums stay finite
+            raise ValidationError(f"frame_time_ms must be at most {MAX_FRAME_MS:g}, got {self.frame_time_ms!r}")
 
 
 def invalid_sample_rows(t_ms, pos, fwd, up, fov, frame_ms) -> np.ndarray:
@@ -73,7 +75,7 @@ def invalid_sample_rows(t_ms, pos, fwd, up, fov, frame_ms) -> np.ndarray:
         for v in (fwd, up):  # a non-finite row has a non-finite norm
             bad |= ~(np.abs(norm_rows(v) - 1.0) <= UNIT_TOL)
         bad |= ~((fov > 0.0) & (fov < 180.0))
-        return bad | ~(np.isfinite(frame_ms) & (frame_ms > 0.0))
+        return bad | ~((frame_ms > 0.0) & (frame_ms <= MAX_FRAME_MS))
 
 
 # A row of a `Trajectory` passed every check when the columns were built, so

@@ -51,20 +51,13 @@ class Vec3:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
     def cross(self, other: "Vec3") -> "Vec3":
-        return Vec3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
+        return Vec3(*cross3((self.x, self.y, self.z), (other.x, other.y, other.z)))
 
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
     def normalized(self) -> "Vec3":
-        n = self.norm()
-        if n < 1e-12:
-            raise GeometryError("cannot normalize a near-zero vector")
-        return Vec3(self.x / n, self.y / n, self.z / n)
+        return Vec3(*unit3((self.x, self.y, self.z)))
 
     def distance_to(self, other: "Vec3") -> float:
         return (self - other).norm()
@@ -73,9 +66,29 @@ class Vec3:
         return abs(self.norm() - 1.0) <= tol
 
 
+def cross3(a: Sequence[float], b: Sequence[float]) -> tuple[float, float, float]:
+    """Cross product of two (x, y, z) float triples."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def unit3(a: Sequence[float]) -> tuple[float, float, float]:
+    """An (x, y, z) float triple divided by its length; GeometryError when near zero."""
+    n = math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
+    if n < 1e-12:
+        raise GeometryError("cannot normalize a near-zero vector")
+    return (a[0] / n, a[1] / n, a[2] / n)
+
+
+def view_frame(forward: Sequence[float], up: Sequence[float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Right (forward x up, normalized) and up made orthogonal (right x forward)."""
+    right = unit3(cross3(forward, up))
+    return right, cross3(right, forward)
+
+
 def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of (N, 3) arrays, summed in `Vec3.dot`'s order."""
-    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+    """Row-wise dot products of (N, 3) arrays, or with a 3-vector, summed in `Vec3.dot`'s order."""
+    p = a * b
+    return p[:, 0] + p[:, 1] + p[:, 2]
 
 
 def norm_rows(a: np.ndarray) -> np.ndarray:
@@ -104,6 +117,10 @@ class StereoRig:
             raise ValidationError("forward and up must be orthogonal")
         if self.ol == self.or_:
             raise GeometryError("degenerate rig: left and right optical centers coincide")
+
+    def midpoint(self) -> tuple[float, float, float]:
+        """The exact component-wise midpoint of the optical centers."""
+        return ((self.ol.x + self.or_.x) / 2.0, (self.ol.y + self.or_.y) / 2.0, (self.ol.z + self.or_.z) / 2.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,12 +174,7 @@ class Roi:
 
 def derive_mid_camera(rig: StereoRig) -> MidCamera:
     """Midpoint camera of a stereo rig: exact component-wise midpoint, frame copied."""
-    m = Vec3(
-        (rig.ol.x + rig.or_.x) / 2.0,
-        (rig.ol.y + rig.or_.y) / 2.0,
-        (rig.ol.z + rig.or_.z) / 2.0,
-    )
-    return MidCamera(m=m, forward=rig.forward, up=rig.up)
+    return MidCamera(m=Vec3(*rig.midpoint()), forward=rig.forward, up=rig.up)
 
 
 def sphere_array(objects: Sequence[SceneObject]) -> np.ndarray:
@@ -172,38 +184,36 @@ def sphere_array(objects: Sequence[SceneObject]) -> np.ndarray:
     ).reshape(-1, 4)
 
 
-def cone_mask(roi: Roi, spheres: np.ndarray) -> np.ndarray:
-    """Per row of `spheres` (see `sphere_array`), True when it overlaps the ROI.
+def cone_mask(roi: Roi, spheres: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of `spheres` (see `sphere_array`), True when it overlaps the
+    ROI; also each center minus the apex, (N, 3), and its squared length.
 
     Partial overlap counts. The distance from a center to the solid infinite
     cone is taken in the (radial, axial) half-plane, where the cone is
-    convex: zero inside, else the distance to the apex or to the lateral
-    boundary ray. Truncation: the sphere point closest to the apex plane
-    along the axis must lie at axial distance <= z_far.
+    convex: to the apex where `s <= 0`, else to the lateral boundary ray.
+    Inside the cone the first is 0 and the second (`side`) at most 0, so no
+    inside test is needed. Truncation: the sphere point closest to the apex
+    plane along the axis must lie at axial distance <= z_far.
     """
-    apex, rad = roi.apex, spheres[:, 3]
-    relx = spheres[:, 0] - apex.x
-    rely = spheres[:, 1] - apex.y
-    relz = spheres[:, 2] - apex.z
-    ax, ay, az = roi.axis.x, roi.axis.y, roi.axis.z
-    z = relx * ax + rely * ay + relz * az
-    rho_sq = (relx * relx + rely * rely + relz * relz) - z * z
-    rho = np.sqrt(np.where(rho_sq > 0.0, rho_sq, 0.0))
+    rad = spheres[:, 3]
+    rel = spheres[:, :3] - (roi.apex.x, roi.apex.y, roi.apex.z)
+    rr = dot_rows(rel, rel)
+    z = dot_rows(rel, (roi.axis.x, roi.axis.y, roi.axis.z))
+    zz = z * z
+    rho = np.sqrt(np.maximum(rr - zz, 0.0))
     sin_t = math.sin(roi.half_angle)
     cos_t = math.cos(roi.half_angle)
     side = rho * cos_t - z * sin_t
-    inside = (z >= 0.0) & (side <= 0.0)
     s = rho * sin_t + z * cos_t
     # plain sqrt, not hypot, so the scalar reference in tests/oracles.py
     # reproduces these values bit for bit
-    apex_dist = np.sqrt(rho * rho + z * z)
-    dist = np.where(inside, 0.0, np.where(s <= 0.0, apex_dist, side))
-    return (dist <= rad) & (z - rad <= roi.z_far)
+    apex_dist = np.sqrt(rho * rho + zz)
+    return (np.where(s <= 0.0, apex_dist, side) <= rad) & (z - rad <= roi.z_far), rel, rr
 
 
 def roi_mask(roi: Roi, objects: Sequence[SceneObject]) -> np.ndarray:
     """Per object, True when its bounding sphere overlaps the truncated ROI cone."""
-    return cone_mask(roi, sphere_array(objects))
+    return cone_mask(roi, sphere_array(objects))[0]
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
@@ -216,6 +226,7 @@ class PreparedScene(Sequence[SceneObject]):
 
     `sweep_axis` is that axis (0, 1 or 2), `order` the rows by ascending
     coordinate on it, and `sorted_spheres` is `spheres[order]`, column-major.
+    Every array owns its data.
     """
 
     objects: tuple[SceneObject, ...]
@@ -238,7 +249,7 @@ class PreparedScene(Sequence[SceneObject]):
         # halved, so that no spread overflows
         axis = int(np.argmax(np.ptp(arrays[:3] / 2.0, axis=1))) if table else 0
         order = np.argsort(arrays[axis], kind="stable")
-        attrs = dict(objects=objects, spheres=spheres, ids=np.array(ids, np.int64), values=arrays[4],
+        attrs = dict(objects=objects, spheres=spheres, ids=np.array(ids, np.int64), values=arrays[4].copy(),
                      r_max=max(columns[3], default=0.0), sweep_axis=axis, order=order,
                      sorted_spheres=arrays[:4].take(order, axis=1).T)
         for name, value in attrs.items():
@@ -255,9 +266,10 @@ class PreparedScene(Sequence[SceneObject]):
     def __iter__(self) -> Iterator[SceneObject]:
         return iter(self.objects)
 
-    def roi_rows(self, roi: Roi) -> np.ndarray:
-        """The rows of `spheres` whose spheres overlap the ROI cone, ascending:
-        `cone_mask` run on the slab of `sorted_spheres` that the cone's
+    def roi_rows(self, roi: Roi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows of `spheres` whose spheres overlap the ROI cone, ascending,
+        with `cone_mask`'s centers minus the apex and squared lengths of those
+        rows: `cone_mask` run on the slab of `sorted_spheres` that the cone's
         bounding box spans along `sweep_axis`, or on every row when that box
         is not finite or the slab holds over half the rows."""
         e = self.sweep_axis
@@ -278,10 +290,12 @@ class PreparedScene(Sequence[SceneObject]):
             keys = self.sorted_spheres[:, e]
             first, last = keys.searchsorted(lo), keys.searchsorted(hi)
             if 2 * (last - first) <= len(keys):
-                rows = self.order[first:last][cone_mask(roi, self.sorted_spheres[first:last])]
-                rows.sort()
-                return rows
-        return np.flatnonzero(cone_mask(roi, self.spheres))
+                keep, rel, rr = cone_mask(roi, self.sorted_spheres[first:last])
+                kept = keep.nonzero()[0]
+                kept = kept[self.order[first + kept].argsort()]  # into id order
+                return self.order[first + kept], rel[kept], rr[kept]
+        keep, rel, rr = cone_mask(roi, self.spheres)
+        return keep.nonzero()[0], rel[keep], rr[keep]
 
 
 def prepare_scene(objects: Iterable[SceneObject]) -> PreparedScene:

@@ -23,7 +23,7 @@ from .attention import FocusCandidate
 from .comfort import MIN_SAMPLES, ComfortReport, ComfortRule, Trajectory, TrajectorySample, invalid_sample_rows
 from .config import CONFIG_FIELD_NAMES, INT_FIELDS, SimConfig
 from .errors import GeometryError, OutputError, ParseError, ValidationError
-from .geometry import MAX_COORD_M, MAX_FRAME_MS, PreparedScene, SceneObject, Vec3, norm_rows, prepare_scene
+from .geometry import MAX_COORD_M, PreparedScene, SceneObject, Vec3, norm_rows, prepare_scene
 from .ssq import Profile, ProtocolReport, SsqResponse
 
 TRAJECTORY_HEADER = (
@@ -126,8 +126,6 @@ def _check_trajectory_row(path: str, lineno: int, text: str, prev_t_ms: float | 
         raise ParseError(path, lineno, str(e)) from None
     if not max(map(abs, vals[1:4])) <= MAX_COORD_M:
         raise ParseError(path, lineno, f"position must be within {MAX_COORD_M:g} m on each axis")
-    if not frame_time <= MAX_FRAME_MS:
-        raise ParseError(path, lineno, f"frame_time_ms must be at most {MAX_FRAME_MS:g}, got {frame_time!r}")
     if prev_t_ms is not None and not vals[0] > prev_t_ms:
         raise ParseError(path, lineno, "t_ms must strictly increase")
 
@@ -152,8 +150,9 @@ def parse_trajectory(path: str) -> Trajectory:
     Rows are converted with `float` in chunks and checked as columns. The
     first faulty row is then checked on its own, so the error names the same
     line and fault as a row-by-row parse: the field count and numbers, the
-    user flag, forward, up and right, the position, the sample invariants,
-    the position's magnitude, the frame time's, then time order.
+    user flag, forward, up and right, the position, the sample invariants
+    (the frame time's bound among them), the position's magnitude, then time
+    order.
     """
     lines = _content_lines(path)
     if not lines:
@@ -180,7 +179,7 @@ def parse_trajectory(path: str) -> Trajectory:
         # np.cross evaluates Vec3.cross's expressions, so the right vector is checked exactly
         bad = ~(fwd_norm >= 1e-12) | ~(up_norm >= 1e-12) | ~(norm_rows(np.cross(fwd, up)) >= 1e-12)
     bad |= (user != "0") & (user != "1") | invalid_sample_rows(t_ms, pos, fwd, up, fov, frame_ms)
-    bad |= ~(np.abs(pos) <= MAX_COORD_M).all(axis=1) | ~(frame_ms <= MAX_FRAME_MS)
+    bad |= ~(np.abs(pos) <= MAX_COORD_M).all(axis=1)
     bad[1:] |= ~(t_ms[1:] > t_ms[:-1])
     # the screens are exact, so the first flagged row raises; an unconverted row is faulty too
     for i in np.flatnonzero(bad).tolist() + [len(vals)] * (len(vals) < len(rows)):

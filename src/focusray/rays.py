@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import MidCamera, Vec3
+from .geometry import MidCamera, StereoRig, dot_rows, unit3, view_frame
 
 # 2*pi*(1 - 1/phi), phi the golden ratio: ~137.5 degrees per step.
 GOLDEN_ANGLE = 2.0 * math.pi * (1.0 - 2.0 / (1.0 + math.sqrt(5.0)))
@@ -69,18 +69,6 @@ def layer_weight(i: int, k: int) -> float:
     return (k - i + 1) / (k * (k + 1) // 2)
 
 
-def _orthonormal_frame(cam: MidCamera) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exactly orthonormal (forward, right, up) built from the camera frame."""
-    f = cam.forward.normalized()
-    r = f.cross(cam.up).normalized()
-    u = r.cross(f)
-    return (
-        np.array([f.x, f.y, f.z]),
-        np.array([r.x, r.y, r.z]),
-        np.array([u.x, u.y, u.z]),
-    )
-
-
 @lru_cache(maxsize=16)
 def _cone_trig(config: RayConfig) -> tuple[np.ndarray, ...]:
     """Layers, weights, and cos/sin of each ray's polar angle and azimuth as
@@ -96,35 +84,35 @@ def _cone_trig(config: RayConfig) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def ray_bundle(config: RayConfig, cam: MidCamera) -> RayBundle:
-    """Build the k*n ray cone as arrays, ordered layer-major, azimuth-index minor."""
+def ray_bundle(config: RayConfig, cam: MidCamera | StereoRig) -> RayBundle:
+    """Build the k*n ray cone as arrays, layer-major, azimuth-index minor, about
+    an exactly orthonormal frame made from that of `cam` (or of its rig)."""
     layers, weights, cos_t, sin_t, cos_p, sin_p = _cone_trig(config)
-    fwd, right, up = _orthonormal_frame(cam)
-    lateral = cos_p * right[None, :] + sin_p * up[None, :]
-    directions = cos_t * fwd[None, :] + sin_t * lateral
+    f = unit3((cam.forward.x, cam.forward.y, cam.forward.z))
+    fwd, right, up = np.array((f, *view_frame(f, (cam.up.x, cam.up.y, cam.up.z))))
+    lateral = cos_p * right + sin_p * up
+    directions = cos_t * fwd + sin_t * lateral
     directions.flags.writeable = False
     return RayBundle(directions, layers, weights)
 
 
-def nearest_hit_indices(origin: Vec3, directions: np.ndarray, spheres: np.ndarray) -> np.ndarray:
+def nearest_hit_indices(oc: np.ndarray, directions: np.ndarray, spheres: np.ndarray, ococ: np.ndarray) -> np.ndarray:
     """Row of `spheres` (see `sphere_array`) hit nearest by each ray, -1 on miss.
 
-    Ties at identical hit distance go to the earliest row; callers pass
-    spheres in ascending id order so the lower id wins. An origin inside (or
-    on) a sphere counts as a hit at distance zero: the object occupies the
-    camera. One matrix product prefilters the ray x sphere pairs; the exact
-    hit test, distances and the per-ray minimum run on the kept pairs only.
+    `oc` is the rays' origin minus each center, (N, 3), and `ococ` its
+    `dot_rows(oc, oc)`. Ties at identical hit distance go to the earliest
+    row; callers pass spheres in ascending id order so the lower id wins. An
+    origin inside (or on) a sphere is hit at distance zero. One matrix
+    product prefilters the ray x sphere pairs; the exact hit test, distances
+    and the per-ray minimum run on the kept pairs only.
     """
     nearest = np.full(directions.shape[0], -1, dtype=np.int64)
     if not len(spheres):
         return nearest
 
-    oc = np.subtract((origin.x, origin.y, origin.z), spheres[:, :3])
-    ocx, ocy, ocz = oc.T
     rad = spheres[:, 3]
     # Fixed operand order (c = oc.oc - r^2, b = oc.d, disc = b*b - c), which
     # the scalar reference in tests/oracles.py mirrors.
-    ococ = ocx * ocx + ocy * ocy + ocz * ocz
     c = ococ - rad * rad
     # A ray hits a sphere ahead only if it holds the origin (c <= 0) or b <=
     # -sqrt(c). The product sums b in another order; with the roundings of
@@ -136,7 +124,7 @@ def nearest_hit_indices(origin: Vec3, directions: np.ndarray, spheres: np.ndarra
     pairs = (directions.dot(oc.T) <= bound).ravel().nonzero()[0]  # ray-major, columns ascending
     ray, col = np.divmod(pairs, len(spheres))
     d, o = directions.take(ray, axis=0), oc.take(col, axis=0)
-    b = o[:, 0] * d[:, 0] + o[:, 1] * d[:, 1] + o[:, 2] * d[:, 2]
+    b = dot_rows(o, d)
     disc = b * b - c[col]
     root = np.sqrt(np.maximum(disc, 0.0))
     # distance ahead: the near root, 0 from inside; inf on a miss or behind
@@ -152,12 +140,13 @@ def nearest_hit_indices(origin: Vec3, directions: np.ndarray, spheres: np.ndarra
     return nearest
 
 
-def rm_scores(origin: Vec3, bundle: RayBundle, spheres: np.ndarray) -> np.ndarray:
-    """Per-sphere centrality scores, one per row of `spheres`, in order.
+def rm_scores(oc: np.ndarray, bundle: RayBundle, spheres: np.ndarray, ococ: np.ndarray) -> np.ndarray:
+    """Per-sphere centrality scores, one per row of `spheres`, in order;
+    `oc` and `ococ` as `nearest_hit_indices` takes them.
 
     Weights accumulate in ray order (`np.bincount` adds sequentially), so
     the sum is deterministic.
     """
-    nearest = nearest_hit_indices(origin, bundle.directions, spheres)
-    hit = nearest >= 0
-    return np.bincount(nearest[hit], weights=bundle.weights[hit], minlength=len(spheres))
+    nearest = nearest_hit_indices(oc, bundle.directions, spheres, ococ)
+    # misses land in bin 0, which is dropped
+    return np.bincount(nearest + 1, weights=bundle.weights, minlength=len(spheres) + 1)[1:]

@@ -20,7 +20,7 @@ from .attention import FocusCandidate, select_focus
 from .comfort import Trajectory, TrajectorySample, analyze_trajectory
 from .dynamics import FocusSelection, FocusState, apply_selection, step
 from .errors import GeometryError, ValidationError
-from .geometry import Roi, StereoRig, derive_mid_camera, dot_rows, norm_rows
+from .geometry import Roi, StereoRig, Vec3, derive_mid_camera, dot_rows, norm_rows, view_frame
 from .io_formats import (
     parse_config,
     parse_profile,
@@ -141,16 +141,11 @@ def rig_from_pose(sample: TrajectorySample, ipd_m: float) -> StereoRig:
     vector (forward x up, normalized); up is re-orthogonalized against forward."""
     if not (math.isfinite(ipd_m) and ipd_m > 0.0):
         raise ValidationError(f"ipd_m must be positive, got {ipd_m!r}")
-    f = sample.forward
-    r = f.cross(sample.up).normalized()
-    u = r.cross(f)
+    f, p, up = sample.forward, sample.position, sample.up
+    r, u = view_frame((f.x, f.y, f.z), (up.x, up.y, up.z))
     half = ipd_m / 2.0
-    return StereoRig(
-        ol=sample.position - r * half,
-        or_=sample.position + r * half,
-        up=u,
-        forward=f,
-    )
+    dx, dy, dz = r[0] * half, r[1] * half, r[2] * half
+    return StereoRig(ol=Vec3(p.x - dx, p.y - dy, p.z - dz), or_=Vec3(p.x + dx, p.y + dy, p.z + dz), up=Vec3(*u), forward=f)
 
 
 def run_scenario(

@@ -5,8 +5,12 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
+
 import focusray.geometry
-from focusray import MidCamera, PreparedScene, Roi, StereoRig, TrajectorySample, Vec3
+from focusray import MidCamera, PreparedScene, RayBundle, Roi, StereoRig, TrajectorySample, Vec3
+from focusray.geometry import dot_rows
+from focusray.rays import nearest_hit_indices, rm_scores
 
 FORWARD = Vec3(0.0, 0.0, -1.0)
 UP = Vec3(0.0, 1.0, 0.0)
@@ -49,9 +53,26 @@ class NoArrays:
         raise AssertionError(f"np.{name} was used")
 
 
+def _camera_rows(origin: Vec3, spheres: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    oc = np.subtract((origin.x, origin.y, origin.z), spheres[:, :3])
+    return oc, dot_rows(oc, oc)
+
+
+def nearest_from(origin: Vec3, directions: np.ndarray, spheres: np.ndarray) -> np.ndarray:
+    """`nearest_hit_indices` for rays cast from `origin`."""
+    oc, ococ = _camera_rows(origin, spheres)
+    return nearest_hit_indices(oc, directions, spheres, ococ)
+
+
+def rm_from(origin: Vec3, bundle: RayBundle, spheres: np.ndarray) -> np.ndarray:
+    """`rm_scores` for a cone cast from `origin`."""
+    oc, ococ = _camera_rows(origin, spheres)
+    return rm_scores(oc, bundle, spheres, ococ)
+
+
 def culled(prepared: PreparedScene, roi: Roi) -> tuple[list[int], int]:
-    """`prepared.roi_rows(roi)` as a list, and how many rows it ran
-    `cone_mask` on: fewer than the scene holds on the slab path."""
+    """The rows of `prepared.roi_rows(roi)` as a list, and how many rows it
+    ran `cone_mask` on: fewer than the scene holds on the slab path."""
     real, tested = focusray.geometry.cone_mask, []
 
     def spy(r, spheres):
@@ -60,7 +81,7 @@ def culled(prepared: PreparedScene, roi: Roi) -> tuple[list[int], int]:
 
     focusray.geometry.cone_mask = spy
     try:
-        rows = prepared.roi_rows(roi).tolist()
+        rows = prepared.roi_rows(roi)[0].tolist()
     finally:
         focusray.geometry.cone_mask = real
     return rows, sum(tested)

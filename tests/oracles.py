@@ -51,7 +51,7 @@ from focusray import (
 )
 from focusray import simulate
 from focusray.comfort import _RULE_ORDER, MIN_SAMPLES
-from focusray.geometry import MAX_COORD_M, MAX_FRAME_MS
+from focusray.geometry import MAX_COORD_M
 from focusray.io_formats import TRAJECTORY_HEADER, _content_lines
 
 
@@ -323,8 +323,6 @@ def parse_trajectory_by_rows(path: str) -> list[TrajectorySample]:
             raise ParseError(path, lineno, str(e)) from None
         if not max(abs(vals[1]), abs(vals[2]), abs(vals[3])) <= MAX_COORD_M:
             raise ParseError(path, lineno, f"position must be within {MAX_COORD_M:g} m on each axis")
-        if not sample.frame_time_ms <= MAX_FRAME_MS:
-            raise ParseError(path, lineno, f"frame_time_ms must be at most {MAX_FRAME_MS:g}, got {sample.frame_time_ms!r}")
         if samples and not sample.t_ms > samples[-1].t_ms:
             raise ParseError(path, lineno, "t_ms must strictly increase")
         samples.append(sample)
@@ -676,9 +674,11 @@ def rig_by_vectors(sample: TrajectorySample, ipd_m: float) -> StereoRig:
 
 @dataclass(frozen=True, slots=True)
 class ReplayTick:
-    """What `replay_by_rows` did on one tick: the ROI it culled with, the
-    winner and every candidate, and the focus state before and after the tick."""
+    """What `replay_by_rows` did on one tick: the rig and ROI it selected
+    with, the winner and every candidate, and the focus state before and
+    after the tick."""
 
+    rig: StereoRig
     roi: Roi
     winner: FocusCandidate | None
     candidates: list[FocusCandidate]
@@ -686,14 +686,21 @@ class ReplayTick:
     after: FocusState
 
 
-def replay_by_rows(
-    scene_path: str, trajectory_path: str, config_path: str, no_focus: bool = False
-) -> tuple[str, list[ReplayTick]]:
+@dataclass(frozen=True, slots=True)
+class Replay:
+    """The document `replay_by_rows` renders, the comfort report in it and
+    what each tick did."""
+
+    document: str
+    report: ComfortReport
+    ticks: list[ReplayTick]
+
+
+def replay_by_rows(scene_path: str, trajectory_path: str, config_path: str, no_focus: bool = False) -> Replay:
     """The document `run_scenario` writes, composed from the references:
     `parse_trajectory_by_rows`, `resample_by_rows`, `rig_by_vectors` per
     tick, `select_by_enumeration` and `analyze_by_rows`. The scene, the
-    config, `apply_selection`/`step` and the renderers are the library's.
-    Also returns what each tick did, so a test can see what it covered."""
+    config, `apply_selection`/`step` and the renderers are the library's."""
     cfg = parse_config(config_path)
     scene = list(parse_scene(scene_path))
     traj = parse_trajectory_by_rows(trajectory_path)
@@ -716,7 +723,7 @@ def replay_by_rows(
         applied = apply_selection(state, selection, dyn_cfg)
         focus.append((winner, applied.focal_distance, applied.transition is not None))
         after = step(state, selection, cfg.tick_ms, dyn_cfg)
-        trace.append(ReplayTick(roi, winner, candidates, state, after))
+        trace.append(ReplayTick(rig, roi, winner, candidates, state, after))
         state = after
 
     report = analyze_by_rows(traj, duration_ms=None, cfg=cfg.comfort_config())
@@ -725,4 +732,4 @@ def replay_by_rows(
         render_timeline_section(np.array([s.t_ms for s in ticks]), None if no_focus else focus),
         render_comfort_section(report),
     ))
-    return doc, trace
+    return Replay(doc, report, trace)

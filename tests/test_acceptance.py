@@ -41,7 +41,7 @@ from focusray import (
 )
 
 from focusray.geometry import sphere_array
-from focusray.rays import rm_scores
+from builders import rm_from
 from oracles import rm_by_enumeration, roi_contains, ssq_scores_by_matrix
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
@@ -142,7 +142,7 @@ def test_criterion_2_rm_matches_enumeration_bitwise(criterion):
             bundle = ray_bundle(cfg, cam)
             want = rm_by_enumeration(cam, bundle, scene)
             ordered = sorted(scene, key=lambda o: o.id)
-            scores = dict(zip((o.id for o in ordered), rm_scores(cam.m, bundle, sphere_array(ordered))))
+            scores = dict(zip((o.id for o in ordered), rm_from(cam.m, bundle, sphere_array(ordered))))
             for oid in ids:
                 got = scores[oid]
                 assert got == want[oid], (oid, got, want[oid])

@@ -315,6 +315,41 @@ class TestSelectFocusOracle:
             assert (best, list(ranked)) == select_by_enumeration(scene, rig, roi, ray_cfg, DEFAULT_W)
 
 
+    def test_apex_off_the_camera_matches_enumeration(self):
+        """An ROI whose apex is not the mid camera: the cull's vectors from
+        the apex are not the camera's, on the full scan or on the slab."""
+        rng = random.Random(7117)
+        paths = {"full scan": 0, "slab": 0}
+        for case in range(120):
+            rig, scene = _tie_scene(rng)
+            m = derive_mid_camera(rig).m
+            offset = Vec3(*(rng.randint(-16, 16) / 8 for _ in range(3)))
+            roi = Roi(apex=m + offset, axis=rig.forward, half_angle=math.radians(rng.uniform(15.0, 60.0)),
+                      z_far=rng.randint(80, 400) / 8)
+            ray_cfg = RayConfig(k=rng.randint(1, 4), n=rng.randint(1, 24), half_angle=math.radians(rng.uniform(5.0, 30.0)))
+            weights = rng.choice(self.WEIGHTS)
+            best, ranked = select_focus(scene, rig, roi, ray_cfg, weights)
+            assert (best, list(ranked)) == select_by_enumeration(scene, rig, roi, ray_cfg, weights), case
+            if roi.apex != m and ranked:
+                paths["full scan" if culled(prepare_scene(scene), roi)[1] == len(scene) else "slab"] += 1
+
+        world = _disc_world(rng, 1500)
+        prepared = prepare_scene(world)
+        rays = RayConfig(k=2, n=16, half_angle=math.radians(15.0))
+        for _ in range(12):
+            ang = rng.uniform(0.0, 2.0 * math.pi)
+            yaw = math.pi - ang + rng.uniform(-1.0, 1.0)
+            forward = Vec3(math.sin(yaw), 0.0, -math.cos(yaw))
+            rig = rig_from_pose(sample(0.0, Vec3(60.0 * math.cos(ang), 1.6, 60.0 * math.sin(ang)), forward=forward), 0.064)
+            apex = derive_mid_camera(rig).m + forward * rng.uniform(-4.0, 4.0) + Vec3(0.0, rng.uniform(-1.0, 1.0), 0.0)
+            roi = Roi(apex=apex, axis=forward, half_angle=math.radians(30.0), z_far=40.0)
+            best, ranked = select_focus(prepared, rig, roi, rays, DEFAULT_W)
+            assert (best, list(ranked)) == select_by_enumeration(world, rig, roi, rays, DEFAULT_W)
+            if ranked:
+                paths["full scan" if culled(prepared, roi)[1] == len(prepared) else "slab"] += 1
+        assert min(paths.values()) >= 10, paths
+
+
 class TestPreparedScene:
     """A `PreparedScene` is built once and holds what it was given; a plain
     sequence is prepared afresh on every `select_focus` call, so any change
@@ -351,6 +386,15 @@ class TestPreparedScene:
         scene = self.scene() + [obj(3, 9.0, 9.0, 9.0)]
         with pytest.raises(ValidationError, match="duplicate object ids"):
             prepare_scene(scene)
+
+    def test_no_array_keeps_a_larger_one_alive(self):
+        scene = _disc_world(random.Random(3), 4000)
+        prepared = prepare_scene(scene)
+        assert prepared.values.base is None and prepared.values.flags.owndata
+        assert prepared.values.tolist() == [o.value for o in sorted(scene, key=lambda o: o.id)]
+        for name in ("spheres", "ids", "values", "order", "sorted_spheres"):
+            array = getattr(prepared, name)
+            assert array.base is None or array.base.nbytes == array.nbytes, name
 
     def test_read_only(self):
         prepared = prepare_scene(self.scene())

@@ -7,6 +7,7 @@ from focusray import (
     ComfortConfig,
     ComfortFinding,
     ComfortRule,
+    Trajectory,
     TrajectorySample,
     ValidationError,
     Vec3,
@@ -14,6 +15,7 @@ from focusray import (
     render_comfort_section,
     render_document,
 )
+from focusray.geometry import MAX_FRAME_MS
 from builders import comfort_tour, sample, trajectory_along_x
 
 COMFORT_DIR = Path(__file__).parent / "data" / "comfort"
@@ -353,6 +355,17 @@ class TestValidation:
             sample(0.0, Vec3(0, 0, 0), fov_deg=180.0)
         with pytest.raises(ValidationError):
             sample(0.0, Vec3(0, 0, 0), frame_time_ms=0.0)
+
+    def test_frame_times_are_bounded_in_library_trajectories(self):
+        # two adjacent 1e308 ms frames used to sum to an infinite frame-drop severity
+        rows = [(0.0, 1e308), (100.0, 1e308), (200.0, 11.1)]
+        with pytest.raises(ValidationError, match=r"^frame_time_ms must be at most 1e\+100, got 1e\+308$"):
+            analyze_trajectory([sample(t, Vec3(0, 0, 0), frame_time_ms=ft) for t, ft in rows])
+        columns = Trajectory.from_samples([sample(t, Vec3(0, 0, 0)) for t, _ in rows])
+        frame_ms = [ft for _, ft in rows]
+        with pytest.raises(ValidationError, match="^frame_time_ms must be at most"):
+            Trajectory(columns.t_ms, columns.pos, columns.fwd, columns.up, columns.fov, columns.user, frame_ms)
+        assert sample(0.0, Vec3(0, 0, 0), frame_time_ms=MAX_FRAME_MS).frame_time_ms == 1e100
 
     def test_sample_rejects_non_unit_frame(self):
         with pytest.raises(ValidationError):

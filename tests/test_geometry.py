@@ -19,8 +19,7 @@ from focusray import (
     roi_mask,
 )
 from focusray.geometry import sphere_array
-from focusray.rays import nearest_hit_indices
-from builders import culled
+from builders import culled, nearest_from
 from oracles import cone_distance_by_sampling, hit_by_marching, point_cone_distance, ray_sphere_t, roi_contains
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -115,7 +114,7 @@ def ray_t(origin: Vec3, direction: Vec3, obj: SceneObject) -> float | None:
 def hits(origin: Vec3, direction: Vec3, obj: SceneObject) -> bool:
     """Hit/miss of one ray against one sphere, from the library's nearest-hit kernel."""
     d = np.array([[direction.x, direction.y, direction.z]])
-    return bool(nearest_hit_indices(origin, d, sphere_array([obj]))[0] == 0)
+    return bool(nearest_from(origin, d, sphere_array([obj]))[0] == 0)
 
 
 def in_roi(roi: Roi, obj: SceneObject) -> bool:

@@ -15,8 +15,8 @@ from focusray import (
     ray_bundle,
 )
 from focusray.geometry import sphere_array
-from focusray.rays import MAX_RAYS, nearest_hit_indices, rm_scores
-from builders import FORWARD, UP, axial_cam
+from focusray.rays import MAX_RAYS
+from builders import FORWARD, UP, axial_cam, nearest_from, rm_from
 from oracles import ray_sphere_t, rm_by_enumeration
 
 TWO_PI = 2.0 * math.pi
@@ -177,13 +177,13 @@ class TestNearestHits:
 
     def test_empty_scene_all_miss(self):
         b = ray_bundle(cfg(), self.cam)
-        nearest = nearest_hit_indices(self.cam.m, b.directions, sphere_array([]))
+        nearest = nearest_from(self.cam.m, b.directions, sphere_array([]))
         assert (nearest == -1).all()
 
     def test_occluder_wins(self):
         b = ray_bundle(cfg(k=1, n=1), self.cam)
         scene = [obj(1, 0, 0, -20, 3.0), obj(2, 0, 0, -5, 2.0)]
-        nearest = nearest_hit_indices(self.cam.m, b.directions, sphere_array(scene))
+        nearest = nearest_from(self.cam.m, b.directions, sphere_array(scene))
         assert nearest[0] == 1  # index of the closer sphere
 
     def test_tie_goes_to_earlier_entry(self):
@@ -191,7 +191,7 @@ class TestNearestHits:
         d = np.array([[0.0, 0.0, -1.0]])
         d.flags.writeable = False
         scene = [obj(7, 0, 0, -10, 2.0), obj(9, 0, 0, -10, 2.0)]
-        nearest = nearest_hit_indices(self.cam.m, d, sphere_array(scene))
+        nearest = nearest_from(self.cam.m, d, sphere_array(scene))
         assert nearest[0] == 0
 
 
@@ -201,7 +201,7 @@ class TestComputeRm:
     cam = axial_cam(0.0, 0.0, 0.0)
 
     def rm(self, scene, target, **kw):
-        scores = rm_scores(self.cam.m, ray_bundle(cfg(**kw), self.cam), sphere_array(scene))
+        scores = rm_from(self.cam.m, ray_bundle(cfg(**kw), self.cam), sphere_array(scene))
         return dict(zip((o.id for o in scene), scores))[target]
 
     def test_enclosing_sphere_scores_one(self):
@@ -253,7 +253,7 @@ class TestComputeRm:
                 for oid in range(1, rng.randint(2, 9))
             ]
             want = rm_by_enumeration(cam, bundle, scene)
-            got = rm_scores(cam.m, bundle, sphere_array(scene))  # built in ascending id order
+            got = rm_from(cam.m, bundle, sphere_array(scene))  # built in ascending id order
             for o, score in zip(scene, got):
                 assert score == want[o.id], f"trial {trial} target {o.id}"
 
@@ -263,7 +263,7 @@ class TestRmScoresBundleForm:
         cam = axial_cam(0.0, 0.0, 0.0)
         b = ray_bundle(cfg(k=2, n=16, half_deg=20.0), cam)
         scene = [obj(1, 0, 0, -5, 1.2), obj(2, 0, 0, -12, 5.0)]
-        scores = rm_scores(cam.m, b, sphere_array(scene))
+        scores = rm_from(cam.m, b, sphere_array(scene))
         assert scores[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert scores[1] == pytest.approx(1.0 / 3.0, rel=1e-12)
 
@@ -317,11 +317,11 @@ class TestRayConeCull:
                 hits += any(want)
                 misses += not any(want)
                 # the pair prefilter keeps every ray the exact test hits
-                got = nearest_hit_indices(cam.m, bundle.directions, spheres[col:col + 1])
+                got = nearest_from(cam.m, bundle.directions, spheres[col:col + 1])
                 assert (got == 0).tolist() == want, (col, sphere)
             scene = [obj(col, *row) for col, row in enumerate(rows)]
             scores = rm_by_enumeration(cam, bundle, scene)
-            assert rm_scores(cam.m, bundle, spheres).tolist() == [scores[o.id] for o in scene]
+            assert rm_from(cam.m, bundle, spheres).tolist() == [scores[o.id] for o in scene]
         assert hits >= 500 and misses >= 500
 
 
@@ -341,7 +341,7 @@ class TestSparseTailTies:
             base.append((0.0, 0.0, rng.uniform(-1.0, 1.0), 1.5))  # encloses the camera: hits at t = 0
             rows = [rng.choice(base) for _ in range(rng.randint(4, 14))]
             spheres = np.array(rows)
-            got = nearest_hit_indices(cam.m, bundle.directions, spheres).tolist()
+            got = nearest_from(cam.m, bundle.directions, spheres).tolist()
             for j, d in enumerate(bundle.directions.tolist()):
                 best, best_t = -1, math.inf
                 for col, (cx, cy, cz, r) in enumerate(rows):
@@ -356,7 +356,7 @@ class TestSparseTailTies:
         cam = axial_cam(0.0, 0.0, 0.0)
         bundle = ray_bundle(cfg(k=1, n=16, half_deg=20.0), cam)
         twin = (0.0, 0.0, -10.0, 500.0)
-        scores = rm_scores(cam.m, bundle, np.array([twin, twin, twin]))
+        scores = rm_from(cam.m, bundle, np.array([twin, twin, twin]))
         assert scores.tolist() == [1.0, 0.0, 0.0]
 
 
@@ -422,7 +422,7 @@ class TestNearestHitScan:
                 rows.insert(j, rows[i])
                 kinds.insert(j, kinds[i])
             assert len(rows) >= 200
-            got = nearest_hit_indices(cam.m, bundle.directions, np.array(rows)).tolist()
+            got = nearest_from(cam.m, bundle.directions, np.array(rows)).tolist()
             scan = _strict_scan(cam, bundle.directions, rows)
             want = [best for best, _ in scan]
             assert got == want

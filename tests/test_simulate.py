@@ -398,7 +398,9 @@ def _lattice_replay(rng: random.Random, weights: str = "0.5 0.3 0.2") -> tuple[s
 
 def _wide_replay(rng: random.Random) -> tuple[str, str, str]:
     """A walk through an 800-object world on a 200 m disc with a short ROI,
-    so each tick's cull takes the slab path."""
+    so each tick's cull takes the slab path. Positions and orientations
+    are off any lattice, and the 30 ms ticks interpolate between 80 ms
+    samples, so each stage rounds."""
     lines = []
     for oid in rng.sample(range(1, 5000), 800):
         r, phi = 200.0 * math.sqrt(rng.random()), rng.uniform(0.0, 2.0 * math.pi)
@@ -406,31 +408,51 @@ def _wide_replay(rng: random.Random) -> tuple[str, str, str]:
                      f"{rng.uniform(0.3, 2.0):.4f} {rng.randint(0, 4) / 4}")
     rows = []
     for i in range(20):
-        yaw = 0.6 * math.sin(0.4 * i) + rng.uniform(-0.1, 0.1)
-        fwd = (math.sin(yaw), 0.0, -math.cos(yaw))
-        rows.append((80.0 * i, (round(-40.0 + 4.0 * i, 3), 1.6, 0.0), fwd, (0.0, 1.0, 0.0), 90.0, True, 11.1))
-    config = "tick_ms = 40\nray_k = 2\nray_n = 12\nroi_z_far_m = 25\npersistence_hold_ms = 100\n"
+        yaw, pitch = 0.6 * math.sin(0.4 * i) + rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)
+        fwd = (math.cos(pitch) * math.sin(yaw), math.sin(pitch), -math.cos(pitch) * math.cos(yaw))
+        up = (-math.sin(pitch) * math.sin(yaw), math.cos(pitch), math.sin(pitch) * math.cos(yaw))
+        pos = (-40.0 + 4.0 * i + rng.uniform(-0.3, 0.3), 1.6 + rng.uniform(-0.1, 0.1), rng.uniform(-0.5, 0.5))
+        rows.append((80.0 * i, tuple(round(c, 6) for c in pos), tuple(round(c, 9) for c in fwd),
+                     tuple(round(c, 9) for c in up), 90.0, True, round(rng.uniform(9.0, 40.0), 3)))
+    config = "tick_ms = 30\nray_k = 2\nray_n = 12\nroi_z_far_m = 25\npersistence_hold_ms = 100\n"
     return "\n".join(lines) + "\n", _trajectory_text(rows), config
 
 
 class TestReplayOracle:
-    """`run_scenario` against `replay_by_rows`, byte for byte, on seeded
-    replays that reach the slab cull, lattice ties, occluder chains, ticks
-    with no winner, persistence expiries and retargets mid-transition."""
+    """`run_scenario` against `replay_by_rows` on seeded replays that reach
+    the slab cull, lattice ties, occluder chains, ticks with no winner,
+    persistence expiries and retargets mid-transition: the report byte for
+    byte and, since it rounds to 6 decimals, each tick's rig, ROI and winner
+    and the comfort report exactly."""
 
-    def check(self, tmp_path, texts, no_focus=False):
-        scene, traj, config, out = scenario_files(tmp_path, *texts[:1], config_text=texts[2], traj_text=texts[1])
+    def check(self, monkeypatch, tmp_path, texts, no_focus=False):
+        scene, traj, config, out = scenario_files(tmp_path, texts[0], config_text=texts[2], traj_text=texts[1])
+        select, analyze, ticks, reports = simulate.select_focus, simulate.analyze_trajectory, [], []
+
+        def select_spy(scene, rig, roi, *args):
+            winner, candidates = select(scene, rig, roi, *args)
+            ticks.append((rig, roi, winner))
+            return winner, candidates
+
+        def analyze_spy(*args, **kwargs):
+            reports.append(analyze(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(simulate, "select_focus", select_spy)
+        monkeypatch.setattr(simulate, "analyze_trajectory", analyze_spy)
         run_scenario(scene, traj, config, out, no_focus=no_focus)
-        want, trace = replay_by_rows(scene, traj, config, no_focus=no_focus)
-        assert open(out, "rb").read() == want.encode("utf-8")
-        return scene, trace
+        want = replay_by_rows(scene, traj, config, no_focus=no_focus)
+        assert ticks == [(tick.rig, tick.roi, tick.winner) for tick in want.ticks]
+        assert reports == [want.report]
+        assert open(out, "rb").read() == want.document.encode("utf-8")
+        return scene, want.ticks
 
-    def test_lattice_replays_match_the_reference(self, tmp_path):
+    def test_lattice_replays_match_the_reference(self, monkeypatch, tmp_path):
         rng = random.Random(1212)
         seen = dict.fromkeys(("ties", "no winner", "expiry", "retarget mid-transition"), 0)
         # p_rm, p_d, p_v: without rm, importance ties at lattice points
         for weights in ("0.0 0.5 0.5", "0.0 1.0 0.0", "0.5 0.3 0.2", "0.0 0.0 1.0"):
-            _, trace = self.check(tmp_path, _lattice_replay(rng, weights))
+            _, trace = self.check(monkeypatch, tmp_path, _lattice_replay(rng, weights))
             for tick in trace:
                 before, after = tick.before, tick.after
                 seen["ties"] += sum(c.importance == getattr(tick.winner, "importance", None) for c in tick.candidates) > 1
@@ -440,14 +462,14 @@ class TestReplayOracle:
                     before.transition is not None and after.current_target not in (None, before.current_target))
         assert min(seen.values()) >= 3, seen
 
-    def test_wide_replay_takes_the_slab_path(self, tmp_path):
-        scene, trace = self.check(tmp_path, _wide_replay(random.Random(800)))
+    def test_wide_replay_takes_the_slab_path(self, monkeypatch, tmp_path):
+        scene, trace = self.check(monkeypatch, tmp_path, _wide_replay(random.Random(800)))
         prepared = parse_scene(scene)
         assert all(culled(prepared, tick.roi)[1] < len(prepared) / 2 for tick in trace)
         assert sum(tick.winner is not None for tick in trace) >= len(trace) // 2
 
-    def test_no_focus_replay(self, tmp_path):
-        _, trace = self.check(tmp_path, _lattice_replay(random.Random(7)), no_focus=True)
+    def test_no_focus_replay(self, monkeypatch, tmp_path):
+        _, trace = self.check(monkeypatch, tmp_path, _lattice_replay(random.Random(7)), no_focus=True)
         assert trace == []
 
 
