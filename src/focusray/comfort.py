@@ -78,26 +78,14 @@ def invalid_sample_rows(t_ms, pos, fwd, up, fov, frame_ms) -> np.ndarray:
         return bad | ~((frame_ms > 0.0) & (frame_ms <= MAX_FRAME_MS))
 
 
-# A row of a `Trajectory` passed every check when the columns were built, so
-# its sample is made by setting the frozen classes' slots directly.
-_SET_X, _SET_Y, _SET_Z = (getattr(Vec3, name).__set__ for name in Vec3.__slots__)
-_SET_SAMPLE = [getattr(TrajectorySample, name).__set__ for name in TrajectorySample.__slots__]
-
-
-def _vec3(x: float, y: float, z: float) -> Vec3:
-    v = object.__new__(Vec3)
-    _SET_X(v, x), _SET_Y(v, y), _SET_Z(v, z)
-    return v
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class Trajectory(Sequence[TrajectorySample]):
     """A recording as read-only columns, one row per sample: `t_ms`, `fov`
     and `frame_ms` (N,) float64, `pos`, `fwd` and `up` (N, 3) float64 and
     `user` (N,) bool. Every row meets the `TrajectorySample` invariants (the
     first that does not raises that sample's error); rows need not be in
-    time order. Each `TrajectorySample` is built on access, from plain
-    Python floats and a bool."""
+    time order. Each `TrajectorySample` is built on access by its checked
+    constructor, from plain Python floats and a bool."""
 
     t_ms: np.ndarray
     pos: np.ndarray
@@ -118,8 +106,7 @@ class Trajectory(Sequence[TrajectorySample]):
             col.flags.writeable = False
             object.__setattr__(self, f.name, col)
         for i in np.flatnonzero(invalid_sample_rows(self.t_ms, self.pos, self.fwd, self.up, self.fov, self.frame_ms)):
-            t, p, f, u, fov, user, frame = (getattr(self, c.name)[i].tolist() for c in fields(self))
-            TrajectorySample(t, Vec3(*p), Vec3(*f), Vec3(*u), fov, user, frame)  # the row's own check raises
+            self[i]  # the row's own check raises
 
     @classmethod
     def from_samples(cls, samples: Sequence[TrajectorySample]) -> Trajectory:
@@ -146,10 +133,7 @@ class Trajectory(Sequence[TrajectorySample]):
     def _samples(self, rows: slice) -> Iterator[TrajectorySample]:
         columns = [getattr(self, f.name)[rows].tolist() for f in fields(self)]
         for t, p, f, u, fov, user, frame in zip(*columns):
-            sample = object.__new__(TrajectorySample)
-            for set_field, value in zip(_SET_SAMPLE, (t, _vec3(*p), _vec3(*f), _vec3(*u), fov, user, frame)):
-                set_field(sample, value)
-            yield sample
+            yield TrajectorySample(t, Vec3(*p), Vec3(*f), Vec3(*u), fov, user, frame)
 
 
 class ComfortRule(enum.Enum):

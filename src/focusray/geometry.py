@@ -219,14 +219,13 @@ def roi_mask(roi: Roi, objects: Sequence[SceneObject]) -> np.ndarray:
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class PreparedScene(Sequence[SceneObject]):
     """A scene prepared once for ROI queries: a sequence of its objects in the
-    order given, ids checked unique; read-only `spheres` (as `sphere_array`),
-    `ids` (int64) and `values` in ascending id order; and the rows sorted
-    along the world axis on which the centers spread widest, for a sort and
-    sweep cull (Ericson, *Real-Time Collision Detection*, 2004, 7.5).
+    order given, ids checked unique, and read-only `spheres` (as
+    `sphere_array`), `ids` (int64) and `values`, one row per object sorted
+    along the world axis on which the centers spread widest, ties by id, for
+    a sort and sweep cull (Ericson, *Real-Time Collision Detection*, 2004, 7.5).
 
-    `sweep_axis` is that axis (0, 1 or 2), `order` the rows by ascending
-    coordinate on it, and `sorted_spheres` is `spheres[order]`, column-major.
-    Every array owns its data.
+    `sweep_axis` is that axis (0, 1 or 2); `spheres` is column-major, so its
+    column on that axis is contiguous. Every array owns its data.
     """
 
     objects: tuple[SceneObject, ...]
@@ -235,8 +234,6 @@ class PreparedScene(Sequence[SceneObject]):
     values: np.ndarray
     r_max: float
     sweep_axis: int
-    order: np.ndarray
-    sorted_spheres: np.ndarray
 
     def __init__(self, objects: Iterable[SceneObject]) -> None:
         objects = tuple(objects)
@@ -245,13 +242,12 @@ class PreparedScene(Sequence[SceneObject]):
         if len(set(ids)) != len(ids):
             raise ValidationError("scene contains duplicate object ids")
         arrays = np.array(columns, np.float64).reshape(5, -1)
-        spheres = np.ascontiguousarray(arrays[:4].T)
         # halved, so that no spread overflows
         axis = int(np.argmax(np.ptp(arrays[:3] / 2.0, axis=1))) if table else 0
-        order = np.argsort(arrays[axis], kind="stable")
-        attrs = dict(objects=objects, spheres=spheres, ids=np.array(ids, np.int64), values=arrays[4].copy(),
-                     r_max=max(columns[3], default=0.0), sweep_axis=axis, order=order,
-                     sorted_spheres=arrays[:4].take(order, axis=1).T)
+        order = np.argsort(arrays[axis], kind="stable")  # the table is in id order, so ties stay by id
+        attrs = dict(objects=objects, spheres=arrays[:4].take(order, axis=1).T,
+                     ids=np.array(ids, np.int64).take(order), values=arrays[4].take(order),
+                     r_max=max(columns[3], default=0.0), sweep_axis=axis)
         for name, value in attrs.items():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -267,11 +263,10 @@ class PreparedScene(Sequence[SceneObject]):
         return iter(self.objects)
 
     def roi_rows(self, roi: Roi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows of `spheres` whose spheres overlap the ROI cone, ascending,
-        with `cone_mask`'s centers minus the apex and squared lengths of those
-        rows: `cone_mask` run on the slab of `sorted_spheres` that the cone's
-        bounding box spans along `sweep_axis`, or on every row when that box
-        is not finite or the slab holds over half the rows."""
+        """The rows of `spheres` whose spheres overlap the ROI cone, in id
+        order, with `cone_mask`'s centers minus the apex and squared lengths
+        of those rows: `cone_mask` run on the slab of rows that the cone's
+        bounding box spans along `sweep_axis`, every row if it is not finite."""
         e = self.sweep_axis
         near, ax = (roi.apex.x, roi.apex.y, roi.apex.z), (roi.axis.x, roi.axis.y, roi.axis.z)
         # A kept center lies within r_max of its nearest cone point, which is
@@ -280,22 +275,18 @@ class PreparedScene(Sequence[SceneObject]):
         # by r_max and by a margin far above the rounding of cone_mask, so
         # no center on a bound is kept. The far disc's half-width is
         # multiplied in this order so that it is NaN only when depth is
-        # infinite, and then so is the pad.
+        # infinite, and then so is the pad: lo is finite or -inf, hi finite
+        # or inf, and a box that is not finite spans every row.
         depth = roi.z_far + 2.0 * self.r_max
         half = math.sqrt(ax[e - 1] ** 2 + ax[e - 2] ** 2) * depth * math.tan(roi.half_angle)
         far = near[e] + depth * ax[e]
         pad = self.r_max + 1e-6 * (depth + max(map(abs, near)))
         lo, hi = min(near[e], far - half) - pad, max(near[e], far + half) + pad
-        if math.isfinite(lo) and math.isfinite(hi):
-            keys = self.sorted_spheres[:, e]
-            first, last = keys.searchsorted(lo), keys.searchsorted(hi)
-            if 2 * (last - first) <= len(keys):
-                keep, rel, rr = cone_mask(roi, self.sorted_spheres[first:last])
-                kept = keep.nonzero()[0]
-                kept = kept[self.order[first + kept].argsort()]  # into id order
-                return self.order[first + kept], rel[kept], rr[kept]
-        keep, rel, rr = cone_mask(roi, self.spheres)
-        return keep.nonzero()[0], rel[keep], rr[keep]
+        first, last = self.spheres[:, e].searchsorted((lo, hi)).tolist()
+        keep, rel, rr = cone_mask(roi, self.spheres[first:last])
+        kept = keep.nonzero()[0]
+        kept = kept[self.ids[first:last][kept].argsort()]  # into id order
+        return first + kept, rel[kept], rr[kept]
 
 
 def prepare_scene(objects: Iterable[SceneObject]) -> PreparedScene:

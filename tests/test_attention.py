@@ -317,9 +317,9 @@ class TestSelectFocusOracle:
 
     def test_apex_off_the_camera_matches_enumeration(self):
         """An ROI whose apex is not the mid camera: the cull's vectors from
-        the apex are not the camera's, on the full scan or on the slab."""
+        the apex are not the camera's, on a slab of every row or of some."""
         rng = random.Random(7117)
-        paths = {"full scan": 0, "slab": 0}
+        paths = {"every row": 0, "slab": 0}
         for case in range(120):
             rig, scene = _tie_scene(rng)
             m = derive_mid_camera(rig).m
@@ -331,7 +331,7 @@ class TestSelectFocusOracle:
             best, ranked = select_focus(scene, rig, roi, ray_cfg, weights)
             assert (best, list(ranked)) == select_by_enumeration(scene, rig, roi, ray_cfg, weights), case
             if roi.apex != m and ranked:
-                paths["full scan" if culled(prepare_scene(scene), roi)[1] == len(scene) else "slab"] += 1
+                paths["every row" if culled(prepare_scene(scene), roi)[1] == len(scene) else "slab"] += 1
 
         world = _disc_world(rng, 1500)
         prepared = prepare_scene(world)
@@ -346,7 +346,7 @@ class TestSelectFocusOracle:
             best, ranked = select_focus(prepared, rig, roi, rays, DEFAULT_W)
             assert (best, list(ranked)) == select_by_enumeration(world, rig, roi, rays, DEFAULT_W)
             if ranked:
-                paths["full scan" if culled(prepared, roi)[1] == len(prepared) else "slab"] += 1
+                paths["every row" if culled(prepared, roi)[1] == len(prepared) else "slab"] += 1
         assert min(paths.values()) >= 10, paths
 
 
@@ -377,10 +377,12 @@ class TestPreparedScene:
         assert len(prepared) == len(scene) and list(prepared) == scene
         assert all(a is b for a, b in zip(prepared, scene))
         assert prepared[0] is scene[0] and prepared[-1] is scene[-1]
-        assert prepared.ids.tolist() == sorted(o.id for o in scene)
-        by_id = sorted(scene, key=lambda o: o.id)
-        assert prepared.spheres.tolist() == [[o.center.x, o.center.y, o.center.z, o.radius] for o in by_id]
-        assert prepared.values.tolist() == [o.value for o in by_id]
+        # one row per object, in sweep order: along z, where the centers spread widest and ids descend
+        assert prepared.sweep_axis == 2 and prepared.spheres.flags.f_contiguous
+        rows = sorted(scene, key=lambda o: o.center.z)
+        assert prepared.ids.tolist() == list(range(8, 0, -1)) == [o.id for o in rows]
+        assert prepared.spheres.tolist() == [[o.center.x, o.center.y, o.center.z, o.radius] for o in rows]
+        assert prepared.values.tolist() == [o.value for o in rows]
 
     def test_duplicate_ids_rejected(self):
         scene = self.scene() + [obj(3, 9.0, 9.0, 9.0)]
@@ -391,14 +393,15 @@ class TestPreparedScene:
         scene = _disc_world(random.Random(3), 4000)
         prepared = prepare_scene(scene)
         assert prepared.values.base is None and prepared.values.flags.owndata
-        assert prepared.values.tolist() == [o.value for o in sorted(scene, key=lambda o: o.id)]
-        for name in ("spheres", "ids", "values", "order", "sorted_spheres"):
+        value_of = {o.id: o.value for o in scene}
+        assert prepared.values.tolist() == [value_of[i] for i in prepared.ids.tolist()]
+        for name in ("spheres", "ids", "values"):
             array = getattr(prepared, name)
             assert array.base is None or array.base.nbytes == array.nbytes, name
 
     def test_read_only(self):
         prepared = prepare_scene(self.scene())
-        for name in ("spheres", "ids", "values", "order", "sorted_spheres"):
+        for name in ("spheres", "ids", "values"):
             with pytest.raises(ValueError):
                 getattr(prepared, name)[0] = 0
         with pytest.raises(AttributeError):

@@ -11,7 +11,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from focusray import SimConfig, simulate
+from focusray import SimConfig, ValidationError, level_for_score, simulate
 from focusray.cli import EXIT_OK, EXIT_OUTPUT, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATION, main
 from focusray.config import CONFIG_FIELD_NAMES
 from builders import NoArrays
@@ -389,16 +389,131 @@ class TestRunFuzz:
             assert os.path.exists(p["out"]) == (code == EXIT_OK)
 
 
+def ssq_argv(p):
+    return ["ssq", "--q1", p["q1"], "--q2", p["q2"], "--q3", p["q3"], "--profile", p["profile"], "--out", p["out"]]
+
+
+RATING_TEXT = ("0", "1", "2", "3")
+PROFILE_VALUES = {
+    "name": st.sampled_from(["P01", "Ana Lima", "x-7"]), "age": st.integers(1, 120).map(str),
+    "gender": st.sampled_from(["male", "female", "other"]), "academic_background": st.sampled_from(["hci", "cs"]),
+}
+
+
+@st.composite
+def questionnaire_text(draw, broken: bool) -> str:
+    """16 ratings over one to sixteen lines, maybe under a comment; when
+    `broken`, with a rating that is not one, too few or too many ratings."""
+    tokens = draw(st.lists(st.sampled_from(RATING_TEXT), min_size=16, max_size=16))
+    if broken:
+        k = draw(st.integers(0, 15))
+        fault = draw(st.sampled_from(["token", "short", "extra"]))
+        if fault == "token":
+            tokens[k] = draw(ANY.filter(lambda t: t not in RATING_TEXT))
+        elif fault == "short":
+            del tokens[k:]
+        else:
+            tokens.insert(k, draw(st.sampled_from(RATING_TEXT)))
+    per_line = draw(st.sampled_from([16, 8, 4, 1]))
+    lines = [" ".join(tokens[i:i + per_line]) for i in range(0, len(tokens), per_line)]
+    return "".join(line + "\n" for line in ["# symptoms 1-16"] * draw(st.booleans()) + lines)
+
+
+@st.composite
+def profile_text(draw, broken: bool) -> str:
+    """The four `key = value` lines in any order; when `broken`, with an age
+    that is not a positive integer, a key missing, unknown or repeated, or a
+    line with no `=`."""
+    lines = [[key, "=", draw(value)] for key, value in PROFILE_VALUES.items()]
+    lines = draw(st.permutations(lines))
+    if broken:
+        k = draw(st.integers(0, 3))
+        fault = draw(st.sampled_from(["age", "missing", "unknown", "repeated", "no equals"]))
+        if fault == "age":
+            age = next(line for line in lines if line[0] == "age")
+            age[2] = draw(ANY.filter(lambda t: not (t.isdigit() and int(t) > 0)))
+        elif fault == "missing":
+            del lines[k]
+        elif fault == "unknown":
+            lines.insert(k, ["height", "=", "180"])
+        elif fault == "repeated":
+            lines.insert(k, list(lines[draw(st.integers(0, 3))]))
+        else:
+            del lines[k][1]
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+@st.composite
+def ssq_inputs(draw) -> tuple[str | None, dict[str, bytes | None]]:
+    """The four `ssq` input files, of which at most one, named first, is
+    broken: in its text, by a byte that is not UTF-8, or by being absent
+    (None)."""
+    broken = draw(st.sampled_from([None, "q1", "q2", "q3", "profile"]))
+    files = {}
+    for name in ("q1", "q2", "q3", "profile"):
+        how = draw(st.sampled_from(["text", "text", "text", "byte", "absent"])) if name == broken else None
+        text = draw((profile_text if name == "profile" else questionnaire_text)(how == "text"))
+        data = text.encode("utf-8")
+        if how == "byte":
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + b"\xff" + data[at:]
+        files[name] = None if how == "absent" else data
+    return broken, files
+
+
+class TestSsqFuzz:
+    """`focusray ssq` on generated files, at most one of them broken: a valid
+    set exits 0 and writes the report, and a broken one exits 3 with an error
+    on stderr that names that file and no other; nothing else gets out."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=ssq_inputs())
+    def test_the_error_names_the_broken_file(self, inputs):
+        broken, files = inputs
+        with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p = {name: os.path.join(d, f"{name}.txt") for name in files}
+            for name, data in files.items():
+                if data is not None:
+                    Path(p[name]).write_bytes(data)
+            p["out"] = os.path.join(d, "report.txt")
+            code, err = quiet_main(ssq_argv(p))
+            if broken is None:
+                assert (code, err) == (EXIT_OK, "")
+            else:
+                assert code == EXIT_PARSE and err.startswith("focusray: ")
+                assert [name for name in files if p[name] in err] == [broken], err
+            assert os.path.exists(p["out"]) == (code == EXIT_OK)
+
+
+class TestLevelFuzz:
+    """`focusray level` on any argument text: exit 0 with `level_for_score`
+    of the integer the text spells, or exit 2 with a usage error; the one
+    other exit 0 is argparse's help, for `-h` or a prefix of `--help`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(st.text(), st.integers().map(str), st.integers(-9, 9).map(str),
+                          st.sampled_from([500 * k + d for k in (1, 2, 4, 6, 10) for d in (-1, 0, 1)]).map(str),
+                          st.sampled_from(["-h", "--he", "--", " 7 ", "+5", "1_000", "\u0663", "-0"])))
+    def test_every_outcome_is_a_level_or_a_usage_error(self, text):
+        try:
+            want = f"{level_for_score(int(text))}\n"
+        except (ValueError, ValidationError):
+            want = None
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["level", text])
+        if want is not None:
+            assert (code, out.getvalue(), err.getvalue()) == (EXIT_OK, want, "")
+        elif code == EXIT_OK:
+            assert out.getvalue().startswith("usage: focusray level") and text in ("-h", "--h", "--he", "--hel", "--help")
+        else:
+            assert code == EXIT_USAGE and out.getvalue() == ""
+            assert err.getvalue().startswith("usage: focusray")
+
+
 class TestSsqCommand:
-    def argv(self, p):
-        return [
-            "ssq",
-            "--q1", p["q1"],
-            "--q2", p["q2"],
-            "--q3", p["q3"],
-            "--profile", p["profile"],
-            "--out", p["out"],
-        ]
+    argv = staticmethod(ssq_argv)
 
     def test_success(self, tmp_path):
         p = ssq_files(tmp_path, q2="3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3\n")

@@ -9,6 +9,7 @@ from focusray import (
     MidCamera,
     RayConfig,
     SceneObject,
+    StereoRig,
     ValidationError,
     Vec3,
     layer_weight,
@@ -94,9 +95,17 @@ class TestBundleGeometry:
             assert math.fsum(b.weights.tolist()) == pytest.approx(1.0, abs=1e-12)
 
     def test_directions_are_unit(self):
-        b = ray_bundle(cfg(k=4, n=32, half_deg=40.0), self.cam)
-        norms = np.sqrt((b.directions * b.directions).sum(axis=1))
-        assert np.max(np.abs(norms - 1.0)) < 1e-12
+        """Within 2 ulps of 1, also when the camera's forward is 6e-10 off
+        unit length, which `is_unit` lets through: the bundle normalizes it."""
+        long = 1.0 + 6e-10
+        assert Vec3(0.0, 0.0, -long).is_unit()
+        cams = (self.cam, MidCamera(m=Vec3(0, 0, 0), forward=Vec3(0.0, 0.0, -long), up=Vec3(0, 1, 0)),
+                StereoRig(ol=Vec3(-0.032, 1.6, 0.0), or_=Vec3(0.032, 1.6, 0.0), up=Vec3(0, 1, 0),
+                          forward=Vec3(0.6 * long, 0.0, -0.8 * long)))
+        for cam in cams:
+            b = ray_bundle(cfg(k=4, n=32, half_deg=40.0), cam)
+            norms = np.sqrt((b.directions * b.directions).sum(axis=1))
+            assert np.max(np.abs(norms - 1.0)) <= 2 * np.spacing(1.0)
 
     def test_polar_angles_scale_with_layer(self):
         half = math.radians(30.0)

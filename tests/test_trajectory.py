@@ -18,7 +18,6 @@ from focusray import (
     ComfortRule,
     ParseError,
     Trajectory,
-    TrajectorySample,
     ValidationError,
     Vec3,
     analyze_trajectory,
@@ -315,6 +314,7 @@ class TestTrajectoryType:
         assert [sample_bits(s) for s in traj] == [sample_bits(traj[i]) for i in range(4)]
         assert sample_bits(traj[-1]) == sample_bits(traj[3])
         assert sample_bits(traj[-4]) == sample_bits(traj[0])
+        assert traj[2] == traj[-2] and hash(traj[2]) == hash(traj[-2])
         for bad in (4, -5):
             with pytest.raises(IndexError):
                 traj[bad]
@@ -333,20 +333,6 @@ class TestTrajectoryType:
         pos[0, 0], fov[1] = math.nan, 180.0  # after the check: the trajectory holds copies
         assert owned.pos is not pos and owned.fov is not fov
         assert [sample_bits(s) for s in owned] == [sample_bits(s) for s in traj]
-
-    def test_samples_are_not_checked_again(self, monkeypatch):
-        traj = self.traj()
-        want = [sample_bits(s) for s in traj]
-
-        def refuse(self):
-            raise AssertionError("checked again")
-
-        monkeypatch.setattr(TrajectorySample, "__post_init__", refuse)
-        monkeypatch.setattr(Vec3, "__post_init__", refuse)
-        assert [sample_bits(s) for s in traj] == want
-        assert traj[2] == traj[-2] and hash(traj[2]) == hash(traj[-2])
-        with pytest.raises(AssertionError, match="checked again"):
-            sample(0.0, Vec3(0.0, 0.0, 0.0))  # one a caller builds is still checked
 
     def test_invalid_rows_raise_the_sample_error(self):
         traj = self.traj()
