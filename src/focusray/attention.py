@@ -67,16 +67,17 @@ class Candidates(Sequence[FocusCandidate]):
 
     def __getitem__(self, i: int) -> FocusCandidate:
         i = operator.index(i)
-        return FocusCandidate(int(self.ids[i]), *(float(a[i]) for a in (self.rm, self.d, self.v, self.importance)))
+        return FocusCandidate(int(self.ids[i]), float(self.rm[i]), float(self.d[i]), float(self.v[i]),
+                              float(self.importance[i]))
 
 
 def select_focus(
     scene: Sequence[SceneObject],
-    rig: StereoRig,
-    roi: Roi,
+    rig: StereoRig | Sequence[StereoRig],
+    roi: Roi | Sequence[Roi],
     ray_cfg: RayConfig,
     weights: HeuristicWeights,
-) -> tuple[FocusCandidate | None, Candidates]:
+) -> tuple[FocusCandidate | None, Candidates] | tuple[list[FocusCandidate | None], list[Candidates]]:
     """Pick the focus object among ROI candidates; also return every candidate.
 
     Pipeline: cull the scene to the ROI, cast the ray cone once, score each
@@ -85,30 +86,52 @@ def select_focus(
     object-id order; only the winner is built as a `FocusCandidate`, and an
     empty candidate set yields None and no candidates. A `PreparedScene` is
     used as it is; any other sequence is prepared for this call alone.
+
+    Given a chunk of T ticks instead, as equally long sequences of rigs and
+    ROIs, it returns the list of the T winners and the list of the T
+    candidate sets, each bit for bit what a call on that tick's rig and ROI
+    returns; the cull, the ray kernel and the scoring each run once over the
+    whole chunk.
     """
     prepared = prepare_scene(scene)
-    cols, rel, rr = prepared.roi_rows(roi)
+    one = isinstance(rig, StereoRig)
+    rigs, rois = ((rig,), (roi,)) if one else (rig, roi)
+    if len(rigs) != len(rois):
+        raise ValidationError(f"a chunk needs one ROI per rig, got {len(rigs)} rigs and {len(rois)} ROIs")
+    cols, rel, rr, starts = prepared.roi_rows(rois)
+    ids = prepared.ids[cols]
     if not cols.size:
-        return None, Candidates(prepared.ids[cols], *[np.empty(0)] * 4)
-    spheres = prepared.spheres[cols]
-
-    # with the apex at the mid camera, the cull's vectors negated are camera
-    # minus center up to the sign of a zero, with the same squared lengths
-    m = rig.midpoint()
-    if (roi.apex.x, roi.apex.y, roi.apex.z) == m:
-        oc, ococ = -rel, rr
+        candidates = [Candidates(ids, *[np.empty(0)] * 4) for _ in rois]
     else:
-        oc = np.subtract(m, spheres[:, :3])
-        ococ = dot_rows(oc, oc)
-    bundle: RayBundle = ray_bundle(ray_cfg, rig)
-    rms = rm_scores(oc, bundle, spheres, ococ)
+        spheres = prepared.spheres[cols]
+        counts = np.diff(starts) if len(rois) > 1 else None
+        # with the apex at the mid camera, the cull's vectors negated are camera
+        # minus center up to the sign of a zero, with the same squared lengths
+        mids = list(map(StereoRig.midpoint, rigs))
+        if mids == [(r.apex.x, r.apex.y, r.apex.z) for r in rois]:
+            oc, ococ = -rel, rr
+        else:
+            oc = np.subtract(mids[0] if counts is None else np.repeat(mids, counts, axis=0), spheres[:, :3])
+            ococ = dot_rows(oc, oc)
+        bundle: RayBundle = ray_bundle(ray_cfg, rigs[0] if counts is None else rigs)
+        rms = rm_scores(oc, bundle, spheres, ococ, starts)
 
-    # d: 1 at the camera, falling linearly to 0 at the ROI's far limit
-    v = prepared.values[cols]
-    d = 1.0 - np.minimum(np.sqrt(ococ), roi.z_far) / roi.z_far
-    imp = weights.p_rm * rms + weights.p_d * d + weights.p_v * v
+        # d: 1 at the camera, falling linearly to 0 at the ROI's far limit
+        v = prepared.values[cols]
+        z_far = rois[0].z_far if counts is None else np.repeat([r.z_far for r in rois], counts)
+        d = 1.0 - np.minimum(np.sqrt(ococ), z_far) / z_far
+        imp = weights.p_rm * rms + weights.p_d * d + weights.p_v * v
+        if counts is None:
+            candidates = [Candidates(ids, rms, d, v, imp)]
+        else:
+            candidates = [Candidates(ids[a:b], rms[a:b], d[a:b], v[a:b], imp[a:b]) for a, b in zip(starts, starts[1:])]
+    winners = [_winner(c) for c in candidates]
+    return (winners[0], candidates[0]) if one else (winners, candidates)
 
-    candidates = Candidates(prepared.ids[cols], rms, d, v, imp)
-    # highest importance, then higher d; argmax keeps the first (lowest id) of equals
-    top = (imp == imp.max()).nonzero()[0]
-    return candidates[top[d[top].argmax()] if len(top) > 1 else top[0]], candidates
+
+def _winner(c: Candidates) -> FocusCandidate | None:
+    """Highest importance, then higher d; argmax keeps the first (lowest id) of equals."""
+    if not len(c.ids):
+        return None
+    top = (c.importance == c.importance.max()).nonzero()[0]
+    return c[top[c.d[top].argmax()] if len(top) > 1 else top[0]]

@@ -11,7 +11,7 @@ the focal distance stays put; focus never snaps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ValidationError
 
@@ -107,7 +107,12 @@ def apply_selection(state: FocusState, selection: FocusSelection | None, cfg: Dy
     if selection.object_id == state.current_target:
         destination = state.transition.to_distance if state.transition else state.focal_distance
         if selection.distance == destination:
-            return replace(state, persistence_elapsed_ms=0.0)
+            return FocusState(
+                current_target=state.current_target,
+                focal_distance=state.focal_distance,
+                transition=state.transition,
+                persistence_elapsed_ms=0.0,
+            )
 
     transition: Transition | None = Transition(
         from_distance=state.focal_distance,
@@ -131,9 +136,21 @@ def _advance_transition(state: FocusState, dt_ms: float) -> FocusState:
     tr = state.transition
     elapsed = tr.elapsed_ms + dt_ms
     if elapsed >= tr.duration_ms:
-        return replace(state, focal_distance=tr.to_distance, transition=None)
-    focal = tr.from_distance + (tr.to_distance - tr.from_distance) * (elapsed / tr.duration_ms)
-    return replace(state, focal_distance=focal, transition=replace(tr, elapsed_ms=elapsed))
+        focal, transition = tr.to_distance, None
+    else:
+        focal = tr.from_distance + (tr.to_distance - tr.from_distance) * (elapsed / tr.duration_ms)
+        transition = Transition(
+            from_distance=tr.from_distance,
+            to_distance=tr.to_distance,
+            elapsed_ms=elapsed,
+            duration_ms=tr.duration_ms,
+        )
+    return FocusState(
+        current_target=state.current_target,
+        focal_distance=focal,
+        transition=transition,
+        persistence_elapsed_ms=state.persistence_elapsed_ms,
+    )
 
 
 def step(
@@ -165,7 +182,12 @@ def step(
             transition=None,
             persistence_elapsed_ms=0.0,
         )
-    return replace(state, persistence_elapsed_ms=elapsed)
+    return FocusState(
+        current_target=state.current_target,
+        focal_distance=state.focal_distance,
+        transition=state.transition,
+        persistence_elapsed_ms=elapsed,
+    )
 
 
 def blur_amount(depth: float, focal_distance: float, cfg: BlurConfig) -> float:

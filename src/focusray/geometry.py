@@ -86,9 +86,9 @@ def view_frame(forward: Sequence[float], up: Sequence[float]) -> tuple[tuple[flo
 
 
 def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of (N, 3) arrays, or with a 3-vector, summed in `Vec3.dot`'s order."""
+    """Row-wise dot products of (..., 3) arrays, or with a 3-vector, summed in `Vec3.dot`'s order."""
     p = a * b
-    return p[:, 0] + p[:, 1] + p[:, 2]
+    return p[..., 0] + p[..., 1] + p[..., 2]
 
 
 def norm_rows(a: np.ndarray) -> np.ndarray:
@@ -184,9 +184,11 @@ def sphere_array(objects: Sequence[SceneObject]) -> np.ndarray:
     ).reshape(-1, 4)
 
 
-def cone_mask(roi: Roi, spheres: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def cone_mask(roi: Roi | Sequence[Roi], spheres: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row of `spheres` (see `sphere_array`), True when it overlaps the
     ROI; also each center minus the apex, (N, 3), and its squared length.
+    Given a sequence of T ROIs, the same per (ROI, row) pair: (T, N),
+    (T, N, 3) and (T, N) arrays, each element computed as for one ROI.
 
     Partial overlap counts. The distance from a center to the solid infinite
     cone is taken in the (radial, axial) half-plane, where the cone is
@@ -195,20 +197,26 @@ def cone_mask(roi: Roi, spheres: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     inside test is needed. Truncation: the sphere point closest to the apex
     plane along the axis must lie at axial distance <= z_far.
     """
+    if isinstance(roi, Roi):
+        apex, axis = (roi.apex.x, roi.apex.y, roi.apex.z), (roi.axis.x, roi.axis.y, roi.axis.z)
+        sin_t, cos_t, z_far = math.sin(roi.half_angle), math.cos(roi.half_angle), roi.z_far
+    else:  # one leading row per ROI, broadcast over the rows of `spheres`
+        apex, axis = np.array([((r.apex.x, r.apex.y, r.apex.z), (r.axis.x, r.axis.y, r.axis.z)) for r in roi],
+                              np.float64).reshape(-1, 2, 1, 3).transpose(1, 0, 2, 3)
+        sin_t, cos_t, z_far = np.array([(math.sin(r.half_angle), math.cos(r.half_angle), r.z_far) for r in roi],
+                                       np.float64).reshape(-1, 3).T[:, :, None]
     rad = spheres[:, 3]
-    rel = spheres[:, :3] - (roi.apex.x, roi.apex.y, roi.apex.z)
+    rel = spheres[:, :3] - apex
     rr = dot_rows(rel, rel)
-    z = dot_rows(rel, (roi.axis.x, roi.axis.y, roi.axis.z))
+    z = dot_rows(rel, axis)
     zz = z * z
     rho = np.sqrt(np.maximum(rr - zz, 0.0))
-    sin_t = math.sin(roi.half_angle)
-    cos_t = math.cos(roi.half_angle)
     side = rho * cos_t - z * sin_t
     s = rho * sin_t + z * cos_t
     # plain sqrt, not hypot, so the scalar reference in tests/oracles.py
     # reproduces these values bit for bit
     apex_dist = np.sqrt(rho * rho + zz)
-    return (np.where(s <= 0.0, apex_dist, side) <= rad) & (z - rad <= roi.z_far), rel, rr
+    return (np.where(s <= 0.0, apex_dist, side) <= rad) & (z - rad <= z_far), rel, rr
 
 
 def roi_mask(roi: Roi, objects: Sequence[SceneObject]) -> np.ndarray:
@@ -262,31 +270,44 @@ class PreparedScene(Sequence[SceneObject]):
     def __iter__(self) -> Iterator[SceneObject]:
         return iter(self.objects)
 
-    def roi_rows(self, roi: Roi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows of `spheres` whose spheres overlap the ROI cone, in id
-        order, with `cone_mask`'s centers minus the apex and squared lengths
-        of those rows: `cone_mask` run on the slab of rows that the cone's
-        bounding box spans along `sweep_axis`, every row if it is not finite."""
+    def roi_rows(self, rois: Sequence[Roi]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+        """For each ROI in turn, the rows of `spheres` whose spheres overlap its
+        cone, in id order, with `cone_mask`'s centers minus the apex and
+        squared lengths of those rows; and the offsets at which each ROI's
+        rows start, then their total. `cone_mask` runs on the slab of rows
+        that the union of the cones' bounding boxes spans along `sweep_axis`
+        (every row if one box is not finite); a row an ROI keeps lies in its
+        own box, so in the union."""
         e = self.sweep_axis
-        near, ax = (roi.apex.x, roi.apex.y, roi.apex.z), (roi.axis.x, roi.axis.y, roi.axis.z)
-        # A kept center lies within r_max of its nearest cone point, which is
-        # at most r_max * sin(half_angle) deeper than the center, itself at
-        # most z_far + r_max deep: box the cone cut at z_far + 2 r_max, grown
-        # by r_max and by a margin far above the rounding of cone_mask, so
-        # no center on a bound is kept. The far disc's half-width is
-        # multiplied in this order so that it is NaN only when depth is
-        # infinite, and then so is the pad: lo is finite or -inf, hi finite
-        # or inf, and a box that is not finite spans every row.
-        depth = roi.z_far + 2.0 * self.r_max
-        half = math.sqrt(ax[e - 1] ** 2 + ax[e - 2] ** 2) * depth * math.tan(roi.half_angle)
-        far = near[e] + depth * ax[e]
-        pad = self.r_max + 1e-6 * (depth + max(map(abs, near)))
-        lo, hi = min(near[e], far - half) - pad, max(near[e], far + half) + pad
+        lo, hi = math.inf, -math.inf
+        for roi in rois:
+            near, ax = (roi.apex.x, roi.apex.y, roi.apex.z), (roi.axis.x, roi.axis.y, roi.axis.z)
+            # A kept center lies within r_max of its nearest cone point, which is
+            # at most r_max * sin(half_angle) deeper than the center, itself at
+            # most z_far + r_max deep: box the cone cut at z_far + 2 r_max, grown
+            # by r_max and by a margin far above the rounding of cone_mask, so
+            # no center on a bound is kept. The far disc's half-width is
+            # multiplied in this order so that it is NaN only when depth is
+            # infinite, and then so is the pad: lo is finite or -inf, hi finite
+            # or inf, and a box that is not finite spans every row.
+            depth = roi.z_far + 2.0 * self.r_max
+            half = math.sqrt(ax[e - 1] ** 2 + ax[e - 2] ** 2) * depth * math.tan(roi.half_angle)
+            far = near[e] + depth * ax[e]
+            pad = self.r_max + 1e-6 * (depth + max(map(abs, near)))
+            lo, hi = min(lo, min(near[e], far - half) - pad), max(hi, max(near[e], far + half) + pad)
         first, last = self.spheres[:, e].searchsorted((lo, hi)).tolist()
-        keep, rel, rr = cone_mask(roi, self.spheres[first:last])
-        kept = keep.nonzero()[0]
-        kept = kept[self.ids[first:last][kept].argsort()]  # into id order
-        return first + kept, rel[kept], rr[kept]
+        ids = self.ids[first:last]
+        if len(rois) == 1:
+            keep, rel, rr = cone_mask(rois[0], self.spheres[first:last])
+            kept = keep.nonzero()[0]
+            kept = kept[ids[kept].argsort()]  # into id order
+            return first + kept, rel[kept], rr[kept], [0, len(kept)]
+        # the slab's rows in id order, so that the kept (ROI, row) pairs come out by ROI, then by id
+        order = ids.argsort()
+        keep, rel, rr = cone_mask(rois, self.spheres[first:last].take(order, axis=0))
+        kept = keep.ravel().nonzero()[0]
+        starts = kept.searchsorted(np.arange(len(rois) + 1) * len(order)).tolist()
+        return first + order[kept % len(order)], rel.reshape(-1, 3)[kept], rr.ravel()[kept], starts
 
 
 def prepare_scene(objects: Iterable[SceneObject]) -> PreparedScene:

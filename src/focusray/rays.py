@@ -15,6 +15,7 @@ weight accumulation order are fixed, so results are bitwise reproducible.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,8 +54,9 @@ class RayConfig:
 class RayBundle:
     """The ray cone as arrays, in the order `ray_bundle` builds it.
 
-    directions: (R, 3) unit vectors; layers: (R,) 1-based ints;
-    weights: (R,) per-ray weights summing to 1. Arrays are read-only.
+    directions: (R, 3) unit vectors, or (T, R, 3) for a cone cast from each
+    of T cameras; layers: (R,) 1-based ints; weights: (R,) per-ray weights
+    summing to 1. Arrays are read-only.
     """
 
     directions: np.ndarray
@@ -84,19 +86,32 @@ def _cone_trig(config: RayConfig) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def ray_bundle(config: RayConfig, cam: MidCamera | StereoRig) -> RayBundle:
-    """Build the k*n ray cone as arrays, layer-major, azimuth-index minor, about
-    an exactly orthonormal frame made from that of `cam` (or of its rig)."""
-    layers, weights, cos_t, sin_t, cos_p, sin_p = _cone_trig(config)
+def _frame(cam: MidCamera | StereoRig) -> tuple[tuple[float, ...], ...]:
+    """Forward, right and up of `cam`, made exactly orthonormal from its frame."""
     f = unit3((cam.forward.x, cam.forward.y, cam.forward.z))
-    fwd, right, up = np.array((f, *view_frame(f, (cam.up.x, cam.up.y, cam.up.z))))
-    lateral = cos_p * right + sin_p * up
-    directions = cos_t * fwd + sin_t * lateral
+    return (f, *view_frame(f, (cam.up.x, cam.up.y, cam.up.z)))
+
+
+def ray_bundle(config: RayConfig, cam: MidCamera | StereoRig | Sequence[MidCamera | StereoRig]) -> RayBundle:
+    """Build the k*n ray cone as arrays, layer-major, azimuth-index minor, about
+    an exactly orthonormal frame made from that of `cam` (or of its rig).
+    Given a sequence of T cameras, the cone of each, as (T, R, 3) directions."""
+    layers, weights, cos_t, sin_t, cos_p, sin_p = _cone_trig(config)
+    if isinstance(cam, (MidCamera, StereoRig)):
+        fwd, right, up = np.array(_frame(cam))
+        lateral = cos_p * right + sin_p * up
+        directions = cos_t * fwd + sin_t * lateral
+    else:  # the same products, computed (T, 3, R) with the rays innermost, then laid out (T, R, 3)
+        fwd, right, up = np.array([_frame(c) for c in cam], np.float64).reshape(-1, 3, 3).transpose(1, 0, 2)[..., None]
+        lateral = cos_p.T * right + sin_p.T * up
+        directions = np.ascontiguousarray((cos_t.T * fwd + sin_t.T * lateral).transpose(0, 2, 1))
     directions.flags.writeable = False
     return RayBundle(directions, layers, weights)
 
 
-def nearest_hit_indices(oc: np.ndarray, directions: np.ndarray, spheres: np.ndarray, ococ: np.ndarray) -> np.ndarray:
+def nearest_hit_indices(
+    oc: np.ndarray, directions: np.ndarray, spheres: np.ndarray, ococ: np.ndarray, starts: Sequence[int] = ()
+) -> np.ndarray:
     """Row of `spheres` (see `sphere_array`) hit nearest by each ray, -1 on miss.
 
     `oc` is the rays' origin minus each center, (N, 3), and `ococ` its
@@ -105,8 +120,15 @@ def nearest_hit_indices(oc: np.ndarray, directions: np.ndarray, spheres: np.ndar
     origin inside (or on) a sphere is hit at distance zero. One matrix
     product prefilters the ray x sphere pairs; the exact hit test, distances
     and the per-ray minimum run on the kept pairs only.
+
+    With (T, R, 3) `directions`, the rays of frame t meet only the rows
+    `starts[t]:starts[t + 1]` (`starts` holds T + 1 ascending offsets, the
+    last len(spheres)), with one product per frame; the result holds one
+    entry per ray cast, frame-major, and each entry is what one frame's
+    call on its own rows would give, offset by `starts[t]`.
     """
-    nearest = np.full(directions.shape[0], -1, dtype=np.int64)
+    rays = directions if directions.ndim == 2 else directions.reshape(-1, 3)
+    nearest = np.full(len(rays), -1, dtype=np.int64)
     if not len(spheres):
         return nearest
 
@@ -121,9 +143,18 @@ def nearest_hit_indices(oc: np.ndarray, directions: np.ndarray, spheres: np.ndar
     # hit even a sphere behind it, so such a sphere keeps every ray.
     margin = 1e-6 * (np.sqrt(ococ) + rad)
     bound = np.where(c > margin * margin, margin - np.sqrt(np.maximum(c, 0.0)), np.inf)
-    pairs = (directions.dot(oc.T) <= bound).ravel().nonzero()[0]  # ray-major, columns ascending
-    ray, col = np.divmod(pairs, len(spheres))
-    d, o = directions.take(ray, axis=0), oc.take(col, axis=0)
+    if directions.ndim == 2:
+        pairs = (directions.dot(oc.T) <= bound).ravel().nonzero()[0]  # ray-major, columns ascending
+        ray, col = np.divmod(pairs, len(spheres))
+    else:
+        # the same per frame; rays are keyed frame * R + ray, columns offset by the frame's start
+        spans = list(zip(starts[:-1], starts[1:]))
+        pairs = [(dirs.dot(oc[a:b].T) <= bound[a:b]).ravel().nonzero()[0] for dirs, (a, b) in zip(directions, spans)]
+        frame = np.repeat(np.arange(len(spans)), [len(p) for p in pairs])
+        ray, col = np.divmod(np.concatenate(pairs), np.diff(starts)[frame])
+        ray += frame * directions.shape[1]
+        col += np.asarray(starts[:-1])[frame]
+    d, o = rays.take(ray, axis=0), oc.take(col, axis=0)
     b = dot_rows(o, d)
     disc = b * b - c[col]
     root = np.sqrt(np.maximum(disc, 0.0))
@@ -140,13 +171,17 @@ def nearest_hit_indices(oc: np.ndarray, directions: np.ndarray, spheres: np.ndar
     return nearest
 
 
-def rm_scores(oc: np.ndarray, bundle: RayBundle, spheres: np.ndarray, ococ: np.ndarray) -> np.ndarray:
+def rm_scores(
+    oc: np.ndarray, bundle: RayBundle, spheres: np.ndarray, ococ: np.ndarray, starts: Sequence[int] = ()
+) -> np.ndarray:
     """Per-sphere centrality scores, one per row of `spheres`, in order;
-    `oc` and `ococ` as `nearest_hit_indices` takes them.
+    `oc`, `ococ` and, for a bundle of T cones, `starts` as
+    `nearest_hit_indices` takes them.
 
-    Weights accumulate in ray order (`np.bincount` adds sequentially), so
-    the sum is deterministic.
+    Weights accumulate in ray order (`np.bincount` adds sequentially, and
+    each row is hit by one frame's rays only), so the sum is deterministic.
     """
-    nearest = nearest_hit_indices(oc, bundle.directions, spheres, ococ)
+    nearest = nearest_hit_indices(oc, bundle.directions, spheres, ococ, starts)
+    weights = bundle.weights if bundle.directions.ndim == 2 else np.tile(bundle.weights, len(bundle.directions))
     # misses land in bin 0, which is dropped
-    return np.bincount(nearest + 1, weights=bundle.weights, minlength=len(spheres) + 1)[1:]
+    return np.bincount(nearest + 1, weights=weights, minlength=len(spheres) + 1)[1:]

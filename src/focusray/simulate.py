@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import fields
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +39,8 @@ from .ssq import ProtocolSession, protocol_report
 
 # Most ticks `resample` builds: 4.4 hours at 16 ms, 133 times a 2-minute recording.
 MAX_TICKS = 1_000_000
+# Ticks the replay selects for in one `select_focus` call.
+CHUNK_TICKS = 16
 # The highest score of levels 1 to 5; a higher score is level 6.
 _LEVEL_TOPS = (499, 1000, 2000, 3000, 5000)
 
@@ -178,22 +181,28 @@ def run_scenario(
     # without focus the timeline is the tick times alone, and no sample is built
     focus: list[tuple[FocusCandidate | None, float, bool]] = []
     state = FocusState.initial()
-    for sample in () if no_focus else ticks:
-        try:
-            rig = rig_from_pose(sample, cfg.ipd_m)
-        except GeometryError as e:  # a position too large for the eyes to differ in floating point
-            raise GeometryError(f"{trajectory_path}: tick at t_ms {sample.t_ms!r}: {e}") from None
-        cam = derive_mid_camera(rig)
-        roi = Roi(apex=cam.m, axis=cam.forward, half_angle=roi_half, z_far=cfg.roi_z_far_m)
-        winner, _ = select_focus(scene, rig, roi, ray_cfg, weights)
+    samples = iter(() if no_focus else ticks)
+    while chunk := list(islice(samples, CHUNK_TICKS)):
+        rigs, cams, rois = [], [], []
+        for sample in chunk:
+            try:
+                rig = rig_from_pose(sample, cfg.ipd_m)
+            except GeometryError as e:  # a position too large for the eyes to differ in floating point
+                raise GeometryError(f"{trajectory_path}: tick at t_ms {sample.t_ms!r}: {e}") from None
+            cam = derive_mid_camera(rig)
+            rigs.append(rig)
+            cams.append(cam)
+            rois.append(Roi(apex=cam.m, axis=cam.forward, half_angle=roi_half, z_far=cfg.roi_z_far_m))
+        winners, _ = select_focus(scene, rigs, rois, ray_cfg, weights)
 
-        selection = None
-        if winner is not None:
-            distance = center_of[winner.object_id].distance_to(cam.m)
-            selection = FocusSelection(object_id=winner.object_id, distance=distance)
-        applied = apply_selection(state, selection, dyn_cfg)
-        focus.append((winner, applied.focal_distance, applied.transition is not None))
-        state = step(state, selection, cfg.tick_ms, dyn_cfg)
+        for winner, cam in zip(winners, cams):
+            selection = None
+            if winner is not None:
+                distance = center_of[winner.object_id].distance_to(cam.m)
+                selection = FocusSelection(object_id=winner.object_id, distance=distance)
+            applied = apply_selection(state, selection, dyn_cfg)
+            focus.append((winner, applied.focal_distance, applied.transition is not None))
+            state = step(state, selection, cfg.tick_ms, dyn_cfg)
 
     report = analyze_trajectory(traj, duration_ms=None, cfg=cfg.comfort_config())
     doc = render_document(

@@ -71,7 +71,7 @@ def rm_from(origin: Vec3, bundle: RayBundle, spheres: np.ndarray) -> np.ndarray:
 
 
 def culled(prepared: PreparedScene, roi: Roi) -> tuple[list[int], int]:
-    """The ids of the rows `prepared.roi_rows(roi)` keeps, as a list in its
+    """The ids of the rows `prepared.roi_rows([roi])` keeps, as a list in its
     order, and how many rows it ran `cone_mask` on: fewer than the scene
     holds when the cone's slab leaves some out."""
     real, tested = focusray.geometry.cone_mask, []
@@ -82,7 +82,7 @@ def culled(prepared: PreparedScene, roi: Roi) -> tuple[list[int], int]:
 
     focusray.geometry.cone_mask = spy
     try:
-        rows = prepared.ids[prepared.roi_rows(roi)[0]].tolist()
+        rows = prepared.ids[prepared.roi_rows([roi])[0]].tolist()
     finally:
         focusray.geometry.cone_mask = real
     return rows, sum(tested)

@@ -429,10 +429,10 @@ class TestReplayOracle:
         scene, traj, config, out = scenario_files(tmp_path, texts[0], config_text=texts[2], traj_text=texts[1])
         select, analyze, ticks, reports = simulate.select_focus, simulate.analyze_trajectory, [], []
 
-        def select_spy(scene, rig, roi, *args):
-            winner, candidates = select(scene, rig, roi, *args)
-            ticks.append((rig, roi, winner))
-            return winner, candidates
+        def select_spy(scene, rigs, rois, *args):  # the replay selects a chunk of ticks per call
+            winners, candidates = select(scene, rigs, rois, *args)
+            ticks.extend(zip(rigs, rois, winners, strict=True))
+            return winners, candidates
 
         def analyze_spy(*args, **kwargs):
             reports.append(analyze(*args, **kwargs))
