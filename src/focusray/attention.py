@@ -103,35 +103,37 @@ def select_focus(
     if not cols.size:
         candidates = [Candidates(ids, *[np.empty(0)] * 4) for _ in rois]
     else:
+        single = len(rois) == 1  # the chunk of one takes one ROI's and one camera's forms
         spheres = prepared.spheres[cols]
-        counts = np.diff(starts) if len(rois) > 1 else None
+        counts = None if single else np.diff(starts)
         # with the apex at the mid camera, the cull's vectors negated are camera
         # minus center up to the sign of a zero, with the same squared lengths
         mids = list(map(StereoRig.midpoint, rigs))
         if mids == [(r.apex.x, r.apex.y, r.apex.z) for r in rois]:
             oc, ococ = -rel, rr
         else:
-            oc = np.subtract(mids[0] if counts is None else np.repeat(mids, counts, axis=0), spheres[:, :3])
+            oc = np.subtract(mids[0] if single else np.repeat(mids, counts, axis=0), spheres[:, :3])
             ococ = dot_rows(oc, oc)
-        bundle: RayBundle = ray_bundle(ray_cfg, rigs[0] if counts is None else rigs)
+        bundle: RayBundle = ray_bundle(ray_cfg, rigs[0] if single else rigs)
         rms = rm_scores(oc, bundle, spheres, ococ, starts)
 
         # d: 1 at the camera, falling linearly to 0 at the ROI's far limit
         v = prepared.values[cols]
-        z_far = rois[0].z_far if counts is None else np.repeat([r.z_far for r in rois], counts)
+        z_far = rois[0].z_far if single else np.repeat([r.z_far for r in rois], counts)
         d = 1.0 - np.minimum(np.sqrt(ococ), z_far) / z_far
         imp = weights.p_rm * rms + weights.p_d * d + weights.p_v * v
-        if counts is None:
+        if single:
             candidates = [Candidates(ids, rms, d, v, imp)]
         else:
             candidates = [Candidates(ids[a:b], rms[a:b], d[a:b], v[a:b], imp[a:b]) for a, b in zip(starts, starts[1:])]
-    winners = [_winner(c) for c in candidates]
+    winners = list(map(_winner, candidates))
     return (winners[0], candidates[0]) if one else (winners, candidates)
 
 
 def _winner(c: Candidates) -> FocusCandidate | None:
     """Highest importance, then higher d; argmax keeps the first (lowest id) of equals."""
-    if not len(c.ids):
+    imp = c.importance
+    if not len(imp):
         return None
-    top = (c.importance == c.importance.max()).nonzero()[0]
+    top = (imp == imp.max()).nonzero()[0]
     return c[top[c.d[top].argmax()] if len(top) > 1 else top[0]]

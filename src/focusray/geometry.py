@@ -200,9 +200,9 @@ def cone_mask(roi: Roi | Sequence[Roi], spheres: np.ndarray) -> tuple[np.ndarray
     if isinstance(roi, Roi):
         apex, axis = (roi.apex.x, roi.apex.y, roi.apex.z), (roi.axis.x, roi.axis.y, roi.axis.z)
         sin_t, cos_t, z_far = math.sin(roi.half_angle), math.cos(roi.half_angle), roi.z_far
-    else:  # one leading row per ROI, broadcast over the rows of `spheres`
-        apex, axis = np.array([((r.apex.x, r.apex.y, r.apex.z), (r.axis.x, r.axis.y, r.axis.z)) for r in roi],
-                              np.float64).reshape(-1, 2, 1, 3).transpose(1, 0, 2, 3)
+    else:  # a leading axis of ROIs, broadcast over the rows of `spheres`
+        apex = np.array([(r.apex.x, r.apex.y, r.apex.z) for r in roi], np.float64).reshape(-1, 1, 3)
+        axis = np.array([(r.axis.x, r.axis.y, r.axis.z) for r in roi], np.float64).reshape(-1, 1, 3)
         sin_t, cos_t, z_far = np.array([(math.sin(r.half_angle), math.cos(r.half_angle), r.z_far) for r in roi],
                                        np.float64).reshape(-1, 3).T[:, :, None]
     rad = spheres[:, 3]

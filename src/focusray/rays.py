@@ -74,13 +74,13 @@ def layer_weight(i: int, k: int) -> float:
 @lru_cache(maxsize=16)
 def _cone_trig(config: RayConfig) -> tuple[np.ndarray, ...]:
     """Layers, weights, and cos/sin of each ray's polar angle and azimuth as
-    (R, 1) columns: everything of the cone that does not depend on the camera."""
+    (1, R) rows: everything of the cone that does not depend on the camera."""
     k, n = config.k, config.n
     layers = np.repeat(np.arange(1, k + 1), n)
     theta = config.half_angle * layers / k
     phi = np.arange(k * n, dtype=np.float64) * GOLDEN_ANGLE
     weights = np.repeat([layer_weight(i, k) for i in range(1, k + 1)], n) / n
-    arrays = (layers, weights, np.cos(theta)[:, None], np.sin(theta)[:, None], np.cos(phi)[:, None], np.sin(phi)[:, None])
+    arrays = (layers, weights, np.cos(theta)[None], np.sin(theta)[None], np.cos(phi)[None], np.sin(phi)[None])
     for arr in arrays:
         arr.flags.writeable = False
     return arrays
@@ -98,13 +98,14 @@ def ray_bundle(config: RayConfig, cam: MidCamera | StereoRig | Sequence[MidCamer
     Given a sequence of T cameras, the cone of each, as (T, R, 3) directions."""
     layers, weights, cos_t, sin_t, cos_p, sin_p = _cone_trig(config)
     if isinstance(cam, (MidCamera, StereoRig)):
-        fwd, right, up = np.array(_frame(cam))
-        lateral = cos_p * right + sin_p * up
-        directions = cos_t * fwd + sin_t * lateral
-    else:  # the same products, computed (T, 3, R) with the rays innermost, then laid out (T, R, 3)
-        fwd, right, up = np.array([_frame(c) for c in cam], np.float64).reshape(-1, 3, 3).transpose(1, 0, 2)[..., None]
-        lateral = cos_p.T * right + sin_p.T * up
-        directions = np.ascontiguousarray((cos_t.T * fwd + sin_t.T * lateral).transpose(0, 2, 1))
+        frames = np.array(_frame(cam))
+    else:
+        frames = np.array([_frame(c) for c in cam], np.float64).reshape(-1, 3, 3).transpose(1, 0, 2)
+    # fwd, right and up as (3, 1) columns, or (T, 3, 1): the products run with
+    # the rays innermost, then are laid out (R, 3) or (T, R, 3)
+    fwd, right, up = frames[..., None]
+    lateral = cos_p * right + sin_p * up
+    directions = (cos_t * fwd + sin_t * lateral).swapaxes(-1, -2).copy()
     directions.flags.writeable = False
     return RayBundle(directions, layers, weights)
 

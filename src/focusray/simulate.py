@@ -176,8 +176,8 @@ def run_scenario(
 
     try:
         ticks = resample(traj, cfg.tick_ms)
-    except ValidationError as e:  # the recording, or its span at this tick_ms
-        raise ValidationError(f"{trajectory_path}: {e}") from None
+    except ValidationError as e:  # the recording, or its span, at the config's tick_ms
+        raise ValidationError(f"{trajectory_path}: {e} (tick_ms from {config_path})") from None
     # without focus the timeline is the tick times alone, and no sample is built
     focus: list[tuple[FocusCandidate | None, float, bool]] = []
     state = FocusState.initial()
@@ -188,7 +188,9 @@ def run_scenario(
             try:
                 rig = rig_from_pose(sample, cfg.ipd_m)
             except GeometryError as e:  # a position too large for the eyes to differ in floating point
-                raise GeometryError(f"{trajectory_path}: tick at t_ms {sample.t_ms!r}: {e}") from None
+                raise GeometryError(
+                    f"{trajectory_path}: tick at t_ms {sample.t_ms!r}: {e} (ipd_m from {config_path})"
+                ) from None
             cam = derive_mid_camera(rig)
             rigs.append(rig)
             cams.append(cam)

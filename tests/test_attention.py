@@ -23,6 +23,7 @@ from focusray import (
     select_focus,
 )
 from builders import axial_rig, culled, sample
+from focusray.simulate import CHUNK_TICKS
 from oracles import roi_contains, select_by_enumeration
 
 RIG = axial_rig(0.0, 0.0, 0.0)
@@ -529,3 +530,95 @@ class TestCandidates:
         with pytest.raises(IndexError):
             cands[0]
 
+
+
+def _bits(cands: Candidates) -> list[tuple[str, bytes]]:
+    """Every candidate array as its dtype and bytes."""
+    return [(a.dtype.str, a.tobytes()) for a in (cands.ids, cands.rm, cands.d, cands.v, cands.importance)]
+
+
+class TestSelectFocusChunk:
+    """`select_focus` over a chunk of ticks against one call per tick: each
+    tick's winner and candidate arrays bit for bit, for chunks of 1 to more
+    than twice the replay's chunk size."""
+
+    def check(self, scene, rigs, rois, ray_cfg, weights):
+        winners, chunk = select_focus(scene, rigs, rois, ray_cfg, weights)
+        assert len(winners) == len(chunk) == len(rigs)
+        for rig, roi, winner, cands in zip(rigs, rois, winners, chunk):
+            want_winner, want = select_focus(scene, rig, roi, ray_cfg, weights)
+            assert repr(winner) == repr(want_winner)
+            assert isinstance(cands, Candidates) and _bits(cands) == _bits(want)
+        return winners, chunk
+
+    def test_lattice_chunks_match_calls_per_tick(self):
+        """Ties, occluders, ticks that look away from every object, ROI apexes
+        off the camera, and chunks where no tick has a candidate."""
+        rng = random.Random(1616)
+        seen = dict.fromkeys(("ties", "empty mid-chunk", "empty chunk", "apex off camera"), 0)
+        axes = [Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)]
+        for case in range(60):
+            rig0, scene = _tie_scene(rng)
+            ray_cfg = RayConfig(k=rng.randint(1, 4), n=rng.randint(1, 24), half_angle=math.radians(rng.uniform(5.0, 30.0)))
+            weights = rng.choice(TestSelectFocusOracle.WEIGHTS)
+            size = rng.choice((1, 2, 3, CHUNK_TICKS - 1, CHUNK_TICKS, CHUNK_TICKS + 1, 2 * CHUNK_TICKS + 3))
+            away = rng.random() < 0.15  # every tick looks away from the scene
+            rigs, rois = [], []
+            for _ in range(size):
+                rig = rig0
+                if away or rng.random() < 0.4:  # another axis, from another lattice point
+                    i = rng.randrange(3)
+                    forward = rig0.forward * -1.0 if away else axes[i] * rng.choice((-1.0, 1.0))
+                    up = rig0.up if away else axes[(i + 1) % 3]
+                    m = derive_mid_camera(rig0).m + Vec3(*(rng.randint(-8, 8) / 8 for _ in range(3))) * (not away)
+                    half = forward.cross(up) * 0.03125
+                    rig = StereoRig(ol=m - half, or_=m + half, up=up, forward=forward)
+                apex = derive_mid_camera(rig).m
+                if rng.random() < 0.1:
+                    apex = apex + Vec3(*(rng.randint(-8, 8) / 8 for _ in range(3)))
+                rigs.append(rig)
+                rois.append(Roi(apex=apex, axis=rig.forward, half_angle=math.radians(rng.uniform(15.0, 60.0)),
+                                z_far=rng.randint(80, 400) / 8))
+            winners, chunk = self.check(scene if rng.random() < 0.5 else prepare_scene(scene), rigs, rois, ray_cfg, weights)
+            seen["ties"] += sum(sum(c.importance == w.importance for c in cands) > 1
+                                for w, cands in zip(winners, chunk) if w is not None)
+            seen["empty mid-chunk"] += any(not cands for cands in chunk[1:-1]) and any(chunk)
+            seen["empty chunk"] += not any(chunk)
+            seen["apex off camera"] += any(roi.apex != derive_mid_camera(rig).m for rig, roi in zip(rigs, rois))
+        assert min(seen.values()) >= 5, seen
+
+    def test_walk_through_a_large_world(self):
+        """Consecutive poses of a walk through a 1,500-object world, each
+        tick's cull on its own slab of the chunk's union."""
+        rng = random.Random(2929)
+        world = _disc_world(rng, 1500)
+        prepared = prepare_scene(world)
+        rays = RayConfig(k=4, n=32, half_angle=math.radians(15.0))
+        ticks = kept = won = 0
+        for size in (1, 5, CHUNK_TICKS, CHUNK_TICKS + 2, 3 * CHUNK_TICKS):
+            rigs, rois = [], []
+            ang = rng.uniform(0.0, 2.0 * math.pi)
+            for i in range(size):
+                yaw = math.pi - ang + 0.8 * math.sin(0.3 * i) + rng.uniform(-0.05, 0.05)
+                forward = Vec3(math.sin(yaw), 0.0, -math.cos(yaw))
+                pos = Vec3(60.0 * math.cos(ang) + 0.7 * i * forward.x, 1.6, 60.0 * math.sin(ang) + 0.7 * i * forward.z)
+                rig = rig_from_pose(sample(16.0 * i, pos, forward=forward), 0.064)
+                rigs.append(rig)
+                rois.append(Roi(apex=derive_mid_camera(rig).m, axis=forward, half_angle=math.radians(30.0), z_far=45.0))
+            winners, chunk = self.check(prepared, rigs, rois, rays, DEFAULT_W)
+            ticks, kept, won = ticks + size, kept + sum(map(len, chunk)), won + sum(w is not None for w in winners)
+        assert kept >= 3 * ticks and won >= ticks // 2, (ticks, kept, won)
+
+    def test_chunk_of_one_and_empty_scene(self):
+        assert select_focus([], [RIG], [ROI], RAYS, DEFAULT_W)[0] == [None]
+        winners, chunk = select_focus([], [RIG] * 3, [ROI] * 3, RAYS, DEFAULT_W)
+        assert winners == [None] * 3 and [len(c) for c in chunk] == [0, 0, 0]
+        assert chunk[0].ids.dtype == np.int64 and chunk[0].rm.dtype == np.float64
+        scene = [obj(1, 0, 0, -5), obj(2, 1, 0, -9)]
+        winners, chunk = self.check(scene, [RIG], [ROI], RAYS, DEFAULT_W)
+        assert winners[0].object_id == 1
+        assert select_focus(scene, [], [], RAYS, DEFAULT_W) == ([], [])
+
+    def test_one_roi_per_rig(self):
+        with pytest.raises(ValidationError, match="one ROI per rig, got 2 rigs and 1 ROIs"):
+            select_focus([obj(1, 0, 0, -5)], [RIG, RIG], [ROI], RAYS, DEFAULT_W)

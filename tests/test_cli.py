@@ -221,6 +221,7 @@ class TestRunCommand:
         code, err = quiet_main(self.argv(p))
         assert code == EXIT_VALIDATION
         assert f"{p['traj']}: cannot interpolate forward between opposite orientations at t_ms 0.0 and 100.0" in err
+        assert err.endswith(f" (tick_ms from {p['config']})\n")
 
     def test_huge_time_span_is_validation_exit(self, tmp_path, monkeypatch):
         def no_samples(**fields):
@@ -231,7 +232,8 @@ class TestRunCommand:
         p = run_files(tmp_path, traj=TRAJ.replace("\n200 ", "\n1000000000000 "), config="tick_ms = 16\n")
         code, err = quiet_main(self.argv(p))
         assert code == EXIT_VALIDATION
-        assert err == f"focusray: {p['traj']}: resampling at tick_ms = 16.0 needs more than 1000000 ticks\n"
+        assert err == (f"focusray: {p['traj']}: resampling at tick_ms = 16.0 needs more than 1000000 ticks"
+                       f" (tick_ms from {p['config']})\n")
         assert not os.path.exists(p["out"])
 
     def test_object_id_beyond_64_bits_is_parse_exit(self, tmp_path):
@@ -284,6 +286,17 @@ class TestRunCommand:
         assert code == EXIT_VALIDATION
         assert f"{p['traj']}: tick at t_ms 100.0: degenerate rig" in err
 
+    def test_position_too_far_in_mid_chunk_names_its_tick(self, tmp_path):
+        # 40 ticks of 100 ms: the replay selects in chunks, and tick 21 lies inside the second
+        rows = [f"{100 * i} {'1e20' if i == 21 else '0'} 0 0 0 0 -1 0 1 0 90 1 11.1\n" for i in range(40)]
+        assert 21 % simulate.CHUNK_TICKS not in (0, simulate.CHUNK_TICKS - 1)
+        p = run_files(tmp_path, traj=TRAJ.splitlines(keepends=True)[0] + "".join(rows))
+        code, err = quiet_main(self.argv(p))
+        assert code == EXIT_VALIDATION
+        assert err.startswith(f"focusray: {p['traj']}: tick at t_ms 2100.0: degenerate rig")
+        assert err.endswith(f" (ipd_m from {p['config']})\n")
+        assert not os.path.exists(p["out"])
+
     def test_huge_ray_count_is_validation_exit(self, tmp_path):
         # refused when the config is read: a cone this size is never built
         p = run_files(tmp_path, config="ray_k = 100000000000000000000\n")
@@ -311,14 +324,14 @@ def real(lo: float, hi: float):
 # any float at all as written (nan, infinities, subnormals, 1e308), any integer, or a word
 ANY = st.one_of(st.floats().map(repr), st.floats().map(repr), st.integers().map(str),
                st.sampled_from(["x", "1,5", "0x10", "--"]))
-POSE = st.sampled_from(["0 0 -1 0 1 0"] * 12 + ["0.6 0 -0.8 0 1 0", "0 0 1 0 1 0"])  # forward, up
+POSE = st.sampled_from(["0 0 -1 0 1 0"] * 12 + ["0.6 0 -0.8 0 1 0"])  # forward, up
 
 
 @st.composite
-def file_text(draw, rows) -> str:
+def file_text(draw, rows, broken: bool = False) -> str:
     """Lines of tokens: a string in a row is kept as it is, a strategy's
-    token is valid. One file in three then has up to two of the valid tokens
-    overwritten by `ANY`, and one in ten a line cut short at one of them."""
+    token is valid. When `broken`, up to two of the valid tokens are
+    overwritten by `ANY`, or a line is cut short at one of them."""
     lines, slots = [], []
     for row in draw(rows):
         lines.append([])
@@ -328,11 +341,11 @@ def file_text(draw, rows) -> str:
                 lines[-1].append(token)
                 if not fixed:
                     slots.append((len(lines) - 1, len(lines[-1]) - 1))
-    if slots and draw(st.integers(0, 2)) == 0:
+    if broken and slots and draw(st.integers(0, 4)):
         for k, value in draw(st.lists(st.tuples(st.integers(0, len(slots) - 1), ANY), min_size=1, max_size=2)):
             r, c = slots[k]
             lines[r][c] = value
-    if slots and draw(st.integers(0, 9)) == 0:
+    elif broken and slots:
         r, c = slots[draw(st.integers(0, len(slots) - 1))]
         del lines[r][c:]
     return "".join(" ".join(line) + "\n" for line in lines)
@@ -343,14 +356,14 @@ def scene_rows(n: int) -> list[tuple]:
              st.sampled_from(["", "orb"])) for i in range(n)]
 
 
-# mostly on budget; else any slower frame, up to the float limit, where a run of them overflows a sum
-FRAME_MS = st.one_of(real(5.0, 40.0), real(5.0, 40.0), real(40.0, 1.7976931348623157e308))
+# mostly on budget, else any slower frame up to the limit, where a run of them would overflow a sum
+FRAME_MS = st.one_of(real(5.0, 40.0), real(5.0, 40.0), real(40.0, 1e100))
 
 
-def trajectory_rows(n: int) -> list[tuple]:
+def trajectory_rows(n: int, pose=POSE, frame_ms=FRAME_MS) -> list[tuple]:
     return [(TRAJ.splitlines()[0],)] + [
-        (st.just(repr(100.0 * i)), real(-3.0, 3.0), real(-3.0, 3.0), real(-3.0, 3.0), POSE,
-         real(30.0, 120.0), st.sampled_from(["0", "1"]), FRAME_MS)
+        (st.just(repr(100.0 * i)), real(-3.0, 3.0), real(-3.0, 3.0), real(-3.0, 3.0), pose,
+         real(30.0, 120.0), st.sampled_from(["0", "1"]), frame_ms)
         for i in range(n)
     ]
 
@@ -362,30 +375,70 @@ CONFIG_VALUES = {name: st.just(str(getattr(SimConfig(), name))) for name in CONF
     "accel_threshold_m_s2": real(0.1, 10.0), "max_session_ms": real(100.0, 1e6),
 }
 
-SCENE = file_text(st.integers(0, 4).map(scene_rows))
-TRAJECTORY = file_text(st.sampled_from([3, 4, 5, 6] * 3 + [0, 1, 2]).map(trajectory_rows))
-CONFIG = file_text(st.lists(st.sampled_from(CONFIG_FIELD_NAMES), unique=True, max_size=6).map(
-    lambda keys: [(key, "=", CONFIG_VALUES[key]) for key in keys]))
+
+def run_file(name: str, broken: bool = False):
+    """The text of one `run` input file: valid, or `broken` as `file_text`
+    breaks it, or for a trajectory also by too few samples, frame times
+    beyond the limit or a turn to the opposite orientation."""
+    if name == "scene":
+        return file_text(st.integers(0, 4).map(scene_rows), broken)
+    if name == "config":
+        return file_text(st.lists(st.sampled_from(CONFIG_FIELD_NAMES), unique=True, min_size=broken, max_size=6).map(
+            lambda keys: [(key, "=", CONFIG_VALUES[key]) for key in keys]), broken)
+    if not broken:
+        return file_text(st.integers(3, 6).map(trajectory_rows))
+    return st.one_of(
+        file_text(st.integers(3, 6).map(trajectory_rows), True),
+        file_text(st.integers(0, 2).map(trajectory_rows)),
+        file_text(st.integers(3, 6).map(lambda n: trajectory_rows(n, frame_ms=real(1.0000000000000002e100, 1.7976931348623157e308)))),
+        file_text(st.integers(3, 6).map(lambda n: trajectory_rows(n, pose=st.sampled_from(["0 0 -1 0 1 0", "0 0 1 0 1 0"])))),
+    )
+
+
+@st.composite
+def run_inputs(draw) -> tuple[str | None, dict[str, bytes | None], bool]:
+    """The three `run` input files, of which at most one, named first, is
+    broken: in its text, by a byte that is not UTF-8, or by being absent
+    (None); and whether to run with `--no-focus`."""
+    broken = draw(st.sampled_from([None, "scene", "traj", "config"]))
+    files = {}
+    for name in ("scene", "traj", "config"):
+        how = draw(st.sampled_from(["text", "text", "text", "byte", "absent"])) if name == broken else None
+        data = draw(run_file(name, how == "text")).encode("utf-8")
+        if how == "byte":
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + b"\xff" + data[at:]
+        files[name] = None if how == "absent" else data
+    return broken, files, draw(st.booleans())
 
 
 class TestRunFuzz:
-    """`focusray run` on small generated files, valid and broken: every
-    outcome is a documented exit code, an error names the input file, or
-    `--out` for exit 5, on stderr, and no exception or numpy warning gets out."""
+    """`focusray run` on small generated files, at most one of them broken:
+    every outcome is a documented exit code, valid files replay, and an
+    error is on stderr, names the broken file and no other, and leaves no
+    report; no exception or numpy warning gets out."""
 
-    @settings(max_examples=80, deadline=None)
-    @given(scene=SCENE, traj=TRAJECTORY, config=CONFIG, no_focus=st.booleans())
-    def test_every_outcome_is_an_exit_code(self, scene, traj, config, no_focus):
+    @settings(max_examples=100, deadline=None)
+    @given(inputs=run_inputs())
+    def test_every_outcome_is_an_exit_code(self, inputs):
+        broken, files, no_focus = inputs
         with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            p = run_files(Path(d), scene=scene, traj=traj, config=config)
+            p = {name: os.path.join(d, f"{name}.txt") for name in files}
+            for name, data in files.items():
+                if data is not None:
+                    Path(p[name]).write_bytes(data)
+            p["out"] = os.path.join(d, "out.txt")
             # at most 400 ticks, so that a long recording is refused rather than replayed
             with mock.patch.object(simulate, "MAX_TICKS", 400):
                 code, err = quiet_main(run_argv(p, *["--no-focus"] * no_focus))
-            assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_OUTPUT)
+            assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION)
+            # a broken token can still be a valid one
             assert (err == "") if code == EXIT_OK else err.startswith("focusray: ")
-            named = [p["out"]] if code == EXIT_OUTPUT else [p["scene"], p["traj"], p["config"]]
-            assert code == EXIT_OK or any(path in err for path in named), err
+            # the tick grid and the rig come from the trajectory and the config together, and name both
+            named = [name for name in files if p[name] in err]
+            assert code == EXIT_OK or named == [broken] or (broken in named and named == ["traj", "config"]), err
+            assert broken is not None or code == EXIT_OK, err
             assert os.path.exists(p["out"]) == (code == EXIT_OK)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -327,6 +328,21 @@ class TestLargeScenario:
         assert len(timeline_rows(doc.decode("utf-8"))) == 626
         assert hashlib.sha256(doc).hexdigest() == self.PINNED_SHA256
 
+    def test_replay_memory_is_bounded(self, tmp_path):
+        """The replay's peak of traced allocations, numpy arrays included, stays
+        under 4 MB: selecting a chunk of ticks at a time must not grow it far
+        beyond the 0.9 MB of one tick at a time."""
+        paths = write_large_scenario(tmp_path)
+        args = (paths["scene"], paths["trajectory"], paths["config"], paths["out"])
+        run_scenario(*args)  # caches filled, modules imported
+        tracemalloc.start()
+        try:
+            run_scenario(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000, peak
+
 
 # Headings of the lattice replay, as (forward, up): the axis directions,
 # visited so that no two consecutive samples look in opposite directions.
@@ -427,11 +443,12 @@ class TestReplayOracle:
 
     def check(self, monkeypatch, tmp_path, texts, no_focus=False):
         scene, traj, config, out = scenario_files(tmp_path, texts[0], config_text=texts[2], traj_text=texts[1])
-        select, analyze, ticks, reports = simulate.select_focus, simulate.analyze_trajectory, [], []
+        select, analyze, ticks, reports, sizes = simulate.select_focus, simulate.analyze_trajectory, [], [], []
 
         def select_spy(scene, rigs, rois, *args):  # the replay selects a chunk of ticks per call
             winners, candidates = select(scene, rigs, rois, *args)
             ticks.extend(zip(rigs, rois, winners, strict=True))
+            sizes.append(len(rigs))
             return winners, candidates
 
         def analyze_spy(*args, **kwargs):
@@ -443,6 +460,9 @@ class TestReplayOracle:
         run_scenario(scene, traj, config, out, no_focus=no_focus)
         want = replay_by_rows(scene, traj, config, no_focus=no_focus)
         assert ticks == [(tick.rig, tick.roi, tick.winner) for tick in want.ticks]
+        # full chunks, then the rest: no lattice replay's tick count is a multiple of the chunk size
+        assert sizes[:-1] == [simulate.CHUNK_TICKS] * (len(sizes) - 1)
+        assert no_focus or 0 < sizes[-1] < simulate.CHUNK_TICKS
         assert reports == [want.report]
         assert open(out, "rb").read() == want.document.encode("utf-8")
         return scene, want.ticks
