@@ -101,7 +101,7 @@ def select_focus(
     cols, rel, rr, starts = prepared.roi_rows(rois)
     ids = prepared.ids[cols]
     if not cols.size:
-        candidates = [Candidates(ids, *[np.empty(0)] * 4) for _ in rois]
+        scored = ids, *[np.empty(0)] * 4
     else:
         single = len(rois) == 1  # the chunk of one takes one ROI's and one camera's forms
         spheres = prepared.spheres[cols]
@@ -121,13 +121,12 @@ def select_focus(
         v = prepared.values[cols]
         z_far = rois[0].z_far if single else np.repeat([r.z_far for r in rois], counts)
         d = 1.0 - np.minimum(np.sqrt(ococ), z_far) / z_far
-        imp = weights.p_rm * rms + weights.p_d * d + weights.p_v * v
-        if single:
-            candidates = [Candidates(ids, rms, d, v, imp)]
-        else:
-            candidates = [Candidates(ids[a:b], rms[a:b], d[a:b], v[a:b], imp[a:b]) for a, b in zip(starts, starts[1:])]
-    winners = list(map(_winner, candidates))
-    return (winners[0], candidates[0]) if one else (winners, candidates)
+        scored = ids, rms, d, v, weights.p_rm * rms + weights.p_d * d + weights.p_v * v
+    if one:
+        candidates = Candidates(*scored)
+        return _winner(candidates), candidates
+    chunk = [Candidates(*(a[i:j] for a in scored)) for i, j in zip(starts, starts[1:])]
+    return list(map(_winner, chunk)), chunk
 
 
 def _winner(c: Candidates) -> FocusCandidate | None:
