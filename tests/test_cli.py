@@ -387,11 +387,13 @@ def run_file(name: str, broken: bool = False):
             lambda keys: [(key, "=", CONFIG_VALUES[key]) for key in keys]), broken)
     if not broken:
         return file_text(st.integers(3, 6).map(trajectory_rows))
+    too_slow = real(1.0000000000000002e100, 1.7976931348623157e308)
+    turning = st.sampled_from(["0 0 -1 0 1 0", "0 0 1 0 1 0"])
     return st.one_of(
         file_text(st.integers(3, 6).map(trajectory_rows), True),
         file_text(st.integers(0, 2).map(trajectory_rows)),
-        file_text(st.integers(3, 6).map(lambda n: trajectory_rows(n, frame_ms=real(1.0000000000000002e100, 1.7976931348623157e308)))),
-        file_text(st.integers(3, 6).map(lambda n: trajectory_rows(n, pose=st.sampled_from(["0 0 -1 0 1 0", "0 0 1 0 1 0"])))),
+        file_text(st.integers(3, 6).map(lambda n: trajectory_rows(n, frame_ms=too_slow))),
+        file_text(st.integers(3, 6).map(lambda n: trajectory_rows(n, pose=turning))),
     )
 
 
@@ -433,9 +435,9 @@ class TestRunFuzz:
             with mock.patch.object(simulate, "MAX_TICKS", 400):
                 code, err = quiet_main(run_argv(p, *["--no-focus"] * no_focus))
             assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION)
-            # a broken token can still be a valid one
             assert (err == "") if code == EXIT_OK else err.startswith("focusray: ")
-            # the tick grid and the rig come from the trajectory and the config together, and name both
+            # a broken token can still be a valid one, so a broken file may replay; the tick grid
+            # and the rig come from the trajectory and the config together, and name both
             named = [name for name in files if p[name] in err]
             assert code == EXIT_OK or named == [broken] or (broken in named and named == ["traj", "config"]), err
             assert broken is not None or code == EXIT_OK, err
