@@ -26,6 +26,7 @@ from .dynamics import (
     FocusSelection,
     FocusState,
     Transition,
+    advance,
     apply_selection,
     blur_amount,
     step,
@@ -46,9 +47,11 @@ from .io_formats import (
     write_document,
 )
 from .geometry import (
+    CameraRows,
     MidCamera,
     PreparedScene,
     Roi,
+    RoiRows,
     SceneObject,
     StereoRig,
     Vec3,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Roi, SceneObject, StereoRig, dot_rows, prepare_scene
+from .geometry import CameraRows, Roi, RoiRows, SceneObject, StereoRig, dot_rows, prepare_scene
 from .rays import RayBundle, RayConfig, ray_bundle, rm_scores
 
 WEIGHT_SUM_TOL = 1e-9
@@ -73,11 +73,11 @@ class Candidates(Sequence[FocusCandidate]):
 
 def select_focus(
     scene: Sequence[SceneObject],
-    rig: StereoRig | Sequence[StereoRig],
-    roi: Roi | Sequence[Roi],
+    rig: StereoRig | CameraRows | Sequence[StereoRig],
+    roi: Roi | RoiRows | Sequence[Roi],
     ray_cfg: RayConfig,
     weights: HeuristicWeights,
-) -> tuple[FocusCandidate | None, Candidates] | tuple[list[FocusCandidate | None], list[Candidates]]:
+) -> tuple[FocusCandidate | None | np.ndarray | list[FocusCandidate | None], Candidates | list[Candidates]]:
     """Pick the focus object among ROI candidates; also return every candidate.
 
     Pipeline: cull the scene to the ROI, cast the ray cone once, score each
@@ -87,46 +87,55 @@ def select_focus(
     empty candidate set yields None and no candidates. A `PreparedScene` is
     used as it is; any other sequence is prepared for this call alone.
 
-    Given a chunk of T ticks instead, as equally long sequences of rigs and
-    ROIs, it returns the list of the T winners and the list of the T
-    candidate sets, each bit for bit what a call on that tick's rig and ROI
-    returns; the cull, the ray kernel and the scoring each run once over the
-    whole chunk.
+    A chunk of T ticks, as the `CameraRows` and `RoiRows` of its mid cameras
+    and ROIs, returns each tick's winner as a position in the candidates (-1
+    for none) and one `Candidates` holding the ticks' candidate sets back to
+    back, each bit for bit what a call on that tick's rig and ROI returns;
+    the cull, the ray kernel, the scoring and the pick each run once over the
+    chunk. Given as equally long sequences of rigs and ROIs, the chunk is
+    converted to rows and returns lists of the T winners and candidate sets.
     """
     prepared = prepare_scene(scene)
     one = isinstance(rig, StereoRig)
-    rigs, rois = ((rig,), (roi,)) if one else (rig, roi)
-    if len(rigs) != len(rois):
-        raise ValidationError(f"a chunk needs one ROI per rig, got {len(rigs)} rigs and {len(rois)} ROIs")
-    cols, rel, rr, starts = prepared.roi_rows(rois)
+    rows = isinstance(rig, CameraRows)
+    if not (one or rows):
+        if len(rig) != len(roi):
+            raise ValidationError(f"a chunk needs one ROI per rig, got {len(rig)} rigs and {len(roi)} ROIs")
+        cams = np.array([(*r.midpoint(), r.forward.x, r.forward.y, r.forward.z, r.up.x, r.up.y, r.up.z) for r in rig])
+        rois = np.array([(r.apex.x, r.apex.y, r.apex.z, r.axis.x, r.axis.y, r.axis.z) for r in roi])
+        trig = np.array([(math.sin(r.half_angle), math.cos(r.half_angle), r.z_far) for r in roi])
+        rig = CameraRows(*cams.reshape(-1, 3, 3).transpose(1, 0, 2))
+        roi = RoiRows(*rois.reshape(-1, 2, 3).transpose(1, 0, 2), *trig.reshape(-1, 3).T)
+    cols, rel, rr, starts = prepared.roi_rows(roi)
     ids = prepared.ids[cols]
     if not cols.size:
         scored = ids, *[np.empty(0)] * 4
     else:
-        single = len(rois) == 1  # the chunk of one takes one ROI's and one camera's forms
         spheres = prepared.spheres[cols]
-        counts = None if single else np.diff(starts)
+        counts = None if one else np.diff(starts)
         # with the apex at the mid camera, the cull's vectors negated are camera
         # minus center up to the sign of a zero, with the same squared lengths
-        mids = list(map(StereoRig.midpoint, rigs))
-        if mids == [(r.apex.x, r.apex.y, r.apex.z) for r in rois]:
+        if (rig.midpoint() == (roi.apex.x, roi.apex.y, roi.apex.z)) if one else np.array_equal(rig.m, roi.apex):
             oc, ococ = -rel, rr
         else:
-            oc = np.subtract(mids[0] if single else np.repeat(mids, counts, axis=0), spheres[:, :3])
+            oc = np.subtract(rig.midpoint() if one else np.repeat(rig.m, counts, axis=0), spheres[:, :3])
             ococ = dot_rows(oc, oc)
-        bundle: RayBundle = ray_bundle(ray_cfg, rigs[0] if single else rigs)
+        bundle: RayBundle = ray_bundle(ray_cfg, rig)
         rms = rm_scores(oc, bundle, spheres, ococ, starts)
 
         # d: 1 at the camera, falling linearly to 0 at the ROI's far limit
         v = prepared.values[cols]
-        z_far = rois[0].z_far if single else np.repeat([r.z_far for r in rois], counts)
+        z_far = roi.z_far if one else np.repeat(roi.z_far, counts)
         d = 1.0 - np.minimum(np.sqrt(ococ), z_far) / z_far
         scored = ids, rms, d, v, weights.p_rm * rms + weights.p_d * d + weights.p_v * v
+    candidates = Candidates(*scored)
     if one:
-        candidates = Candidates(*scored)
         return _winner(candidates), candidates
-    chunk = [Candidates(*(a[i:j] for a in scored)) for i, j in zip(starts, starts[1:])]
-    return list(map(_winner, chunk)), chunk
+    win = _winners(candidates, starts)
+    if rows:
+        return win, candidates
+    return ([candidates[w] if w >= 0 else None for w in win.tolist()],
+            [Candidates(*(a[i:j] for a in scored)) for i, j in zip(starts, starts[1:])])
 
 
 def _winner(c: Candidates) -> FocusCandidate | None:
@@ -136,3 +145,20 @@ def _winner(c: Candidates) -> FocusCandidate | None:
         return None
     top = (imp == imp.max()).nonzero()[0]
     return c[top[c.d[top].argmax()] if len(top) > 1 else top[0]]
+
+
+def _winners(c: Candidates, starts: list[int]) -> np.ndarray:
+    """`_winner`'s rule per tick, the ticks' candidates running from each
+    offset in `starts` to the next: the position in `c` of each tick's
+    winner, -1 for none. The first position attaining its tick's top
+    importance, then top d among those, lies in the tick, at its lowest id."""
+    counts = np.diff(starts)
+    held = counts > 0
+    firsts, counts = np.asarray(starts[:-1])[held], counts[held]
+    win = np.full(len(held), -1)
+    if len(firsts):
+        top = c.importance == np.repeat(np.maximum.reduceat(c.importance, firsts), counts)
+        d = np.where(top, c.d, -np.inf)
+        best = (d == np.repeat(np.maximum.reduceat(d, firsts), counts)).nonzero()[0]
+        win[held] = best[best.searchsorted(firsts)]
+    return win

@@ -326,15 +326,9 @@ def _detect_session_duration(traj: Trajectory, motion: _Motion, cfg: ComfortConf
     if duration_ms <= cfg.max_session_ms:
         return []
     t0 = float(traj.t_ms[0])
-    return [
-        ComfortFinding(
-            rule=ComfortRule.SessionDuration,
-            start_ms=t0 + cfg.max_session_ms,
-            end_ms=t0 + duration_ms,
-            severity=(duration_ms - cfg.max_session_ms) / 1000.0,
-            detail=f"session of {duration_ms / 60000.0:.1f} min exceeds the {cfg.max_session_ms / 60000.0:.1f} min budget",
-        )
-    ]
+    detail = f"session of {duration_ms / 60000.0:.1f} min exceeds the {cfg.max_session_ms / 60000.0:.1f} min budget"
+    return [ComfortFinding(ComfortRule.SessionDuration, t0 + cfg.max_session_ms, t0 + duration_ms,
+                           (duration_ms - cfg.max_session_ms) / 1000.0, detail)]
 
 
 def analyze_trajectory(
@@ -382,7 +376,5 @@ def analyze_trajectory(
         findings.extend(_detect_locomotion(traj, motion, cfg))
     findings.sort(key=lambda f: (f.start_ms, _RULE_ORDER[f.rule]))
 
-    counts = {rule: 0 for rule in ComfortRule}
-    for f in findings:
-        counts[f.rule] += 1
+    counts = {rule: sum(f.rule is rule for f in findings) for rule in ComfortRule}
     return ComfortReport(findings=tuple(findings), counts=counts, duration_ms=duration_ms)

@@ -53,10 +53,9 @@ class SimConfig:
     drop_factor: float = _COMFORT.drop_factor
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.ray_k, int) and self.ray_k >= 1):
-            raise ValidationError(f"ray_k must be an integer >= 1, got {self.ray_k!r}")
-        if not (isinstance(self.ray_n, int) and self.ray_n >= 1):
-            raise ValidationError(f"ray_n must be an integer >= 1, got {self.ray_n!r}")
+        for name in ("ray_k", "ray_n"):
+            if not (isinstance(x := getattr(self, name), int) and x >= 1):
+                raise ValidationError(f"{name} must be an integer >= 1, got {x!r}")
         for name in ("ray_half_angle_deg", "roi_half_angle_deg"):
             x = getattr(self, name)
             if not 0.0 < x < 90.0:

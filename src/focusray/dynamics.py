@@ -99,29 +99,21 @@ def apply_selection(state: FocusState, selection: FocusSelection | None, cfg: Dy
     focal distance (so retargeting mid-flight restarts without a jump). The
     same target at a changed distance retargets too; at an unchanged distance
     it only refreshes the persistence clock. No selection leaves the state
-    untouched here; gap handling lives in step().
+    untouched here; gap handling lives in advance().
     """
     if selection is None:
         return state
-
-    if selection.object_id == state.current_target:
-        destination = state.transition.to_distance if state.transition else state.focal_distance
-        if selection.distance == destination:
-            return FocusState(
-                current_target=state.current_target,
-                focal_distance=state.focal_distance,
-                transition=state.transition,
-                persistence_elapsed_ms=0.0,
-            )
-
-    transition: Transition | None = Transition(
-        from_distance=state.focal_distance,
-        to_distance=selection.distance,
-        elapsed_ms=0.0,
-        duration_ms=cfg.refocus_ms,
-    )
-    if selection.distance == state.focal_distance:
+    transition = state.transition
+    destination = transition.to_distance if transition else state.focal_distance
+    if selection.object_id != state.current_target or selection.distance != destination:
         transition = None
+        if selection.distance != state.focal_distance:
+            transition = Transition(
+                from_distance=state.focal_distance,
+                to_distance=selection.distance,
+                elapsed_ms=0.0,
+                duration_ms=cfg.refocus_ms,
+            )
     return FocusState(
         current_target=selection.object_id,
         focal_distance=state.focal_distance,
@@ -130,26 +122,55 @@ def apply_selection(state: FocusState, selection: FocusSelection | None, cfg: Dy
     )
 
 
-def _advance_transition(state: FocusState, dt_ms: float) -> FocusState:
-    if state.transition is None:
-        return state
-    tr = state.transition
-    elapsed = tr.elapsed_ms + dt_ms
-    if elapsed >= tr.duration_ms:
-        focal, transition = tr.to_distance, None
-    else:
-        focal = tr.from_distance + (tr.to_distance - tr.from_distance) * (elapsed / tr.duration_ms)
-        transition = Transition(
-            from_distance=tr.from_distance,
-            to_distance=tr.to_distance,
-            elapsed_ms=elapsed,
-            duration_ms=tr.duration_ms,
+def advance(applied: FocusState, selected: bool, dt_ms: float, cfg: DynamicsConfig) -> FocusState:
+    """The time half of step(): move `applied`, a state that `apply_selection`
+    returned for this tick, forward by dt_ms.
+
+    After a selection (`selected`), any transition moves forward by dt_ms.
+    Without one, the focal distance freezes and the persistence clock
+    accumulates; once it reaches the hold window the target and any pending
+    transition clear, keeping the last focal distance.
+    """
+    if not (math.isfinite(dt_ms) and dt_ms > 0.0):
+        raise ValidationError(f"dt_ms must be positive, got {dt_ms!r}")
+
+    if selected:
+        tr = applied.transition
+        if tr is None:
+            return applied
+        elapsed = tr.elapsed_ms + dt_ms
+        if elapsed >= tr.duration_ms:
+            focal, transition = tr.to_distance, None
+        else:
+            focal = tr.from_distance + (tr.to_distance - tr.from_distance) * (elapsed / tr.duration_ms)
+            transition = Transition(
+                from_distance=tr.from_distance,
+                to_distance=tr.to_distance,
+                elapsed_ms=elapsed,
+                duration_ms=tr.duration_ms,
+            )
+        return FocusState(
+            current_target=applied.current_target,
+            focal_distance=focal,
+            transition=transition,
+            persistence_elapsed_ms=applied.persistence_elapsed_ms,
+        )
+
+    if applied.current_target is None:
+        return applied
+    elapsed = applied.persistence_elapsed_ms + dt_ms
+    if elapsed >= cfg.persistence_hold_ms:
+        return FocusState(
+            current_target=None,
+            focal_distance=applied.focal_distance,
+            transition=None,
+            persistence_elapsed_ms=0.0,
         )
     return FocusState(
-        current_target=state.current_target,
-        focal_distance=focal,
-        transition=transition,
-        persistence_elapsed_ms=state.persistence_elapsed_ms,
+        current_target=applied.current_target,
+        focal_distance=applied.focal_distance,
+        transition=applied.transition,
+        persistence_elapsed_ms=elapsed,
     )
 
 
@@ -159,35 +180,9 @@ def step(
     dt_ms: float,
     cfg: DynamicsConfig,
 ) -> FocusState:
-    """Advance the focus signal by one tick of dt_ms given this tick's selection.
-
-    With a selection: apply the bookkeeping, then move any transition forward
-    by dt_ms. Without one: the focal distance freezes and the persistence
-    clock accumulates; once it reaches the hold window the target and any
-    pending transition clear, keeping the last focal distance.
-    """
-    if not (math.isfinite(dt_ms) and dt_ms > 0.0):
-        raise ValidationError(f"dt_ms must be positive, got {dt_ms!r}")
-
-    if selection is not None:
-        return _advance_transition(apply_selection(state, selection, cfg), dt_ms)
-
-    if state.current_target is None:
-        return state
-    elapsed = state.persistence_elapsed_ms + dt_ms
-    if elapsed >= cfg.persistence_hold_ms:
-        return FocusState(
-            current_target=None,
-            focal_distance=state.focal_distance,
-            transition=None,
-            persistence_elapsed_ms=0.0,
-        )
-    return FocusState(
-        current_target=state.current_target,
-        focal_distance=state.focal_distance,
-        transition=state.transition,
-        persistence_elapsed_ms=elapsed,
-    )
+    """Advance the focus signal by one tick of dt_ms given this tick's
+    selection: `apply_selection`, then `advance`."""
+    return advance(apply_selection(state, selection, cfg), selection is not None, dt_ms, cfg)
 
 
 def blur_amount(depth: float, focal_distance: float, cfg: BlurConfig) -> float:

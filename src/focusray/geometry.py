@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -96,6 +96,22 @@ def norm_rows(a: np.ndarray) -> np.ndarray:
     return np.sqrt(dot_rows(a, a))
 
 
+def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of (N, 3) arrays, each component as `cross3` computes it."""
+    return np.array(cross3(a.T, b.T)).T
+
+
+def view_frame_rows(forward: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`view_frame` of each row of two (N, 3) arrays, bit for bit, and the length
+    of each right vector before it was normalized: where that is below 1e-12,
+    which `unit3` refuses, the row's frame is not to be used."""
+    right = cross_rows(forward, up)
+    n = norm_rows(right)
+    with np.errstate(all="ignore"):
+        right /= n[:, None]
+    return right, cross_rows(right, forward), n
+
+
 def _require_unit(v: Vec3, name: str) -> None:
     if not v.is_unit():
         raise ValidationError(f"{name} must be a unit vector (|{name}| = {v.norm()!r})")
@@ -172,6 +188,25 @@ class Roi:
             raise ValidationError(f"z_far must be positive, got {self.z_far!r}")
 
 
+class CameraRows(NamedTuple):
+    """T mid cameras as rows: positions `m`, `forward` and `up`, each (T, 3)."""
+
+    m: np.ndarray
+    forward: np.ndarray
+    up: np.ndarray
+
+
+class RoiRows(NamedTuple):
+    """T ROIs as rows: `apex` and `axis` (T, 3), and the sine and cosine of
+    each half-angle, as `math` computes them, and `z_far`, each (T,)."""
+
+    apex: np.ndarray
+    axis: np.ndarray
+    sin_half: np.ndarray
+    cos_half: np.ndarray
+    z_far: np.ndarray
+
+
 def derive_mid_camera(rig: StereoRig) -> MidCamera:
     """Midpoint camera of a stereo rig: exact component-wise midpoint, frame copied."""
     return MidCamera(m=Vec3(*rig.midpoint()), forward=rig.forward, up=rig.up)
@@ -184,11 +219,11 @@ def sphere_array(objects: Sequence[SceneObject]) -> np.ndarray:
     ).reshape(-1, 4)
 
 
-def cone_mask(roi: Roi | Sequence[Roi], spheres: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def cone_mask(roi: Roi | RoiRows, spheres: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row of `spheres` (see `sphere_array`), True when it overlaps the
     ROI; also each center minus the apex, (N, 3), and its squared length.
-    Given a sequence of T ROIs, the same per (ROI, row) pair: (T, N),
-    (T, N, 3) and (T, N) arrays, each element computed as for one ROI.
+    Given the `RoiRows` of T ROIs instead, the same per (ROI, row) pair:
+    (T, N), (T, N, 3) and (T, N) arrays, each element computed as for one ROI.
 
     Partial overlap counts. The distance from a center to the solid infinite
     cone is taken in the (radial, axial) half-plane, where the cone is
@@ -201,10 +236,7 @@ def cone_mask(roi: Roi | Sequence[Roi], spheres: np.ndarray) -> tuple[np.ndarray
         apex, axis = (roi.apex.x, roi.apex.y, roi.apex.z), (roi.axis.x, roi.axis.y, roi.axis.z)
         sin_t, cos_t, z_far = math.sin(roi.half_angle), math.cos(roi.half_angle), roi.z_far
     else:  # a leading axis of ROIs, broadcast over the rows of `spheres`
-        apex = np.array([(r.apex.x, r.apex.y, r.apex.z) for r in roi], np.float64).reshape(-1, 1, 3)
-        axis = np.array([(r.axis.x, r.axis.y, r.axis.z) for r in roi], np.float64).reshape(-1, 1, 3)
-        sin_t, cos_t, z_far = np.array([(math.sin(r.half_angle), math.cos(r.half_angle), r.z_far) for r in roi],
-                                       np.float64).reshape(-1, 3).T[:, :, None]
+        apex, axis, sin_t, cos_t, z_far = (a[:, None] for a in roi)
     rad = spheres[:, 3]
     rel = spheres[:, :3] - apex
     rr = dot_rows(rel, rel)
@@ -270,43 +302,48 @@ class PreparedScene(Sequence[SceneObject]):
     def __iter__(self) -> Iterator[SceneObject]:
         return iter(self.objects)
 
-    def roi_rows(self, rois: Sequence[Roi]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-        """For each ROI in turn, the rows of `spheres` whose spheres overlap its
-        cone, in id order, with `cone_mask`'s centers minus the apex and
-        squared lengths of those rows; and the offsets at which each ROI's
-        rows start, then their total. `cone_mask` runs on the slab of rows
-        that the union of the cones' bounding boxes spans along `sweep_axis`
-        (every row if one box is not finite); a row an ROI keeps lies in its
-        own box, so in the union."""
-        e = self.sweep_axis
-        lo, hi = math.inf, -math.inf
-        for roi in rois:
+    def roi_rows(self, roi: Roi | RoiRows) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+        """For the ROI, or each ROI of `RoiRows` in turn, the rows of `spheres`
+        whose spheres overlap its cone, in id order, with `cone_mask`'s centers
+        minus the apex and squared lengths of those rows; and the offsets at
+        which each ROI's rows start, then their total.
+
+        `cone_mask` runs on the slab of rows that the union of the cones' boxes
+        spans along `sweep_axis`. A kept center lies within r_max of its nearest
+        cone point, at most r_max * sin(half_angle) deeper than the center,
+        itself at most z_far + r_max deep: a box holds the cone cut at z_far +
+        2 r_max, grown by r_max and by a margin far above the rounding of
+        cone_mask. The far disc's half-width is NaN only when depth is
+        infinite, and then so is the pad: a box that is not finite spans every row.
+        """
+        e, r_max = self.sweep_axis, self.r_max
+        if isinstance(roi, Roi):
             near, ax = (roi.apex.x, roi.apex.y, roi.apex.z), (roi.axis.x, roi.axis.y, roi.axis.z)
-            # A kept center lies within r_max of its nearest cone point, which is
-            # at most r_max * sin(half_angle) deeper than the center, itself at
-            # most z_far + r_max deep: box the cone cut at z_far + 2 r_max, grown
-            # by r_max and by a margin far above the rounding of cone_mask, so
-            # no center on a bound is kept. The far disc's half-width is
-            # multiplied in this order so that it is NaN only when depth is
-            # infinite, and then so is the pad: lo is finite or -inf, hi finite
-            # or inf, and a box that is not finite spans every row.
-            depth = roi.z_far + 2.0 * self.r_max
+            depth = roi.z_far + 2.0 * r_max
             half = math.sqrt(ax[e - 1] ** 2 + ax[e - 2] ** 2) * depth * math.tan(roi.half_angle)
             far = near[e] + depth * ax[e]
-            pad = self.r_max + 1e-6 * (depth + max(map(abs, near)))
-            lo, hi = min(lo, min(near[e], far - half) - pad), max(hi, max(near[e], far + half) + pad)
-        first, last = self.spheres[:, e].searchsorted((lo, hi)).tolist()
-        ids = self.ids[first:last]
-        if len(rois) == 1:
-            keep, rel, rr = cone_mask(rois[0], self.spheres[first:last])
+            pad = r_max + 1e-6 * (depth + max(map(abs, near)))
+            first, last = self.spheres[:, e].searchsorted((min(near[e], far - half) - pad,
+                                                           max(near[e], far + half) + pad)).tolist()
+            keep, rel, rr = cone_mask(roi, self.spheres[first:last])
             kept = keep.nonzero()[0]
-            kept = kept[ids[kept].argsort()]  # into id order
+            kept = kept[self.ids[first:last][kept].argsort()]  # into id order
             return first + kept, rel[kept], rr[kept], [0, len(kept)]
+        # the same boxes, one per ROI; fmin and fmax pass over a NaN, as min and max do a second operand
+        near, ax = roi.apex[:, e], roi.axis
+        with np.errstate(all="ignore"):
+            depth = roi.z_far + 2.0 * r_max
+            half = np.sqrt(ax[:, e - 1] ** 2 + ax[:, e - 2] ** 2) * depth * (roi.sin_half / roi.cos_half)
+            far = near + depth * ax[:, e]
+            pad = r_max + 1e-6 * (depth + np.abs(roi.apex).max(axis=1))
+            lo = (np.fmin(near, far - half) - pad).min(initial=np.inf)
+            hi = (np.fmax(near, far + half) + pad).max(initial=-np.inf)
+        first, last = self.spheres[:, e].searchsorted((lo, hi)).tolist()
         # the slab's rows in id order, so that the kept (ROI, row) pairs come out by ROI, then by id
-        order = ids.argsort()
-        keep, rel, rr = cone_mask(rois, self.spheres[first:last].take(order, axis=0))
+        order = self.ids[first:last].argsort()
+        keep, rel, rr = cone_mask(roi, self.spheres[first:last].take(order, axis=0))
         kept = keep.ravel().nonzero()[0]
-        starts = kept.searchsorted(np.arange(len(rois) + 1) * len(order)).tolist()
+        starts = kept.searchsorted(np.arange(len(near) + 1) * len(order)).tolist()
         return first + order[kept % len(order)], rel.reshape(-1, 3)[kept], rr.ravel()[kept], starts
 
 

@@ -23,7 +23,7 @@ from .attention import FocusCandidate
 from .comfort import MIN_SAMPLES, ComfortReport, ComfortRule, Trajectory, TrajectorySample, invalid_sample_rows
 from .config import CONFIG_FIELD_NAMES, INT_FIELDS, SimConfig
 from .errors import GeometryError, OutputError, ParseError, ValidationError
-from .geometry import MAX_COORD_M, PreparedScene, SceneObject, Vec3, norm_rows, prepare_scene
+from .geometry import MAX_COORD_M, PreparedScene, SceneObject, Vec3, cross_rows, norm_rows, prepare_scene
 from .ssq import Profile, ProtocolReport, SsqResponse
 
 TRAJECTORY_HEADER = (
@@ -82,11 +82,8 @@ def parse_scene(path: str) -> PreparedScene:
         if len(tokens) < 6:
             raise ParseError(path, lineno, "expected 'id cx cy cz radius value [label]'")
         obj_id = _parse_int(path, lineno, tokens[0], "object id")
-        cx = _parse_float(path, lineno, tokens[1], "center x")
-        cy = _parse_float(path, lineno, tokens[2], "center y")
-        cz = _parse_float(path, lineno, tokens[3], "center z")
-        radius = _parse_float(path, lineno, tokens[4], "radius")
-        value = _parse_float(path, lineno, tokens[5], "value")
+        names = ("center x", "center y", "center z", "radius", "value")
+        cx, cy, cz, radius, value = (_parse_float(path, lineno, tok, name) for tok, name in zip(tokens[1:6], names))
         label = " ".join(tokens[6:])
         if obj_id in seen:
             raise ParseError(path, lineno, f"duplicate object id {obj_id}")
@@ -176,8 +173,8 @@ def parse_trajectory(path: str) -> Trajectory:
     with np.errstate(all="ignore"):  # a non-finite row normalizes to nan, which the sample check flags
         fwd_norm, up_norm = norm_rows(vals[:, 4:7]), norm_rows(vals[:, 7:10])
         fwd, up = vals[:, 4:7] / fwd_norm[:, None], vals[:, 7:10] / up_norm[:, None]
-        # np.cross evaluates Vec3.cross's expressions, so the right vector is checked exactly
-        bad = ~(fwd_norm >= 1e-12) | ~(up_norm >= 1e-12) | ~(norm_rows(np.cross(fwd, up)) >= 1e-12)
+        # the right vector as Vec3.cross computes it, so it is checked exactly
+        bad = ~(fwd_norm >= 1e-12) | ~(up_norm >= 1e-12) | ~(norm_rows(cross_rows(fwd, up)) >= 1e-12)
     bad |= (user != "0") & (user != "1") | invalid_sample_rows(t_ms, pos, fwd, up, fov, frame_ms)
     bad |= ~(np.abs(pos) <= MAX_COORD_M).all(axis=1)
     bad[1:] |= ~(t_ms[1:] > t_ms[:-1])
@@ -248,12 +245,7 @@ def parse_profile(path: str) -> Profile:
             raise ParseError(path, 0, f"missing required profile key {key!r}")
     age = _parse_int(path, line_of["age"], values["age"], "age")
     try:
-        return Profile(
-            name=values["name"],
-            age=age,
-            gender=values["gender"],
-            academic_background=values["academic_background"],
-        )
+        return Profile(**{**values, "age": age})
     except ValidationError as e:
         raise ParseError(path, line_of["age"], str(e)) from None
 
@@ -318,17 +310,10 @@ def render_comfort_section(report: ComfortReport) -> list[str]:
 
 
 def render_ssq_section(report: ProtocolReport) -> list[str]:
-    lines = ["[SSQ]"]
-    lines.append(f"name = {report.profile.name}")
-    lines.append(f"age = {report.profile.age}")
-    lines.append(f"gender = {report.profile.gender}")
-    lines.append(f"academic_background = {report.profile.academic_background}")
-    for tag, score in (("q1", report.q1), ("q2", report.q2), ("q3", report.q3)):
+    lines = ["[SSQ]"] + [f"{key} = {getattr(report.profile, key)}" for key in PROFILE_KEYS]
+    for tag in ("q1", "q2", "q3", "delta_q2", "delta_q3"):
         for cls in ("nausea", "oculomotor", "disorientation", "total"):
-            lines.append(f"{tag}_{cls} = {format_real(getattr(score, cls), 2)}")
-    for tag, delta in (("delta_q2", report.delta_q2), ("delta_q3", report.delta_q3)):
-        for cls in ("nausea", "oculomotor", "disorientation", "total"):
-            lines.append(f"{tag}_{cls} = {format_real(getattr(delta, cls), 2)}")
+            lines.append(f"{tag}_{cls} = {format_real(getattr(getattr(report, tag), cls), 2)}")
     return lines
 
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import MidCamera, StereoRig, dot_rows, unit3, view_frame
+from .geometry import CameraRows, MidCamera, StereoRig, dot_rows, norm_rows, unit3, view_frame, view_frame_rows
 
 # 2*pi*(1 - 1/phi), phi the golden ratio: ~137.5 degrees per step.
 GOLDEN_ANGLE = 2.0 * math.pi * (1.0 - 2.0 / (1.0 + math.sqrt(5.0)))
@@ -86,21 +86,19 @@ def _cone_trig(config: RayConfig) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _frame(cam: MidCamera | StereoRig) -> tuple[tuple[float, ...], ...]:
-    """Forward, right and up of `cam`, made exactly orthonormal from its frame."""
-    f = unit3((cam.forward.x, cam.forward.y, cam.forward.z))
-    return (f, *view_frame(f, (cam.up.x, cam.up.y, cam.up.z)))
-
-
-def ray_bundle(config: RayConfig, cam: MidCamera | StereoRig | Sequence[MidCamera | StereoRig]) -> RayBundle:
+def ray_bundle(config: RayConfig, cam: MidCamera | StereoRig | CameraRows) -> RayBundle:
     """Build the k*n ray cone as arrays, layer-major, azimuth-index minor, about
-    an exactly orthonormal frame made from that of `cam` (or of its rig).
-    Given a sequence of T cameras, the cone of each, as (T, R, 3) directions."""
+    an exactly orthonormal frame made from that of `cam` (or of its rig):
+    `forward` normalized, then `view_frame` of it and `up`. Given the
+    `CameraRows` of T cameras, the cone of each, as (T, R, 3) directions,
+    each frame computed as for one camera."""
     layers, weights, cos_t, sin_t, cos_p, sin_p = _cone_trig(config)
-    if isinstance(cam, (MidCamera, StereoRig)):
-        frames = np.array(_frame(cam))
+    if isinstance(cam, CameraRows):
+        f = cam.forward / norm_rows(cam.forward)[:, None]
+        frames = np.array((f, *view_frame_rows(f, cam.up)[:2]))
     else:
-        frames = np.array([_frame(c) for c in cam], np.float64).reshape(-1, 3, 3).transpose(1, 0, 2)
+        f = unit3((cam.forward.x, cam.forward.y, cam.forward.z))
+        frames = np.array((f, *view_frame(f, (cam.up.x, cam.up.y, cam.up.z))))
     # fwd, right and up as (3, 1) columns, or (T, 3, 1): the products run with
     # the rays innermost, then are laid out (R, 3) or (T, R, 3)
     fwd, right, up = frames[..., None]

@@ -12,16 +12,17 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import fields
-from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
 from .attention import FocusCandidate, select_focus
 from .comfort import Trajectory, TrajectorySample, analyze_trajectory
-from .dynamics import FocusSelection, FocusState, apply_selection, step
+# `step` is bound here too, for perfbench/spans.py to wrap
+from .dynamics import FocusSelection, FocusState, advance, apply_selection, step  # noqa: F401
 from .errors import GeometryError, ValidationError
-from .geometry import Roi, StereoRig, Vec3, derive_mid_camera, dot_rows, norm_rows, view_frame
+from .geometry import (ORTHO_TOL, UNIT_TOL, CameraRows, RoiRows, StereoRig, Vec3, dot_rows, norm_rows, view_frame,
+                       view_frame_rows)
 from .io_formats import (
     parse_config,
     parse_profile,
@@ -151,6 +152,21 @@ def rig_from_pose(sample: TrajectorySample, ipd_m: float) -> StereoRig:
     return StereoRig(ol=Vec3(p.x - dx, p.y - dy, p.z - dz), or_=Vec3(p.x + dx, p.y + dy, p.z + dz), up=Vec3(*u), forward=f)
 
 
+def camera_rows(ticks: Trajectory, ipd_m: float) -> tuple[CameraRows, np.ndarray]:
+    """Each tick's `derive_mid_camera(rig_from_pose(tick, ipd_m))` as rows, bit
+    for bit: the same operations in the same order. Also, per tick, True where
+    a check of the rig or its camera may fail: their tests, but up's length is
+    tested by its square, which flags more (forward was checked when read)."""
+    f = ticks.fwd
+    right, up, n = view_frame_rows(f, ticks.up)
+    with np.errstate(all="ignore"):  # a flagged tick may not be finite
+        half = right * (ipd_m / 2.0)
+        ol, or_ = ticks.pos - half, ticks.pos + half
+        flagged = ~(n >= 1e-12) | ~(np.abs(dot_rows(up, up) - 1.0) <= UNIT_TOL)
+        flagged |= ~(np.abs(dot_rows(f, up)) <= ORTHO_TOL) | (ol == or_).all(axis=1)
+    return CameraRows((ol + or_) / 2.0, f, up), flagged
+
+
 def run_scenario(
     scene_path: str,
     trajectory_path: str,
@@ -172,39 +188,44 @@ def run_scenario(
     weights = cfg.heuristic_weights()
     dyn_cfg = cfg.dynamics_config()
     roi_half = math.radians(cfg.roi_half_angle_deg)
-    center_of = {obj.id: obj.center for obj in scene}
 
     try:
         ticks = resample(traj, cfg.tick_ms)
     except ValidationError as e:  # the recording, or its span, at the config's tick_ms
         raise ValidationError(f"{trajectory_path}: {e} (tick_ms from {config_path})") from None
-    # without focus the timeline is the tick times alone, and no sample is built
+    # without focus the timeline is the tick times alone, and no rig is built
     focus: list[tuple[FocusCandidate | None, float, bool]] = []
-    state = FocusState.initial()
-    samples = iter(() if no_focus else ticks)
-    while chunk := list(islice(samples, CHUNK_TICKS)):
-        rigs, cams, rois = [], [], []
-        for sample in chunk:
+    if not no_focus:
+        cams, flagged = camera_rows(ticks, cfg.ipd_m)
+        for i in np.flatnonzero(flagged).tolist():  # the first tick whose rig is refused raises
+            sample = ticks[i]
             try:
-                rig = rig_from_pose(sample, cfg.ipd_m)
-            except GeometryError as e:  # a position too large for the eyes to differ in floating point
-                raise GeometryError(
+                rig_from_pose(sample, cfg.ipd_m)
+            except (GeometryError, ValidationError) as e:  # say a position too large for the eyes to differ
+                raise type(e)(
                     f"{trajectory_path}: tick at t_ms {sample.t_ms!r}: {e} (ipd_m from {config_path})"
                 ) from None
-            cam = derive_mid_camera(rig)
-            rigs.append(rig)
-            cams.append(cam)
-            rois.append(Roi(apex=cam.m, axis=cam.forward, half_angle=roi_half, z_far=cfg.roi_z_far_m))
-        winners, _ = select_focus(scene, rigs, rois, ray_cfg, weights)
+        per_tick = np.repeat([[math.sin(roi_half)], [math.cos(roi_half)], [cfg.roi_z_far_m]], len(ticks), axis=1)
+        rois = RoiRows(cams.m, cams.forward, *per_tick)
 
-        for winner, cam in zip(winners, cams):
-            selection = None
-            if winner is not None:
-                distance = center_of[winner.object_id].distance_to(cam.m)
-                selection = FocusSelection(object_id=winner.object_id, distance=distance)
+        winners: list[FocusCandidate | None] = []
+        for a in range(0, len(ticks), CHUNK_TICKS):
+            chunk = slice(a, a + CHUNK_TICKS)
+            win, candidates = select_focus(scene, CameraRows(*(c[chunk] for c in cams)),
+                                           RoiRows(*(c[chunk] for c in rois)), ray_cfg, weights)
+            winners += [candidates[w] if w >= 0 else None for w in win.tolist()]
+
+        # each winner's distance from its tick's camera, as `Vec3.distance_to` computes it
+        center_of = {obj.id: (obj.center.x, obj.center.y, obj.center.z) for obj in scene}
+        won = [i for i, w in enumerate(winners) if w is not None]
+        centers = np.array([center_of[winners[i].object_id] for i in won], np.float64).reshape(-1, 3)
+        distances = iter(norm_rows(centers - cams.m[won]).tolist())
+        state = FocusState.initial()
+        for winner in winners:
+            selection = None if winner is None else FocusSelection(winner.object_id, next(distances))
             applied = apply_selection(state, selection, dyn_cfg)
             focus.append((winner, applied.focal_distance, applied.transition is not None))
-            state = step(state, selection, cfg.tick_ms, dyn_cfg)
+            state = advance(applied, selection is not None, cfg.tick_ms, dyn_cfg)
 
     report = analyze_trajectory(traj, duration_ms=None, cfg=cfg.comfort_config())
     doc = render_document(

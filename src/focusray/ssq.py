@@ -15,7 +15,7 @@ the baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ValidationError
 
@@ -135,36 +135,17 @@ def score_questionnaire(resp: SsqResponse) -> SsqScore:
     The total is the overlap-counted raw sum of all three classes times its
     own multiplier.
     """
-    raw_n = _raw_class_score(resp, NAUSEA_SYMPTOMS)
-    raw_o = _raw_class_score(resp, OCULOMOTOR_SYMPTOMS)
-    raw_d = _raw_class_score(resp, DISORIENTATION_SYMPTOMS)
-    return SsqScore(
-        nausea=raw_n * NAUSEA_MULTIPLIER,
-        oculomotor=raw_o * OCULOMOTOR_MULTIPLIER,
-        disorientation=raw_d * DISORIENTATION_MULTIPLIER,
-        total=(raw_n + raw_o + raw_d) * TOTAL_MULTIPLIER,
-    )
+    classes = ((NAUSEA_SYMPTOMS, NAUSEA_MULTIPLIER), (OCULOMOTOR_SYMPTOMS, OCULOMOTOR_MULTIPLIER),
+               (DISORIENTATION_SYMPTOMS, DISORIENTATION_MULTIPLIER))
+    raw = [_raw_class_score(resp, members) for members, _ in classes]
+    return SsqScore(*(r * multiplier for r, (_, multiplier) in zip(raw, classes)), sum(raw) * TOTAL_MULTIPLIER)
 
 
 def _delta(after: SsqScore, baseline: SsqScore) -> SsqDelta:
-    return SsqDelta(
-        nausea=after.nausea - baseline.nausea,
-        oculomotor=after.oculomotor - baseline.oculomotor,
-        disorientation=after.disorientation - baseline.disorientation,
-        total=after.total - baseline.total,
-    )
+    return SsqDelta(*(getattr(after, f.name) - getattr(baseline, f.name) for f in fields(SsqDelta)))
 
 
 def protocol_report(session: ProtocolSession) -> ProtocolReport:
     """Score all three questionnaires; deltas are q2 - q1 and q3 - q1."""
-    s1 = score_questionnaire(session.q1)
-    s2 = score_questionnaire(session.q2)
-    s3 = score_questionnaire(session.q3)
-    return ProtocolReport(
-        profile=session.profile,
-        q1=s1,
-        q2=s2,
-        q3=s3,
-        delta_q2=_delta(s2, s1),
-        delta_q3=_delta(s3, s1),
-    )
+    s1, s2, s3 = map(score_questionnaire, (session.q1, session.q2, session.q3))
+    return ProtocolReport(session.profile, s1, s2, s3, delta_q2=_delta(s2, s1), delta_q3=_delta(s3, s1))

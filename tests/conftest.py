@@ -1,6 +1,12 @@
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import settings
+
+# Example counts of the differential replay fuzz (tests/test_replay_fuzz.py):
+# within a few seconds of Tier-1, and the longer run CI loads by name
+settings.register_profile("replay-fuzz", max_examples=50, deadline=None)
+settings.register_profile("replay-fuzz-long", max_examples=400, deadline=None)
 
 _ACCEPTANCE_LINES: list[tuple[int, str]] = []
 

@@ -10,11 +10,13 @@ from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import numpy as np
 
 from focusray import SimConfig, ValidationError, level_for_score, simulate
 from focusray.cli import EXIT_OK, EXIT_OUTPUT, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATION, main
 from focusray.config import CONFIG_FIELD_NAMES
 from builders import NoArrays
+from oracles import replay_by_rows
 
 TRAJ = (
     "t_ms px py pz fx fy fz ux uy uz fov_deg user_initiated frame_time_ms\n"
@@ -314,6 +316,72 @@ class TestRunCommand:
         code, err = quiet_main(self.argv(p))
         assert code == EXIT_VALIDATION
         assert err.startswith(f"focusray: {p['config']}: ")
+
+
+# (position, forward, up) of a trajectory row whose rig is refused or flagged
+_STILL = ("0 0 0", "0 0 -1", "0 1 0")
+# forward within ~1e-12 of up: right normalizes, but the up made from it is 1.2e-9 short of unit length
+_NEAR_UP = ("0 0 0", "0.35999999999985344 0.4800000000007042 0.7999999999991263", "0.36 0.48 0.8")
+# as close, but the rebuilt up is 0.56e-9 short: the rows' screen tests its square and flags it; the rig accepts it
+_FLAGGED_ONLY = ("0 0 0", "0.3599999999996392 0.48000000000105125 0.799999999999944", "0.36 0.48 0.8")
+# at 1e100 m, eyes 64 mm apart round to the same point
+_FAR = ("1e100 0 0", "0 0 -1", "0 1 0")
+# the ticks halfway between these two rows look along their up: forward and up trade places
+_TURN = (("0 0 0", "1 0 0", "0 1 0"), ("0 0 0", "0 1 0", "1 0 0"))
+
+
+def _rows(count, special):
+    """Trajectory text of `count` still rows 100 ms apart, with `special` rows by index."""
+    rows = (f"{100 * k} {' '.join(special.get(k, _STILL))} 90 1 11.1\n" for k in range(count))
+    return TRAJ.splitlines(keepends=True)[0] + "".join(rows)
+
+
+class TestRigRefusals:
+    """A tick whose rig the replay refuses ends the run with exit 4 and a
+    message naming the trajectory and the tick's time, and writes nothing,
+    wherever the tick falls: the first chunk, mid-chunk or the last, short
+    chunk. The earliest refused tick is the one named."""
+
+    def check(self, tmp_path, traj, t_ms, message, tick_ms=100):
+        assert 39 % simulate.CHUNK_TICKS not in (0, simulate.CHUNK_TICKS - 1)  # 39 ticks end in a short chunk
+        p = run_files(tmp_path, config=f"tick_ms = {tick_ms}\n", traj=traj)
+        code, err = quiet_main(self.argv(p))
+        assert code == EXIT_VALIDATION
+        assert err.startswith(f"focusray: {p['traj']}: tick at t_ms {t_ms!r}: {message}"), err
+        assert err.endswith(f" (ipd_m from {p['config']})\n")
+        assert not os.path.exists(p["out"])
+
+    def argv(self, p):
+        return ["run", "--scene", p["scene"], "--trajectory", p["traj"], "--config", p["config"], "--out", p["out"]]
+
+    def test_forward_parallel_to_up(self, tmp_path):
+        # 20 rows at 50 ms ticks: tick 2k + 1 lies halfway between rows k and k + 1, tick 1 is the earliest
+        for tick, later in ((1, 37), (21, 37), (37, None)):
+            special = {(tick - 1) // 2: _TURN[0], (tick + 1) // 2: _TURN[1]}
+            if later:
+                special.update({(later - 1) // 2: _TURN[0], (later + 1) // 2: _TURN[1]})
+            self.check(tmp_path, _rows(20, special), 50.0 * tick, "cannot normalize a near-zero vector", tick_ms=50)
+
+    def test_up_rebuilt_off_unit(self, tmp_path):
+        for tick, later in ((0, 20), (20, 36), (36, None)):
+            special = {tick: _NEAR_UP, **({later: _FAR} if later else {})}
+            self.check(tmp_path, _rows(39, special), 100.0 * tick, "up must be a unit vector (|up| = ")
+
+    def test_eyes_coincide(self, tmp_path):
+        for tick, later in ((0, 36), (20, 36), (36, None)):
+            special = {tick: _FAR, **({later: _NEAR_UP} if later else {})}
+            self.check(tmp_path, _rows(39, special), 100.0 * tick, "degenerate rig")
+
+    def test_flagged_tick_the_rig_accepts_replays(self, tmp_path):
+        p = run_files(tmp_path, scene="1 0 0 -10 1.0 1.0 orb\n2 0.36 0.48 5 1 0.5\n",
+                      traj=_rows(39, {3: _FLAGGED_ONLY, 20: _FLAGGED_ONLY}))
+        ticks = simulate.resample(simulate.parse_trajectory(p["traj"]), 100.0)
+        assert np.flatnonzero(simulate.camera_rows(ticks, 0.064)[1]).tolist() == [3, 20]
+        assert quiet_main(self.argv(p)) == (EXIT_OK, "")
+        with open(p["out"], encoding="utf-8") as fh:
+            doc = fh.read()
+        assert doc == replay_by_rows(p["scene"], p["traj"], p["config"]).document
+        assert "\n300.000000,2," in doc and "\n2000.000000,2," in doc  # both flagged ticks select object 2
 
 
 def real(lo: float, hi: float):

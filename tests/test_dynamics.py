@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from focusray import (
     FocusState,
     Transition,
     ValidationError,
+    advance,
     blur_amount,
     step,
 )
@@ -260,6 +262,37 @@ class TestStateInvariants:
             s = step(s, FocusSelection(object_id=3, distance=target), dt, CFG)
             assert lo <= s.focal_distance <= hi
         assert s.focal_distance == target
+
+
+distances = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
+transitions = st.builds(Transition, distances, distances, st.floats(0.0, 1e3, allow_nan=False),
+                        st.floats(1e-3, 1e3, allow_nan=False))
+states = st.builds(FocusState, st.one_of(st.none(), st.integers(1, 3)), distances,
+                   st.one_of(st.none(), transitions), st.floats(0.0, 1e3, allow_nan=False))
+
+
+class TestStepIsApplyThenAdvance:
+    """`step` is `apply_selection` and then `advance`, the two halves the
+    replay calls once each per tick: field for field, for any state, any
+    selection or none, and any tick length, refused ones included."""
+
+    @given(state=states, data=st.data(),
+           dt=st.one_of(st.floats(1e-3, 1e3, allow_nan=False), st.sampled_from([0.0, -1.0, math.inf, math.nan])),
+           refocus=st.floats(1e-3, 1e3, allow_nan=False), hold=st.floats(0.0, 1e3, allow_nan=False))
+    @settings(max_examples=300, deadline=None)
+    def test_step_matches_the_halves(self, state, data, dt, refocus, hold):
+        cfg = DynamicsConfig(refocus_ms=refocus, persistence_hold_ms=hold)
+        # distances that tie with the state's own, so refreshes and skipped transitions occur
+        near = [state.focal_distance] + ([state.transition.to_distance] if state.transition else [])
+        selection = data.draw(st.one_of(st.none(), st.builds(
+            FocusSelection, st.integers(1, 3), st.one_of(st.sampled_from(near), distances))))
+        try:
+            want = repr(advance(apply_selection(state, selection, cfg), selection is not None, dt, cfg))
+        except ValidationError as e:
+            with pytest.raises(ValidationError, match=f"^{re.escape(str(e))}$"):
+                step(state, selection, dt, cfg)
+        else:
+            assert repr(step(state, selection, dt, cfg)) == want
 
 
 class TestTransitionValidation:

@@ -434,22 +434,34 @@ def _wide_replay(rng: random.Random) -> tuple[str, str, str]:
     return "\n".join(lines) + "\n", _trajectory_text(rows), config
 
 
+def _camera_row(rig):
+    """A rig's mid camera as the replay's rows hold it: position, forward and up."""
+    return list(rig.midpoint()), [rig.forward.x, rig.forward.y, rig.forward.z], [rig.up.x, rig.up.y, rig.up.z]
+
+
+def _roi_row(roi):
+    """An ROI as the replay's rows hold it: apex, axis, the half-angle's sine and cosine, z_far."""
+    return ([roi.apex.x, roi.apex.y, roi.apex.z], [roi.axis.x, roi.axis.y, roi.axis.z], math.sin(roi.half_angle),
+            math.cos(roi.half_angle), roi.z_far)
+
+
 class TestReplayOracle:
     """`run_scenario` against `replay_by_rows` on seeded replays that reach
     the slab cull, lattice ties, occluder chains, ticks with no winner,
     persistence expiries and retargets mid-transition: the report byte for
-    byte and, since it rounds to 6 decimals, each tick's rig, ROI and winner
-    and the comfort report exactly."""
+    byte and, since it rounds to 6 decimals, each tick's mid camera and ROI
+    rows, its winner and the comfort report exactly."""
 
     def check(self, monkeypatch, tmp_path, texts, no_focus=False):
         scene, traj, config, out = scenario_files(tmp_path, texts[0], config_text=texts[2], traj_text=texts[1])
         select, analyze, ticks, reports, sizes = simulate.select_focus, simulate.analyze_trajectory, [], [], []
 
-        def select_spy(scene, rigs, rois, *args):  # the replay selects a chunk of ticks per call
-            winners, candidates = select(scene, rigs, rois, *args)
-            ticks.extend(zip(rigs, rois, winners, strict=True))
-            sizes.append(len(rigs))
-            return winners, candidates
+        def select_spy(scene, cams, rois, *args):  # the replay selects a chunk of ticks per call, as rows
+            win, candidates = select(scene, cams, rois, *args)
+            winners = [candidates[w] if w >= 0 else None for w in win.tolist()]
+            ticks.extend(zip(zip(*(c.tolist() for c in cams)), zip(*(r.tolist() for r in rois)), winners, strict=True))
+            sizes.append(len(win))
+            return win, candidates
 
         def analyze_spy(*args, **kwargs):
             reports.append(analyze(*args, **kwargs))
@@ -459,7 +471,7 @@ class TestReplayOracle:
         monkeypatch.setattr(simulate, "analyze_trajectory", analyze_spy)
         run_scenario(scene, traj, config, out, no_focus=no_focus)
         want = replay_by_rows(scene, traj, config, no_focus=no_focus)
-        assert ticks == [(tick.rig, tick.roi, tick.winner) for tick in want.ticks]
+        assert ticks == [(_camera_row(tick.rig), _roi_row(tick.roi), tick.winner) for tick in want.ticks]
         # full chunks, then the rest: no lattice replay's tick count is a multiple of the chunk size
         assert sizes[:-1] == [simulate.CHUNK_TICKS] * (len(sizes) - 1)
         assert no_focus or 0 < sizes[-1] < simulate.CHUNK_TICKS
