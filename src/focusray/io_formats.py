@@ -82,8 +82,11 @@ def parse_scene(path: str) -> PreparedScene:
         if len(tokens) < 6:
             raise ParseError(path, lineno, "expected 'id cx cy cz radius value [label]'")
         obj_id = _parse_int(path, lineno, tokens[0], "object id")
-        names = ("center x", "center y", "center z", "radius", "value")
-        cx, cy, cz, radius, value = (_parse_float(path, lineno, tok, name) for tok, name in zip(tokens[1:6], names))
+        cx = _parse_float(path, lineno, tokens[1], "center x")
+        cy = _parse_float(path, lineno, tokens[2], "center y")
+        cz = _parse_float(path, lineno, tokens[3], "center z")
+        radius = _parse_float(path, lineno, tokens[4], "radius")
+        value = _parse_float(path, lineno, tokens[5], "value")
         label = " ".join(tokens[6:])
         if obj_id in seen:
             raise ParseError(path, lineno, f"duplicate object id {obj_id}")

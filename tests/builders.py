@@ -88,6 +88,17 @@ def culled(prepared: PreparedScene, roi: Roi) -> tuple[list[int], int]:
     return rows, sum(tested)
 
 
+def camera_row(rig: StereoRig) -> tuple[list[float], ...]:
+    """A rig's mid camera as the replay's `CameraRows` hold it: position, forward and up."""
+    return list(rig.midpoint()), [rig.forward.x, rig.forward.y, rig.forward.z], [rig.up.x, rig.up.y, rig.up.z]
+
+
+def roi_row(roi: Roi) -> tuple:
+    """An ROI as the replay's `RoiRows` hold it: apex, axis, the half-angle's `math` sine and cosine, z_far."""
+    return ([roi.apex.x, roi.apex.y, roi.apex.z], [roi.axis.x, roi.axis.y, roi.axis.z], math.sin(roi.half_angle),
+            math.cos(roi.half_angle), roi.z_far)
+
+
 def sample_bits(s: TrajectorySample) -> tuple:
     """Every field of a sample, floats as `float.hex`, for bit-for-bit comparison."""
     vectors = (s.position, s.forward, s.up)

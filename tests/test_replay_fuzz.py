@@ -18,10 +18,10 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis import given
 
+from builders import camera_row, roi_row
 from focusray import simulate
 from oracles import replay_by_rows
 
@@ -82,15 +82,6 @@ def scenarios(draw):
     return scene, "\n".join([_HEADER, *rows]) + "\n", config, n_ticks
 
 
-def _camera_row(rig):
-    return list(rig.midpoint()), [rig.forward.x, rig.forward.y, rig.forward.z], [rig.up.x, rig.up.y, rig.up.z]
-
-
-def _roi_row(roi):
-    return ([roi.apex.x, roi.apex.y, roi.apex.z], [roi.axis.x, roi.axis.y, roi.axis.z], math.sin(roi.half_angle),
-            math.cos(roi.half_angle), roi.z_far)
-
-
 @given(scenario=scenarios())
 @settings(_PROFILE)
 def test_replays_match_the_reference(scenario):
@@ -115,5 +106,5 @@ def test_replays_match_the_reference(scenario):
         want = replay_by_rows(paths["scene"], paths["traj"], paths["config"])
         assert len(want.ticks) == n_ticks
         assert [winner for *_, winner in seen] == [tick.winner for tick in want.ticks]
-        assert seen == [(_camera_row(tick.rig), _roi_row(tick.roi), tick.winner) for tick in want.ticks]
+        assert seen == [(camera_row(tick.rig), roi_row(tick.roi), tick.winner) for tick in want.ticks]
         assert Path(paths["out"]).read_text(encoding="utf-8") == want.document

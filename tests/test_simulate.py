@@ -18,7 +18,7 @@ from focusray import (
 )
 from focusray import simulate
 from focusray.cli import EXIT_OK, main
-from builders import FORWARD, UP, NoArrays, culled, sample, sample_bits, write_large_scenario
+from builders import FORWARD, UP, NoArrays, camera_row, culled, roi_row, sample, sample_bits, write_large_scenario
 from oracles import replay_by_rows
 
 
@@ -434,17 +434,6 @@ def _wide_replay(rng: random.Random) -> tuple[str, str, str]:
     return "\n".join(lines) + "\n", _trajectory_text(rows), config
 
 
-def _camera_row(rig):
-    """A rig's mid camera as the replay's rows hold it: position, forward and up."""
-    return list(rig.midpoint()), [rig.forward.x, rig.forward.y, rig.forward.z], [rig.up.x, rig.up.y, rig.up.z]
-
-
-def _roi_row(roi):
-    """An ROI as the replay's rows hold it: apex, axis, the half-angle's sine and cosine, z_far."""
-    return ([roi.apex.x, roi.apex.y, roi.apex.z], [roi.axis.x, roi.axis.y, roi.axis.z], math.sin(roi.half_angle),
-            math.cos(roi.half_angle), roi.z_far)
-
-
 class TestReplayOracle:
     """`run_scenario` against `replay_by_rows` on seeded replays that reach
     the slab cull, lattice ties, occluder chains, ticks with no winner,
@@ -471,7 +460,7 @@ class TestReplayOracle:
         monkeypatch.setattr(simulate, "analyze_trajectory", analyze_spy)
         run_scenario(scene, traj, config, out, no_focus=no_focus)
         want = replay_by_rows(scene, traj, config, no_focus=no_focus)
-        assert ticks == [(_camera_row(tick.rig), _roi_row(tick.roi), tick.winner) for tick in want.ticks]
+        assert ticks == [(camera_row(tick.rig), roi_row(tick.roi), tick.winner) for tick in want.ticks]
         # full chunks, then the rest: no lattice replay's tick count is a multiple of the chunk size
         assert sizes[:-1] == [simulate.CHUNK_TICKS] * (len(sizes) - 1)
         assert no_focus or 0 < sizes[-1] < simulate.CHUNK_TICKS
