@@ -201,7 +201,7 @@ def run_scenario(
             sample = ticks[i]
             try:
                 rig_from_pose(sample, cfg.ipd_m)
-            except (GeometryError, ValidationError) as e:  # say a position too large for the eyes to differ
+            except (GeometryError, ValidationError) as e:  # say forward along up, or eyes too far out to differ
                 raise type(e)(
                     f"{trajectory_path}: tick at t_ms {sample.t_ms!r}: {e} (ipd_m from {config_path})"
                 ) from None
