@@ -22,6 +22,7 @@ from focusray import (
     roi_mask,
     select_focus,
 )
+import focusray.geometry
 from builders import axial_rig, culled, sample
 from focusray.simulate import CHUNK_TICKS
 from oracles import roi_contains, select_by_enumeration
@@ -608,6 +609,43 @@ class TestSelectFocusChunk:
             winners, chunk = self.check(prepared, rigs, rois, rays, DEFAULT_W)
             ticks, kept, won = ticks + size, kept + sum(map(len, chunk)), won + sum(w is not None for w in winners)
         assert kept >= 3 * ticks and won >= ticks // 2, (ticks, kept, won)
+
+    def test_boxes_that_are_not_finite(self):
+        """ROIs reaching to infinity or opening to nearly a half-space, with
+        axes square to the sweep axis, whose array boxes see a NaN far edge:
+        each such box spans every row, and the chunk still selects as its
+        ticks do one at a time."""
+        rng = random.Random(3131)
+        prepared = prepare_scene(_disc_world(rng, 600))
+        e = prepared.sweep_axis
+        square = [Vec3(*(1.0 if i == (e + 1) % 3 else 0.0 for i in range(3))),
+                  Vec3(*(-1.0 if i == (e + 2) % 3 else 0.0 for i in range(3)))]
+        rays = RayConfig(k=2, n=8, half_angle=math.radians(10.0))
+        for z_far, half_angle in ((math.inf, 0.3), (1e300, 0.3), (math.inf, math.nextafter(math.pi / 2, 0.0)), (45.0, 0.3)):
+            rigs, rois = [], []
+            for i in range(CHUNK_TICKS + 3):
+                axis = square[i % 2] if i % 3 else Vec3(*(rng.uniform(-1.0, 1.0) for _ in range(3))).normalized()
+                up = next(u for u in (Vec3(0, 1, 0), Vec3(1, 0, 0)) if abs(u.dot(axis)) < 0.9)
+                pos = Vec3(rng.uniform(-60.0, 60.0), 1.6, rng.uniform(-60.0, 60.0))
+                rig = rig_from_pose(sample(16.0 * i, pos, forward=axis, up=up), 0.064)
+                rigs.append(rig)
+                far = z_far if i % 4 == 1 else 30.0  # one tick in four has the unbounded ROI
+                rois.append(Roi(apex=derive_mid_camera(rig).m, axis=axis, half_angle=half_angle if i % 4 == 1 else 0.4,
+                                z_far=far))
+            real, slabs = focusray.geometry.cone_mask, []
+
+            def spy(roi, spheres):
+                slabs.append(len(spheres))
+                return real(roi, spheres)
+
+            focusray.geometry.cone_mask = spy
+            try:
+                winners, chunk = self.check(prepared, rigs, rois, rays, DEFAULT_W)
+            finally:
+                focusray.geometry.cone_mask = real
+            assert sum(map(len, chunk)) > 0 and sum(w is not None for w in winners) > 0
+            # the chunk's call comes first; with a box that is not finite, its slab is every row
+            assert (slabs[0] == len(prepared)) == (z_far > 1e6)
 
     def test_chunk_of_one_and_empty_scene(self):
         assert select_focus([], [RIG], [ROI], RAYS, DEFAULT_W)[0] == [None]
