@@ -26,9 +26,11 @@ from .geometry import CameraRows, MidCamera, StereoRig, dot_rows, norm_rows, uni
 
 # 2*pi*(1 - 1/phi), phi the golden ratio: ~137.5 degrees per step.
 GOLDEN_ANGLE = 2.0 * math.pi * (1.0 - 2.0 / (1.0 + math.sqrt(5.0)))
-# Most rays in a cone, 256 times the default 4 x 64: the nearest-hit kernel
-# holds a float64 per ray and candidate, so the count bounds its memory.
+# Most rays in a cone, 256 times the default 4 x 64: the nearest-hit kernel's product holds
+# a float64 and a bool per candidate and ray of one frame, so the count bounds its memory.
 MAX_RAYS = 65_536
+# Most rays in one prefilter product over frames: the replay's 16-tick chunk at 4 x 64.
+GROUP_RAYS = 4_096
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,9 +124,10 @@ def nearest_hit_indices(
 
     With (T, R, 3) `directions`, the rays of frame t meet only the rows
     `starts[t]:starts[t + 1]` (`starts` holds T + 1 ascending offsets, the
-    last len(spheres)), with one product per frame; the result holds one
-    entry per ray cast, frame-major, and each entry is what one frame's
-    call on its own rows would give, offset by `starts[t]`.
+    last len(spheres)), with one product per group of frames holding at most
+    GROUP_RAYS rays (one frame when a frame holds more); the result holds one
+    entry per ray cast, frame-major, and each entry is what one frame's call
+    on its own rows would give, offset by `starts[t]`.
     """
     rays = directions if directions.ndim == 2 else directions.reshape(-1, 3)
     nearest = np.full(len(rays), -1, dtype=np.int64)
@@ -146,13 +149,17 @@ def nearest_hit_indices(
         pairs = (directions.dot(oc.T) <= bound).ravel().nonzero()[0]  # ray-major, columns ascending
         ray, col = np.divmod(pairs, len(spheres))
     else:
-        # the same per frame; rays are keyed frame * R + ray, columns offset by the frame's start
-        spans = list(zip(starts[:-1], starts[1:]))
-        pairs = [(dirs.dot(oc[a:b].T) <= bound[a:b]).ravel().nonzero()[0] for dirs, (a, b) in zip(directions, spans)]
-        frame = np.repeat(np.arange(len(spans)), [len(p) for p in pairs])
-        ray, col = np.divmod(np.concatenate(pairs), np.diff(starts)[frame])
-        ray += frame * directions.shape[1]
-        col += np.asarray(starts[:-1])[frame]
+        # the same per frame, each frame's rows padded to the widest frame's, a
+        # padding column bounded by -inf so that it keeps no pair; a pair is
+        # keyed (frame * R + ray) * width + column, and a kept column is its frame's row
+        per, width = directions.shape[1], max(b - a for a, b in zip(starts, starts[1:]))
+        cols = np.add.outer(starts[:-1], np.arange(width))
+        bounds = np.where(cols < np.array(starts[1:])[:, None], bound.take(cols, mode="clip"), -np.inf)[:, None]
+        step = max(1, GROUP_RAYS // per)
+        pairs = [(directions[g:g + step] @ oc.take(cols[g:g + step], axis=0, mode="clip").swapaxes(1, 2)
+                  <= bounds[g:g + step]).ravel().nonzero()[0] + g * per * width for g in range(0, len(directions), step)]
+        ray, col = np.divmod(np.concatenate(pairs), width)
+        col = cols[ray // per, col]
     d, o = rays.take(ray, axis=0), oc.take(col, axis=0)
     b = dot_rows(o, d)
     disc = b * b - c[col]

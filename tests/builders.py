@@ -6,6 +6,7 @@ import math
 import random
 
 import numpy as np
+from hypothesis import settings
 
 import focusray.geometry
 from focusray import MidCamera, PreparedScene, RayBundle, Roi, StereoRig, TrajectorySample, Vec3
@@ -51,6 +52,35 @@ class NoArrays:
 
     def __getattr__(self, name: str):
         raise AssertionError(f"np.{name} was used")
+
+
+def profile(name: str) -> settings:
+    """The Hypothesis settings profile `name`, or `name`-long when that one is
+    loaded (`--hypothesis-profile`); both are registered in conftest.py."""
+    long = settings.get_profile(f"{name}-long")
+    return long if settings.default is long else settings.get_profile(name)
+
+
+def grazing_spheres(rng: random.Random, m: Vec3, axis: Vec3, bundle: RayBundle, per_ray: int = 3,
+                    reach_exp: tuple[float, float] = (-0.5, 2.5)) -> list[tuple]:
+    """Spheres, as (x, y, z, r), each touching one outermost ray of `bundle`
+    (cast from `m` about `axis`) from outside the ray cone, `per_ray` per ray
+    at a distance of 10 ** `reach_exp` along it, the offset jittered by the
+    kernel's rounding at that reach and radius, so that the reference hit
+    test falls on both sides of the boundary."""
+    rows = []
+    for j in np.flatnonzero(bundle.layers == bundle.layers.max()).tolist():
+        d = Vec3(*bundle.directions[j].tolist())
+        cos_t = d.dot(axis)
+        sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
+        normal = (d - axis * cos_t).normalized() * cos_t - axis * sin_t  # outward, normal to the cone
+        for _ in range(per_ray):
+            reach = 10.0 ** rng.uniform(*reach_exp)
+            r = reach * 10.0 ** rng.uniform(-4.0, -0.5)
+            offset = r * (1.0 + rng.uniform(-1.0, 1.0) * 1.6e-15 * (reach / r) ** 2)
+            c = m + d * reach + normal * offset
+            rows.append((c.x, c.y, c.z, r))
+    return rows
 
 
 def _camera_rows(origin: Vec3, spheres: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,6 +7,11 @@ from hypothesis import settings
 # within a few seconds of Tier-1, and the longer run CI loads by name
 settings.register_profile("replay-fuzz", max_examples=50, deadline=None)
 settings.register_profile("replay-fuzz-long", max_examples=400, deadline=None)
+# Example counts of the ray kernel's property tests: the reach cut through
+# select_focus's chunks (tests/test_attention.py) and nearest_hit_indices'
+# frames form (tests/test_rays.py); CI runs the longer one in a step of its own
+settings.register_profile("kernel", max_examples=25, deadline=None)
+settings.register_profile("kernel-long", max_examples=300, deadline=None)
 
 _ACCEPTANCE_LINES: list[tuple[int, str]] = []
 

@@ -1,9 +1,12 @@
 import dataclasses
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focusray import (
     Candidates,
@@ -19,13 +22,15 @@ from focusray import (
     derive_mid_camera,
     prepare_scene,
     rig_from_pose,
+    ray_bundle,
     roi_mask,
     select_focus,
 )
+import focusray.attention
 import focusray.geometry
-from builders import axial_rig, culled, sample
+from builders import axial_rig, culled, grazing_spheres, profile, sample
 from focusray.simulate import CHUNK_TICKS
-from oracles import roi_contains, select_by_enumeration
+from oracles import point_cone_distance, rm_by_enumeration, roi_contains, select_by_enumeration
 
 RIG = axial_rig(0.0, 0.0, 0.0)
 ROI = Roi(apex=Vec3(0, 0, 0), axis=Vec3(0, 0, -1), half_angle=math.radians(30.0), z_far=100.0)
@@ -660,3 +665,173 @@ class TestSelectFocusChunk:
     def test_one_roi_per_rig(self):
         with pytest.raises(ValidationError, match="one ROI per rig, got 2 rigs and 1 ROIs"):
             select_focus([obj(1, 0, 0, -5)], [RIG, RIG], [ROI], RAYS, DEFAULT_W)
+
+
+def _pose(rng: random.Random, short: float = 0.0) -> StereoRig:
+    """The rig of a head pose anywhere, looking anywhere short of straight up
+    or down, its forward `short` below unit length."""
+    yaw, pitch = rng.uniform(-math.pi, math.pi), rng.uniform(-1.2, 1.2)
+    fwd = Vec3(math.cos(pitch) * math.sin(yaw), math.sin(pitch), -math.cos(pitch) * math.cos(yaw))
+    up = Vec3(-math.sin(pitch) * math.sin(yaw), math.cos(pitch), math.sin(pitch) * math.cos(yaw))
+    pos = Vec3(*(rng.uniform(-50.0, 50.0) for _ in range(3)))
+    return rig_from_pose(sample(0.0, pos, forward=fwd * (1.0 - short), up=up), 0.064)
+
+
+def _beside(rng: random.Random, rig: StereoRig, polar: float) -> tuple:
+    """A small sphere, as (x, y, z, r), whose center lies `polar` radians off
+    the rig's forward, seen from its mid camera."""
+    m, f = derive_mid_camera(rig).m, rig.forward.normalized()
+    side = (rig.or_ - rig.ol).normalized()
+    c = m + (f * math.cos(polar) + side * math.sin(polar)) * rng.uniform(5.0, 50.0)
+    return (c.x, c.y, c.z, 0.01 * c.distance_to(m))
+
+
+class TestRayReach:
+    """The reach cut of `select_focus`'s chunk form: with every ROI's apex at
+    its mid camera and its axis the camera's forward, only the candidates the
+    solid ray cone can reach go to the ray kernel. Each chunk must select as
+    its ticks do one at a time (the chunk of one cuts nothing), bit for bit,
+    with each rm as `rm_by_enumeration` gives it; and the cut must keep every
+    candidate within a radius of the ray cone and drop those clearly beyond
+    it (the reference distance about the bundle's unit axis)."""
+
+    KERNEL = profile("kernel")
+
+    def check(self, rows, rigs, rois, ray_cfg, cut=True):
+        """Select over the chunk of `rigs` and `rois` in a scene of spheres
+        `rows`; returns how many candidates the chunk has and how many the ray
+        kernel saw."""
+        scene = [SceneObject(id=3 * i + 1, center=Vec3(*row[:3]), radius=row[3], value=(i % 5) / 4)
+                 for i, row in enumerate(rows)]
+        real, seen = focusray.attention.rm_scores, []
+
+        def spy(oc, bundle, spheres, ococ, starts):
+            seen.append((spheres, starts))
+            return real(oc, bundle, spheres, ococ, starts)
+
+        focusray.attention.rm_scores = spy
+        try:
+            winners, chunk = select_focus(scene, rigs, rois, ray_cfg, DEFAULT_W)
+        finally:
+            focusray.attention.rm_scores = real
+        by_id = {o.id: o for o in scene}
+        spheres, starts = seen[0] if seen else (np.empty((0, 4)), [0] * (len(rigs) + 1))
+        for t, (rig, roi, winner, cands) in enumerate(zip(rigs, rois, winners, chunk)):
+            want_winner, want = select_focus(scene, rig, roi, ray_cfg, DEFAULT_W)
+            assert repr(winner) == repr(want_winner) and _bits(cands) == _bits(want), t
+            objects = [by_id[i] for i in cands.ids.tolist()]
+            cam = derive_mid_camera(rig)
+            rm = rm_by_enumeration(cam, ray_bundle(ray_cfg, rig), objects)
+            assert cands.rm.tolist() == [rm[o.id] for o in objects], t
+            passed = spheres[starts[t]:starts[t + 1]].tolist()
+            if not cut:
+                assert passed == [[o.center.x, o.center.y, o.center.z, o.radius] for o in objects]
+                continue
+            for o in objects:
+                row = [o.center.x, o.center.y, o.center.z, o.radius]
+                gap = point_cone_distance(o.center, cam.m, cam.forward.normalized(), ray_cfg.half_angle) - o.radius
+                if gap <= 0.0:
+                    assert row in passed, (t, o)
+                elif gap > 1e-3 * (o.center.distance_to(cam.m) + o.radius):
+                    assert row not in passed, (t, o)
+        return sum(map(len, chunk)), len(spheres)
+
+    @given(rng=st.randoms(use_true_random=False), ticks=st.integers(1, CHUNK_TICKS + 2))
+    @settings(KERNEL)
+    def test_grazing_the_outer_layer(self, rng, ticks):
+        """`TestRayConeCull`'s spheres, each touching an outermost ray, and one
+        sphere a tick between the ray cone and the ROI's edge."""
+        half = math.radians(rng.uniform(2.0, 50.0))
+        ray_cfg = RayConfig(k=rng.randint(1, 4), n=rng.randint(4, 12), half_angle=half)
+        rows, rigs, rois = [], [], []
+        for _ in range(ticks):
+            rig = _pose(rng)
+            cam = derive_mid_camera(rig)
+            rows += grazing_spheres(rng, cam.m, cam.forward.normalized(), ray_bundle(ray_cfg, rig), per_ray=1)
+            rows.append(_beside(rng, rig, half + math.radians(10.0)))
+            rigs.append(rig)
+            rois.append(Roi(apex=cam.m, axis=rig.forward, half_angle=half + math.radians(20.0), z_far=1e3))
+        candidates, passed = self.check(rows, rigs, rois, ray_cfg)
+        assert passed <= candidates - ticks
+
+    @given(rng=st.randoms(use_true_random=False), ticks=st.integers(1, CHUNK_TICKS + 2))
+    @settings(KERNEL)
+    def test_camera_inside_or_at_a_centre(self, rng, ticks):
+        """Spheres centred on the mid camera, holding it, or with the camera
+        on their surface within rounding, ahead or behind: the ray kernel hits
+        them at t = 0, and reach takes no quotient that could warn."""
+        ray_cfg = RayConfig(k=rng.randint(1, 4), n=rng.randint(1, 12), half_angle=math.radians(rng.uniform(1.0, 30.0)))
+        rows, rigs, rois = [], [], []
+        for _ in range(ticks):
+            rig = _pose(rng)
+            m = derive_mid_camera(rig).m
+            rows.append((m.x, m.y, m.z, rng.choice((0.25, 1.0, 4.0))))
+            for _ in range(3):
+                z, phi = rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0 * math.pi)
+                u = Vec3(math.sqrt(1.0 - z * z) * math.cos(phi), math.sqrt(1.0 - z * z) * math.sin(phi), z)
+                dist = rng.uniform(0.5, 20.0)
+                c = m + u * dist
+                rows.append((c.x, c.y, c.z, dist * rng.choice((1.0 + 1e-16, 1.0, 1.0 - 1e-16, 1.5))))
+            rows.append(_beside(rng, rig, ray_cfg.half_angle + math.radians(15.0)))
+            rigs.append(rig)
+            rois.append(Roi(apex=m, axis=rig.forward, half_angle=ray_cfg.half_angle + math.radians(25.0), z_far=100.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            candidates, passed = self.check(rows, rigs, rois, ray_cfg)
+        assert passed <= candidates - ticks
+
+    @given(rng=st.randoms(use_true_random=False), ticks=st.integers(1, CHUNK_TICKS + 2))
+    @settings(KERNEL)
+    def test_forward_short_of_unit_in_a_narrow_cone(self, rng, ticks):
+        """Forward 0.9e-9 short of unit and a 1e-4 rad ray cone: about the raw
+        axis, reach near the cone's edge would be off by about 1e-9 D cot(h),
+        some 10 times the inflation."""
+        ray_cfg = RayConfig(k=rng.randint(1, 3), n=rng.randint(4, 12), half_angle=1e-4)
+        rows, rigs, rois = [], [], []
+        for _ in range(ticks):
+            rig = _pose(rng, short=0.9e-9)
+            cam = derive_mid_camera(rig)
+            assert cam.forward.norm() < 1.0 - 0.8e-9
+            rows += grazing_spheres(rng, cam.m, cam.forward.normalized(), ray_bundle(ray_cfg, rig), per_ray=2)
+            rows.append(_beside(rng, rig, 0.05))
+            rigs.append(rig)
+            rois.append(Roi(apex=cam.m, axis=rig.forward, half_angle=0.2, z_far=1e3))
+        candidates, passed = self.check(rows, rigs, rois, ray_cfg)
+        assert passed <= candidates - ticks
+
+    @given(rng=st.randoms(use_true_random=False), ticks=st.integers(1, CHUNK_TICKS + 2))
+    @settings(KERNEL)
+    def test_ray_cone_wider_than_the_roi(self, rng, ticks):
+        """Every candidate overlaps the ROI, so it is within reach: none is cut."""
+        ray_cfg = RayConfig(k=rng.randint(1, 4), n=rng.randint(1, 12), half_angle=math.radians(rng.uniform(30.0, 60.0)))
+        rows, rigs, rois = [], [], []
+        for _ in range(ticks):
+            rig = _pose(rng)
+            roi_half = ray_cfg.half_angle - math.radians(rng.uniform(1.0, 25.0))
+            rows += [_beside(rng, rig, roi_half + rng.uniform(-0.05, 0.05)) for _ in range(4)]
+            rigs.append(rig)
+            rois.append(Roi(apex=derive_mid_camera(rig).m, axis=rig.forward, half_angle=roi_half, z_far=60.0))
+        candidates, passed = self.check(rows, rigs, rois, ray_cfg)
+        assert passed == candidates
+
+    @given(rng=st.randoms(use_true_random=False), ticks=st.integers(1, CHUNK_TICKS + 2), off=st.sampled_from(("apex", "axis", "both")))
+    @settings(KERNEL)
+    def test_apex_or_axis_off_the_camera_cuts_nothing(self, rng, ticks, off):
+        """One tick whose ROI apex is off its mid camera, or whose axis is not
+        its forward (by an ulp, or turned), and the chunk cuts nothing."""
+        ray_cfg = RayConfig(k=rng.randint(1, 4), n=rng.randint(1, 12), half_angle=math.radians(rng.uniform(5.0, 20.0)))
+        rows, rigs, rois = [], [], []
+        odd = rng.randrange(ticks)
+        for t in range(ticks):
+            rig = _pose(rng, short=rng.choice((0.0, 0.5e-9)))
+            apex, axis = derive_mid_camera(rig).m, rig.forward
+            if t == odd and off in ("apex", "both"):
+                apex = apex + Vec3(rng.choice((-1.0, 1.0)) * rng.uniform(1e-6, 1.0), rng.uniform(-1.0, 1.0), 0.0)
+            if t == odd and off in ("axis", "both"):
+                turned = (rig.forward + rig.up * rng.choice((0.0, 0.1))).normalized()
+                axis = turned if turned != rig.forward else Vec3(axis.x, axis.y, math.nextafter(axis.z, 0.0))
+            rows += [_beside(rng, rig, rng.uniform(0.0, 0.7)) for _ in range(5)]
+            rigs.append(rig)
+            rois.append(Roi(apex=apex, axis=axis, half_angle=0.7, z_far=60.0))
+        candidates, passed = self.check(rows, rigs, rois, ray_cfg, cut=False)
+        assert passed == candidates

@@ -1,8 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focusray import (
     GOLDEN_ANGLE,
@@ -15,9 +18,10 @@ from focusray import (
     layer_weight,
     ray_bundle,
 )
-from focusray.geometry import sphere_array
-from focusray.rays import MAX_RAYS
-from builders import FORWARD, UP, axial_cam, nearest_from, rm_from
+from focusray import rays
+from focusray.geometry import CameraRows, dot_rows, sphere_array
+from focusray.rays import GROUP_RAYS, MAX_RAYS, nearest_hit_indices
+from builders import FORWARD, UP, axial_cam, grazing_spheres, nearest_from, profile, rm_from
 from oracles import ray_sphere_t, rm_by_enumeration
 
 TWO_PI = 2.0 * math.pi
@@ -307,19 +311,7 @@ class TestRayConeCull:
             cam = _tilted_cam(rng)
             k = rng.randint(1, 4)
             bundle = ray_bundle(RayConfig(k=k, n=rng.randint(4, 24), half_angle=math.radians(rng.uniform(2.0, 60.0))), cam)
-            axis = cam.forward
-            rows = []
-            for j in np.flatnonzero(bundle.layers == k).tolist():
-                d = Vec3(*bundle.directions[j].tolist())
-                cos_t = d.dot(axis)
-                sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
-                normal = (d - axis * cos_t).normalized() * cos_t - axis * sin_t  # outward, normal to the cone
-                for _ in range(3):
-                    reach = 10.0 ** rng.uniform(-0.5, 2.5)
-                    r = reach * 10.0 ** rng.uniform(-4.0, -0.5)
-                    offset = r * (1.0 + rng.uniform(-1.0, 1.0) * 1.6e-15 * (reach / r) ** 2)
-                    c = cam.m + d * reach + normal * offset
-                    rows.append((c.x, c.y, c.z, r))
+            rows = grazing_spheres(rng, cam.m, cam.forward, bundle)
             spheres = np.array(rows)
             for col, sphere in enumerate(spheres.tolist()):
                 want = _oracle_hits(cam, bundle, sphere)
@@ -445,3 +437,101 @@ class TestNearestHitScan:
         # exercised: rays won from inside, ties, and both sides of tangency
         assert from_inside >= 20 and tied >= 50
         assert tangent_hits >= 20 and tangent_misses >= 20
+
+
+def _frames(rng: np.random.Generator, widths, k=2, n=8, dup=False, ahead=0.75, size=(0.02, 1.2)):
+    """Arguments of `nearest_hit_indices`' frames form: one cone per frame,
+    cast from a camera of its own, and the frames' rows back to back, the
+    spheres about each frame's camera, a share `ahead` of them near its rays
+    and the rest behind it, their radii `size` times their distance (above 1,
+    holding the camera), and, with `dup`, repeated within the frame (ties)."""
+    t_n = len(widths)
+    yaw, pitch = rng.uniform(-math.pi, math.pi, t_n), rng.uniform(-1.2, 1.2, t_n)
+    fwd = np.stack([np.cos(pitch) * np.sin(yaw), np.sin(pitch), -np.cos(pitch) * np.cos(yaw)], axis=1)
+    up = np.stack([-np.sin(pitch) * np.sin(yaw), np.cos(pitch), np.sin(pitch) * np.cos(yaw)], axis=1)
+    m = rng.uniform(-20.0, 20.0, (t_n, 3))
+    bundle = ray_bundle(RayConfig(k=k, n=n, half_angle=float(rng.uniform(0.05, 0.6))), CameraRows(m, fwd, up))
+    rows = []
+    for t, w in enumerate(widths):
+        dist = rng.uniform(0.5, 30.0, w)
+        aim = bundle.directions[t][rng.integers(0, k * n, w)] * np.where(rng.random((w, 1)) < ahead, 1.0, -1.0)
+        c = m[t] + (aim + rng.normal(0.0, 0.1, (w, 3))) * dist[:, None]
+        block = np.column_stack([c, dist * rng.uniform(*size, w)])
+        if dup and w > 1:
+            block[1::2] = block[rng.integers(0, w, w // 2) // 2 * 2]
+        rows.append(block)
+    spheres = np.concatenate(rows).reshape(-1, 4)
+    starts = np.concatenate([[0], np.cumsum(widths)]).tolist()
+    oc = np.repeat(m, widths, axis=0) - spheres[:, :3]
+    return oc, bundle.directions, spheres, dot_rows(oc, oc), starts
+
+
+def _per_frame(oc, directions, spheres, ococ, starts):
+    """One 2-D call per frame on its own rows, offset by its start."""
+    out = []
+    for t, (a, b) in enumerate(zip(starts, starts[1:])):
+        near = nearest_hit_indices(oc[a:b], directions[t], spheres[a:b], ococ[a:b])
+        out.append(np.where(near >= 0, near + a, -1))
+    return np.concatenate(out)
+
+
+class TestFramesForm:
+    """`nearest_hit_indices` with (T, R, 3) directions, frames grouped into
+    products of at most GROUP_RAYS rays over rows padded to the widest frame,
+    against one 2-D call per frame."""
+
+    KERNEL = profile("kernel")
+
+    def check(self, args):
+        got = nearest_hit_indices(*args)
+        assert got.tolist() == _per_frame(*args).tolist()
+        return got
+
+    @pytest.mark.parametrize("widths", [[0, 5, 0, 3, 0], [0, 0, 40, 0], [40], [1, 300, 2, 0, 1], [0], [0, 0, 0]])
+    def test_empty_full_and_uneven_frames(self, widths):
+        got = self.check(_frames(np.random.default_rng(sum(widths) + len(widths)), widths, dup=True))
+        assert (got >= 0).any() == (sum(widths) > 0)
+
+    def test_duplicate_spheres_go_to_the_first_row_of_their_frame(self):
+        twin = [0.0, 0.0, -10.0, 500.0]
+        oc, directions, _, _, starts = _frames(np.random.default_rng(5), [3, 0, 3])
+        spheres = np.array([twin] * 6)
+        oc = np.subtract([0.0, 0.0, 0.0], spheres[:, :3])
+        got = self.check((oc, directions, spheres, dot_rows(oc, oc), starts))
+        assert got.tolist() == [0] * 16 + [-1] * 16 + [3] * 16
+
+    @pytest.mark.parametrize("k, n, t_n", [(3, 500, 7), (5, 1000, 2), (4, 1025, 1)])
+    def test_chunks_beyond_one_product(self, k, n, t_n):
+        """k * n * T above GROUP_RAYS: several products of whole frames, or
+        one frame each when a frame holds more rays than a group."""
+        assert k * n * t_n > GROUP_RAYS
+        rng = np.random.default_rng(k * n * t_n)
+        self.check(_frames(rng, rng.integers(0, 30, t_n).tolist(), k=k, n=n, dup=True))
+
+    @given(seed=st.integers(0, 2**32 - 1), widths=st.lists(st.sampled_from((0, 0, 1, 2, 7, 30, 90)), min_size=1, max_size=20),
+           k=st.integers(1, 4), n=st.integers(1, 40), group=st.sampled_from((1, 5, 64, GROUP_RAYS)))
+    @settings(KERNEL)
+    def test_matches_calls_per_frame(self, seed, widths, k, n, group):
+        """Any group size gives the per-frame result: a product per frame,
+        several frames per product, or all of them in one."""
+        args = _frames(np.random.default_rng(seed), widths, k=k, n=n, dup=seed % 2 == 0)
+        saved, rays.GROUP_RAYS = rays.GROUP_RAYS, group
+        try:
+            self.check(args)
+        finally:
+            rays.GROUP_RAYS = saved
+
+    def test_memory_of_a_chunk_is_one_frames_product(self):
+        """A chunk of 4 frames of MAX_RAYS rays each: the traced peak stays
+        within 1.5 times one frame's product over the widest frame (a float64
+        and a bool per pair), so padding cannot grow it with the frame count."""
+        widths = [40, 0, 25, 40]
+        args = _frames(np.random.default_rng(11), widths, k=256, n=256, ahead=0.1, size=(0.01, 0.05))
+        nearest_hit_indices(*args)
+        tracemalloc.start()
+        try:
+            nearest_hit_indices(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * MAX_RAYS * max(widths) * 9, peak

@@ -8,6 +8,9 @@ mirrored offsets and a short list of values (distance and importance ties),
 a sphere holding the camera, and 1 to 40 ticks, so that the replay's chunk
 edges fall at 16 and 32. Headings turn by 45 or 90 degrees between samples
 and ticks fall between samples, so rigs and ROIs are not all on the lattice.
+Off the lattice, seen from the first tick's mid camera: spheres touching the
+ray cone's outermost rays from outside, within the kernel's rounding (the
+edge of the ray kernel's reach cut), and a chain of occluders along one ray.
 
 The example count comes from the `replay-fuzz` settings profile, kept within
 a few seconds of Tier-1; CI runs `--hypothesis-profile=replay-fuzz-long`
@@ -21,12 +24,11 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import camera_row, roi_row
-from focusray import simulate
+from builders import camera_row, grazing_spheres, profile, roi_row, sample
+from focusray import RayConfig, Vec3, ray_bundle, rig_from_pose, simulate
 from oracles import replay_by_rows
 
-_LONG = settings.get_profile("replay-fuzz-long")
-_PROFILE = _LONG if settings.default is _LONG else settings.get_profile("replay-fuzz")
+_PROFILE = profile("replay-fuzz")
 
 # headings in the horizontal plane, 45 degrees apart; up is +y throughout
 _HEADINGS = [(round(math.sin(k * math.pi / 4), 12), 0.0, -round(math.cos(k * math.pi / 4), 12)) for k in range(8)]
@@ -70,12 +72,27 @@ def scenarios(draw):
         objects += [sphere] * draw(st.sampled_from((1, 1, 1, 2)))  # a coincident twin takes the next id
     if draw(st.booleans()):  # a sphere that holds the camera of the first sample
         objects.append((0.0, 1.5, 0.0, 2.0, draw(st.sampled_from((0.0, 1.0)))))
+    # the ray cone of the first tick, which is the first sample's pose
+    k, n, ray_half = draw(st.integers(1, 3)), draw(st.integers(3, 12)), draw(st.integers(5, 25))
+    first = rows[0].split()
+    rig = rig_from_pose(sample(0.0, Vec3(*map(float, first[1:4])), forward=Vec3(*map(float, first[4:7]))), 0.064)
+    m, axis = Vec3(*rig.midpoint()), rig.forward.normalized()
+    bundle = ray_bundle(RayConfig(k=k, n=n, half_angle=math.radians(ray_half)), rig)
+    if draw(st.booleans()):  # touching the outermost rays
+        rng = draw(st.randoms(use_true_random=False))
+        objects += [(*c, draw(st.sampled_from((0.0, 0.5, 1.0)))) for c in
+                    rng.sample(grazing_spheres(rng, m, axis, bundle, per_ray=1, reach_exp=(-0.5, 1.3)), k=min(n, 6))]
+    if draw(st.booleans()):  # occluders along one ray, each nearer one smaller or larger
+        d = Vec3(*bundle.directions[draw(st.integers(0, k * n - 1))].tolist())
+        for dist in sorted(draw(st.lists(_lattice(4, 200), min_size=2, max_size=4, unique=True))):
+            c = m + d * dist
+            objects.append((c.x, c.y, c.z, draw(st.sampled_from((0.25, 0.5, 1.0, 2.0))), draw(st.sampled_from((0.0, 0.5, 1.0)))))
     ids = draw(st.lists(st.integers(1, 10_000), min_size=len(objects), max_size=len(objects), unique=True))
     scene = "".join(f"{oid} {' '.join(map(repr, obj))}\n" for oid, obj in zip(sorted(ids), objects))
 
     weights = draw(st.sampled_from(_WEIGHTS)).split()
-    config = (f"tick_ms = {tick_ms}\nray_k = {draw(st.integers(1, 3))}\nray_n = {draw(st.integers(3, 12))}\n"
-              f"ray_half_angle_deg = {draw(st.integers(5, 25))}\nroi_half_angle_deg = {draw(st.integers(20, 60))}\n"
+    config = (f"tick_ms = {tick_ms}\nray_k = {k}\nray_n = {n}\n"
+              f"ray_half_angle_deg = {ray_half}\nroi_half_angle_deg = {draw(st.integers(20, 60))}\n"
               f"roi_z_far_m = {draw(_lattice(40, 240))}\nrefocus_ms = {draw(st.sampled_from((100, 500)))}\n"
               f"persistence_hold_ms = {draw(st.sampled_from((0, 50, 300)))}\n"
               + "".join(f"{key} = {w}\n" for key, w in zip(("p_rm", "p_d", "p_v"), weights)))
