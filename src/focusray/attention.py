@@ -128,7 +128,7 @@ def select_focus(
         else:
             # Only candidates within reach of the solid ray cone, measured as by
             # `cone_mask` about the bundle's axis, each sphere grown by 1e-6 of
-            # |c - m| + r: no ray hits another, so each other keeps rm 0.0.
+            # |c - m| + r: no ray hits any other, and each other keeps rm 0.0.
             z = dot_rows(rel, np.repeat(rig.forward / norm_rows(rig.forward)[:, None], counts, axis=0))
             sin_h, cos_h, rad = math.sin(ray_cfg.half_angle), math.cos(ray_cfg.half_angle), spheres[:, 3]
             rho = np.sqrt(np.maximum(rr - z * z, 0.0))
