@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import CameraRows, Roi, RoiRows, SceneObject, StereoRig, dot_rows, norm_rows, prepare_scene
+from .geometry import (CameraRows, Roi, RoiRows, SceneObject, StereoRig, cone_distance, dot_rows, norm_rows,
+                       prepare_scene)
 from .rays import RayBundle, RayConfig, ray_bundle, rm_scores
 
 WEIGHT_SUM_TOL = 1e-9
@@ -115,25 +116,24 @@ def select_focus(
         counts = None if one else np.diff(starts)
         # with the apex at the mid camera, the cull's vectors negated are camera
         # minus center up to the sign of a zero, with the same squared lengths
-        on_cam = (rig.midpoint() == (roi.apex.x, roi.apex.y, roi.apex.z)) if one else np.array_equal(rig.m, roi.apex)
-        if on_cam:
+        if (rig.midpoint() == (roi.apex.x, roi.apex.y, roi.apex.z)) if one else np.array_equal(rig.m, roi.apex):
             oc, ococ = -rel, rr
         else:
             oc = np.subtract(rig.midpoint() if one else np.repeat(rig.m, counts, axis=0), spheres[:, :3])
             ococ = dot_rows(oc, oc)
         dist = np.sqrt(ococ)
         bundle: RayBundle = ray_bundle(ray_cfg, rig)
-        if one or not (on_cam and np.array_equal(rig.forward, roi.axis)):
+        if one:
             rms = rm_scores(oc, bundle, spheres, ococ, starts)
         else:
-            # Only candidates within reach of the solid ray cone, measured as by
-            # `cone_mask` about the bundle's axis, each sphere grown by 1e-6 of
-            # |c - m| + r: no ray hits any other, and each other keeps rm 0.0.
-            z = dot_rows(rel, np.repeat(rig.forward / norm_rows(rig.forward)[:, None], counts, axis=0))
-            sin_h, cos_h, rad = math.sin(ray_cfg.half_angle), math.cos(ray_cfg.half_angle), spheres[:, 3]
-            rho = np.sqrt(np.maximum(rr - z * z, 0.0))
-            to_cone = np.where(rho * sin_h + z * cos_h <= 0.0, dist, rho * cos_h - z * sin_h)
-            sub = (to_cone <= rad + 1e-6 * (dist + rad)).nonzero()[0]  # in id order
+            # Only candidates within reach of the solid ray cone about the
+            # bundle's axis (oc along its reverse is the center's depth), each
+            # sphere grown by 1e-6 of |c - m| + r: no ray hits any other, and
+            # each other keeps rm 0.0.
+            back = np.repeat(-rig.forward / norm_rows(rig.forward)[:, None], counts, axis=0)
+            rad, h = spheres[:, 3], ray_cfg.half_angle
+            reach = cone_distance(dot_rows(oc, back), ococ, math.sin(h), math.cos(h))
+            sub = (reach <= rad + 1e-6 * (dist + rad)).nonzero()[0]  # in id order
             rms = np.zeros(len(cols))
             rms[sub] = rm_scores(oc[sub], bundle, spheres[sub], ococ[sub], sub.searchsorted(starts).tolist())
 

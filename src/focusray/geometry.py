@@ -219,18 +219,33 @@ def sphere_array(objects: Sequence[SceneObject]) -> np.ndarray:
     ).reshape(-1, 4)
 
 
+def cone_distance(z: np.ndarray, rr: np.ndarray, sin_t, cos_t) -> np.ndarray:
+    """Distance from points to a solid infinite cone of half-angle t, given
+    each point's coordinate `z` along the cone's unit axis from its apex and
+    its squared distance `rr` to the apex; broadcasts like its arguments.
+
+    Taken in the (radial, axial) half-plane, where the cone is convex: to the
+    apex where `s <= 0`, else to the lateral boundary ray. Inside the cone the
+    first is 0 and the second (`side`) at most 0, so no inside test is needed.
+    """
+    zz = z * z
+    rho = np.sqrt(np.maximum(rr - zz, 0.0))
+    side = rho * cos_t - z * sin_t
+    s = rho * sin_t + z * cos_t
+    # plain sqrt, not hypot, so the scalar reference in tests/oracles.py
+    # reproduces these values bit for bit
+    return np.where(s <= 0.0, np.sqrt(rho * rho + zz), side)
+
+
 def cone_mask(roi: Roi | RoiRows, spheres: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row of `spheres` (see `sphere_array`), True when it overlaps the
     ROI; also each center minus the apex, (N, 3), and its squared length.
     Given the `RoiRows` of T ROIs instead, the same per (ROI, row) pair:
     (T, N), (T, N, 3) and (T, N) arrays, each element computed as for one ROI.
 
-    Partial overlap counts. The distance from a center to the solid infinite
-    cone is taken in the (radial, axial) half-plane, where the cone is
-    convex: to the apex where `s <= 0`, else to the lateral boundary ray.
-    Inside the cone the first is 0 and the second (`side`) at most 0, so no
-    inside test is needed. Truncation: the sphere point closest to the apex
-    plane along the axis must lie at axial distance <= z_far.
+    Partial overlap counts: the center's `cone_distance` is at most the
+    radius. Truncation: the sphere point closest to the apex plane along the
+    axis must lie at axial distance <= z_far.
     """
     if isinstance(roi, Roi):
         apex, axis = (roi.apex.x, roi.apex.y, roi.apex.z), (roi.axis.x, roi.axis.y, roi.axis.z)
@@ -241,14 +256,7 @@ def cone_mask(roi: Roi | RoiRows, spheres: np.ndarray) -> tuple[np.ndarray, np.n
     rel = spheres[:, :3] - apex
     rr = dot_rows(rel, rel)
     z = dot_rows(rel, axis)
-    zz = z * z
-    rho = np.sqrt(np.maximum(rr - zz, 0.0))
-    side = rho * cos_t - z * sin_t
-    s = rho * sin_t + z * cos_t
-    # plain sqrt, not hypot, so the scalar reference in tests/oracles.py
-    # reproduces these values bit for bit
-    apex_dist = np.sqrt(rho * rho + zz)
-    return (np.where(s <= 0.0, apex_dist, side) <= rad) & (z - rad <= z_far), rel, rr
+    return (cone_distance(z, rr, sin_t, cos_t) <= rad) & (z - rad <= z_far), rel, rr
 
 
 def roi_mask(roi: Roi, objects: Sequence[SceneObject]) -> np.ndarray:

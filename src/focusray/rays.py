@@ -27,10 +27,12 @@ from .geometry import CameraRows, MidCamera, StereoRig, dot_rows, norm_rows, uni
 # 2*pi*(1 - 1/phi), phi the golden ratio: ~137.5 degrees per step.
 GOLDEN_ANGLE = 2.0 * math.pi * (1.0 - 2.0 / (1.0 + math.sqrt(5.0)))
 # Most rays in a cone, 256 times the default 4 x 64: the nearest-hit kernel's product holds
-# a float64 and a bool per candidate and ray of one frame, so the count bounds its memory.
+# a float64 and a bool per ray and candidate of one frame, or of a group of frames up to
+# GROUP_PAIRS pairs, so the count bounds its memory per candidate.
 MAX_RAYS = 65_536
-# Most rays in one prefilter product over frames: the replay's 16-tick chunk at 4 x 64.
-GROUP_RAYS = 4_096
+# Most ray and candidate pairs in one prefilter product over several frames: the replay's
+# 16-tick chunk at 4 x 64 rays against up to 64 candidates a tick.
+GROUP_PAIRS = 262_144
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,9 +127,10 @@ def nearest_hit_indices(
     With (T, R, 3) `directions`, the rays of frame t meet only the rows
     `starts[t]:starts[t + 1]` (`starts` holds T + 1 ascending offsets, the
     last len(spheres)), with one product per group of frames holding at most
-    GROUP_RAYS rays (one frame when a frame holds more); the result holds one
-    entry per ray cast, frame-major, and each entry is what one frame's call
-    on its own rows would give, offset by `starts[t]`.
+    GROUP_PAIRS pairs of a ray and a row padded to the widest frame's (one
+    frame when a frame holds more); the result holds one entry per ray cast,
+    frame-major, and each entry is what one frame's call on its own rows
+    would give, offset by `starts[t]`.
     """
     rays = directions if directions.ndim == 2 else directions.reshape(-1, 3)
     nearest = np.full(len(rays), -1, dtype=np.int64)
@@ -155,7 +158,7 @@ def nearest_hit_indices(
         per, width = directions.shape[1], max(b - a for a, b in zip(starts, starts[1:]))
         cols = np.add.outer(starts[:-1], np.arange(width))
         bounds = np.where(cols < np.array(starts[1:])[:, None], bound.take(cols, mode="clip"), -np.inf)[:, None]
-        step = max(1, GROUP_RAYS // per)
+        step = max(1, GROUP_PAIRS // (per * width))
         pairs = [(directions[g:g + step] @ oc.take(cols[g:g + step], axis=0, mode="clip").swapaxes(1, 2)
                   <= bounds[g:g + step]).ravel().nonzero()[0] + g * per * width for g in range(0, len(directions), step)]
         ray, col = np.divmod(np.concatenate(pairs), width)

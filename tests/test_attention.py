@@ -687,17 +687,17 @@ def _beside(rng: random.Random, rig: StereoRig, polar: float) -> tuple:
 
 
 class TestRayReach:
-    """The reach cut of `select_focus`'s chunk form: with every ROI's apex at
-    its mid camera and its axis the camera's forward, only the candidates the
-    solid ray cone can reach go to the ray kernel. Each chunk must select as
-    its ticks do one at a time (the chunk of one cuts nothing), bit for bit,
+    """The reach cut of `select_focus`'s chunk form: only the candidates the
+    solid ray cone can reach go to the ray kernel, wherever the ROI's apex and
+    axis lie. Each chunk must select as its ticks do one at a time (the chunk
+    of one cuts nothing), bit for bit,
     with each rm as `rm_by_enumeration` gives it; and the cut must keep every
     candidate within a radius of the ray cone and drop those clearly beyond
     it (the reference distance about the bundle's unit axis)."""
 
     KERNEL = profile("kernel")
 
-    def check(self, rows, rigs, rois, ray_cfg, cut=True):
+    def check(self, rows, rigs, rois, ray_cfg):
         """Select over the chunk of `rigs` and `rois` in a scene of spheres
         `rows`; returns how many candidates the chunk has and how many the ray
         kernel saw."""
@@ -724,9 +724,6 @@ class TestRayReach:
             rm = rm_by_enumeration(cam, ray_bundle(ray_cfg, rig), objects)
             assert cands.rm.tolist() == [rm[o.id] for o in objects], t
             passed = spheres[starts[t]:starts[t + 1]].tolist()
-            if not cut:
-                assert passed == [[o.center.x, o.center.y, o.center.z, o.radius] for o in objects]
-                continue
             for o in objects:
                 row = [o.center.x, o.center.y, o.center.z, o.radius]
                 gap = point_cone_distance(o.center, cam.m, cam.forward.normalized(), ray_cfg.half_angle) - o.radius
@@ -816,9 +813,10 @@ class TestRayReach:
 
     @given(rng=st.randoms(use_true_random=False), ticks=st.integers(1, CHUNK_TICKS + 2), off=st.sampled_from(("apex", "axis", "both")))
     @settings(KERNEL)
-    def test_apex_or_axis_off_the_camera_cuts_nothing(self, rng, ticks, off):
+    def test_apex_or_axis_off_the_camera(self, rng, ticks, off):
         """One tick whose ROI apex is off its mid camera, or whose axis is not
-        its forward (by an ulp, or turned), and the chunk cuts nothing."""
+        its forward (by an ulp, or turned): the cut is still measured about
+        the camera and the bundle's axis, and each tick keeps its bits."""
         ray_cfg = RayConfig(k=rng.randint(1, 4), n=rng.randint(1, 12), half_angle=math.radians(rng.uniform(5.0, 20.0)))
         rows, rigs, rois = [], [], []
         odd = rng.randrange(ticks)
@@ -833,5 +831,4 @@ class TestRayReach:
             rows += [_beside(rng, rig, rng.uniform(0.0, 0.7)) for _ in range(5)]
             rigs.append(rig)
             rois.append(Roi(apex=apex, axis=axis, half_angle=0.7, z_far=60.0))
-        candidates, passed = self.check(rows, rigs, rois, ray_cfg, cut=False)
-        assert passed == candidates
+        self.check(rows, rigs, rois, ray_cfg)

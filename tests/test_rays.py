@@ -20,7 +20,7 @@ from focusray import (
 )
 from focusray import rays
 from focusray.geometry import CameraRows, dot_rows, sphere_array
-from focusray.rays import GROUP_RAYS, MAX_RAYS, nearest_hit_indices
+from focusray.rays import GROUP_PAIRS, MAX_RAYS, nearest_hit_indices
 from builders import FORWARD, UP, axial_cam, grazing_spheres, nearest_from, profile, rm_from
 from oracles import ray_sphere_t, rm_by_enumeration
 
@@ -477,8 +477,8 @@ def _per_frame(oc, directions, spheres, ococ, starts):
 
 class TestFramesForm:
     """`nearest_hit_indices` with (T, R, 3) directions, frames grouped into
-    products of at most GROUP_RAYS rays over rows padded to the widest frame,
-    against one 2-D call per frame."""
+    products of at most GROUP_PAIRS pairs of a ray and a row padded to the
+    widest frame, against one 2-D call per frame."""
 
     KERNEL = profile("kernel")
 
@@ -500,33 +500,35 @@ class TestFramesForm:
         got = self.check((oc, directions, spheres, dot_rows(oc, oc), starts))
         assert got.tolist() == [0] * 16 + [-1] * 16 + [3] * 16
 
-    @pytest.mark.parametrize("k, n, t_n", [(3, 500, 7), (5, 1000, 2), (4, 1025, 1)])
-    def test_chunks_beyond_one_product(self, k, n, t_n):
-        """k * n * T above GROUP_RAYS: several products of whole frames, or
-        one frame each when a frame holds more rays than a group."""
-        assert k * n * t_n > GROUP_RAYS
-        rng = np.random.default_rng(k * n * t_n)
-        self.check(_frames(rng, rng.integers(0, 30, t_n).tolist(), k=k, n=n, dup=True))
+    @pytest.mark.parametrize("k, n, widths", [(3, 500, [30, 0, 12, 30, 5, 30, 30]), (5, 1000, [30, 29]), (4, 1025, [70])])
+    def test_chunks_beyond_one_product(self, k, n, widths):
+        """k * n * T times the widest frame above GROUP_PAIRS: several products
+        of whole frames, or one frame each when a frame holds more pairs than
+        a group."""
+        assert k * n * len(widths) * max(widths) > GROUP_PAIRS
+        self.check(_frames(np.random.default_rng(k * n), widths, k=k, n=n, dup=True))
 
     @given(seed=st.integers(0, 2**32 - 1), widths=st.lists(st.sampled_from((0, 0, 1, 2, 7, 30, 90)), min_size=1, max_size=20),
-           k=st.integers(1, 4), n=st.integers(1, 40), group=st.sampled_from((1, 5, 64, GROUP_RAYS)))
+           k=st.integers(1, 4), n=st.integers(1, 40), group=st.sampled_from((1, 500, 20_000, GROUP_PAIRS)))
     @settings(KERNEL)
     def test_matches_calls_per_frame(self, seed, widths, k, n, group):
         """Any group size gives the per-frame result: a product per frame,
         several frames per product, or all of them in one."""
         args = _frames(np.random.default_rng(seed), widths, k=k, n=n, dup=seed % 2 == 0)
-        saved, rays.GROUP_RAYS = rays.GROUP_RAYS, group
+        saved, rays.GROUP_PAIRS = rays.GROUP_PAIRS, group
         try:
             self.check(args)
         finally:
-            rays.GROUP_RAYS = saved
+            rays.GROUP_PAIRS = saved
 
-    def test_memory_of_a_chunk_is_one_frames_product(self):
-        """A chunk of 4 frames of MAX_RAYS rays each: the traced peak stays
-        within 1.5 times one frame's product over the widest frame (a float64
-        and a bool per pair), so padding cannot grow it with the frame count."""
-        widths = [40, 0, 25, 40]
-        args = _frames(np.random.default_rng(11), widths, k=256, n=256, ahead=0.1, size=(0.01, 0.05))
+    @pytest.mark.parametrize("k, n, widths", [(256, 256, [40, 0, 25, 40]), (4, 64, [2000, 1900, 0] + [2000] * 13)])
+    def test_memory_of_a_chunk_is_one_frames_product(self, k, n, widths):
+        """A chunk of 4 frames of MAX_RAYS rays each, and the replay's chunk of
+        16 frames of 4 x 64 rays each reaching some 2,000 rows: the traced peak
+        stays within 1.5 times one frame's product over the widest frame (a
+        float64 and a bool per pair), so padding cannot grow it with the frame
+        count."""
+        args = _frames(np.random.default_rng(11), widths, k=k, n=n, ahead=0.1, size=(0.01, 0.05))
         nearest_hit_indices(*args)
         tracemalloc.start()
         try:
@@ -534,4 +536,4 @@ class TestFramesForm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * MAX_RAYS * max(widths) * 9, peak
+        assert peak <= 1.5 * k * n * max(widths) * 9, peak
