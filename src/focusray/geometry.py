@@ -220,21 +220,16 @@ def sphere_array(objects: Sequence[SceneObject]) -> np.ndarray:
 
 
 def cone_distance(z: np.ndarray, rr: np.ndarray, sin_t, cos_t) -> np.ndarray:
-    """Distance from points to a solid infinite cone of half-angle t, given
-    each point's coordinate `z` along the cone's unit axis from its apex and
-    its squared distance `rr` to the apex; broadcasts like its arguments.
-
-    Taken in the (radial, axial) half-plane, where the cone is convex: to the
-    apex where `s <= 0`, else to the lateral boundary ray. Inside the cone the
-    first is 0 and the second (`side`) at most 0, so no inside test is needed.
-    """
+    """Distance to a solid infinite cone of half-angle t from points at axial
+    coordinate `z` and squared distance `rr` from its apex, taken in the
+    (radial, axial) half-plane, where the cone is convex: to the apex where
+    `s <= 0`, else to the lateral boundary ray (at most 0 inside the cone)."""
     zz = z * z
     rho = np.sqrt(np.maximum(rr - zz, 0.0))
-    side = rho * cos_t - z * sin_t
     s = rho * sin_t + z * cos_t
     # plain sqrt, not hypot, so the scalar reference in tests/oracles.py
     # reproduces these values bit for bit
-    return np.where(s <= 0.0, np.sqrt(rho * rho + zz), side)
+    return np.where(s <= 0.0, np.sqrt(rho * rho + zz), rho * cos_t - z * sin_t)
 
 
 def cone_mask(roi: Roi | RoiRows, spheres: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -26,9 +26,8 @@ from .geometry import CameraRows, MidCamera, StereoRig, dot_rows, norm_rows, uni
 
 # 2*pi*(1 - 1/phi), phi the golden ratio: ~137.5 degrees per step.
 GOLDEN_ANGLE = 2.0 * math.pi * (1.0 - 2.0 / (1.0 + math.sqrt(5.0)))
-# Most rays in a cone, 256 times the default 4 x 64: the nearest-hit kernel's product holds
-# a float64 and a bool per ray and candidate of one frame, or of a group of frames up to
-# GROUP_PAIRS pairs, so the count bounds its memory per candidate.
+# Most rays in a cone, 256 times the default 4 x 64: the nearest-hit kernel's product holds a
+# float64 and a bool per ray and candidate of one frame (or GROUP_PAIRS), bounding its memory.
 MAX_RAYS = 65_536
 # Most ray and candidate pairs in one prefilter product over several frames: the replay's
 # 16-tick chunk at 4 x 64 rays against up to 64 candidates a tick.
@@ -126,11 +125,10 @@ def nearest_hit_indices(
 
     With (T, R, 3) `directions`, the rays of frame t meet only the rows
     `starts[t]:starts[t + 1]` (`starts` holds T + 1 ascending offsets, the
-    last len(spheres)), with one product per group of frames holding at most
-    GROUP_PAIRS pairs of a ray and a row padded to the widest frame's (one
-    frame when a frame holds more); the result holds one entry per ray cast,
-    frame-major, and each entry is what one frame's call on its own rows
-    would give, offset by `starts[t]`.
+    last len(spheres)), in one product per group of frames of at most
+    GROUP_PAIRS pairs of a ray and a padded row, or per frame if one holds
+    more; each entry of the result, one per ray cast, frame-major, is what
+    one frame's call on its own rows would give, offset by `starts[t]`.
     """
     rays = directions if directions.ndim == 2 else directions.reshape(-1, 3)
     nearest = np.full(len(rays), -1, dtype=np.int64)
