@@ -815,14 +815,16 @@ class TestRayReach:
     @settings(KERNEL)
     def test_apex_or_axis_off_the_camera(self, rng, ticks, off):
         """One tick whose ROI apex is off its mid camera, or whose axis is not
-        its forward (by an ulp, or turned): the cut is still measured about
-        the camera and the bundle's axis, and each tick keeps its bits."""
+        its forward (by an ulp, or turned), among spheres grazing the ray
+        cone: the cut is still measured about the camera and the bundle's
+        axis, and each tick keeps its bits."""
         ray_cfg = RayConfig(k=rng.randint(1, 4), n=rng.randint(1, 12), half_angle=math.radians(rng.uniform(5.0, 20.0)))
         rows, rigs, rois = [], [], []
         odd = rng.randrange(ticks)
         for t in range(ticks):
             rig = _pose(rng, short=rng.choice((0.0, 0.5e-9)))
             apex, axis = derive_mid_camera(rig).m, rig.forward
+            rows += grazing_spheres(rng, apex, axis.normalized(), ray_bundle(ray_cfg, rig), per_ray=1, reach_exp=(0.5, 1.5))
             if t == odd and off in ("apex", "both"):
                 apex = apex + Vec3(rng.choice((-1.0, 1.0)) * rng.uniform(1e-6, 1.0), rng.uniform(-1.0, 1.0), 0.0)
             if t == odd and off in ("axis", "both"):
