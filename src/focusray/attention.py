@@ -125,9 +125,8 @@ def select_focus(
         if one:
             rms = rm_scores(oc, bundle, spheres, ococ, starts)
         else:
-            # Only candidates within reach of the solid ray cone about the bundle's axis (oc
-            # along its reverse is the center's depth), each sphere grown by 1e-6 of |c - m| + r:
-            # no ray hits any other, and each other keeps rm 0.0.
+            # Only candidates the solid ray cone about the bundle's axis reaches (oc along its reverse is
+            # the center's depth), each sphere grown by 1e-6 of |c - m| + r; no ray hits another: rm 0.0.
             back = np.repeat(-rig.forward / norm_rows(rig.forward)[:, None], counts, axis=0)
             rad, h = spheres[:, 3], ray_cfg.half_angle
             reach = cone_distance(dot_rows(oc, back), ococ, math.sin(h), math.cos(h))

@@ -226,10 +226,12 @@ def cone_distance(z: np.ndarray, rr: np.ndarray, sin_t, cos_t) -> np.ndarray:
     `s <= 0`, else to the lateral boundary ray (at most 0 inside the cone)."""
     zz = z * z
     rho = np.sqrt(np.maximum(rr - zz, 0.0))
+    side = rho * cos_t - z * sin_t
     s = rho * sin_t + z * cos_t
     # plain sqrt, not hypot, so the scalar reference in tests/oracles.py
     # reproduces these values bit for bit
-    return np.where(s <= 0.0, np.sqrt(rho * rho + zz), rho * cos_t - z * sin_t)
+    apex_dist = np.sqrt(rho * rho + zz)
+    return np.where(s <= 0.0, apex_dist, side)
 
 
 def cone_mask(roi: Roi | RoiRows, spheres: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
