@@ -284,9 +284,15 @@ def detect_frame_drops(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) ->
     return findings
 
 
+def _angles_deg(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The angle between each pair of unit rows in degrees, by scalar `math`
+    mapped over the column (NumPy's `arccos` differs in the last bit)."""
+    cosines = np.fmax(-1.0, np.fmin(1.0, dot_rows(a, b)))
+    return np.fromiter(map(math.degrees, map(math.acos, cosines.tolist())), np.float64, len(cosines))
+
+
 def _detect_uncontrolled(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) -> list[ComfortFinding]:
-    cosines = dot_rows(traj.fwd[motion.lo], traj.fwd[motion.hi]).tolist()
-    degrees = np.array([math.degrees(math.acos(max(-1.0, min(1.0, d)))) for d in cosines])
+    degrees = _angles_deg(traj.fwd[motion.lo], traj.fwd[motion.hi])
     moving = (norm_rows(motion.velocities) > cfg.motion_floor_m_s) | (degrees / motion.dt > cfg.motion_floor_deg_s)
     t = traj.t_ms.tolist()
     return [

@@ -36,8 +36,8 @@ FINDINGS_HEADER = "rule,start_ms,end_ms,heuristic_severity,detail"
 
 PROFILE_KEYS = ("name", "age", "gender", "academic_background")
 
-# trajectory rows tokenised and converted at a time: a chunk's tokens and
-# floats take about 1.3 kB a row at peak, the (N, 13) array they fill 104 bytes
+# trajectory rows tokenised and converted at a time: a chunk's tokens take
+# about 1 kB a row at peak, the (N, 13) array they fill 104 bytes
 _CHUNK_ROWS = 250
 
 
@@ -52,7 +52,7 @@ def _content_lines(path: str) -> list[tuple[int, str]]:
         raise ParseError(path, lineno, f"invalid UTF-8 byte 0x{data[e.start]:02x}") from None
     out: list[tuple[int, str]] = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
-        text = line.split("#", 1)[0].strip()
+        text = line.partition("#")[0].strip()
         if text:
             out.append((lineno, text))
     return out
@@ -107,8 +107,9 @@ def _unit_or_parse_error(path: str, lineno: int, v: Vec3, name: str) -> Vec3:
         raise ParseError(path, lineno, f"{name} vector must be non-zero") from None
 
 
-def _check_trajectory_row(path: str, lineno: int, text: str, prev_t_ms: float | None) -> None:
-    """Every check of one trajectory row, in order; raises the row's first fault."""
+def _check_trajectory_row(path: str, lineno: int, text: str, prev_t_ms: float | None) -> float:
+    """Every check of one trajectory row, in order; raises the row's first fault,
+    else returns its t_ms."""
     tokens = text.split()
     if len(tokens) != len(TRAJECTORY_HEADER):
         raise ParseError(path, lineno, f"expected {len(TRAJECTORY_HEADER)} fields, got {len(tokens)}")
@@ -128,31 +129,19 @@ def _check_trajectory_row(path: str, lineno: int, text: str, prev_t_ms: float | 
         raise ParseError(path, lineno, f"position must be within {MAX_COORD_M:g} m on each axis")
     if prev_t_ms is not None and not vals[0] > prev_t_ms:
         raise ParseError(path, lineno, "t_ms must strictly increase")
-
-
-def _float_rows(rows: list[list[str]]) -> np.ndarray:
-    """The leading rows of tokens that hold 13 numbers each, as an (n, 13) array:
-    n stops at the first row with another field count or a token `float` rejects."""
-    values = []
-    for row in rows:
-        if len(row) != len(TRAJECTORY_HEADER):
-            break
-        try:
-            values.append(list(map(float, row)))
-        except ValueError:
-            break
-    return np.array(values, np.float64).reshape(-1, len(TRAJECTORY_HEADER))
+    return vals[0]
 
 
 def parse_trajectory(path: str) -> Trajectory:
     """Trajectory file: the fixed 13-column header, then one row per sample.
 
-    Rows are converted with `float` in chunks and checked as columns. The
-    first faulty row is then checked on its own, so the error names the same
-    line and fault as a row-by-row parse: the field count and numbers, the
-    user flag, forward, up and right, the position, the sample invariants
-    (the frame time's bound among them), the position's magnitude, then time
-    order.
+    Rows are converted in chunks, each by one `np.array` of its tokens (numpy
+    parses a `str` as `float` does), and checked as columns. The first flagged
+    row, or else each row of the first chunk that did not convert, is then
+    checked on its own, so the error names the same line and fault as a
+    row-by-row parse: the field count and numbers, the user flag, forward, up
+    and right, the position, the sample invariants (the frame time's bound
+    among them), the position's magnitude, then time order.
     """
     lines = _content_lines(path)
     if not lines:
@@ -166,10 +155,14 @@ def parse_trajectory(path: str) -> Trajectory:
     user_tokens: list[str] = []
     for start in range(0, len(rows), _CHUNK_ROWS):
         tokens = [text.split() for _, text in rows[start : start + _CHUNK_ROWS]]
-        chunks.append(_float_rows(tokens))
-        user_tokens += [row[11] for row in tokens[: len(chunks[-1])]]
-        if len(chunks[-1]) < len(tokens):
+        try:
+            chunk = np.array(tokens, np.float64)
+        except ValueError:  # rows of unequal field counts, or a token `float` rejects
             break
+        if chunk.shape != (len(tokens), len(TRAJECTORY_HEADER)):  # every row with another count
+            break
+        chunks.append(chunk)
+        user_tokens += [row[11] for row in tokens]
     vals = np.concatenate(chunks) if chunks else np.empty((0, len(TRAJECTORY_HEADER)))
     t_ms, pos, fov, frame_ms = vals[:, 0], vals[:, 1:4], vals[:, 10], vals[:, 12]
     user = np.array(user_tokens, dtype=str)
@@ -181,9 +174,13 @@ def parse_trajectory(path: str) -> Trajectory:
     bad |= (user != "0") & (user != "1") | invalid_sample_rows(t_ms, pos, fwd, up, fov, frame_ms)
     bad |= ~(np.abs(pos) <= MAX_COORD_M).all(axis=1)
     bad[1:] |= ~(t_ms[1:] > t_ms[:-1])
-    # the screens are exact, so the first flagged row raises; an unconverted row is faulty too
-    for i in np.flatnonzero(bad).tolist() + [len(vals)] * (len(vals) < len(rows)):
+    # the screens are exact, so the first flagged row raises
+    for i in np.flatnonzero(bad).tolist():
         _check_trajectory_row(path, *rows[i], float(t_ms[i - 1]) if i else None)
+    # else a row of the chunk that did not convert does
+    prev_t_ms = float(t_ms[-1]) if len(vals) else None
+    for lineno, text in rows[len(vals) : len(vals) + _CHUNK_ROWS]:
+        prev_t_ms = _check_trajectory_row(path, lineno, text, prev_t_ms)
     if len(vals) < MIN_SAMPLES:
         raise ParseError(path, 0, f"trajectory needs at least {MIN_SAMPLES} samples, got {len(vals)}")
     return Trajectory(t_ms, pos, fwd, up, fov, user == "1", frame_ms)
@@ -276,7 +273,8 @@ def render_timeline_section(
     distance and transition flag; without it every focus cell is empty."""
     lines = ["[TIMELINE]", TIMELINE_HEADER]
     if focus is None:
-        return lines + [format_real(t) + "," * TIMELINE_HEADER.count(",") for t in t_ms.tolist()]
+        empty = "," * TIMELINE_HEADER.count(",")
+        return lines + [t + empty for t in map(format_real, t_ms.tolist())]
     for t, (winner, focal, moving) in zip(t_ms.tolist(), focus):
         if winner is None:
             scores = ("",) * 5

@@ -63,26 +63,21 @@ def level_for_score(score: int) -> int:
 def _slerp(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, int]:
     """Rows of the unit vectors `a` and `b` interpolated at `s` on the great-circle
     arc, and the first row where the two are opposite (len(s) when none is).
-    The weights come from scalar `math` per row."""
-    weights, straight = [], []
-    opposite = len(s)
-    for k, (d, sk) in enumerate(zip(dot_rows(a, b).tolist(), s.tolist())):
-        d = max(-1.0, min(1.0, d))
-        omega = math.acos(d)
-        sin_omega = math.sin(omega)
-        if sin_omega < 1e-9:
-            if d < 0.0 and opposite == len(s):
-                opposite = k
-            straight.append(k)
-            weights.append((0.0, 0.0))
-        else:
-            weights.append((math.sin((1.0 - sk) * omega) / sin_omega, math.sin(sk * omega) / sin_omega))
-    w = np.array(weights).reshape(-1, 2)
-    out = a * w[:, :1] + b * w[:, 1:]
-    if straight:  # near-parallel: a straight lerp renormalized is exact enough
+    `acos` and `sin` are scalar `math` mapped over the columns, as NumPy's may
+    differ from them in the last bit; its clamp, products and quotients do not."""
+    d = np.fmax(-1.0, np.fmin(1.0, dot_rows(a, b)))
+    omega = np.fromiter(map(math.acos, d.tolist()), np.float64, len(d))
+    sin_omega = np.fromiter(map(math.sin, omega.tolist()), np.float64, len(d))
+    straight = sin_omega < 1e-9
+    opposite = np.flatnonzero(straight & (d < 0.0))
+    sin_omega[straight] = 1.0  # their rows are replaced below
+    wa = np.fromiter(map(math.sin, ((1.0 - s) * omega).tolist()), np.float64, len(d)) / sin_omega
+    wb = np.fromiter(map(math.sin, (s * omega).tolist()), np.float64, len(d)) / sin_omega
+    out = a * wa[:, None] + b * wb[:, None]
+    if straight.any():  # near-parallel: a straight lerp renormalized is exact enough
         lerp = a[straight] + (b[straight] - a[straight]) * s[straight, None]
         out[straight] = lerp / norm_rows(lerp)[:, None]
-    return out, opposite
+    return out, int(opposite[0]) if len(opposite) else len(s)
 
 
 def resample(traj: Sequence[TrajectorySample], tick_ms: float) -> Trajectory:

@@ -1,17 +1,21 @@
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
+# The long profiles, which CI loads by name, do not shrink: each shrink step
+# replays a whole scenario, so a failing example would take minutes to
+# minimise. CI reports it as found; a rerun under the Tier-1 profile shrinks it.
+_NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
 # Example counts of the differential replay fuzz (tests/test_replay_fuzz.py):
-# within a few seconds of Tier-1, and the longer run CI loads by name
+# within a few seconds of Tier-1, and the longer run
 settings.register_profile("replay-fuzz", max_examples=50, deadline=None)
-settings.register_profile("replay-fuzz-long", max_examples=400, deadline=None)
+settings.register_profile("replay-fuzz-long", max_examples=400, deadline=None, phases=_NO_SHRINK)
 # Example counts of the ray kernel's property tests: the reach cut through
 # select_focus's chunks (tests/test_attention.py) and nearest_hit_indices'
 # frames form (tests/test_rays.py); CI runs the longer one in a step of its own
 settings.register_profile("kernel", max_examples=25, deadline=None)
-settings.register_profile("kernel-long", max_examples=300, deadline=None)
+settings.register_profile("kernel-long", max_examples=300, deadline=None, phases=_NO_SHRINK)
 
 _ACCEPTANCE_LINES: list[tuple[int, str]] = []
 

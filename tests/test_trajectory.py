@@ -9,6 +9,7 @@ for bit.
 
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,9 @@ from focusray import (
     parse_trajectory,
     resample,
 )
+from focusray import comfort, simulate
+from focusray.geometry import dot_rows
+from focusray.io_formats import _CHUNK_ROWS
 from builders import sample, sample_bits
 import oracles
 from oracles import analyze_by_rows, parse_trajectory_by_rows, resample_by_rows
@@ -295,6 +299,109 @@ class TestParseErrorsUnderColumns:
         assert got == want
 
 
+class TestParseChunks:
+    """Each chunk of `_CHUNK_ROWS` rows converts in one `np.array`; a chunk
+    that does not is checked row by row, so the error stays the row parser's."""
+
+    EDGE = _CHUNK_ROWS - 1  # the last row of the first chunk
+
+    @staticmethod
+    def still_rows(n: int) -> list[list[float]]:
+        return [[i * 11.0, 0.001 * i, 1.6, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0, 90.0, 1.0, 11.1] for i in range(n)]
+
+    @classmethod
+    def still_lines(cls, n: int) -> list[str]:
+        return [" ".join([*map(repr, r[:11]), "1", repr(r[12])]) for r in cls.still_rows(n)]
+
+    @staticmethod
+    def write_lines(tmp_path, rows: list[str], seps=("\n",)) -> str:
+        """The header and `rows`, each line ended by the next of `seps` in turn."""
+        lines = [HEADER, *rows]
+        path = tmp_path / "traj.txt"
+        path.write_text("".join(line + seps[i % len(seps)] for i, line in enumerate(lines)), encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def same_columns(path: str) -> None:
+        assert_same_samples(parse_trajectory(path), parse_trajectory_by_rows(path))
+
+    @pytest.mark.parametrize("first", (0, _CHUNK_ROWS), ids=("first chunk", "second chunk"))
+    @pytest.mark.parametrize("count", (12, 14))
+    def test_a_chunk_whose_rows_all_hold_another_count(self, tmp_path, count, first):
+        lines = self.still_lines(2 * _CHUNK_ROWS + 10)
+        for row in range(first, first + _CHUNK_ROWS):
+            tokens = lines[row].split()
+            lines[row] = " ".join(tokens[:12] if count == 12 else tokens + ["1"])
+        got, want = TestParseErrorsUnderColumns.messages(self.write_lines(tmp_path, lines))
+        assert got == want
+        assert got.endswith(f"traj.txt:{first + 2}: expected 13 fields, got {count}")
+
+    FAULT_IDS = [kind for kind, _ in TestParseErrorsUnderColumns.FAULTS]
+
+    @pytest.mark.parametrize("kind", range(len(FAULT_IDS)), ids=FAULT_IDS)
+    @pytest.mark.parametrize(
+        "layout",
+        ({EDGE: None}, {EDGE + 1: None}, {EDGE: None, EDGE + 1: 1}, {EDGE + 1: None, EDGE + 2: 0}),
+        ids=("before the edge", "after the edge", "before, then a number", "after, then a field count"),
+    )
+    def test_faults_beside_a_chunk_edge(self, tmp_path, kind, layout):
+        """`layout` puts the fault of `kind` at the row given None, and the
+        fault numbered by FAULTS at the row after it, which must not win."""
+        faults = TestParseErrorsUnderColumns.FAULTS
+        path = write_rows(tmp_path, self.still_rows(2 * _CHUNK_ROWS + 10))
+        TestParseErrorsUnderColumns.corrupt(path, {row: faults[kind if k is None else k] for row, k in layout.items()})
+        got, want = TestParseErrorsUnderColumns.messages(path)
+        assert got == want
+        assert f"traj.txt:{min(layout) + 2}: " in got
+
+    @pytest.mark.parametrize("row", (3, _CHUNK_ROWS + 3))
+    def test_tokens_float_accepts(self, tmp_path, row):
+        """Underscores, other scripts' digits and bare signs and points parse
+        as `float` parses them, into the same columns."""
+        lines = self.still_lines(_CHUNK_ROWS + 10)
+        tokens = lines[row].split()
+        tokens[0] = tokens[0][0] + "_" + tokens[0][1:]  # 3_3.0 is 33.0
+        tokens[1:4] = ["+.5", "\u0661", "1_0.2_5e-0_1"]  # ARABIC-INDIC DIGIT ONE, then 1.025
+        tokens[10], tokens[12] = "\u0669\u0660", "+5."  # 90 in ARABIC-INDIC digits
+        lines[row] = " ".join(tokens)
+        path = self.write_lines(tmp_path, lines)
+        self.same_columns(path)
+        traj = parse_trajectory(path)
+        assert traj.t_ms[row] == row * 11.0 and traj.pos[row].tolist() == [0.5, 1.0, 1.025]
+        assert traj.fov[row] == 90.0 and traj.frame_ms[row] == 5.0
+
+    @pytest.mark.parametrize("token", ("infinity", "-Infinity", "1e400", "-1e400", "nan"))
+    @pytest.mark.parametrize("col", (0, 2, 5, 10, 12))
+    def test_tokens_float_reads_as_not_finite(self, tmp_path, token, col):
+        rows = self.still_lines(_CHUNK_ROWS + 10)
+        for row in (_CHUNK_ROWS + 4, 7):  # the earlier one is named
+            tokens = rows[row].split()
+            tokens[col] = token
+            rows[row] = " ".join(tokens)
+        got, want = TestParseErrorsUnderColumns.messages(self.write_lines(tmp_path, rows))
+        assert got == want
+        assert "traj.txt:9: " in got
+
+    def test_comments_and_line_breaks_keep_line_numbers(self, tmp_path):
+        """`#` opens a comment at a line's start, inside a token and after
+        trailing space; every break `splitlines` honours ends a line."""
+        rows = self.still_lines(2 * _CHUNK_ROWS)
+        rows[1] = rows[1] + "   # trailing note"
+        rows[2] = rows[2][:-1] + "#5 and the rest"  # the last token 11.1 reads 11.
+        rows[3:3] = ["# a comment line", "   ", "#"]
+        seps = ("\n", "\x0c", "\x1c", "\u2028", "\r\n", "\x0b", "\x85", "\u2029", "\r", "\x1d", "\x1e")
+        path = self.write_lines(tmp_path, rows, seps)
+        self.same_columns(path)
+        assert parse_trajectory(path).frame_ms[2] == 11.0
+        fault = _CHUNK_ROWS + 20
+        tokens = rows[fault].split()
+        tokens[10] = "180"
+        rows[fault] = " ".join(tokens)
+        got, want = TestParseErrorsUnderColumns.messages(self.write_lines(tmp_path, rows, seps))
+        assert got == want
+        assert f"traj.txt:{fault + 2}: fov_deg must be in (0, 180)" in got
+
+
 class TestTrajectoryType:
     def traj(self):
         return Trajectory.from_samples(
@@ -374,6 +481,76 @@ class TestResampleErrors:
         with pytest.raises(ValidationError) as got:
             resample(traj, 40.0)
         assert str(got.value) == str(want.value)
+
+
+class TestSlerpAndAngleColumns:
+    """`simulate._slerp` and `comfort._angles_deg` map scalar `math` over
+    columns; row by row they must equal the oracles' scalar code, bit for bit."""
+
+    @staticmethod
+    def rows(seed: int = 0, n: int = 12_000) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, b, s) with unit rows `a` and `b`: random pairs, then pairs turned
+        by angles whose sines fall on both sides of the 1e-9 cut, opposite
+        pairs and pairs whose dot product rounds past +-1; `s` holds 0 and 1."""
+        rng = np.random.default_rng(seed)
+        unit = lambda v: v / np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]  # noqa: E731
+        a, b = unit(rng.standard_normal((n, 3))), unit(rng.standard_normal((n, 3)))
+        # near-parallel and near-opposite pairs: b is a (or -a) turned by `angles`
+        k = n // 4
+        angles = rng.choice((0.0, 1e-12, 1e-10, 1e-9, 5e-9, 1e-8, 1.1e-8, 1.5e-8, 3e-8, 1e-7, 1e-5), k)
+        side = unit(np.cross(a[:k], rng.standard_normal((k, 3))))
+        turned = a[:k] * np.cos(angles)[:, None] + side * np.sin(angles)[:, None]
+        b[:k] = unit(np.where((rng.random(k) < 0.5)[:, None], turned, -turned))
+        # pairs whose dot product rounds past +-1 (a row of `a` a hair long)
+        long = np.flatnonzero(dot_rows(a, a) > 1.0)[: n // 10]
+        long = long[long >= k]
+        b[long] = a[long] * np.where(rng.random(len(long)) < 0.5, 1.0, -1.0)[:, None]
+        s = rng.random(n)
+        s[rng.random(n) < 0.1] = 0.0
+        s[rng.random(n) < 0.1] = 1.0
+        return a, b, s
+
+    @staticmethod
+    def oracle(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> tuple[list, list[int]]:
+        """Each row's `oracles._slerp` as a Vec3, and the rows it refuses as opposite."""
+        out, opposite = [], []
+        for k, (ak, bk, sk) in enumerate(zip(a.tolist(), b.tolist(), s.tolist())):
+            left, right = SimpleNamespace(forward=Vec3(*ak), t_ms=0.0), SimpleNamespace(forward=Vec3(*bk), t_ms=1.0)
+            try:
+                out.append(oracles._slerp(left, right, "forward", sk))
+            except ValidationError:
+                out.append(None)
+                opposite.append(k)
+        return out, opposite
+
+    def test_slerp_matches_the_scalar_oracle_row_by_row(self):
+        a, b, s = self.rows()
+        got, first = simulate._slerp(a, b, s)
+        want, opposite = self.oracle(a, b, s)
+        assert first == opposite[0]
+        for k, w in enumerate(want):
+            if w is not None:
+                assert [c.hex() for c in got[k].tolist()] == [w.x.hex(), w.y.hex(), w.z.hex()], k
+
+    def test_rows_cover_every_edge(self):
+        a, b, s = self.rows()
+        d = dot_rows(a, b)
+        sin_omega = np.array([math.sin(math.acos(max(-1.0, min(1.0, x)))) for x in d.tolist()])
+        for near in (d > 0.0, d < 0.0):
+            assert ((sin_omega < 1e-9) & near).sum() > 50 and ((sin_omega < 1e-7) & (sin_omega >= 1e-9) & near).sum() > 50
+        assert (d > 1.0).sum() > 20 and (d < -1.0).sum() > 20
+        assert (s == 0.0).sum() > 500 and (s == 1.0).sum() > 500 and len(s) >= 10_000
+        assert 0 < self.oracle(a, b, s)[1][0] < len(s) // 2
+
+    def test_without_opposite_rows_reports_none(self):
+        a, b, s = self.rows(seed=1)
+        keep = np.array([w is not None for w in self.oracle(a, b, s)[0]])
+        assert simulate._slerp(a[keep], b[keep], s[keep])[1] == keep.sum()
+
+    def test_angles_match_the_scalar_oracle_row_by_row(self):
+        a, b, _ = self.rows(seed=2)
+        want = [oracles._angle_deg(Vec3(*ak), Vec3(*bk)).hex() for ak, bk in zip(a.tolist(), b.tolist())]
+        assert [x.hex() for x in comfort._angles_deg(a, b).tolist()] == want
 
 
 class TestAnalyzeOverflow:
