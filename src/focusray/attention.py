@@ -73,11 +73,11 @@ class Candidates(Sequence[FocusCandidate]):
 
 def select_focus(
     scene: Sequence[SceneObject],
-    rig: StereoRig | CameraRows | Sequence[StereoRig],
-    roi: Roi | RoiRows | Sequence[Roi],
+    rig: StereoRig | CameraRows,
+    roi: Roi | RoiRows,
     ray_cfg: RayConfig,
     weights: HeuristicWeights,
-) -> tuple[FocusCandidate | None | np.ndarray | list[FocusCandidate | None], Candidates | list[Candidates]]:
+) -> tuple[FocusCandidate | None | np.ndarray, Candidates]:
     """Pick the focus object among ROI candidates; also return every candidate.
 
     Pipeline: cull the scene to the ROI, cast the ray cone once, score each
@@ -92,20 +92,13 @@ def select_focus(
     for none) and one `Candidates` holding the ticks' candidate sets back to
     back, each bit for bit what a call on that tick's rig and ROI returns;
     the cull, the ray kernel, the scoring and the pick each run once over the
-    chunk. Given as equally long sequences of rigs and ROIs, the chunk is
-    converted to rows and returns lists of the T winners and candidate sets.
+    chunk. Any other pairing, or unequal row counts, raises `ValidationError`.
     """
     prepared = prepare_scene(scene)
-    one = isinstance(rig, StereoRig)
-    rows = isinstance(rig, CameraRows)
-    if not (one or rows):
-        if len(rig) != len(roi):
-            raise ValidationError(f"a chunk needs one ROI per rig, got {len(rig)} rigs and {len(roi)} ROIs")
-        cams = np.array([(*r.midpoint(), r.forward.x, r.forward.y, r.forward.z, r.up.x, r.up.y, r.up.z) for r in rig])
-        rois = np.array([(r.apex.x, r.apex.y, r.apex.z, r.axis.x, r.axis.y, r.axis.z) for r in roi])
-        trig = np.array([(math.sin(r.half_angle), math.cos(r.half_angle), r.z_far) for r in roi])
-        rig = CameraRows(*cams.reshape(-1, 3, 3).transpose(1, 0, 2))
-        roi = RoiRows(*rois.reshape(-1, 2, 3).transpose(1, 0, 2), *trig.reshape(-1, 3).T)
+    one = isinstance(rig, StereoRig) and isinstance(roi, Roi)
+    if not (one or isinstance(rig, CameraRows) and isinstance(roi, RoiRows) and len(rig.m) == len(roi.apex)):
+        raise ValidationError("select_focus takes a StereoRig and a Roi, or CameraRows and RoiRows of equal length, "
+                              f"got {type(rig).__name__} and {type(roi).__name__}")
     cols, rel, rr, starts = prepared.roi_rows(roi)
     ids = prepared.ids[cols]
     if not cols.size:
@@ -142,11 +135,7 @@ def select_focus(
     candidates = Candidates(*scored)
     if one:
         return _winner(candidates), candidates
-    win = _winners(candidates, starts)
-    if rows:
-        return win, candidates
-    return ([candidates[w] if w >= 0 else None for w in win.tolist()],
-            [Candidates(*(a[i:j] for a in scored)) for i, j in zip(starts, starts[1:])])
+    return _winners(candidates, starts), candidates
 
 
 def _winner(c: Candidates) -> FocusCandidate | None:

@@ -339,13 +339,12 @@ def _detect_session_duration(traj: Trajectory, motion: _Motion, cfg: ComfortConf
 
 def analyze_trajectory(
     traj: Sequence[TrajectorySample],
-    duration_ms: float | None = None,
     cfg: ComfortConfig = ComfortConfig(),
 ) -> ComfortReport:
     """Run every rule over the trajectory and return the merged report.
 
     `traj` is any sequence of samples; a `Trajectory` is read as it is.
-    duration_ms defaults to the trajectory's time span. Findings are sorted
+    The session lasts the trajectory's time span. Findings are sorted
     by start time, ties by rule declaration order, so reports are stable.
     """
     if len(traj) < MIN_SAMPLES:
@@ -353,10 +352,7 @@ def analyze_trajectory(
     traj = Trajectory.from_samples(traj)
     if not (traj.t_ms[1:] > traj.t_ms[:-1]).all():
         raise ValidationError("trajectory samples must strictly increase in t_ms")
-    if duration_ms is None:
-        duration_ms = float(traj.t_ms[-1]) - float(traj.t_ms[0])
-    if not (math.isfinite(duration_ms) and duration_ms >= 0.0):
-        raise ValidationError(f"duration_ms must be >= 0, got {duration_ms!r}")
+    duration_ms = float(traj.t_ms[-1]) - float(traj.t_ms[0])
     # overflow gives inf or nan, as Python floats do; vectors are checked as Vec3s are
     with np.errstate(all="ignore"):
         ts_s = traj.t_ms / 1000.0

@@ -23,7 +23,8 @@ from .attention import FocusCandidate
 from .comfort import MIN_SAMPLES, ComfortReport, ComfortRule, Trajectory, TrajectorySample, invalid_sample_rows
 from .config import CONFIG_FIELD_NAMES, INT_FIELDS, SimConfig
 from .errors import GeometryError, OutputError, ParseError, ValidationError
-from .geometry import MAX_COORD_M, PreparedScene, SceneObject, Vec3, cross_rows, norm_rows, prepare_scene
+from .geometry import (MAX_COORD_M, UNIT_TOL, PreparedScene, SceneObject, Vec3, dot_rows, norm_rows, prepare_scene,
+                       view_frame_rows)
 from .ssq import Profile, ProtocolReport, SsqResponse
 
 TRAJECTORY_HEADER = (
@@ -120,8 +121,10 @@ def _check_trajectory_row(path: str, lineno: int, text: str, prev_t_ms: float | 
     try:
         forward = _unit_or_parse_error(path, lineno, Vec3(vals[4], vals[5], vals[6]), "forward")
         up = _unit_or_parse_error(path, lineno, Vec3(vals[7], vals[8], vals[9]), "up")
-        # the eye baseline runs along forward x up, so the two must not be parallel
-        _unit_or_parse_error(path, lineno, forward.cross(up), "right (forward x up)")
+        # the eyes lie along right = forward x up, which must not vanish, and a rig rebuilds up as right x forward
+        right = _unit_or_parse_error(path, lineno, forward.cross(up), "right (forward x up)")
+        if not (rebuilt := right.cross(forward)).is_unit():
+            raise ParseError(path, lineno, f"forward too near up: the rebuilt up has length {rebuilt.norm()!r}")
         TrajectorySample(vals[0], Vec3(vals[1], vals[2], vals[3]), forward, up, vals[10], tokens[11] == "1", frame_time)
     except ValidationError as e:
         raise ParseError(path, lineno, str(e)) from None
@@ -139,9 +142,9 @@ def parse_trajectory(path: str) -> Trajectory:
     parses a `str` as `float` does), and checked as columns. The first flagged
     row, or else each row of the first chunk that did not convert, is then
     checked on its own, so the error names the same line and fault as a
-    row-by-row parse: the field count and numbers, the user flag, forward, up
-    and right, the position, the sample invariants (the frame time's bound
-    among them), the position's magnitude, then time order.
+    row-by-row parse: the field count and numbers, the user flag, forward, up,
+    right, the up rebuilt from it, the position, the sample invariants (the
+    frame time's bound among them), the position's magnitude, then time order.
     """
     lines = _content_lines(path)
     if not lines:
@@ -169,12 +172,13 @@ def parse_trajectory(path: str) -> Trajectory:
     with np.errstate(all="ignore"):  # a non-finite row normalizes to nan, which the sample check flags
         fwd_norm, up_norm = norm_rows(vals[:, 4:7]), norm_rows(vals[:, 7:10])
         fwd, up = vals[:, 4:7] / fwd_norm[:, None], vals[:, 7:10] / up_norm[:, None]
-        # the right vector as Vec3.cross computes it, so it is checked exactly
-        bad = ~(fwd_norm >= 1e-12) | ~(up_norm >= 1e-12) | ~(norm_rows(cross_rows(fwd, up)) >= 1e-12)
+        _, rebuilt, right_norm = view_frame_rows(fwd, up)
+        bad = ~(fwd_norm >= 1e-12) | ~(up_norm >= 1e-12) | ~(right_norm >= 1e-12)
+        bad |= ~(np.abs(dot_rows(rebuilt, rebuilt) - 1.0) <= UNIT_TOL)  # by its square, which flags more
     bad |= (user != "0") & (user != "1") | invalid_sample_rows(t_ms, pos, fwd, up, fov, frame_ms)
     bad |= ~(np.abs(pos) <= MAX_COORD_M).all(axis=1)
     bad[1:] |= ~(t_ms[1:] > t_ms[:-1])
-    # the screens are exact, so the first flagged row raises
+    # the screens flag every faulty row, and each flagged row is checked in order
     for i in np.flatnonzero(bad).tolist():
         _check_trajectory_row(path, *rows[i], float(t_ms[i - 1]) if i else None)
     # else a row of the chunk that did not convert does

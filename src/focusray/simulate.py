@@ -18,8 +18,7 @@ import numpy as np
 
 from .attention import FocusCandidate, select_focus
 from .comfort import Trajectory, TrajectorySample, analyze_trajectory
-# `step` is bound here too, for perfbench/spans.py to wrap
-from .dynamics import FocusSelection, FocusState, advance, apply_selection, step  # noqa: F401
+from .dynamics import FocusSelection, FocusState, advance, apply_selection
 from .errors import GeometryError, ValidationError
 from .geometry import (ORTHO_TOL, UNIT_TOL, CameraRows, RoiRows, StereoRig, Vec3, dot_rows, norm_rows, view_frame,
                        view_frame_rows)
@@ -222,7 +221,7 @@ def run_scenario(
             focus.append((winner, applied.focal_distance, applied.transition is not None))
             state = advance(applied, selection is not None, cfg.tick_ms, dyn_cfg)
 
-    report = analyze_trajectory(traj, duration_ms=None, cfg=cfg.comfort_config())
+    report = analyze_trajectory(traj, cfg=cfg.comfort_config())
     doc = render_document(
         (
             render_config_section(cfg),

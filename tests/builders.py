@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import settings
 
 import focusray.geometry
-from focusray import MidCamera, PreparedScene, RayBundle, Roi, StereoRig, TrajectorySample, Vec3
+from focusray import CameraRows, MidCamera, PreparedScene, RayBundle, Roi, RoiRows, StereoRig, TrajectorySample, Vec3
 from focusray.geometry import dot_rows
 from focusray.rays import nearest_hit_indices, rm_scores
 
@@ -127,6 +127,13 @@ def roi_row(roi: Roi) -> tuple:
     """An ROI as the replay's `RoiRows` hold it: apex, axis, the half-angle's `math` sine and cosine, z_far."""
     return ([roi.apex.x, roi.apex.y, roi.apex.z], [roi.axis.x, roi.axis.y, roi.axis.z], math.sin(roi.half_angle),
             math.cos(roi.half_angle), roi.z_far)
+
+
+def chunk_rows(rigs: list[StereoRig], rois: list[Roi]) -> tuple[CameraRows, RoiRows]:
+    """Rigs and ROIs as the rows of one chunk, one row each, as the replay holds them."""
+    cams = np.array([sum(camera_row(r), []) for r in rigs], np.float64).reshape(-1, 9)
+    regions = np.array([[*apex, *axis, *rest] for apex, axis, *rest in map(roi_row, rois)], np.float64).reshape(-1, 9)
+    return CameraRows(*np.hsplit(cams, 3)), RoiRows(*np.hsplit(regions[:, :6], 2), *regions[:, 6:].T)
 
 
 def sample_bits(s: TrajectorySample) -> tuple:

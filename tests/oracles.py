@@ -309,7 +309,10 @@ def parse_trajectory_by_rows(path: str) -> list[TrajectorySample]:
             forward = _unit_or_parse_error(path, lineno, Vec3(vals[4], vals[5], vals[6]), "forward")
             up = _unit_or_parse_error(path, lineno, Vec3(vals[7], vals[8], vals[9]), "up")
             # the eye baseline runs along forward x up, so the two must not be parallel
-            _unit_or_parse_error(path, lineno, forward.cross(up), "right (forward x up)")
+            right = _unit_or_parse_error(path, lineno, forward.cross(up), "right (forward x up)")
+            rebuilt = right.cross(forward)  # the up a rig rebuilds
+            if not rebuilt.is_unit():
+                raise ParseError(path, lineno, f"forward too near up: the rebuilt up has length {rebuilt.norm()!r}")
             sample = TrajectorySample(
                 t_ms=vals[0],
                 position=Vec3(vals[1], vals[2], vals[3]),
@@ -617,19 +620,15 @@ def _detect_session_duration(traj: Trajectory, motion: _Motion, cfg: ComfortConf
 
 def analyze_by_rows(
     traj: Trajectory,
-    duration_ms: float | None = None,
     cfg: ComfortConfig = ComfortConfig(),
 ) -> ComfortReport:
     """Run every rule over the trajectory and return the merged report.
 
-    duration_ms defaults to the trajectory's time span. Findings are sorted
+    The session lasts the trajectory's time span. Findings are sorted
     by start time, ties by rule declaration order, so reports are stable.
     """
     _check_trajectory(traj)
-    if duration_ms is None:
-        duration_ms = traj[-1].t_ms - traj[0].t_ms
-    if not (math.isfinite(duration_ms) and duration_ms >= 0.0):
-        raise ValidationError(f"duration_ms must be >= 0, got {duration_ms!r}")
+    duration_ms = traj[-1].t_ms - traj[0].t_ms
     ts_s = [s.t_ms / 1000.0 for s in traj]
     gap_distances = [b.position.distance_to(a.position) for a, b in zip(traj, traj[1:])]
     gap_speeds = _gap_speeds_m_s(traj, gap_distances)
@@ -726,7 +725,7 @@ def replay_by_rows(scene_path: str, trajectory_path: str, config_path: str, no_f
         trace.append(ReplayTick(rig, roi, winner, candidates, state, after))
         state = after
 
-    report = analyze_by_rows(traj, duration_ms=None, cfg=cfg.comfort_config())
+    report = analyze_by_rows(traj, cfg=cfg.comfort_config())
     doc = render_document((
         render_config_section(cfg),
         render_timeline_section(np.array([s.t_ms for s in ticks]), None if no_focus else focus),

@@ -28,7 +28,7 @@ from focusray import (
 )
 import focusray.attention
 import focusray.geometry
-from builders import axial_rig, culled, grazing_spheres, profile, sample
+from builders import axial_rig, chunk_rows, culled, grazing_spheres, profile, sample
 from focusray.simulate import CHUNK_TICKS
 from oracles import point_cone_distance, rm_by_enumeration, roi_contains, select_by_enumeration
 
@@ -543,19 +543,28 @@ def _bits(cands: Candidates) -> list[tuple[str, bytes]]:
     return [(a.dtype.str, a.tobytes()) for a in (cands.ids, cands.rm, cands.d, cands.v, cands.importance)]
 
 
+def select_chunk(scene, rigs, rois, ray_cfg, weights) -> tuple[list, list[Candidates]]:
+    """`select_focus` over the rows of a chunk against one call per tick: the
+    chunk's candidates are the ticks' sets back to back, bit for bit, and each
+    winner position lies in its tick's run and names that tick's winner (-1
+    for none). Returns the per-tick calls' winners and candidate sets."""
+    win, chunk = select_focus(scene, *chunk_rows(rigs, rois), ray_cfg, weights)
+    calls = [select_focus(scene, rig, roi, ray_cfg, weights) for rig, roi in zip(rigs, rois)]
+    winners, ticks = [w for w, _ in calls], [c for _, c in calls]
+    assert isinstance(chunk, Candidates) and win.dtype == np.int64 and win.shape == (len(rigs),)
+    want = [_bits(cands) for cands in ticks]
+    for k, (dtype, data) in enumerate(_bits(chunk)):
+        assert all(w[k][0] == dtype for w in want) and data == b"".join(w[k][1] for w in want), k
+    starts = np.cumsum([0, *map(len, ticks)]).tolist()
+    for t, (w, winner) in enumerate(zip(win.tolist(), winners)):
+        assert w == -1 if winner is None else starts[t] <= w < starts[t + 1] and repr(chunk[w]) == repr(winner), t
+    return winners, ticks
+
+
 class TestSelectFocusChunk:
     """`select_focus` over a chunk of ticks against one call per tick: each
     tick's winner and candidate arrays bit for bit, for chunks of 1 to more
     than twice the replay's chunk size."""
-
-    def check(self, scene, rigs, rois, ray_cfg, weights):
-        winners, chunk = select_focus(scene, rigs, rois, ray_cfg, weights)
-        assert len(winners) == len(chunk) == len(rigs)
-        for rig, roi, winner, cands in zip(rigs, rois, winners, chunk):
-            want_winner, want = select_focus(scene, rig, roi, ray_cfg, weights)
-            assert repr(winner) == repr(want_winner)
-            assert isinstance(cands, Candidates) and _bits(cands) == _bits(want)
-        return winners, chunk
 
     def test_lattice_chunks_match_calls_per_tick(self):
         """Ties, occluders, ticks that look away from every object, ROI apexes
@@ -585,7 +594,8 @@ class TestSelectFocusChunk:
                 rigs.append(rig)
                 rois.append(Roi(apex=apex, axis=rig.forward, half_angle=math.radians(rng.uniform(15.0, 60.0)),
                                 z_far=rng.randint(80, 400) / 8))
-            winners, chunk = self.check(scene if rng.random() < 0.5 else prepare_scene(scene), rigs, rois, ray_cfg, weights)
+            scene = scene if rng.random() < 0.5 else prepare_scene(scene)
+            winners, chunk = select_chunk(scene, rigs, rois, ray_cfg, weights)
             seen["ties"] += sum(sum(c.importance == w.importance for c in cands) > 1
                                 for w, cands in zip(winners, chunk) if w is not None)
             seen["empty mid-chunk"] += any(not cands for cands in chunk[1:-1]) and any(chunk)
@@ -611,7 +621,7 @@ class TestSelectFocusChunk:
                 rig = rig_from_pose(sample(16.0 * i, pos, forward=forward), 0.064)
                 rigs.append(rig)
                 rois.append(Roi(apex=derive_mid_camera(rig).m, axis=forward, half_angle=math.radians(30.0), z_far=45.0))
-            winners, chunk = self.check(prepared, rigs, rois, rays, DEFAULT_W)
+            winners, chunk = select_chunk(prepared, rigs, rois, rays, DEFAULT_W)
             ticks, kept, won = ticks + size, kept + sum(map(len, chunk)), won + sum(w is not None for w in winners)
         assert kept >= 3 * ticks and won >= ticks // 2, (ticks, kept, won)
 
@@ -645,7 +655,7 @@ class TestSelectFocusChunk:
 
             focusray.geometry.cone_mask = spy
             try:
-                winners, chunk = self.check(prepared, rigs, rois, rays, DEFAULT_W)
+                winners, chunk = select_chunk(prepared, rigs, rois, rays, DEFAULT_W)
             finally:
                 focusray.geometry.cone_mask = real
             assert sum(map(len, chunk)) > 0 and sum(w is not None for w in winners) > 0
@@ -653,18 +663,29 @@ class TestSelectFocusChunk:
             assert (slabs[0] == len(prepared)) == (z_far > 1e6)
 
     def test_chunk_of_one_and_empty_scene(self):
-        assert select_focus([], [RIG], [ROI], RAYS, DEFAULT_W)[0] == [None]
-        winners, chunk = select_focus([], [RIG] * 3, [ROI] * 3, RAYS, DEFAULT_W)
-        assert winners == [None] * 3 and [len(c) for c in chunk] == [0, 0, 0]
-        assert chunk[0].ids.dtype == np.int64 and chunk[0].rm.dtype == np.float64
+        win, chunk = select_focus([], *chunk_rows([RIG], [ROI]), RAYS, DEFAULT_W)
+        assert win.tolist() == [-1] and len(chunk) == 0
+        win, chunk = select_focus([], *chunk_rows([RIG] * 3, [ROI] * 3), RAYS, DEFAULT_W)
+        assert win.tolist() == [-1] * 3 and len(chunk) == 0
+        assert chunk.ids.dtype == np.int64 and chunk.rm.dtype == np.float64
         scene = [obj(1, 0, 0, -5), obj(2, 1, 0, -9)]
-        winners, chunk = self.check(scene, [RIG], [ROI], RAYS, DEFAULT_W)
+        winners, _ = select_chunk(scene, [RIG], [ROI], RAYS, DEFAULT_W)
         assert winners[0].object_id == 1
-        assert select_focus(scene, [], [], RAYS, DEFAULT_W) == ([], [])
+        win, chunk = select_focus(scene, *chunk_rows([], []), RAYS, DEFAULT_W)
+        assert win.tolist() == [] and len(chunk) == 0
 
-    def test_one_roi_per_rig(self):
-        with pytest.raises(ValidationError, match="one ROI per rig, got 2 rigs and 1 ROIs"):
-            select_focus([obj(1, 0, 0, -5)], [RIG, RIG], [ROI], RAYS, DEFAULT_W)
+    def test_refused_pairings(self):
+        """One rig with one ROI, or camera rows with as many ROI rows: any
+        other pairing is refused, whether the chunk has candidates or none."""
+        cams, rois = chunk_rows([RIG] * 2, [ROI] * 2)
+        unequal = [chunk_rows([RIG] * n_cams, [ROI] * n_rois) for n_cams, n_rois in ((2, 3), (3, 2), (0, 1), (1, 0))]
+        pairs = [([RIG, RIG], [ROI, ROI]), ((RIG,), (ROI,)), (RIG, rois), (cams, ROI), (rois, cams),
+                 (tuple(cams), tuple(rois)), (RIG, None), *unequal]
+        for scene in ([obj(1, 0, 0, -5)], []):
+            for rig, roi in pairs:
+                with pytest.raises(ValidationError, match=f"CameraRows and RoiRows of equal length, got "
+                                                          f"{type(rig).__name__} and {type(roi).__name__}$"):
+                    select_focus(scene, rig, roi, RAYS, DEFAULT_W)
 
 
 def _pose(rng: random.Random, short: float = 0.0) -> StereoRig:
@@ -710,15 +731,13 @@ class TestRayReach:
             return real(oc, bundle, spheres, ococ, starts)
 
         focusray.attention.rm_scores = spy
-        try:
-            winners, chunk = select_focus(scene, rigs, rois, ray_cfg, DEFAULT_W)
+        try:  # the chunk's call comes first, and calls the kernel when the chunk has candidates
+            _, chunk = select_chunk(scene, rigs, rois, ray_cfg, DEFAULT_W)
         finally:
             focusray.attention.rm_scores = real
         by_id = {o.id: o for o in scene}
         spheres, starts = seen[0] if seen else (np.empty((0, 4)), [0] * (len(rigs) + 1))
-        for t, (rig, roi, winner, cands) in enumerate(zip(rigs, rois, winners, chunk)):
-            want_winner, want = select_focus(scene, rig, roi, ray_cfg, DEFAULT_W)
-            assert repr(winner) == repr(want_winner) and _bits(cands) == _bits(want), t
+        for t, (rig, cands) in enumerate(zip(rigs, chunk)):
             objects = [by_id[i] for i in cands.ids.tolist()]
             cam = derive_mid_camera(rig)
             rm = rm_by_enumeration(cam, ray_bundle(ray_cfg, rig), objects)

@@ -320,9 +320,11 @@ class TestRunCommand:
 
 # (position, forward, up) of a trajectory row whose rig is refused or flagged
 _STILL = ("0 0 0", "0 0 -1", "0 1 0")
-# forward within ~1e-12 of up: right normalizes, but the up made from it is 1.2e-9 short of unit length
+# forward within ~1e-12 of up: right normalizes, but the up made from it is 1.2e-9 short of unit length, so the
+# parser refuses the row
 _NEAR_UP = ("0 0 0", "0.35999999999985344 0.4800000000007042 0.7999999999991263", "0.36 0.48 0.8")
-# as close, but the rebuilt up is 0.56e-9 short: the rows' screen tests its square and flags it; the rig accepts it
+# as close, but the rebuilt up is 0.56e-9 short: the parser's and the replay's screens test its square and flag
+# it; the row check and the rig accept it
 _FLAGGED_ONLY = ("0 0 0", "0.3599999999996392 0.48000000000105125 0.799999999999944", "0.36 0.48 0.8")
 # at 1e100 m, eyes 64 mm apart round to the same point
 _FAR = ("1e100 0 0", "0 0 -1", "0 1 0")
@@ -340,7 +342,8 @@ class TestRigRefusals:
     """A tick whose rig the replay refuses ends the run with exit 4 and a
     message naming the trajectory and the tick's time, and writes nothing,
     wherever the tick falls: the first chunk, mid-chunk or the last, short
-    chunk. The earliest refused tick is the one named."""
+    chunk. The earliest refused tick is the one named. A recorded row whose
+    rig would rebuild an up off unit length is refused when it is read."""
 
     def check(self, tmp_path, traj, t_ms, message, tick_ms=100):
         assert 39 % simulate.CHUNK_TICKS not in (0, simulate.CHUNK_TICKS - 1)  # 39 ticks end in a short chunk
@@ -363,13 +366,19 @@ class TestRigRefusals:
             self.check(tmp_path, _rows(20, special), 50.0 * tick, "cannot normalize a near-zero vector", tick_ms=50)
 
     def test_up_rebuilt_off_unit(self, tmp_path):
-        for tick, later in ((0, 20), (20, 36), (36, None)):
-            special = {tick: _NEAR_UP, **({later: _FAR} if later else {})}
-            self.check(tmp_path, _rows(39, special), 100.0 * tick, "up must be a unit vector (|up| = ")
+        # exit 3 at the first such row's line, with focus or without, and nothing written
+        for row, later in ((0, 20), (20, 36), (36, None)):
+            p = run_files(tmp_path, traj=_rows(39, {row: _NEAR_UP, **({later: _NEAR_UP} if later else {})}))
+            for extra in ([], ["--no-focus"]):
+                code, err = quiet_main(self.argv(p) + extra)
+                assert code == EXIT_PARSE
+                assert err.startswith(f"focusray: {p['traj']}:{row + 2}: forward too near up: the rebuilt up has "
+                                      "length 0.99999999"), err
+                assert not os.path.exists(p["out"])
 
     def test_eyes_coincide(self, tmp_path):
         for tick, later in ((0, 36), (20, 36), (36, None)):
-            special = {tick: _FAR, **({later: _NEAR_UP} if later else {})}
+            special = {tick: _FAR, **({later: _FAR} if later else {})}
             self.check(tmp_path, _rows(39, special), 100.0 * tick, "degenerate rig")
 
     def test_flagged_tick_the_rig_accepts_replays(self, tmp_path):

@@ -276,18 +276,9 @@ class TestSessionDuration:
         assert f.end_ms == 2_100_000.0
         assert f.severity == pytest.approx(300.0, abs=1e-9)
 
-    def test_explicit_duration_overrides_span(self):
-        report = analyze_trajectory(self.stationary(3000.0), duration_ms=2_100_000.0)
-        assert report.counts[ComfortRule.SessionDuration] == 1
-        assert report.duration_ms == 2_100_000.0
-
     def test_under_budget_clean(self):
         report = analyze_trajectory(self.stationary(1_800_000.0))
         assert report.counts[ComfortRule.SessionDuration] == 0
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValidationError):
-            analyze_trajectory(self.stationary(3000.0), duration_ms=-1.0)
 
 
 class TestAnalyzeReport:
