@@ -73,8 +73,6 @@ from .ssq import (
     OCULOMOTOR_SYMPTOMS,
     Profile,
     ProtocolReport,
-    ProtocolSession,
-    SsqDelta,
     SsqResponse,
     SsqScore,
     SYMPTOM_NAMES,

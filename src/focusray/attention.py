@@ -92,11 +92,13 @@ def select_focus(
     for none) and one `Candidates` holding the ticks' candidate sets back to
     back, each bit for bit what a call on that tick's rig and ROI returns;
     the cull, the ray kernel, the scoring and the pick each run once over the
-    chunk. Any other pairing, or unequal row counts, raises `ValidationError`.
+    chunk. Any other pairing, or rows with a field that does not hold T rows
+    (of 3 for the vectors), raises `ValidationError`.
     """
     prepared = prepare_scene(scene)
     one = isinstance(rig, StereoRig) and isinstance(roi, Roi)
-    if not (one or isinstance(rig, CameraRows) and isinstance(roi, RoiRows) and len(rig.m) == len(roi.apex)):
+    if not (one or isinstance(rig, CameraRows) and isinstance(roi, RoiRows)
+            and [np.shape(c) for c in (*rig, *roi)] == [(len(rig.m), 3)] * 5 + [(len(rig.m),)] * 3):
         raise ValidationError("select_focus takes a StereoRig and a Roi, or CameraRows and RoiRows of equal length, "
                               f"got {type(rig).__name__} and {type(roi).__name__}")
     cols, rel, rr, starts = prepared.roi_rows(roi)

@@ -10,8 +10,9 @@ frames, session length, and long stretches of continuous locomotion
 Severity numbers are heuristic rankings for triage, not a validated
 sickness predictor, and reports label them accordingly.
 
-`analyze_trajectory` is the entry point: it validates once, and the rules
-share one motion pass over the `Trajectory` columns. Velocity and
+`analyze_trajectory` is the entry point: it validates once, the rules
+share one motion pass over the `Trajectory` columns, and each rule takes
+the columns it reads. Velocity and
 acceleration come from central finite differences over the (possibly
 non-uniform) sample timestamps; endpoints use one-sided differences. Every
 per-sample value is an elementwise array expression in the operand order
@@ -200,22 +201,6 @@ class ComfortReport:
     duration_ms: float
 
 
-@dataclass(frozen=True, slots=True)
-class _Motion:
-    """Derived once per analysis: the central-difference stencil (`lo`, `hi`
-    and `dt` in seconds per sample), the velocities, the per-gap speeds and
-    the teleport gaps, plus the session duration, so that every rule takes
-    (traj, motion, cfg)."""
-
-    duration_ms: float
-    lo: np.ndarray
-    hi: np.ndarray
-    dt: np.ndarray
-    velocities: np.ndarray
-    gap_speeds: np.ndarray
-    jumps: np.ndarray
-
-
 def _check_vectors(*steps: np.ndarray) -> None:
     """Raise what the per-row formula raises when a step is not a finite `Vec3`:
     at the first such row, the vector of each step is built in order."""
@@ -238,7 +223,10 @@ def _runs(flags: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(np.flatnonzero(edges == 1).tolist(), (np.flatnonzero(edges == -1) - 1).tolist()))
 
 
-def detect_acceleration_episodes(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) -> list[ComfortFinding]:
+def detect_acceleration_episodes(
+    t: list[float], velocities: np.ndarray, lo: np.ndarray, hi: np.ndarray, dt: np.ndarray, jumps: np.ndarray,
+    cfg: ComfortConfig,
+) -> list[ComfortFinding]:
     """Episodes of sustained acceleration above the threshold.
 
     A run of consecutive over-threshold samples becomes a finding only when
@@ -246,17 +234,16 @@ def detect_acceleration_episodes(traj: Trajectory, motion: _Motion, cfg: Comfort
     seconds. Single-sample spikes (the instant velocity step) and
     teleport-style jumps therefore never register.
     """
-    magnitudes = norm_rows(_central_rate(motion.velocities, motion.lo, motion.hi, motion.dt))
+    magnitudes = norm_rows(_central_rate(velocities, lo, hi, dt))
 
     # a teleport gap corrupts the finite differences of the four samples
     # whose stencils straddle it (gap - 1 through gap + 2): blank them
     # instead of flagging the jump; sample i is entry i + 1 here
     near_jump = np.zeros(len(magnitudes) + 3, bool)
     for offset in range(4):
-        near_jump[offset : offset + len(motion.jumps)] |= motion.jumps
+        near_jump[offset : offset + len(jumps)] |= jumps
     magnitudes[near_jump[1:-2]] = 0.0
 
-    t = traj.t_ms.tolist()
     findings: list[ComfortFinding] = []
     for start, end in _runs(magnitudes > cfg.accel_threshold_m_s2):
         duration_ms = t[end] - t[start]
@@ -268,16 +255,15 @@ def detect_acceleration_episodes(traj: Trajectory, motion: _Motion, cfg: Comfort
     return findings
 
 
-def detect_frame_drops(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) -> list[ComfortFinding]:
+def detect_frame_drops(t: list[float], frame_ms: np.ndarray, cfg: ComfortConfig) -> list[ComfortFinding]:
     """Samples whose frame time blows the budget, merged into episodes.
 
     A sample is flagged when frame_time_ms exceeds drop_factor times the
     target; severity is the summed time over budget, in seconds.
     """
-    t = traj.t_ms.tolist()
     findings: list[ComfortFinding] = []
-    for start, end in _runs(traj.frame_ms > cfg.drop_factor * cfg.target_frame_ms):
-        run = traj.frame_ms[start : end + 1].tolist()
+    for start, end in _runs(frame_ms > cfg.drop_factor * cfg.target_frame_ms):
+        run = frame_ms[start : end + 1].tolist()
         excess_ms = sum(ft - cfg.target_frame_ms for ft in run)
         detail = f"{len(run)} slow frames (worst {max(run):.3f} ms against {cfg.target_frame_ms:.3f} ms budget)"
         findings.append(ComfortFinding(ComfortRule.FrameDrop, t[start], t[end], excess_ms / 1000.0, detail))
@@ -291,22 +277,23 @@ def _angles_deg(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.degrees, map(math.acos, cosines.tolist())), np.float64, len(cosines))
 
 
-def _detect_uncontrolled(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) -> list[ComfortFinding]:
-    degrees = _angles_deg(traj.fwd[motion.lo], traj.fwd[motion.hi])
-    moving = (norm_rows(motion.velocities) > cfg.motion_floor_m_s) | (degrees / motion.dt > cfg.motion_floor_deg_s)
-    t = traj.t_ms.tolist()
+def _detect_uncontrolled(
+    t: list[float], fwd: np.ndarray, user: np.ndarray, velocities: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+    dt: np.ndarray, cfg: ComfortConfig,
+) -> list[ComfortFinding]:
+    degrees = _angles_deg(fwd[lo], fwd[hi])
+    moving = (norm_rows(velocities) > cfg.motion_floor_m_s) | (degrees / dt > cfg.motion_floor_deg_s)
     return [
         ComfortFinding(
             ComfortRule.UncontrolledCamera, t[start], t[end], (t[end] - t[start]) / 1000.0,
             "camera motion not initiated by the user",
         )
-        for start, end in _runs(moving & ~traj.user)
+        for start, end in _runs(moving & ~user)
     ]
 
 
-def _detect_fov_manipulation(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) -> list[ComfortFinding]:
-    steps = np.abs(np.diff(traj.fov))
-    t = traj.t_ms.tolist()
+def _detect_fov_manipulation(t: list[float], fov: np.ndarray, cfg: ComfortConfig) -> list[ComfortFinding]:
+    steps = np.abs(np.diff(fov))
     findings: list[ComfortFinding] = []
     for start, end in _runs(steps > cfg.fov_delta_threshold_deg):
         total = sum(steps[start : end + 1].tolist())
@@ -315,11 +302,12 @@ def _detect_fov_manipulation(traj: Trajectory, motion: _Motion, cfg: ComfortConf
     return findings
 
 
-def _detect_locomotion(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) -> list[ComfortFinding]:
-    t = traj.t_ms.tolist()
+def _detect_locomotion(
+    t: list[float], gap_speeds: np.ndarray, jumps: np.ndarray, cfg: ComfortConfig
+) -> list[ComfortFinding]:
     findings: list[ComfortFinding] = []
     # teleport gaps count as standing still
-    for start, end in _runs((motion.gap_speeds > cfg.motion_floor_m_s) & ~motion.jumps):
+    for start, end in _runs((gap_speeds > cfg.motion_floor_m_s) & ~jumps):
         duration_ms = t[end + 1] - t[start]
         if duration_ms > cfg.walk_episode_ms:
             detail = f"continuous locomotion for {duration_ms / 1000.0:.3f} s"
@@ -327,11 +315,9 @@ def _detect_locomotion(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) ->
     return findings
 
 
-def _detect_session_duration(traj: Trajectory, motion: _Motion, cfg: ComfortConfig) -> list[ComfortFinding]:
-    duration_ms = motion.duration_ms
+def _detect_session_duration(t0: float, duration_ms: float, cfg: ComfortConfig) -> list[ComfortFinding]:
     if duration_ms <= cfg.max_session_ms:
         return []
-    t0 = float(traj.t_ms[0])
     detail = f"session of {duration_ms / 60000.0:.1f} min exceeds the {cfg.max_session_ms / 60000.0:.1f} min budget"
     return [ComfortFinding(ComfortRule.SessionDuration, t0 + cfg.max_session_ms, t0 + duration_ms,
                            (duration_ms - cfg.max_session_ms) / 1000.0, detail)]
@@ -352,12 +338,15 @@ def analyze_trajectory(
     traj = Trajectory.from_samples(traj)
     if not (traj.t_ms[1:] > traj.t_ms[:-1]).all():
         raise ValidationError("trajectory samples must strictly increase in t_ms")
-    duration_ms = float(traj.t_ms[-1]) - float(traj.t_ms[0])
+    t = traj.t_ms.tolist()
+    duration_ms = t[-1] - t[0]
     # overflow gives inf or nan, as Python floats do; vectors are checked as Vec3s are
     with np.errstate(all="ignore"):
+        # the central-difference stencil: each sample's neighbours and the seconds between them
         ts_s = traj.t_ms / 1000.0
         rows = np.arange(len(ts_s))
         lo, hi = np.maximum(rows - 1, 0), np.minimum(rows + 1, len(ts_s) - 1)
+        dt = ts_s[hi] - ts_s[lo]
         gaps = traj.pos[1:] - traj.pos[:-1]
         _check_vectors(gaps)
         gap_distances = norm_rows(gaps)
@@ -365,17 +354,15 @@ def analyze_trajectory(
         # teleports: a large position discontinuity with no motion on either side
         calm = gap_speeds <= cfg.motion_floor_m_s
         jumps = ~(gap_distances <= cfg.jump_distance_min_m) & np.r_[True, calm[:-1]] & np.r_[calm[1:], True]
-        dt = ts_s[hi] - ts_s[lo]
-        motion = _Motion(duration_ms, lo, hi, dt, _central_rate(traj.pos, lo, hi, dt), gap_speeds, jumps)
+        velocities = _central_rate(traj.pos, lo, hi, dt)
 
         # called by module name, so a tracer that rebinds a rule sees the call
-        findings: list[ComfortFinding] = []
-        findings.extend(detect_acceleration_episodes(traj, motion, cfg))
-        findings.extend(_detect_uncontrolled(traj, motion, cfg))
-        findings.extend(_detect_fov_manipulation(traj, motion, cfg))
-        findings.extend(detect_frame_drops(traj, motion, cfg))
-        findings.extend(_detect_session_duration(traj, motion, cfg))
-        findings.extend(_detect_locomotion(traj, motion, cfg))
+        findings = detect_acceleration_episodes(t, velocities, lo, hi, dt, jumps, cfg)
+        findings += _detect_uncontrolled(t, traj.fwd, traj.user, velocities, lo, hi, dt, cfg)
+        findings += _detect_fov_manipulation(t, traj.fov, cfg)
+        findings += detect_frame_drops(t, traj.frame_ms, cfg)
+        findings += _detect_session_duration(t[0], duration_ms, cfg)
+        findings += _detect_locomotion(t, gap_speeds, jumps, cfg)
     findings.sort(key=lambda f: (f.start_ms, _RULE_ORDER[f.rule]))
 
     counts = {rule: sum(f.rule is rule for f in findings) for rule in ComfortRule}

@@ -62,8 +62,8 @@ class Vec3:
     def distance_to(self, other: "Vec3") -> float:
         return (self - other).norm()
 
-    def is_unit(self, tol: float = UNIT_TOL) -> bool:
-        return abs(self.norm() - 1.0) <= tol
+    def is_unit(self) -> bool:
+        return abs(self.norm() - 1.0) <= UNIT_TOL
 
 
 def cross3(a: Sequence[float], b: Sequence[float]) -> tuple[float, float, float]:
@@ -102,14 +102,16 @@ def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def view_frame_rows(forward: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`view_frame` of each row of two (N, 3) arrays, bit for bit, and the length
-    of each right vector before it was normalized: where that is below 1e-12,
-    which `unit3` refuses, the row's frame is not to be used."""
+    """`view_frame` of each row of two (N, 3) arrays, bit for bit, and per row
+    True where the frame is not to be used: right was shorter than 1e-12
+    before it was normalized, which `unit3` refuses, or the rebuilt up is off
+    unit length, tested by its square, which flags more than `Vec3.is_unit`."""
     right = cross_rows(forward, up)
     n = norm_rows(right)
     with np.errstate(all="ignore"):
         right /= n[:, None]
-    return right, cross_rows(right, forward), n
+        rebuilt = cross_rows(right, forward)
+        return right, rebuilt, ~(n >= 1e-12) | ~(np.abs(dot_rows(rebuilt, rebuilt) - 1.0) <= UNIT_TOL)
 
 
 def _require_unit(v: Vec3, name: str) -> None:

@@ -23,8 +23,7 @@ from .attention import FocusCandidate
 from .comfort import MIN_SAMPLES, ComfortReport, ComfortRule, Trajectory, TrajectorySample, invalid_sample_rows
 from .config import CONFIG_FIELD_NAMES, INT_FIELDS, SimConfig
 from .errors import GeometryError, OutputError, ParseError, ValidationError
-from .geometry import (MAX_COORD_M, UNIT_TOL, PreparedScene, SceneObject, Vec3, dot_rows, norm_rows, prepare_scene,
-                       view_frame_rows)
+from .geometry import MAX_COORD_M, PreparedScene, SceneObject, Vec3, norm_rows, prepare_scene, view_frame_rows
 from .ssq import Profile, ProtocolReport, SsqResponse
 
 TRAJECTORY_HEADER = (
@@ -172,9 +171,7 @@ def parse_trajectory(path: str) -> Trajectory:
     with np.errstate(all="ignore"):  # a non-finite row normalizes to nan, which the sample check flags
         fwd_norm, up_norm = norm_rows(vals[:, 4:7]), norm_rows(vals[:, 7:10])
         fwd, up = vals[:, 4:7] / fwd_norm[:, None], vals[:, 7:10] / up_norm[:, None]
-        _, rebuilt, right_norm = view_frame_rows(fwd, up)
-        bad = ~(fwd_norm >= 1e-12) | ~(up_norm >= 1e-12) | ~(right_norm >= 1e-12)
-        bad |= ~(np.abs(dot_rows(rebuilt, rebuilt) - 1.0) <= UNIT_TOL)  # by its square, which flags more
+        bad = ~(fwd_norm >= 1e-12) | ~(up_norm >= 1e-12) | view_frame_rows(fwd, up)[2]
     bad |= (user != "0") & (user != "1") | invalid_sample_rows(t_ms, pos, fwd, up, fov, frame_ms)
     bad |= ~(np.abs(pos) <= MAX_COORD_M).all(axis=1)
     bad[1:] |= ~(t_ms[1:] > t_ms[:-1])

@@ -20,7 +20,7 @@ from .attention import FocusCandidate, select_focus
 from .comfort import Trajectory, TrajectorySample, analyze_trajectory
 from .dynamics import FocusSelection, FocusState, advance, apply_selection
 from .errors import GeometryError, ValidationError
-from .geometry import (ORTHO_TOL, UNIT_TOL, CameraRows, RoiRows, StereoRig, Vec3, dot_rows, norm_rows, view_frame,
+from .geometry import (ORTHO_TOL, CameraRows, RoiRows, StereoRig, Vec3, dot_rows, norm_rows, view_frame,
                        view_frame_rows)
 from .io_formats import (
     parse_config,
@@ -35,7 +35,7 @@ from .io_formats import (
     render_timeline_section,
     write_document,
 )
-from .ssq import ProtocolSession, protocol_report
+from .ssq import protocol_report
 
 # Most ticks `resample` builds: 4.4 hours at 16 ms, 133 times a 2-minute recording.
 MAX_TICKS = 1_000_000
@@ -152,11 +152,10 @@ def camera_rows(ticks: Trajectory, ipd_m: float) -> tuple[CameraRows, np.ndarray
     a check of the rig or its camera may fail: their tests, but up's length is
     tested by its square, which flags more (forward was checked when read)."""
     f = ticks.fwd
-    right, up, n = view_frame_rows(f, ticks.up)
+    right, up, flagged = view_frame_rows(f, ticks.up)
     with np.errstate(all="ignore"):  # a flagged tick may not be finite
         half = right * (ipd_m / 2.0)
         ol, or_ = ticks.pos - half, ticks.pos + half
-        flagged = ~(n >= 1e-12) | ~(np.abs(dot_rows(up, up) - 1.0) <= UNIT_TOL)
         flagged |= ~(np.abs(dot_rows(f, up)) <= ORTHO_TOL) | (ol == or_).all(axis=1)
     return CameraRows((ol + or_) / 2.0, f, up), flagged
 
@@ -221,7 +220,10 @@ def run_scenario(
             focus.append((winner, applied.focal_distance, applied.transition is not None))
             state = advance(applied, selection is not None, cfg.tick_ms, dyn_cfg)
 
-    report = analyze_trajectory(traj, cfg=cfg.comfort_config())
+    try:
+        report = analyze_trajectory(traj, cfg=cfg.comfort_config())
+    except ValidationError as e:  # say rows so close in time that a speed overflows
+        raise ValidationError(f"{trajectory_path}: {e}") from None
     doc = render_document(
         (
             render_config_section(cfg),
@@ -234,11 +236,5 @@ def run_scenario(
 
 def score_ssq_files(q1_path: str, q2_path: str, q3_path: str, profile_path: str, out_path: str) -> None:
     """Score a three-questionnaire protocol from files and write the report."""
-    session = ProtocolSession(
-        profile=parse_profile(profile_path),
-        q1=parse_ssq_response(q1_path),
-        q2=parse_ssq_response(q2_path),
-        q3=parse_ssq_response(q3_path),
-    )
-    report = protocol_report(session)
+    report = protocol_report(parse_profile(profile_path), *map(parse_ssq_response, (q1_path, q2_path, q3_path)))
     write_document(out_path, render_document((render_ssq_section(report),)))

@@ -14,7 +14,6 @@ the baseline.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 from .errors import ValidationError
@@ -79,38 +78,13 @@ class SsqResponse:
 
 @dataclass(frozen=True, slots=True)
 class SsqScore:
-    """The three class scores and the weighted total."""
+    """The three class scores and the weighted total of a questionnaire, or
+    their signed differences between two questionnaires."""
 
     nausea: float
     oculomotor: float
     disorientation: float
     total: float
-
-    def __post_init__(self) -> None:
-        for name in ("nausea", "oculomotor", "disorientation", "total"):
-            x = getattr(self, name)
-            if not (math.isfinite(x) and x >= 0.0):
-                raise ValidationError(f"{name} must be >= 0, got {x!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class SsqDelta:
-    """Signed score differences between two questionnaires."""
-
-    nausea: float
-    oculomotor: float
-    disorientation: float
-    total: float
-
-
-@dataclass(frozen=True, slots=True)
-class ProtocolSession:
-    """One participant's full protocol: profile plus three questionnaires."""
-
-    profile: Profile
-    q1: SsqResponse
-    q2: SsqResponse
-    q3: SsqResponse
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,8 +95,8 @@ class ProtocolReport:
     q1: SsqScore
     q2: SsqScore
     q3: SsqScore
-    delta_q2: SsqDelta
-    delta_q3: SsqDelta
+    delta_q2: SsqScore
+    delta_q3: SsqScore
 
 
 def _raw_class_score(resp: SsqResponse, members: frozenset[int]) -> int:
@@ -141,11 +115,12 @@ def score_questionnaire(resp: SsqResponse) -> SsqScore:
     return SsqScore(*(r * multiplier for r, (_, multiplier) in zip(raw, classes)), sum(raw) * TOTAL_MULTIPLIER)
 
 
-def _delta(after: SsqScore, baseline: SsqScore) -> SsqDelta:
-    return SsqDelta(*(getattr(after, f.name) - getattr(baseline, f.name) for f in fields(SsqDelta)))
+def _delta(after: SsqScore, baseline: SsqScore) -> SsqScore:
+    return SsqScore(*(getattr(after, f.name) - getattr(baseline, f.name) for f in fields(SsqScore)))
 
 
-def protocol_report(session: ProtocolSession) -> ProtocolReport:
-    """Score all three questionnaires; deltas are q2 - q1 and q3 - q1."""
-    s1, s2, s3 = map(score_questionnaire, (session.q1, session.q2, session.q3))
-    return ProtocolReport(session.profile, s1, s2, s3, delta_q2=_delta(s2, s1), delta_q3=_delta(s3, s1))
+def protocol_report(profile: Profile, q1: SsqResponse, q2: SsqResponse, q3: SsqResponse) -> ProtocolReport:
+    """Score a participant's three questionnaires (before exposure, after each
+    session); deltas are q2 - q1 and q3 - q1."""
+    s1, s2, s3 = map(score_questionnaire, (q1, q2, q3))
+    return ProtocolReport(profile, s1, s2, s3, delta_q2=_delta(s2, s1), delta_q3=_delta(s3, s1))

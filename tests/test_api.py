@@ -7,8 +7,8 @@ PUBLIC = (
     "BlurConfig", "CameraRows", "Candidates", "ComfortConfig", "ComfortFinding", "ComfortReport", "ComfortRule",
     "DISORIENTATION_SYMPTOMS", "DynamicsConfig", "FocusCandidate", "FocusSelection", "FocusState", "FocusrayError",
     "GOLDEN_ANGLE", "GeometryError", "HeuristicWeights", "MidCamera", "NAUSEA_SYMPTOMS", "OCULOMOTOR_SYMPTOMS",
-    "OutputError", "ParseError", "PreparedScene", "Profile", "ProtocolReport", "ProtocolSession", "RayBundle",
-    "RayConfig", "Roi", "RoiRows", "SYMPTOM_NAMES", "SceneObject", "SimConfig", "SsqDelta", "SsqResponse", "SsqScore",
+    "OutputError", "ParseError", "PreparedScene", "Profile", "ProtocolReport", "RayBundle",
+    "RayConfig", "Roi", "RoiRows", "SYMPTOM_NAMES", "SceneObject", "SimConfig", "SsqResponse", "SsqScore",
     "StereoRig", "Trajectory", "TrajectorySample", "Transition", "ValidationError", "Vec3", "advance",
     "analyze_trajectory", "apply_selection", "blur_amount", "derive_mid_camera", "format_real", "layer_weight",
     "level_for_score", "parse_config", "parse_profile", "parse_scene", "parse_ssq_response", "parse_trajectory",

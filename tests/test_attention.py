@@ -675,12 +675,16 @@ class TestSelectFocusChunk:
         assert win.tolist() == [] and len(chunk) == 0
 
     def test_refused_pairings(self):
-        """One rig with one ROI, or camera rows with as many ROI rows: any
-        other pairing is refused, whether the chunk has candidates or none."""
+        """One rig with one ROI, or camera rows with as many ROI rows, each
+        field holding one row per tick: any other pairing is refused, whether
+        the chunk has candidates or none. A one-row axis is not broadcast,
+        nor a one-row z_far or forward left to numpy."""
         cams, rois = chunk_rows([RIG] * 2, [ROI] * 2)
         unequal = [chunk_rows([RIG] * n_cams, [ROI] * n_rois) for n_cams, n_rois in ((2, 3), (3, 2), (0, 1), (1, 0))]
+        short = [(cams, rois._replace(axis=rois.axis[:1])), (cams, rois._replace(z_far=rois.z_far[:1])),
+                 (cams._replace(forward=cams.forward[:1]), rois), (cams, rois._replace(apex=rois.apex[:, :2]))]
         pairs = [([RIG, RIG], [ROI, ROI]), ((RIG,), (ROI,)), (RIG, rois), (cams, ROI), (rois, cams),
-                 (tuple(cams), tuple(rois)), (RIG, None), *unequal]
+                 (tuple(cams), tuple(rois)), (RIG, None), *unequal, *short]
         for scene in ([obj(1, 0, 0, -5)], []):
             for rig, roi in pairs:
                 with pytest.raises(ValidationError, match=f"CameraRows and RoiRows of equal length, got "
@@ -853,3 +857,66 @@ class TestRayReach:
             rigs.append(rig)
             rois.append(Roi(apex=apex, axis=axis, half_angle=0.7, z_far=60.0))
         self.check(rows, rigs, rois, ray_cfg)
+
+
+EIGHTHS = st.integers(-16, 16).map(lambda i: i / 8)  # on a 1/8 m grid, so distances tie exactly
+# (forward, up) pairs: along the axes, on 3-4-5 triangles, or anywhere short of straight up or down
+_AXES = [Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)]
+FRAMES = st.one_of(
+    st.sampled_from([(_AXES[i] * s, _AXES[(i + 1) % 3]) for i in range(3) for s in (-1.0, 1.0)]
+                    + [(Vec3(0.6, 0, -0.8), Vec3(0, 1, 0)), (Vec3(0, 0.8, -0.6), Vec3(0, 0.6, 0.8))]),
+    st.tuples(st.floats(-math.pi, math.pi), st.floats(-1.2, 1.2)).map(lambda yp: (
+        Vec3(math.cos(yp[1]) * math.sin(yp[0]), math.sin(yp[1]), -math.cos(yp[1]) * math.cos(yp[0])),
+        Vec3(-math.sin(yp[1]) * math.sin(yp[0]), math.cos(yp[1]), math.sin(yp[1]) * math.cos(yp[0])))),
+)
+
+GRID_AXES = st.tuples(EIGHTHS, EIGHTHS, EIGHTHS).filter(any).map(lambda v: Vec3(*v).normalized())
+
+
+@st.composite
+def rows_chunk(draw) -> tuple:
+    """A scene on a 1/4 m grid and a chunk of 1 to more than the replay's chunk
+    size of rigs with their ROIs. Every ROI is drawn off its tick's camera:
+    an apex at the camera or a grid step or more away (in some chunks every
+    apex at its camera), an axis along forward, along a grid vector or any
+    frame's forward, and a half-angle and z_far of its own."""
+    ids = draw(st.lists(st.integers(1, 999), unique=True, max_size=20))
+    scene = [SceneObject(id=i, center=Vec3(*(2.0 * draw(EIGHTHS) for _ in range(3))),
+                         radius=draw(st.sampled_from((0.25, 0.5, 1.0, 2.0))),
+                         value=draw(st.sampled_from((0.0, 0.25, 0.5, 1.0)))) for i in ids]
+    ray_cfg = RayConfig(k=draw(st.integers(1, 4)), n=draw(st.integers(1, 16)),
+                        half_angle=math.radians(draw(st.floats(1.0, 40.0))))
+    on_camera = draw(st.booleans())
+    rigs, rois = [], []
+    for _ in range(draw(st.integers(1, CHUNK_TICKS + 2))):
+        forward, up = draw(FRAMES)
+        rig = rig_from_pose(sample(0.0, Vec3(*(draw(EIGHTHS) for _ in range(3))), forward=forward, up=up), 0.064)
+        apex = derive_mid_camera(rig).m
+        if not on_camera and draw(st.booleans()):
+            apex = apex + Vec3(*(draw(EIGHTHS) for _ in range(3)))
+        axis = draw(st.one_of(st.just(rig.forward), GRID_AXES, FRAMES.map(lambda frame: frame[0])))
+        z_far = draw(st.one_of(st.integers(1, 400).map(lambda i: i / 8), st.floats(0.1, 1e3)))
+        rois.append(Roi(apex=apex, axis=axis, half_angle=math.radians(draw(st.floats(1.0, 80.0))), z_far=z_far))
+        rigs.append(rig)
+    return scene, rigs, rois, ray_cfg, draw(st.sampled_from(TestSelectFocusOracle.WEIGHTS))
+
+
+class TestRowsFuzz:
+    """`select_focus`'s rows form against `select_by_enumeration`, tick by
+    tick: each tick's run of the chunk's candidates, and its winner, must be
+    the oracle's for that tick's rig and ROI exactly."""
+
+    @given(chunk=rows_chunk())
+    @settings(profile("kernel"))
+    def test_ticks_match_enumeration(self, chunk):
+        scene, rigs, rois, ray_cfg, weights = chunk
+        win, candidates = select_focus(scene, *chunk_rows(rigs, rois), ray_cfg, weights)
+        start = 0
+        for t, (rig, roi) in enumerate(zip(rigs, rois)):
+            best, scored = select_by_enumeration(scene, rig, roi, ray_cfg, weights)
+            end = start + len(scored)
+            assert [candidates[i] for i in range(start, min(end, len(candidates)))] == scored, t
+            w = int(win[t])
+            assert w == -1 if best is None else start <= w < end and candidates[w] == best, t
+            start = end
+        assert start == len(candidates)

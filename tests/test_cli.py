@@ -275,6 +275,15 @@ class TestRunCommand:
             assert "traj.txt:2: frame_time_ms must be at most 1e+100, got 1e+308" in err
             assert not os.path.exists(p["out"])
 
+    def test_overflowing_speed_names_the_trajectory(self, tmp_path):
+        # rows 1e-300 ms and 1e100 m apart parse, but their speed overflows in the comfort rules
+        rows = [f"{1e-300 * i!r} {x} 0 0 0 0 -1 0 1 0 90 1 11.1\n" for i, x in enumerate(("0", "1e100", "-1e100"))]
+        p = run_files(tmp_path, traj=TRAJ.splitlines(keepends=True)[0] + "".join(rows))
+        for extra in ((), ("--no-focus",)):
+            assert quiet_main(self.argv(p, *extra)) == (
+                EXIT_VALIDATION, f"focusray: {p['traj']}: Vec3 components must be finite, got (inf, 0.0, 0.0)\n")
+            assert not os.path.exists(p["out"])
+
     def test_frame_time_limit_is_inclusive(self, tmp_path):
         p = run_files(tmp_path, traj=TRAJ.replace(" 11.1\n", " 1e100\n"))
         for extra in ((), ("--no-focus",)):
@@ -437,10 +446,9 @@ def scene_rows(n: int) -> list[tuple]:
 FRAME_MS = st.one_of(real(5.0, 40.0), real(5.0, 40.0), real(40.0, 1e100))
 
 
-def trajectory_rows(n: int, pose=POSE, frame_ms=FRAME_MS) -> list[tuple]:
+def trajectory_rows(n: int, pose=POSE, frame_ms=FRAME_MS, t_step=100.0, coord=real(-3.0, 3.0)) -> list[tuple]:
     return [(TRAJ.splitlines()[0],)] + [
-        (st.just(repr(100.0 * i)), real(-3.0, 3.0), real(-3.0, 3.0), real(-3.0, 3.0), pose,
-         real(30.0, 120.0), st.sampled_from(["0", "1"]), frame_ms)
+        (st.just(repr(t_step * i)), coord, coord, coord, pose, real(30.0, 120.0), st.sampled_from(["0", "1"]), frame_ms)
         for i in range(n)
     ]
 
@@ -456,7 +464,8 @@ CONFIG_VALUES = {name: st.just(str(getattr(SimConfig(), name))) for name in CONF
 def run_file(name: str, broken: bool = False):
     """The text of one `run` input file: valid, or `broken` as `file_text`
     breaks it, or for a trajectory also by too few samples, frame times
-    beyond the limit or a turn to the opposite orientation."""
+    beyond the limit, a turn to the opposite orientation or rows so close in
+    time and so far apart that a speed overflows."""
     if name == "scene":
         return file_text(st.integers(0, 4).map(scene_rows), broken)
     if name == "config":
@@ -466,11 +475,13 @@ def run_file(name: str, broken: bool = False):
         return file_text(st.integers(3, 6).map(trajectory_rows))
     too_slow = real(1.0000000000000002e100, 1.7976931348623157e308)
     turning = st.sampled_from(["0 0 -1 0 1 0", "0 0 1 0 1 0"])
+    far = st.sampled_from(["0", "1e100", "-1e100"])
     return st.one_of(
         file_text(st.integers(3, 6).map(trajectory_rows), True),
         file_text(st.integers(0, 2).map(trajectory_rows)),
         file_text(st.integers(3, 6).map(lambda n: trajectory_rows(n, frame_ms=too_slow))),
         file_text(st.integers(3, 6).map(lambda n: trajectory_rows(n, pose=turning))),
+        file_text(st.integers(3, 6).map(lambda n: trajectory_rows(n, t_step=1e-300, coord=far))),
     )
 
 

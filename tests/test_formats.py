@@ -12,7 +12,6 @@ from focusray import (
     ComfortRule,
     ParseError,
     Profile,
-    ProtocolSession,
     SimConfig,
     ValidationError,
     Vec3,
@@ -437,13 +436,8 @@ class TestRendering:
         one_discomfort = (1,) + zero[1:]
         from focusray import SsqResponse
 
-        session = ProtocolSession(
-            profile=profile,
-            q1=SsqResponse(ratings=one_discomfort),
-            q2=SsqResponse(ratings=zero),
-            q3=SsqResponse(ratings=one_discomfort),
-        )
-        lines = render_ssq_section(protocol_report(session))
+        q1, q2, q3 = (SsqResponse(ratings=r) for r in (one_discomfort, zero, one_discomfort))
+        lines = render_ssq_section(protocol_report(profile, q1, q2, q3))
         assert lines[0] == "[SSQ]"
         assert "name = P01" in lines
         assert "age = 27" in lines

@@ -9,7 +9,6 @@ from focusray import (
     NAUSEA_SYMPTOMS,
     OCULOMOTOR_SYMPTOMS,
     Profile,
-    ProtocolSession,
     SYMPTOM_NAMES,
     SsqResponse,
     ValidationError,
@@ -162,13 +161,7 @@ class TestProfile:
 
 class TestProtocol:
     def test_deltas_against_baseline(self):
-        session = ProtocolSession(
-            profile=PROFILE,
-            q1=resp(s1=1),
-            q2=resp(s1=2, s14=1),
-            q3=resp(),
-        )
-        report = protocol_report(session)
+        report = protocol_report(PROFILE, resp(s1=1), resp(s1=2, s14=1), resp())
         assert report.delta_q2.nausea == pytest.approx(9.54, abs=1e-9)
         assert report.delta_q2.oculomotor == pytest.approx(7.58, abs=1e-9)
         assert report.delta_q2.disorientation == pytest.approx(13.92, abs=1e-9)
@@ -179,7 +172,7 @@ class TestProtocol:
 
     def test_identical_questionnaires_zero_delta(self):
         r = resp(s5=2, s8=1)
-        report = protocol_report(ProtocolSession(profile=PROFILE, q1=r, q2=r, q3=r))
+        report = protocol_report(PROFILE, r, r, r)
         for delta in (report.delta_q2, report.delta_q3):
             assert delta.nausea == 0.0
             assert delta.oculomotor == 0.0
@@ -187,5 +180,5 @@ class TestProtocol:
             assert delta.total == 0.0
 
     def test_report_carries_profile(self):
-        report = protocol_report(ProtocolSession(profile=PROFILE, q1=ZERO, q2=ZERO, q3=ZERO))
+        report = protocol_report(PROFILE, ZERO, ZERO, ZERO)
         assert report.profile == PROFILE
