@@ -201,19 +201,26 @@ class ComfortReport:
     duration_ms: float
 
 
-def _check_vectors(*steps: np.ndarray) -> None:
+def _check_vectors(name: str, t: list[float], lo: np.ndarray, hi: np.ndarray, *steps: np.ndarray) -> None:
     """Raise what the per-row formula raises when a step is not a finite `Vec3`:
-    at the first such row, the vector of each step is built in order."""
-    for i in np.flatnonzero(~np.isfinite(np.hstack(steps)).all(axis=1)):
-        for step in steps:
-            Vec3(*step[i].tolist())
+    at the first such row, the vector of each step is built in order, and the
+    refusal names the quantity and the times of the samples `lo` and `hi`."""
+    for i in np.flatnonzero(~np.isfinite(np.hstack(steps)).all(axis=1)).tolist():
+        try:
+            for step in steps:
+                Vec3(*step[i].tolist())
+        except ValidationError as e:
+            samples = f"the samples at t_ms {t[lo[i]]!r} and {t[hi[i]]!r}"
+            raise ValidationError(f"{name} between {samples} overflows: {e}") from None
 
 
-def _central_rate(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """First derivative of a series of row vectors over the stencil."""
+def _central_rate(
+    name: str, t: list[float], values: np.ndarray, lo: np.ndarray, hi: np.ndarray, dt: np.ndarray
+) -> np.ndarray:
+    """First derivative of a series of row vectors over the stencil; an overflow names `name`."""
     delta = values[hi] - values[lo]
     rate = delta * (1.0 / dt)[:, None]
-    _check_vectors(delta, rate)
+    _check_vectors(name, t, lo, hi, delta, rate)
     return rate
 
 
@@ -234,7 +241,7 @@ def detect_acceleration_episodes(
     seconds. Single-sample spikes (the instant velocity step) and
     teleport-style jumps therefore never register.
     """
-    magnitudes = norm_rows(_central_rate(velocities, lo, hi, dt))
+    magnitudes = norm_rows(_central_rate("acceleration", t, velocities, lo, hi, dt))
 
     # a teleport gap corrupts the finite differences of the four samples
     # whose stencils straddle it (gap - 1 through gap + 2): blank them
@@ -348,13 +355,13 @@ def analyze_trajectory(
         lo, hi = np.maximum(rows - 1, 0), np.minimum(rows + 1, len(ts_s) - 1)
         dt = ts_s[hi] - ts_s[lo]
         gaps = traj.pos[1:] - traj.pos[:-1]
-        _check_vectors(gaps)
+        _check_vectors("position step", t, rows[:-1], rows[1:], gaps)
         gap_distances = norm_rows(gaps)
         gap_speeds = gap_distances / (np.diff(traj.t_ms) / 1000.0)
         # teleports: a large position discontinuity with no motion on either side
         calm = gap_speeds <= cfg.motion_floor_m_s
         jumps = ~(gap_distances <= cfg.jump_distance_min_m) & np.r_[True, calm[:-1]] & np.r_[calm[1:], True]
-        velocities = _central_rate(traj.pos, lo, hi, dt)
+        velocities = _central_rate("velocity", t, traj.pos, lo, hi, dt)
 
         # called by module name, so a tracer that rebinds a rule sees the call
         findings = detect_acceleration_episodes(t, velocities, lo, hi, dt, jumps, cfg)

@@ -36,10 +36,6 @@ FINDINGS_HEADER = "rule,start_ms,end_ms,heuristic_severity,detail"
 
 PROFILE_KEYS = ("name", "age", "gender", "academic_background")
 
-# trajectory rows tokenised and converted at a time: a chunk's tokens take
-# about 1 kB a row at peak, the (N, 13) array they fill 104 bytes
-_CHUNK_ROWS = 250
-
 
 def _content_lines(path: str) -> list[tuple[int, str]]:
     """Non-empty lines with comments stripped, as (line number, text) pairs."""
@@ -107,9 +103,9 @@ def _unit_or_parse_error(path: str, lineno: int, v: Vec3, name: str) -> Vec3:
         raise ParseError(path, lineno, f"{name} vector must be non-zero") from None
 
 
-def _check_trajectory_row(path: str, lineno: int, text: str, prev_t_ms: float | None) -> float:
+def _check_trajectory_row(path: str, lineno: int, text: str, prev_t_ms: float | None) -> list[float]:
     """Every check of one trajectory row, in order; raises the row's first fault,
-    else returns its t_ms."""
+    else returns its 13 numbers as `float` reads them."""
     tokens = text.split()
     if len(tokens) != len(TRAJECTORY_HEADER):
         raise ParseError(path, lineno, f"expected {len(TRAJECTORY_HEADER)} fields, got {len(tokens)}")
@@ -131,19 +127,21 @@ def _check_trajectory_row(path: str, lineno: int, text: str, prev_t_ms: float | 
         raise ParseError(path, lineno, f"position must be within {MAX_COORD_M:g} m on each axis")
     if prev_t_ms is not None and not vals[0] > prev_t_ms:
         raise ParseError(path, lineno, "t_ms must strictly increase")
-    return vals[0]
+    return [*vals, float(tokens[11]), frame_time]
 
 
 def parse_trajectory(path: str) -> Trajectory:
     """Trajectory file: the fixed 13-column header, then one row per sample.
 
-    Rows are converted in chunks, each by one `np.array` of its tokens (numpy
-    parses a `str` as `float` does), and checked as columns. The first flagged
-    row, or else each row of the first chunk that did not convert, is then
-    checked on its own, so the error names the same line and fault as a
-    row-by-row parse: the field count and numbers, the user flag, forward, up,
-    right, the up rebuilt from it, the position, the sample invariants (the
-    frame time's bound among them), the position's magnitude, then time order.
+    The rows convert in one `np.loadtxt` over their comment-stripped lines
+    (numpy reads a token as `float` does, or refuses it; its converter takes
+    only `0` and `1` as the user flag) and are checked as columns. When numpy
+    refuses the body, or it holds rows of another width or none, each row is
+    checked and converted on its own; else each flagged row is. So the error
+    names the same line and fault as a row-by-row parse: the field count and
+    numbers, the user flag, forward, up, right, the up rebuilt from it, the
+    position, the sample invariants (the frame time's bound among them), the
+    position's magnitude, then time order.
     """
     lines = _content_lines(path)
     if not lines:
@@ -153,38 +151,31 @@ def parse_trajectory(path: str) -> Trajectory:
         raise ParseError(path, header_lineno, f"expected header '{' '.join(TRAJECTORY_HEADER)}'")
 
     rows = lines[1:]
-    chunks: list[np.ndarray] = []
-    user_tokens: list[str] = []
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        tokens = [text.split() for _, text in rows[start : start + _CHUNK_ROWS]]
-        try:
-            chunk = np.array(tokens, np.float64)
-        except ValueError:  # rows of unequal field counts, or a token `float` rejects
-            break
-        if chunk.shape != (len(tokens), len(TRAJECTORY_HEADER)):  # every row with another count
-            break
-        chunks.append(chunk)
-        user_tokens += [row[11] for row in tokens]
-    vals = np.concatenate(chunks) if chunks else np.empty((0, len(TRAJECTORY_HEADER)))
+    flags = {11: {"0": 0.0, "1": 1.0}.__getitem__}  # any other user flag refuses the body
+    try:  # numpy refuses each token `float` refuses, and also `1_0` and other scripts' digits, which `float` reads
+        vals = np.loadtxt([text for _, text in rows], comments=None, ndmin=2, converters=flags) if rows else None
+    except ValueError:
+        vals = None
+    # refused, empty (where numpy would only warn) or every row of another width: each row is checked in order
+    if vals is None or vals.shape[1] != len(TRAJECTORY_HEADER):
+        checked: list[list[float]] = []
+        for lineno, text in rows:
+            checked.append(_check_trajectory_row(path, lineno, text, checked[-1][0] if checked else None))
+        vals = np.array(checked).reshape(-1, len(TRAJECTORY_HEADER))
     t_ms, pos, fov, frame_ms = vals[:, 0], vals[:, 1:4], vals[:, 10], vals[:, 12]
-    user = np.array(user_tokens, dtype=str)
     with np.errstate(all="ignore"):  # a non-finite row normalizes to nan, which the sample check flags
         fwd_norm, up_norm = norm_rows(vals[:, 4:7]), norm_rows(vals[:, 7:10])
         fwd, up = vals[:, 4:7] / fwd_norm[:, None], vals[:, 7:10] / up_norm[:, None]
         bad = ~(fwd_norm >= 1e-12) | ~(up_norm >= 1e-12) | view_frame_rows(fwd, up)[2]
-    bad |= (user != "0") & (user != "1") | invalid_sample_rows(t_ms, pos, fwd, up, fov, frame_ms)
+    bad |= invalid_sample_rows(t_ms, pos, fwd, up, fov, frame_ms)
     bad |= ~(np.abs(pos) <= MAX_COORD_M).all(axis=1)
     bad[1:] |= ~(t_ms[1:] > t_ms[:-1])
     # the screens flag every faulty row, and each flagged row is checked in order
     for i in np.flatnonzero(bad).tolist():
         _check_trajectory_row(path, *rows[i], float(t_ms[i - 1]) if i else None)
-    # else a row of the chunk that did not convert does
-    prev_t_ms = float(t_ms[-1]) if len(vals) else None
-    for lineno, text in rows[len(vals) : len(vals) + _CHUNK_ROWS]:
-        prev_t_ms = _check_trajectory_row(path, lineno, text, prev_t_ms)
     if len(vals) < MIN_SAMPLES:
         raise ParseError(path, 0, f"trajectory needs at least {MIN_SAMPLES} samples, got {len(vals)}")
-    return Trajectory(t_ms, pos, fwd, up, fov, user == "1", frame_ms)
+    return Trajectory(t_ms, pos, fwd, up, fov, vals[:, 11] == 1.0, frame_ms)
 
 
 def _key_values(path: str, kind: str, keys: Sequence[str]) -> Iterator[tuple[int, str, str]]:

@@ -17,6 +17,10 @@ settings.register_profile("replay-fuzz-long", max_examples=400, deadline=None, p
 # (tests/test_rays.py); CI runs the longer one in a step of its own
 settings.register_profile("kernel", max_examples=25, deadline=None)
 settings.register_profile("kernel-long", max_examples=300, deadline=None, phases=_NO_SHRINK)
+# Example counts of the trajectory parse fuzz against the row oracle
+# (tests/test_trajectory.py's TestParseFuzz); CI runs the longer one in a step of its own
+settings.register_profile("parse", max_examples=300, deadline=None)
+settings.register_profile("parse-long", max_examples=3000, deadline=None, phases=_NO_SHRINK)
 
 _ACCEPTANCE_LINES: list[tuple[int, str]] = []
 

@@ -434,9 +434,20 @@ def _stencil(ts_s: Sequence[float]) -> Iterator[tuple[int, int, float]]:
         yield lo, hi, ts_s[hi] - ts_s[lo]
 
 
-def _central_rate(values: Sequence[Vec3], ts_s: Sequence[float]) -> list[Vec3]:
-    """First derivative of a vector series."""
-    return [(values[hi] - values[lo]) * (1.0 / dt) for lo, hi, dt in _stencil(ts_s)]
+def _overflow(name: str, t_lo: float, t_hi: float, e: ValidationError) -> ValidationError:
+    """A `Vec3` refusal met computing `name` from the samples at `t_lo` and `t_hi`, naming both."""
+    return ValidationError(f"{name} between the samples at t_ms {t_lo!r} and {t_hi!r} overflows: {e}")
+
+
+def _central_rate(values: Sequence[Vec3], ts_s: Sequence[float], name: str, t_ms: Sequence[float]) -> list[Vec3]:
+    """First derivative of a vector series; an overflow names `name` and the samples' `t_ms`."""
+    rates: list[Vec3] = []
+    for lo, hi, dt in _stencil(ts_s):
+        try:
+            rates.append((values[hi] - values[lo]) * (1.0 / dt))
+        except ValidationError as e:
+            raise _overflow(name, t_ms[lo], t_ms[hi], e) from None
+    return rates
 
 
 def _angle_deg(a: Vec3, b: Vec3) -> float:
@@ -488,7 +499,7 @@ def detect_acceleration_episodes(traj: Trajectory, motion: _Motion, cfg: Comfort
     seconds. Single-sample spikes (the instant velocity step) and
     teleport-style jumps therefore never register.
     """
-    accelerations = _central_rate(motion.velocities, motion.ts_s)
+    accelerations = _central_rate(motion.velocities, motion.ts_s, "acceleration", [s.t_ms for s in traj])
     magnitudes = [a.norm() for a in accelerations]
 
     # a teleport gap corrupts the finite differences of the four samples
@@ -630,12 +641,17 @@ def analyze_by_rows(
     _check_trajectory(traj)
     duration_ms = traj[-1].t_ms - traj[0].t_ms
     ts_s = [s.t_ms / 1000.0 for s in traj]
-    gap_distances = [b.position.distance_to(a.position) for a, b in zip(traj, traj[1:])]
+    gap_distances: list[float] = []
+    for a, b in zip(traj, traj[1:]):
+        try:
+            gap_distances.append(b.position.distance_to(a.position))
+        except ValidationError as e:
+            raise _overflow("position step", a.t_ms, b.t_ms, e) from None
     gap_speeds = _gap_speeds_m_s(traj, gap_distances)
     motion = _Motion(
         duration_ms=duration_ms,
         ts_s=ts_s,
-        velocities=_central_rate([s.position for s in traj], ts_s),
+        velocities=_central_rate([s.position for s in traj], ts_s, "velocity", [s.t_ms for s in traj]),
         gap_distances=gap_distances,
         gap_speeds=gap_speeds,
         jumps=_jump_gaps(gap_distances, gap_speeds, cfg),

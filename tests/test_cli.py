@@ -280,8 +280,9 @@ class TestRunCommand:
         rows = [f"{1e-300 * i!r} {x} 0 0 0 0 -1 0 1 0 90 1 11.1\n" for i, x in enumerate(("0", "1e100", "-1e100"))]
         p = run_files(tmp_path, traj=TRAJ.splitlines(keepends=True)[0] + "".join(rows))
         for extra in ((), ("--no-focus",)):
-            assert quiet_main(self.argv(p, *extra)) == (
-                EXIT_VALIDATION, f"focusray: {p['traj']}: Vec3 components must be finite, got (inf, 0.0, 0.0)\n")
+            assert quiet_main(self.argv(p, *extra)) == (EXIT_VALIDATION, (
+                f"focusray: {p['traj']}: velocity between the samples at t_ms 0.0 and 1e-300 overflows: "
+                "Vec3 components must be finite, got (inf, 0.0, 0.0)\n"))
             assert not os.path.exists(p["out"])
 
     def test_frame_time_limit_is_inclusive(self, tmp_path):

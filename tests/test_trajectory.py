@@ -9,10 +9,15 @@ for bit.
 
 import math
 import random
+import tempfile
+import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focusray import (
     ComfortConfig,
@@ -27,14 +32,16 @@ from focusray import (
 )
 from focusray import comfort, simulate
 from focusray.geometry import dot_rows
-from focusray.io_formats import _CHUNK_ROWS
-from builders import sample, sample_bits
+from focusray.io_formats import _content_lines
+from builders import profile, sample, sample_bits
 import oracles
 from oracles import analyze_by_rows, parse_trajectory_by_rows, resample_by_rows
 
 HEADER = "t_ms px py pz fx fy fz ux uy uz fov_deg user_initiated frame_time_ms"
 TICK_MS = 16.0
 SEEDS = range(60)
+# the rows a chunk of an earlier, chunked parse converted at a time; TestParseChunks keeps its edges as inputs
+CHUNK_ROWS = 250
 # thresholds low enough that every rule fires somewhere in the seeded set
 SENSITIVE = ComfortConfig(min_episode_ms=100.0, walk_episode_ms=500.0, max_session_ms=2000.0)
 
@@ -157,7 +164,8 @@ def edge_config(reference: list, rng: random.Random) -> ComfortConfig:
     to the float just below one, so that a last-bit difference in a speed,
     distance, acceleration or angular rate flips a flag and shows up."""
     ts = [s.t_ms / 1000.0 for s in reference]
-    velocities = oracles._central_rate([s.position for s in reference], ts)
+    t_ms = [s.t_ms for s in reference]
+    velocities = oracles._central_rate([s.position for s in reference], ts, "velocity", t_ms)
     gaps = [b.position.distance_to(a.position) for a, b in zip(reference, reference[1:])]
 
     def pick(values) -> float:
@@ -166,7 +174,7 @@ def edge_config(reference: list, rng: random.Random) -> ComfortConfig:
 
     speeds = oracles._gap_speeds_m_s(reference, gaps)
     return ComfortConfig(
-        accel_threshold_m_s2=pick([a.norm() for a in oracles._central_rate(velocities, ts)]),
+        accel_threshold_m_s2=pick([a.norm() for a in oracles._central_rate(velocities, ts, "acceleration", t_ms)]),
         min_episode_ms=0.0,
         motion_floor_m_s=pick(rng.choice((speeds, [v.norm() for v in velocities]))),
         motion_floor_deg_s=pick(
@@ -300,10 +308,12 @@ class TestParseErrorsUnderColumns:
 
 
 class TestParseChunks:
-    """Each chunk of `_CHUNK_ROWS` rows converts in one `np.array`; a chunk
-    that does not is checked row by row, so the error stays the row parser's."""
+    """The body converts in one `np.loadtxt`; a body it refuses is checked and
+    converted row by row, so the error stays the row parser's and the columns
+    are `float`'s. The cases keep the rows around the edges of an earlier
+    parse's chunks of `CHUNK_ROWS`."""
 
-    EDGE = _CHUNK_ROWS - 1  # the last row of the first chunk
+    EDGE = CHUNK_ROWS - 1  # the last row of the first chunk
 
     @staticmethod
     def still_rows(n: int) -> list[list[float]]:
@@ -325,16 +335,17 @@ class TestParseChunks:
     def same_columns(path: str) -> None:
         assert_same_samples(parse_trajectory(path), parse_trajectory_by_rows(path))
 
-    @pytest.mark.parametrize("first", (0, _CHUNK_ROWS), ids=("first chunk", "second chunk"))
+    @pytest.mark.parametrize("first", (0, CHUNK_ROWS, None), ids=("first chunk", "second chunk", "every row"))
     @pytest.mark.parametrize("count", (12, 14))
     def test_a_chunk_whose_rows_all_hold_another_count(self, tmp_path, count, first):
-        lines = self.still_lines(2 * _CHUNK_ROWS + 10)
-        for row in range(first, first + _CHUNK_ROWS):
+        """numpy reads a body whose rows are all 12 or all 14 fields wide."""
+        lines = self.still_lines(2 * CHUNK_ROWS + 10)
+        for row in range(len(lines)) if first is None else range(first, first + CHUNK_ROWS):
             tokens = lines[row].split()
             lines[row] = " ".join(tokens[:12] if count == 12 else tokens + ["1"])
         got, want = TestParseErrorsUnderColumns.messages(self.write_lines(tmp_path, lines))
         assert got == want
-        assert got.endswith(f"traj.txt:{first + 2}: expected 13 fields, got {count}")
+        assert got.endswith(f"traj.txt:{(first or 0) + 2}: expected 13 fields, got {count}")
 
     FAULT_IDS = [kind for kind, _ in TestParseErrorsUnderColumns.FAULTS]
 
@@ -348,17 +359,17 @@ class TestParseChunks:
         """`layout` puts the fault of `kind` at the row given None, and the
         fault numbered by FAULTS at the row after it, which must not win."""
         faults = TestParseErrorsUnderColumns.FAULTS
-        path = write_rows(tmp_path, self.still_rows(2 * _CHUNK_ROWS + 10))
+        path = write_rows(tmp_path, self.still_rows(2 * CHUNK_ROWS + 10))
         TestParseErrorsUnderColumns.corrupt(path, {row: faults[kind if k is None else k] for row, k in layout.items()})
         got, want = TestParseErrorsUnderColumns.messages(path)
         assert got == want
         assert f"traj.txt:{min(layout) + 2}: " in got
 
-    @pytest.mark.parametrize("row", (3, _CHUNK_ROWS + 3))
+    @pytest.mark.parametrize("row", (3, CHUNK_ROWS + 3))
     def test_tokens_float_accepts(self, tmp_path, row):
         """Underscores, other scripts' digits and bare signs and points parse
         as `float` parses them, into the same columns."""
-        lines = self.still_lines(_CHUNK_ROWS + 10)
+        lines = self.still_lines(CHUNK_ROWS + 10)
         tokens = lines[row].split()
         tokens[0] = tokens[0][0] + "_" + tokens[0][1:]  # 3_3.0 is 33.0
         tokens[1:4] = ["+.5", "\u0661", "1_0.2_5e-0_1"]  # ARABIC-INDIC DIGIT ONE, then 1.025
@@ -373,8 +384,8 @@ class TestParseChunks:
     @pytest.mark.parametrize("token", ("infinity", "-Infinity", "1e400", "-1e400", "nan"))
     @pytest.mark.parametrize("col", (0, 2, 5, 10, 12))
     def test_tokens_float_reads_as_not_finite(self, tmp_path, token, col):
-        rows = self.still_lines(_CHUNK_ROWS + 10)
-        for row in (_CHUNK_ROWS + 4, 7):  # the earlier one is named
+        rows = self.still_lines(CHUNK_ROWS + 10)
+        for row in (CHUNK_ROWS + 4, 7):  # the earlier one is named
             tokens = rows[row].split()
             tokens[col] = token
             rows[row] = " ".join(tokens)
@@ -385,7 +396,7 @@ class TestParseChunks:
     def test_comments_and_line_breaks_keep_line_numbers(self, tmp_path):
         """`#` opens a comment at a line's start, inside a token and after
         trailing space; every break `splitlines` honours ends a line."""
-        rows = self.still_lines(2 * _CHUNK_ROWS)
+        rows = self.still_lines(2 * CHUNK_ROWS)
         rows[1] = rows[1] + "   # trailing note"
         rows[2] = rows[2][:-1] + "#5 and the rest"  # the last token 11.1 reads 11.
         rows[3:3] = ["# a comment line", "   ", "#"]
@@ -393,13 +404,92 @@ class TestParseChunks:
         path = self.write_lines(tmp_path, rows, seps)
         self.same_columns(path)
         assert parse_trajectory(path).frame_ms[2] == 11.0
-        fault = _CHUNK_ROWS + 20
+        fault = CHUNK_ROWS + 20
         tokens = rows[fault].split()
         tokens[10] = "180"
         rows[fault] = " ".join(tokens)
         got, want = TestParseErrorsUnderColumns.messages(self.write_lines(tmp_path, rows, seps))
         assert got == want
         assert f"traj.txt:{fault + 2}: fov_deg must be in (0, 180)" in got
+
+
+# every line break `splitlines` honours, CRLF among them
+BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# tokens only `float` reads, tokens `float` and numpy both refuse, and tokens they read as not finite
+SWAPS = ("1_0", "\u0661", "\u0669\u0660", "abc", "1d5", "0x10", "1_", ".", "nan", "-inf", "1e400", "infinity")
+USER_FLAGS = ("0", "1", "1.0", "+1", "01", "2")
+
+
+@st.composite
+def trajectory_files(draw) -> str:
+    """A trajectory file's text: comment and blank lines, the header, and zero
+    to four rows of 13 fields, or all of 12 or 14 (numpy reads either), each
+    valid or with one drawn fault (a token swapped, the user flag swapped, a
+    field dropped or one added, the time of the row before), every line ended
+    by a drawn break."""
+    lines = draw(st.lists(st.sampled_from(("# recorded", "", "   ")), max_size=2)) + [HEADER]
+    width = draw(st.sampled_from((13, 13, 13, 12, 14)))
+    for i in range(draw(st.sampled_from((0, 1, 2, 3, 3, 4, 4)))):  # mostly enough rows to parse
+        forms = draw(st.lists(st.sampled_from(("{!r}", "{:.3e}", "{:g}")), min_size=3, max_size=3))
+        coords = [form.format(draw(st.floats(-5.0, 5.0))) for form in forms]
+        tokens = [repr(11.0 * i), *coords, "0", "0", "-1", "0", "1", "0", "90", draw(st.sampled_from("01")), "11.1"]
+        tokens = tokens[:width] + ["1"] * (width - 13)
+        fault = draw(st.sampled_from(("none",) * 5 + ("token", "flag", "fewer", "more", "time")))
+        if fault == "token":
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(SWAPS))
+        elif fault == "flag":
+            tokens[11] = draw(st.sampled_from(USER_FLAGS))
+        elif fault == "fewer":
+            del tokens[draw(st.integers(0, len(tokens) - 1))]
+        elif fault == "more":
+            tokens.insert(draw(st.integers(0, len(tokens))), "1")
+        elif fault == "time":
+            tokens[0] = repr(11.0 * max(i - 1, 0))
+        lines.append(" ".join(tokens) + draw(st.sampled_from(("", "", "  # note", "#5"))))
+        lines += draw(st.lists(st.sampled_from(("# comment", "")), max_size=1))
+    return "".join(line + draw(st.sampled_from(BREAKS)) for line in lines)
+
+
+class TestParseFuzz:
+    """`parse_trajectory` against `parse_trajectory_by_rows` on drawn files:
+    the same columns bit for bit, or the same `ParseError` text. The example
+    count comes from the `parse` settings profile; CI runs `parse-long`."""
+
+    @pytest.mark.filterwarnings("error")
+    @settings(profile("parse"))
+    @given(text=trajectory_files())
+    def test_matches_the_row_parser(self, text):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "traj.txt"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                want = parse_trajectory_by_rows(str(path))
+            except ParseError as e:
+                with pytest.raises(ParseError) as got:
+                    parse_trajectory(str(path))
+                assert str(got.value) == str(e)
+            else:
+                assert_same_samples(parse_trajectory(str(path)), want)
+
+
+class TestParseMemory:
+    @staticmethod
+    def traced_peak(fn, path: str) -> int:
+        fn(path)  # modules imported, caches filled
+        tracemalloc.start()
+        try:
+            fn(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_parse_peaks_within_a_few_arrays_above_the_lines(self, tmp_path):
+        """Above what reading the lines takes, the parse holds at most 2.5
+        times the (rows, 13) float64 array it converts them to. Short tokens
+        keep the lines' own peak low, so the conversion's share shows."""
+        path = write_rows(tmp_path, TestParseChunks.still_rows(5_000))
+        above = self.traced_peak(parse_trajectory, path) - self.traced_peak(_content_lines, path)
+        assert above <= 2.5 * (5_000 * 13 * 8), above
 
 
 class TestTrajectoryType:
@@ -555,7 +645,8 @@ class TestSlerpAndAngleColumns:
 
 class TestAnalyzeOverflow:
     """Finite positions far enough apart overflow a difference; the row-wise
-    rules then raise the `Vec3` error of the first vector that is not finite."""
+    rules then raise the `Vec3` error of the first vector that is not finite,
+    naming the quantity and the `t_ms` of the two samples it spans."""
 
     @staticmethod
     def path(xs, ts=None):
@@ -568,8 +659,9 @@ class TestAnalyzeOverflow:
             path([0.0, 1.5e308, -1.5e308, 0.0]),  # a gap overflows
             path([-1e308, 0.0, 1e308, 1e308]),  # gaps fit, the central difference does not
             path([0.0, 1e300, 1e300, 1e300], [0.0, 1e-6, 1.0, 2.0]),  # the velocity overflows
-            path([0.0, 1e290, 0.0, 1e290, 0.0], [0.0, 1e-6, 2e-6, 3e-6, 4e-6]),  # the acceleration overflows
+            path([0.0, 1e290, 0.0, 1e290, 0.0], [0.0, 1e-6, 2e-6, 3e-6, 4e-6]),  # accelerations of -1e308: no error
             path([0.0, 1e200, 2e200, 3e200]),  # finite vectors whose norms overflow: no error
+            path([0.0, 1e302, 0.0, 0.0], [0.0, 1e-3, 2e-3, 3e-3]),  # the acceleration overflows
         ],
     )
     def test_matches_the_row_wise_rules(self, traj):
@@ -579,5 +671,6 @@ class TestAnalyzeOverflow:
             with pytest.raises(ValidationError) as got:
                 analyze_trajectory(traj, cfg=SENSITIVE)
             assert str(got.value) == str(e)
+            assert " between the samples at t_ms " in str(e)
         else:
             assert finding_bits(analyze_trajectory(traj, cfg=SENSITIVE)) == want
