@@ -12,19 +12,19 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .geometry import CameraRows, Roi, RoiRows, SceneObject, StereoRig, cone_distance, dot_rows, norm_rows, prepare_scene
 from .rays import RayBundle, RayConfig, ray_bundle, rm_scores
+from .record import Record, record
 
 WEIGHT_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class HeuristicWeights:
+@record
+class HeuristicWeights(Record):
     """Mixing weights for the importance function; must sum to 1."""
 
     p_rm: float
@@ -40,8 +40,8 @@ class HeuristicWeights:
             raise ValidationError(f"weights must sum to 1, got {total!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class FocusCandidate:
+@record
+class FocusCandidate(Record):
     """One scored candidate: the three signals plus their weighted combination."""
 
     object_id: int
@@ -51,8 +51,8 @@ class FocusCandidate:
     importance: float
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Candidates(Sequence[FocusCandidate]):
+@record(eq=False)
+class Candidates(Record, Sequence[FocusCandidate]):
     """The ROI candidates of one `select_focus` call in ascending id order, as
     arrays (ids int64, the rest float64); each `FocusCandidate` is built on access."""
 

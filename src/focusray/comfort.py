@@ -26,13 +26,13 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .geometry import MAX_FRAME_MS, UNIT_TOL, Vec3, dot_rows, norm_rows
+from .record import Record, record
 
 # the acceleration rule differentiates twice, so its stencil needs three samples
 MIN_SAMPLES = 3
@@ -41,8 +41,8 @@ MIN_SAMPLES = 3
 _MAY_BE_ZERO = ("min_episode_ms", "fov_delta_threshold_deg", "motion_floor_m_s", "motion_floor_deg_s")
 
 
-@dataclass(frozen=True, slots=True)
-class TrajectorySample:
+@record
+class TrajectorySample(Record):
     """One recorded camera pose: time, position, frame, FOV, input flags."""
 
     t_ms: float
@@ -79,8 +79,8 @@ def invalid_sample_rows(t_ms, pos, fwd, up, fov, frame_ms) -> np.ndarray:
         return bad | ~((frame_ms > 0.0) & (frame_ms <= MAX_FRAME_MS))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Trajectory(Sequence[TrajectorySample]):
+@record(eq=False)
+class Trajectory(Record, Sequence[TrajectorySample]):
     """A recording as read-only columns, one row per sample: `t_ms`, `fov`
     and `frame_ms` (N,) float64, `pos`, `fwd` and `up` (N, 3) float64 and
     `user` (N,) bool. Every row meets the `TrajectorySample` invariants (the
@@ -98,14 +98,14 @@ class Trajectory(Sequence[TrajectorySample]):
 
     def __post_init__(self) -> None:
         n = len(self.t_ms)
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in self.__match_args__:
+            value = getattr(self, name)
             # the columns are checked once, here, so the trajectory holds its own copies
-            col = np.array(value, bool if f.name == "user" else np.float64)
-            if col.shape != ((n, 3) if f.name in ("pos", "fwd", "up") else (n,)):
-                raise ValidationError(f"trajectory column {f.name} must hold {n} rows, got shape {col.shape}")
+            col = np.array(value, bool if name == "user" else np.float64)
+            if col.shape != ((n, 3) if name in ("pos", "fwd", "up") else (n,)):
+                raise ValidationError(f"trajectory column {name} must hold {n} rows, got shape {col.shape}")
             col.flags.writeable = False
-            object.__setattr__(self, f.name, col)
+            object.__setattr__(self, name, col)
         for i in np.flatnonzero(invalid_sample_rows(self.t_ms, self.pos, self.fwd, self.up, self.fov, self.frame_ms)):
             self[i]  # the row's own check raises
 
@@ -132,7 +132,7 @@ class Trajectory(Sequence[TrajectorySample]):
         return self._samples(slice(None))
 
     def _samples(self, rows: slice) -> Iterator[TrajectorySample]:
-        columns = [getattr(self, f.name)[rows].tolist() for f in fields(self)]
+        columns = [getattr(self, name)[rows].tolist() for name in self.__match_args__]
         for t, p, f, u, fov, user, frame in zip(*columns):
             yield TrajectorySample(t, Vec3(*p), Vec3(*f), Vec3(*u), fov, user, frame)
 
@@ -149,8 +149,8 @@ class ComfortRule(enum.Enum):
 _RULE_ORDER = {rule: i for i, rule in enumerate(ComfortRule)}
 
 
-@dataclass(frozen=True, slots=True)
-class ComfortFinding:
+@record
+class ComfortFinding(Record):
     """One flagged episode: which rule, when, how bad (heuristic), and why."""
 
     rule: ComfortRule
@@ -166,8 +166,8 @@ class ComfortFinding:
             raise ValidationError(f"severity must be >= 0, got {self.severity!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class ComfortConfig:
+@record
+class ComfortConfig(Record):
     """Rule thresholds. Every number here is a tunable calibration choice."""
 
     accel_threshold_m_s2: float = 1.0
@@ -182,18 +182,18 @@ class ComfortConfig:
     drop_factor: float = 2.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            x = getattr(self, f.name)
-            if f.name not in _MAY_BE_ZERO and not (math.isfinite(x) and x > 0.0):
-                raise ValidationError(f"{f.name} must be positive, got {x!r}")
+        for name in self.__match_args__:
+            x = getattr(self, name)
+            if name not in _MAY_BE_ZERO and not (math.isfinite(x) and x > 0.0):
+                raise ValidationError(f"{name} must be positive, got {x!r}")
         for name in _MAY_BE_ZERO:
             x = getattr(self, name)
             if not (math.isfinite(x) and x >= 0.0):
                 raise ValidationError(f"{name} must be >= 0, got {x!r}")
 
 
-@dataclass(frozen=True)
-class ComfortReport:
+@record
+class ComfortReport(Record):
     """All findings over a trajectory plus per-rule counts and session span."""
 
     findings: tuple[ComfortFinding, ...]

@@ -8,13 +8,13 @@ files may override key by key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 from .attention import HeuristicWeights
 from .comfort import ComfortConfig
 from .dynamics import BlurConfig, DynamicsConfig
 from .errors import ValidationError
 from .rays import RayConfig
+from .record import Record, record
 
 # config-file keys that parse as integers; every other field is a float
 INT_FIELDS = frozenset({"ray_k", "ray_n"})
@@ -23,8 +23,8 @@ INT_FIELDS = frozenset({"ray_k", "ray_n"})
 _DYNAMICS, _BLUR, _COMFORT = DynamicsConfig(), BlurConfig(), ComfortConfig()
 
 
-@dataclass(frozen=True, slots=True)
-class SimConfig:
+@record
+class SimConfig(Record):
     """Flat bag of scenario tunables; module invariants are enforced on load."""
 
     ray_k: int = 4
@@ -92,7 +92,7 @@ class SimConfig:
 
     def _sub_config(self, cls):
         """An instance of `cls` built from the SimConfig fields of the same names."""
-        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+        return cls(**{name: getattr(self, name) for name in cls.__match_args__})
 
 
-CONFIG_FIELD_NAMES = tuple(f.name for f in fields(SimConfig))
+CONFIG_FIELD_NAMES = SimConfig.__match_args__

@@ -11,9 +11,9 @@ the focal distance stays put; focus never snaps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ValidationError
+from .record import Record, record
 
 
 def _require_non_negative(name: str, x: float) -> None:
@@ -21,8 +21,8 @@ def _require_non_negative(name: str, x: float) -> None:
         raise ValidationError(f"{name} must be finite and >= 0, got {x!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class DynamicsConfig:
+@record
+class DynamicsConfig(Record):
     """Timing knobs: transition duration and post-loss hold, both in ms."""
 
     refocus_ms: float = 500.0
@@ -34,8 +34,8 @@ class DynamicsConfig:
         _require_non_negative("persistence_hold_ms", self.persistence_hold_ms)
 
 
-@dataclass(frozen=True, slots=True)
-class BlurConfig:
+@record
+class BlurConfig(Record):
     """Blur growth per meter of defocus and its cap."""
 
     blur_per_meter: float = 0.5
@@ -46,8 +46,8 @@ class BlurConfig:
         _require_non_negative("max_blur", self.max_blur)
 
 
-@dataclass(frozen=True, slots=True)
-class Transition:
+@record
+class Transition(Record):
     """An in-flight linear focal-distance change."""
 
     from_distance: float
@@ -63,8 +63,8 @@ class Transition:
             raise ValidationError(f"duration_ms must be positive, got {self.duration_ms!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class FocusSelection:
+@record
+class FocusSelection(Record):
     """A per-tick selection result: which object, at what distance."""
 
     object_id: int
@@ -74,8 +74,8 @@ class FocusSelection:
         _require_non_negative("distance", self.distance)
 
 
-@dataclass(frozen=True, slots=True)
-class FocusState:
+@record
+class FocusState(Record):
     """Focus signal state between ticks. Immutable; step() returns a new one."""
 
     current_target: int | None = None

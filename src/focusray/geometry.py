@@ -8,12 +8,12 @@ double precision, world units are meters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import GeometryError, ValidationError
+from .record import Record, record
 
 UNIT_TOL = 1e-9
 ORTHO_TOL = 1e-6
@@ -26,8 +26,8 @@ MAX_COORD_M = 1e100
 MAX_FRAME_MS = 1e100
 
 
-@dataclass(frozen=True, slots=True)
-class Vec3:
+@record
+class Vec3(Record):
     """3D vector; components must be finite."""
 
     x: float
@@ -119,8 +119,8 @@ def _require_unit(v: Vec3, name: str) -> None:
         raise ValidationError(f"{name} must be a unit vector (|{name}| = {v.norm()!r})")
 
 
-@dataclass(frozen=True, slots=True)
-class StereoRig:
+@record
+class StereoRig(Record):
     """Left/right optical centers plus a shared orthonormal view frame."""
 
     ol: Vec3
@@ -141,8 +141,8 @@ class StereoRig:
         return ((self.ol.x + self.or_.x) / 2.0, (self.ol.y + self.or_.y) / 2.0, (self.ol.z + self.or_.z) / 2.0)
 
 
-@dataclass(frozen=True, slots=True)
-class MidCamera:
+@record
+class MidCamera(Record):
     """Virtual camera at the midpoint of a stereo rig's optical centers."""
 
     m: Vec3
@@ -154,8 +154,8 @@ class MidCamera:
         _require_unit(self.up, "up")
 
 
-@dataclass(frozen=True, slots=True)
-class SceneObject:
+@record
+class SceneObject(Record):
     """Candidate of visual attention: bounding sphere plus designer-assigned value."""
 
     id: int
@@ -173,8 +173,8 @@ class SceneObject:
             raise ValidationError(f"object {self.id}: value must be in [0, 1], got {self.value!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Roi:
+@record
+class Roi(Record):
     """Region of interest: a solid cone from `apex` along `axis`, truncated at `z_far`."""
 
     apex: Vec3
@@ -263,8 +263,8 @@ def roi_mask(roi: Roi, objects: Sequence[SceneObject]) -> np.ndarray:
     return cone_mask(roi, sphere_array(objects))[0]
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
-class PreparedScene(Sequence[SceneObject]):
+@record(eq=False, init=False)
+class PreparedScene(Record, Sequence[SceneObject]):
     """A scene prepared once for ROI queries: a sequence of its objects in the
     order given, ids checked unique, and read-only `spheres` (as
     `sphere_array`), `ids` (int64) and `values`, one row per object sorted

@@ -13,7 +13,6 @@ produce byte-identical bytes.
 from __future__ import annotations
 
 import os
-from dataclasses import fields
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -251,10 +250,10 @@ def format_real(x: float, places: int = 6) -> str:
 
 def render_config_section(cfg: SimConfig) -> list[str]:
     lines = ["[CONFIG]"]
-    for f in fields(SimConfig):
-        value = getattr(cfg, f.name)
-        rendered = str(value) if f.name in INT_FIELDS else format_real(value)
-        lines.append(f"{f.name} = {rendered}")
+    for name in SimConfig.__match_args__:
+        value = getattr(cfg, name)
+        rendered = str(value) if name in INT_FIELDS else format_real(value)
+        lines.append(f"{name} = {rendered}")
     return lines
 
 

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ValidationError
 from .geometry import CameraRows, MidCamera, StereoRig, dot_rows, norm_rows, unit3, view_frame, view_frame_rows
+from .record import Record, record
 
 # 2*pi*(1 - 1/phi), phi the golden ratio: ~137.5 degrees per step.
 GOLDEN_ANGLE = 2.0 * math.pi * (1.0 - 2.0 / (1.0 + math.sqrt(5.0)))
@@ -34,8 +34,8 @@ MAX_RAYS = 65_536
 GROUP_PAIRS = 262_144
 
 
-@dataclass(frozen=True, slots=True)
-class RayConfig:
+@record
+class RayConfig(Record):
     """Cone parameters: k layers, n rays per layer, aperture half-angle (radians)."""
 
     k: int
@@ -53,8 +53,8 @@ class RayConfig:
             raise ValidationError(f"half_angle must be in (0, pi/2), got {self.half_angle!r}")
 
 
-@dataclass(frozen=True)
-class RayBundle:
+@record
+class RayBundle(Record):
     """The ray cone as arrays, in the order `ray_bundle` builds it.
 
     directions: (R, 3) unit vectors, or (T, R, 3) for a cone cast from each

@@ -1,0 +1,62 @@
+"""Frozen slotted records without `dataclasses`: a `Record` subclass decorated
+with `record` has the fields annotated in its own body, in order, and the
+body's values as defaults. Only `__init__` is compiled per class."""
+
+import operator
+
+
+class FrozenInstanceError(AttributeError):
+    """A field of a record was assigned or deleted."""
+
+
+class Record:
+    __slots__ = ()
+    __match_args__ = ()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        return self._values(self) == self._values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self):  # copy and pickle restore the fields by __setstate__
+        return self._values(self)
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__match_args__, state):
+            object.__setattr__(self, name, value)
+
+
+def record(cls=None, /, *, eq=True, init=True):
+    """Build `cls`, a subclass of `Record`, as a record; `eq=False` keeps
+    identity equality and hashing, `init=False` the class's own `__init__`."""
+
+    def build(cls):
+        names = tuple(cls.__dict__.get("__annotations__", {}))
+        ns = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
+        defaults = {f"_default_{n}": ns.pop(n) for n in names if n in ns}
+        # the field values as one tuple, as attrgetter returns them for two or more names
+        values = operator.attrgetter(*names) if len(names) > 1 else lambda self: tuple(getattr(self, n) for n in names)
+        ns.update(__slots__=names, __match_args__=names, _values=staticmethod(values))
+        if not eq:
+            ns.update(__eq__=object.__eq__, __hash__=object.__hash__)
+        if init:
+            params = ", ".join(f"{n}=_default_{n}" if f"_default_{n}" in defaults else n for n in names)
+            body = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
+            post = "\n    self.__post_init__()" if "__post_init__" in ns else ""
+            exec(f"def __init__(self, {params}):{body}{post}", scope := {"_set": object.__setattr__, **defaults})
+            ns["__init__"] = scope["__init__"]
+            ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"  # so arity errors name the class
+        return type(cls)(cls.__name__, cls.__bases__, ns)
+
+    return build if cls is None else build(cls)

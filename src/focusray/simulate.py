@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import fields
 from typing import Sequence
 
 import numpy as np
@@ -106,7 +105,7 @@ def resample(traj: Sequence[TrajectorySample], tick_ms: float) -> Trajectory:
     # samples out of time order)
     seg = np.maximum.accumulate(traj.t_ms[1:-1]).searchsorted(t)
     on_right = (t != traj.t_ms[seg]) & (t == traj.t_ms[seg + 1])
-    cols = {f.name: getattr(traj, f.name)[seg + on_right] for f in fields(Trajectory)}
+    cols = {name: getattr(traj, name)[seg + on_right] for name in Trajectory.__match_args__}
 
     # ticks that land on neither end of their segment are interpolated
     mid = np.flatnonzero((t != traj.t_ms[seg]) & ~on_right)

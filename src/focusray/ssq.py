@@ -14,9 +14,9 @@ the baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 
 from .errors import ValidationError
+from .record import Record, record
 
 SYMPTOM_NAMES = (
     "General discomfort",
@@ -48,8 +48,8 @@ DISORIENTATION_MULTIPLIER = 13.92
 TOTAL_MULTIPLIER = 3.74
 
 
-@dataclass(frozen=True, slots=True)
-class Profile:
+@record
+class Profile(Record):
     """Participant profile collected alongside the questionnaires."""
 
     name: str
@@ -62,8 +62,8 @@ class Profile:
             raise ValidationError(f"age must be a positive integer, got {self.age!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class SsqResponse:
+@record
+class SsqResponse(Record):
     """Sixteen symptom ratings in canonical symptom order, each 0..3."""
 
     ratings: tuple[int, ...]
@@ -76,8 +76,8 @@ class SsqResponse:
                 raise ValidationError(f"symptom {i}: rating must be an integer in 0..3, got {r!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class SsqScore:
+@record
+class SsqScore(Record):
     """The three class scores and the weighted total of a questionnaire, or
     their signed differences between two questionnaires."""
 
@@ -87,8 +87,8 @@ class SsqScore:
     total: float
 
 
-@dataclass(frozen=True, slots=True)
-class ProtocolReport:
+@record
+class ProtocolReport(Record):
     """Scores for all three questionnaires and deltas against the baseline."""
 
     profile: Profile
@@ -116,7 +116,7 @@ def score_questionnaire(resp: SsqResponse) -> SsqScore:
 
 
 def _delta(after: SsqScore, baseline: SsqScore) -> SsqScore:
-    return SsqScore(*(getattr(after, f.name) - getattr(baseline, f.name) for f in fields(SsqScore)))
+    return SsqScore(*(getattr(after, name) - getattr(baseline, name) for name in SsqScore.__match_args__))
 
 
 def protocol_report(profile: Profile, q1: SsqResponse, q2: SsqResponse, q3: SsqResponse) -> ProtocolReport:

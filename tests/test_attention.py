@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import warnings
@@ -421,7 +420,8 @@ class TestPreparedScene:
         prepared = prepare_scene(scene)
         winner = self.check(scene).object_id
         i = [o.id for o in scene].index(winner)
-        scene[i] = dataclasses.replace(scene[i], center=Vec3(40.0, 0.0, -3.0), value=0.0)  # now outside the ROI
+        o = scene[i]
+        scene[i] = SceneObject(o.id, Vec3(40.0, 0.0, -3.0), o.radius, 0.0, o.label)  # now outside the ROI
         assert self.check(scene).object_id != winner
         assert self.check(prepared).object_id == winner  # prepared before the change
 
@@ -440,7 +440,7 @@ class TestPreparedScene:
 
     def test_equal_but_new_objects(self):
         scene = self.scene()
-        copies = [dataclasses.replace(o) for o in scene]
+        copies = [SceneObject(o.id, o.center, o.radius, o.value, o.label) for o in scene]
         assert copies == scene
         prepared = prepare_scene(copies)
         assert all(a is b for a, b in zip(prepared, copies))

@@ -391,7 +391,7 @@ class TestRendering:
         assert "p_rm = 0.500000" in lines
         assert "tick_ms = 16.000000" in lines
         # one line per config field plus the section marker
-        assert len(lines) == 1 + len(SimConfig.__dataclass_fields__)
+        assert len(lines) == 1 + len(SimConfig.__match_args__)
 
     def test_timeline_rows(self):
         winner = FocusCandidate(object_id=2, rm=0.770833, d=0.879066, v=1.0, importance=0.849137)
