@@ -8,6 +8,7 @@ double precision, world units are meters.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -265,49 +266,67 @@ def roi_mask(roi: Roi, objects: Sequence[SceneObject]) -> np.ndarray:
 
 @record(eq=False, init=False)
 class PreparedScene(Record, Sequence[SceneObject]):
-    """A scene prepared once for ROI queries: a sequence of its objects in the
-    order given, ids checked unique, and read-only `spheres` (as
-    `sphere_array`), `ids` (int64) and `values`, one row per object sorted
-    along the world axis on which the centers spread widest, ties by id, for
-    a sort and sweep cull (Ericson, *Real-Time Collision Detection*, 2004, 7.5).
+    """A scene prepared once for ROI queries: a sequence of its objects'
+    fields in the order given, ids checked unique, and read-only `spheres`
+    (as `sphere_array`), `ids` (int64) and `values`, one row per object
+    sorted along the world axis on which the centers spread widest, ties by
+    id, for a sort and sweep cull (Ericson, *Real-Time Collision Detection*,
+    2004, 7.5). `rows[i]` is the row of the i-th object given, and
+    `labels[i]` its label; each `SceneObject` is built on access by its
+    checked constructor, from plain Python values.
 
     `sweep_axis` is that axis (0, 1 or 2); `spheres` is column-major, so its
     column on that axis is contiguous. Every array owns its data.
     """
 
-    objects: tuple[SceneObject, ...]
     spheres: np.ndarray
     ids: np.ndarray
     values: np.ndarray
+    rows: np.ndarray
+    labels: tuple[str, ...]
     r_max: float
     sweep_axis: int
 
     def __init__(self, objects: Iterable[SceneObject]) -> None:
         objects = tuple(objects)
-        table = sorted([(o.id, o.center.x, o.center.y, o.center.z, o.radius, o.value) for o in objects])
-        ids, *columns = zip(*table) if table else [()] * 6
+        # one table sorted by id, with each object's position in the order given
+        table = sorted([(o.id, o.center.x, o.center.y, o.center.z, o.radius, o.value, i)
+                        for i, o in enumerate(objects)])
+        ids, *columns, given = zip(*table) if table else [()] * 7
         if len(set(ids)) != len(ids):
             raise ValidationError("scene contains duplicate object ids")
-        arrays = np.array(columns, np.float64).reshape(5, -1)
+        self._sweep(np.array(ids, np.int64), np.array(columns, np.float64).reshape(5, -1), np.array(given, np.intp),
+                    tuple([o.label for o in objects]))
+
+    def _sweep(self, ids: np.ndarray, arrays: np.ndarray, given: np.ndarray, labels: tuple[str, ...]) -> None:
+        """The fields from ascending `ids`, their (5, N) centers, radii and values, and positions in `labels`."""
         # halved, so that no spread overflows
-        axis = int(np.argmax(np.ptp(arrays[:3] / 2.0, axis=1))) if table else 0
-        order = np.argsort(arrays[axis], kind="stable")  # the table is in id order, so ties stay by id
-        attrs = dict(objects=objects, spheres=arrays[:4].take(order, axis=1).T,
-                     ids=np.array(ids, np.int64).take(order), values=arrays[4].take(order),
-                     r_max=max(columns[3], default=0.0), sweep_axis=axis)
+        axis = int(np.argmax(np.ptp(arrays[:3] / 2.0, axis=1))) if len(ids) else 0
+        order = np.argsort(arrays[axis], kind="stable")  # the ids ascend, so ties stay by id
+        rows = np.empty(len(ids), np.intp)
+        rows[given.take(order)] = np.arange(len(ids))
+        attrs = dict(spheres=arrays[:4].take(order, axis=1).T, ids=ids.take(order), values=arrays[4].take(order),
+                     rows=rows, labels=labels, r_max=float(arrays[3].max(initial=0.0)), sweep_axis=axis)
         for name, value in attrs.items():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.objects)
+        return len(self.ids)
 
-    def __getitem__(self, i):
-        return self.objects[i]
+    def __getitem__(self, i: int) -> SceneObject:
+        i = range(len(self))[operator.index(i)]  # negative indices count from the end; IndexError past either end
+        return next(self._objects(slice(i, i + 1)))
 
     def __iter__(self) -> Iterator[SceneObject]:
-        return iter(self.objects)
+        return self._objects(slice(None))
+
+    def _objects(self, given: slice) -> Iterator[SceneObject]:
+        rows = self.rows[given]
+        columns = self.ids[rows].tolist(), self.spheres[rows].tolist(), self.values[rows].tolist(), self.labels[given]
+        for oid, (x, y, z, r), v, label in zip(*columns):
+            yield SceneObject(oid, Vec3(x, y, z), r, v, label)
 
     def roi_rows(self, roi: Roi | RoiRows) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
         """For the ROI, or each ROI of `RoiRows` in turn, the rows of `spheres`

@@ -22,7 +22,7 @@ from .attention import FocusCandidate
 from .comfort import MIN_SAMPLES, ComfortReport, ComfortRule, Trajectory, TrajectorySample, invalid_sample_rows
 from .config import CONFIG_FIELD_NAMES, INT_FIELDS, SimConfig
 from .errors import GeometryError, OutputError, ParseError, ValidationError
-from .geometry import MAX_COORD_M, PreparedScene, SceneObject, Vec3, norm_rows, prepare_scene, view_frame_rows
+from .geometry import MAX_COORD_M, PreparedScene, SceneObject, Vec3, norm_rows, view_frame_rows
 from .ssq import Profile, ProtocolReport, SsqResponse
 
 TRAJECTORY_HEADER = (
@@ -32,6 +32,9 @@ TRAJECTORY_HEADER = (
 
 TIMELINE_HEADER = "t_ms,selected_object_id,importance,rm,d,v,focal_distance_m,in_transition"
 FINDINGS_HEADER = "rule,start_ms,end_ms,heuristic_severity,detail"
+
+SCENE_FIELDS = ("center x", "center y", "center z", "radius", "value")
+SCENE_ROW = np.dtype([("id", np.int64), ("numbers", np.float64, (5,))])  # a scene line's first six fields
 
 PROFILE_KEYS = ("name", "age", "gender", "academic_background")
 
@@ -69,30 +72,49 @@ def _parse_int(path: str, lineno: int, token: str, name: str) -> int:
 
 def parse_scene(path: str) -> PreparedScene:
     """Scene file: `id cx cy cz radius value label` per line; label optional.
-    The objects come back in file order, prepared for selection."""
+    The objects come back in file order, prepared for selection.
+
+    The ids (int64) and the five numbers (float64) convert in one
+    `np.loadtxt` over the comment-stripped lines and are screened as
+    columns. When numpy refuses the body, it is empty, or a screen flags a
+    row, each row is checked in order, so the error names the same line and
+    fault as a row-by-row parse.
+    """
+    lines = _content_lines(path)
+    texts = [text for _, text in lines]
+    try:  # numpy reads a token as `int` or `float` does, or refuses it (also `1_0` and other scripts' digits)
+        rows = np.loadtxt(texts, SCENE_ROW, comments=None, usecols=range(6), ndmin=1) if texts else None
+    except ValueError:
+        rows = None
+    if rows is not None:
+        by_id = rows["id"].argsort()
+        ids, numbers = rows["id"][by_id], rows["numbers"][by_id].T
+        # the row checks as screens: unique ids, finite coordinates and radius within MAX_COORD_M,
+        # radius > 0, value in [0, 1]
+        if ((ids[1:] != ids[:-1]).all() and (np.abs(numbers[:4]) <= MAX_COORD_M).all() and (numbers[3] > 0.0).all()
+                and ((numbers[4] >= 0.0) & (numbers[4] <= 1.0)).all()):
+            scene = PreparedScene.__new__(PreparedScene)
+            scene._sweep(ids, numbers, by_id, tuple([" ".join(t[6:]) for t in map(str.split, texts)]))
+            return scene
+    # refused, empty (where numpy would only warn) or flagged: each row is checked in order
     objects: list[SceneObject] = []
     seen: set[int] = set()
-    for lineno, text in _content_lines(path):
+    for lineno, text in lines:
         tokens = text.split()
         if len(tokens) < 6:
             raise ParseError(path, lineno, "expected 'id cx cy cz radius value [label]'")
         obj_id = _parse_int(path, lineno, tokens[0], "object id")
-        cx = _parse_float(path, lineno, tokens[1], "center x")
-        cy = _parse_float(path, lineno, tokens[2], "center y")
-        cz = _parse_float(path, lineno, tokens[3], "center z")
-        radius = _parse_float(path, lineno, tokens[4], "radius")
-        value = _parse_float(path, lineno, tokens[5], "value")
-        label = " ".join(tokens[6:])
+        cx, cy, cz, radius, value = (_parse_float(path, lineno, *arg) for arg in zip(tokens[1:6], SCENE_FIELDS))
         if obj_id in seen:
             raise ParseError(path, lineno, f"duplicate object id {obj_id}")
         seen.add(obj_id)
         try:
-            objects.append(SceneObject(id=obj_id, center=Vec3(cx, cy, cz), radius=radius, value=value, label=label))
+            objects.append(SceneObject(obj_id, Vec3(cx, cy, cz), radius, value, " ".join(tokens[6:])))
         except ValidationError as e:
             raise ParseError(path, lineno, str(e)) from None
         if not max(abs(cx), abs(cy), abs(cz), radius) <= MAX_COORD_M:
             raise ParseError(path, lineno, f"object {obj_id}: center and radius must be within {MAX_COORD_M:g} m")
-    return prepare_scene(objects)
+    return PreparedScene(objects)
 
 
 def _unit_or_parse_error(path: str, lineno: int, v: Vec3, name: str) -> Vec3:

@@ -29,11 +29,14 @@ class Record:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def __getstate__(self):  # copy and pickle restore the fields by __setstate__
-        return self._values(self)
+    def __getstate__(self):  # copy and pickle restore the fields by __setstate__, and read-only arrays read-only
+        values = self._values(self)
+        return values, [not getattr(getattr(v, "flags", None), "writeable", True) for v in values]
 
     def __setstate__(self, state):
-        for name, value in zip(self.__match_args__, state):
+        for name, value, read_only in zip(self.__match_args__, *state):
+            if read_only:
+                value.flags.writeable = False
             object.__setattr__(self, name, value)
 
 

@@ -208,7 +208,7 @@ def run_scenario(
             winners += [candidates[w] if w >= 0 else None for w in win.tolist()]
 
         # each winner's distance from its tick's camera, as `Vec3.distance_to` computes it
-        center_of = {obj.id: (obj.center.x, obj.center.y, obj.center.z) for obj in scene}
+        center_of = dict(zip(scene.ids.tolist(), scene.spheres[:, :3].tolist()))
         won = [i for i, w in enumerate(winners) if w is not None]
         centers = np.array([center_of[winners[i].object_id] for i in won], np.float64).reshape(-1, 3)
         distances = iter(norm_rows(centers - cams.m[won]).tolist())

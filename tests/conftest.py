@@ -17,8 +17,9 @@ settings.register_profile("replay-fuzz-long", max_examples=400, deadline=None, p
 # (tests/test_rays.py); CI runs the longer one in a step of its own
 settings.register_profile("kernel", max_examples=25, deadline=None)
 settings.register_profile("kernel-long", max_examples=300, deadline=None, phases=_NO_SHRINK)
-# Example counts of the trajectory parse fuzz against the row oracle
-# (tests/test_trajectory.py's TestParseFuzz); CI runs the longer one in a step of its own
+# Example counts of the trajectory and scene parse fuzzes against the row oracles
+# (tests/test_trajectory.py's TestParseFuzz, tests/test_formats.py's
+# TestSceneParseFuzz); CI runs the longer one in a step of its own for each
 settings.register_profile("parse", max_examples=300, deadline=None)
 settings.register_profile("parse-long", max_examples=3000, deadline=None, phases=_NO_SHRINK)
 

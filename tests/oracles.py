@@ -4,10 +4,11 @@ Everything here is deliberately written as brute force: scalar loops, dense
 sampling, hard-coded tables. None of it calls the vectorized production
 code paths it is used to verify; the only library outputs it consumes are a
 ray cone from `ray_bundle` (checked on its own by the ray-cone tests), the
-midpoint camera from `derive_mid_camera` and, for the trajectory references,
-the comment-stripped lines of `io_formats._content_lines`. The whole-replay
-reference `replay_by_rows` also takes the parsed scene and config, the focus
-dynamics and the renderers from the library as they are.
+midpoint camera from `derive_mid_camera` and, for the scene and trajectory
+references, the comment-stripped lines of `io_formats._content_lines` (the
+scene reference returns its objects as a `PreparedScene`, built from them).
+The whole-replay reference `replay_by_rows` also takes the parsed config,
+the focus dynamics and the renderers from the library as they are.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from focusray import (
     HeuristicWeights,
     MidCamera,
     ParseError,
+    PreparedScene,
     RayBundle,
     RayConfig,
     Roi,
@@ -41,7 +43,7 @@ from focusray import (
     apply_selection,
     derive_mid_camera,
     parse_config,
-    parse_scene,
+    prepare_scene,
     ray_bundle,
     render_comfort_section,
     render_config_section,
@@ -260,6 +262,49 @@ def ssq_scores_by_matrix(ratings: tuple[int, ...]) -> tuple[float, float, float,
         raw_d * 13.92,
         (raw_n + raw_o + raw_d) * 3.74,
     )
+
+
+# --- the row-wise scene parse, kept as the reference for `parse_scene` ---
+#
+# parse_scene as it was written before the scene converted as columns: one
+# SceneObject per row, each checked as it is built. `tests/test_formats.py`
+# requires the columns to reproduce its objects and arrays bit for bit, or
+# its error.
+
+
+def _parse_int(path: str, lineno: int, token: str, name: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(path, lineno, f"{name} must be an integer, got {token!r}") from None
+
+
+def parse_scene_by_rows(path: str) -> PreparedScene:
+    """Scene file: `id cx cy cz radius value label` per line; label optional.
+    The objects come back in file order, prepared for selection."""
+    objects: list[SceneObject] = []
+    seen: set[int] = set()
+    for lineno, text in _content_lines(path):
+        tokens = text.split()
+        if len(tokens) < 6:
+            raise ParseError(path, lineno, "expected 'id cx cy cz radius value [label]'")
+        obj_id = _parse_int(path, lineno, tokens[0], "object id")
+        cx = _parse_float(path, lineno, tokens[1], "center x")
+        cy = _parse_float(path, lineno, tokens[2], "center y")
+        cz = _parse_float(path, lineno, tokens[3], "center z")
+        radius = _parse_float(path, lineno, tokens[4], "radius")
+        value = _parse_float(path, lineno, tokens[5], "value")
+        label = " ".join(tokens[6:])
+        if obj_id in seen:
+            raise ParseError(path, lineno, f"duplicate object id {obj_id}")
+        seen.add(obj_id)
+        try:
+            objects.append(SceneObject(id=obj_id, center=Vec3(cx, cy, cz), radius=radius, value=value, label=label))
+        except ValidationError as e:
+            raise ParseError(path, lineno, str(e)) from None
+        if not max(abs(cx), abs(cy), abs(cz), radius) <= MAX_COORD_M:
+            raise ParseError(path, lineno, f"object {obj_id}: center and radius must be within {MAX_COORD_M:g} m")
+    return prepare_scene(objects)
 
 
 # --- the row-wise trajectory path, kept as the reference for the columns ---
@@ -713,11 +758,11 @@ class Replay:
 
 def replay_by_rows(scene_path: str, trajectory_path: str, config_path: str, no_focus: bool = False) -> Replay:
     """The document `run_scenario` writes, composed from the references:
-    `parse_trajectory_by_rows`, `resample_by_rows`, `rig_by_vectors` per
-    tick, `select_by_enumeration` and `analyze_by_rows`. The scene, the
-    config, `apply_selection`/`step` and the renderers are the library's."""
+    `parse_scene_by_rows`, `parse_trajectory_by_rows`, `resample_by_rows`,
+    `rig_by_vectors` per tick, `select_by_enumeration` and `analyze_by_rows`.
+    The config, `apply_selection`/`step` and the renderers are the library's."""
     cfg = parse_config(config_path)
-    scene = list(parse_scene(scene_path))
+    scene = list(parse_scene_by_rows(scene_path))
     traj = parse_trajectory_by_rows(trajectory_path)
     ticks = resample_by_rows(traj, cfg.tick_ms)
     ray_cfg, weights, dyn_cfg = cfg.ray_config(), cfg.heuristic_weights(), cfg.dynamics_config()

@@ -357,9 +357,9 @@ class TestSelectFocusOracle:
 
 
 class TestPreparedScene:
-    """A `PreparedScene` is built once and holds what it was given; a plain
-    sequence is prepared afresh on every `select_focus` call, so any change
-    to it shows at once. No state survives between calls."""
+    """A `PreparedScene` is built once and holds the fields of the objects it
+    was given; a plain sequence is prepared afresh on every `select_focus`
+    call, so any change to it shows at once. No state survives between calls."""
 
     def scene(self):
         return [obj(oid, 0.4 * oid - 2.0, 0.0, -3.0 - oid, r=0.8, value=0.1 * oid) for oid in range(1, 9)]
@@ -376,13 +376,24 @@ class TestPreparedScene:
         assert prepare_scene(scene) is not prepared  # a plain list is prepared again
         assert self.check(prepared) == self.check(scene)
 
+    @staticmethod
+    def same_fields(a, b):
+        """Equal, label included, of the same type, and built anew from plain Python values."""
+        assert type(a) is type(b) is SceneObject and a == b and a.label == b.label and a is not b
+        assert [type(x) for x in (a.id, a.center.x, a.radius, a.value)] == [int, float, float, float]
+
     def test_sequence_in_callers_order(self):
-        scene = self.scene()
+        scene = [SceneObject(o.id, o.center, o.radius, o.value, f"thing {o.id}") for o in self.scene()]
         random.Random(3).shuffle(scene)
         prepared = PreparedScene(iter(scene))
         assert len(prepared) == len(scene) and list(prepared) == scene
-        assert all(a is b for a, b in zip(prepared, scene))
-        assert prepared[0] is scene[0] and prepared[-1] is scene[-1]
+        for a, b in zip(prepared, scene):
+            self.same_fields(a, b)
+        self.same_fields(prepared[0], scene[0])
+        self.same_fields(prepared[-1], scene[-1])
+        for bad in (len(scene), -len(scene) - 1):
+            with pytest.raises(IndexError):
+                prepared[bad]
         # one row per object, in sweep order: along z, where the centers spread widest and ids descend
         assert prepared.sweep_axis == 2 and prepared.spheres.flags.f_contiguous
         rows = sorted(scene, key=lambda o: o.center.z)
@@ -443,7 +454,8 @@ class TestPreparedScene:
         copies = [SceneObject(o.id, o.center, o.radius, o.value, o.label) for o in scene]
         assert copies == scene
         prepared = prepare_scene(copies)
-        assert all(a is b for a, b in zip(prepared, copies))
+        for a, b in zip(prepared, copies):
+            self.same_fields(a, b)
         assert self.check(prepared) == self.check(scene)
 
 

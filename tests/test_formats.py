@@ -1,9 +1,15 @@
 import math
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+import focusray
 
 from focusray import (
     ComfortFinding,
@@ -29,6 +35,9 @@ from focusray import (
     render_timeline_section,
     write_document,
 )
+from focusray import io_formats
+from builders import profile
+from oracles import parse_scene_by_rows
 
 
 def put(tmp_path, name, text):
@@ -38,6 +47,7 @@ def put(tmp_path, name, text):
 
 
 TRAJ_HEADER = "t_ms px py pz fx fy fz ux uy uz fov_deg user_initiated frame_time_ms"
+PACKAGE_ROOT = str(Path(focusray.__file__).resolve().parent.parent)
 
 
 class TestParseScene:
@@ -93,6 +103,119 @@ class TestParseScene:
         path = put(tmp_path, "scene2.txt", "1 0 0 -4 0.5 1.5\n")
         with pytest.raises(ParseError):
             parse_scene(path)
+
+
+    def test_valid_file_builds_no_object(self, tmp_path, monkeypatch):
+        """A body numpy converts and no screen flags is held as columns, with
+        no `SceneObject` built; a body only `int` reads goes row by row."""
+        text = "".join(f"{i} {i} 0 -{i} 0.5 0.25 thing {i}\n" for i in range(1, 200))
+        monkeypatch.setattr(io_formats, "SceneObject", None)
+        scene = parse_scene(put(tmp_path, "scene.txt", text))
+        monkeypatch.undo()
+        assert len(scene) == 199 and scene[-1].label == "thing 199"
+        monkeypatch.setattr(io_formats, "SceneObject", None)
+        with pytest.raises(TypeError):
+            parse_scene(put(tmp_path, "scene.txt", text + "1_000 0 0 -4 0.5 0.25\n"))
+        monkeypatch.undo()
+        assert parse_scene(put(tmp_path, "scene.txt", text + "1_000 0 0 -4 0.5 0.25\n"))[-1].id == 1000
+
+    def test_parse_leaves_numpy_ma_out(self, tmp_path):
+        """A scene and a trajectory parse in a fresh process without importing
+        `numpy.ma` (which `np.unique` imports, at a cost of milliseconds)."""
+        scene = put(tmp_path, "scene.txt", "1 0 0 -4 0.5 0.2 orb\n2 1 0 -9 0.5 0.2\n")
+        rows = "".join(f"{16 * i} 0 0 0 0 0 -1 0 1 0 90 1 11.1\n" for i in range(3))
+        traj = put(tmp_path, "traj.txt", TRAJ_HEADER + "\n" + rows)
+        code = ("import sys, focusray; focusray.parse_scene(sys.argv[1]); focusray.parse_trajectory(sys.argv[2]); "
+                "print('numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code, scene, traj], capture_output=True, text=True,
+                              env={"PATH": "/usr/bin:/bin", "PYTHONPATH": PACKAGE_ROOT})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+# every line break `splitlines` honours, and the rest of the whitespace `str.split` splits at
+BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+SPACES = (" ", "\t", "\x1f", "\xa0", "\u1680", *map(chr, range(0x2000, 0x200B)), "\u202f", "\u205f", "\u3000")
+# per fault, the columns it swaps a token into and the tokens: ones a screen
+# must flag or numpy refuse, valid ones at the bounds, and, under "other",
+# tokens only `float` reads and tokens `float` and numpy both refuse
+FAULTS = {
+    "id": ((0,), ("+007", "-0", "007", "1_0", "\u0661", "\uff11", "\u0969\u0966", "9223372036854775807",
+                  "-9223372036854775808", "9223372036854775808", "-9223372036854775809", "1" + "0" * 30,
+                  "1.0", "1e3", "x")),
+    "coord": ((1, 2, 3), ("nan", "-inf", "infinity", "1e400", "1e101", "-1.0000000000000002e100", "1e100",
+                          "-1e100", "-0")),
+    "radius": ((4,), ("0", "-0", "-0.5", "-1e-300", "nan", "inf", "1e101", "1.0000000000000002e100", "1e100",
+                      "5e-324")),
+    "value": ((5,), ("-0.1", "-5e-324", "1.5", "1.0000000000000002", "nan", "-inf", "-0", "0", "1", "1.0")),
+    "other": ((1, 2, 3, 4, 5), ("1_0", "\u0661", "\uff11", "abc", "0x10", "1d5", ".", "1e")),
+}
+LABEL_WORDS = ("orb", "far", "beacon", "\u00ff", "1", "nan", "\u0661", "x#y", "-")
+
+
+@st.composite
+def scene_files(draw) -> str:
+    """A scene file's text: comment and blank lines, then zero to five rows,
+    each valid or with one drawn fault (a token from `FAULTS` swapped in, the
+    fields from one on dropped, an earlier row's id repeated), ids drawn
+    from a small pool so that some repeat anyway, tokens and label words
+    separated by drawn whitespace, every line ended by a drawn break; or the
+    empty file."""
+    if draw(st.integers(0, 19)) == 0:
+        return ""
+    lines = draw(st.lists(st.sampled_from(("# scene", "", "   ", "#")), max_size=2))
+    ids: list[str] = []
+    for _ in range(draw(st.integers(0, 5))):
+        forms = draw(st.lists(st.sampled_from(("{!r}", "{:.3e}", "{:g}")), min_size=3, max_size=3))
+        tokens = [str(draw(st.integers(-3, 60))), *(form.format(draw(st.floats(-50.0, 50.0))) for form in forms),
+                  repr(draw(st.floats(0.01, 5.0))), repr(draw(st.floats(0.0, 1.0)))]
+        tokens += draw(st.lists(st.sampled_from(LABEL_WORDS), max_size=3))
+        fault = draw(st.sampled_from(("none",) * 7 + (*FAULTS, "fewer", "repeat")))
+        if fault in FAULTS:
+            columns, swaps = FAULTS[fault]
+            tokens[draw(st.sampled_from(columns))] = draw(st.sampled_from(swaps))
+        elif fault == "fewer":
+            del tokens[draw(st.integers(1, 5)):]
+        elif fault == "repeat" and ids:
+            tokens[0] = draw(st.sampled_from(ids))
+        ids.append(tokens[0])
+        text = tokens[0] + "".join(draw(st.sampled_from(SPACES)) + tok for tok in tokens[1:])
+        lines.append(text + draw(st.sampled_from(("", "", "  # note", "#5"))))
+        lines += draw(st.lists(st.sampled_from(("# comment", "")), max_size=1))
+    return "".join(line + draw(st.sampled_from(BREAKS)) for line in lines)
+
+
+def assert_same_scene(got, want) -> None:
+    """The same objects, field types included, and the same arrays bit for bit."""
+    assert type(got) is type(want)
+    assert [repr(o) for o in got] == [repr(o) for o in want]
+    assert [type(o.id) for o in got] == [int] * len(want)
+    for name in ("spheres", "ids", "values", "rows"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes(), a.flags.writeable) == (b.dtype, b.shape, b.tobytes(), False), name
+    assert (got.labels, got.r_max, got.sweep_axis) == (want.labels, want.r_max, want.sweep_axis)
+
+
+class TestSceneParseFuzz:
+    """`parse_scene` against `parse_scene_by_rows` on drawn files: the same
+    objects and sweep-ordered arrays bit for bit, or the same `ParseError`
+    text. The example count comes from the `parse` settings profile; CI runs
+    `parse-long`."""
+
+    @pytest.mark.filterwarnings("error")
+    @settings(profile("parse"))
+    @given(text=scene_files())
+    def test_matches_the_row_parser(self, text):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "scene.txt"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                want = parse_scene_by_rows(str(path))
+            except ParseError as e:
+                with pytest.raises(ParseError) as got:
+                    parse_scene(str(path))
+                assert str(got.value) == str(e)
+            else:
+                assert_same_scene(parse_scene(str(path)), want)
 
 
 class TestParseTrajectory:

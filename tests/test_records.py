@@ -145,6 +145,28 @@ def test_identity_records_compare_by_identity(cls):
     assert hash(a) == object.__hash__(a)
 
 
+@pytest.mark.parametrize("cls", [Trajectory, PreparedScene], ids=operator.attrgetter("__name__"))
+def test_restored_columns_stay_read_only(cls):
+    """A deep copy and a pickle round trip restore the read-only columns read-only
+    (the copy is not checked again), holding the same elements."""
+    rec = build(cls)
+    columns = [n for n in cls.__match_args__ if isinstance(getattr(rec, n), np.ndarray)]
+    assert len(columns) >= 4
+    for restored in (copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+        for name in columns:
+            assert getattr(restored, name) is not getattr(rec, name)
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(restored, name)[0] = 0
+        assert list(restored) == list(rec) and [repr(x) for x in restored] == [repr(x) for x in rec]
+
+
+def test_restored_writeable_arrays_stay_writeable():
+    rec = build(Candidates)
+    for restored in (copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+        restored.ids[0] = 7
+        assert rec.ids[0] == 1
+
+
 def test_cli_import_leaves_dataclasses_out():
     code = "import sys; assert 'dataclasses' not in sys.modules; import focusray.cli; print('dataclasses' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
