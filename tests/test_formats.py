@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import focusray
-
 from focusray import (
     ComfortFinding,
     FocusCandidate,
@@ -103,7 +102,6 @@ class TestParseScene:
         path = put(tmp_path, "scene2.txt", "1 0 0 -4 0.5 1.5\n")
         with pytest.raises(ParseError):
             parse_scene(path)
-
 
     def test_valid_file_builds_no_object(self, tmp_path, monkeypatch):
         """A body numpy converts and no screen flags is held as columns, with
