@@ -13,6 +13,7 @@ produce byte-identical bytes.
 from __future__ import annotations
 
 import os
+import warnings
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -33,7 +34,6 @@ TRAJECTORY_HEADER = (
 TIMELINE_HEADER = "t_ms,selected_object_id,importance,rm,d,v,focal_distance_m,in_transition"
 FINDINGS_HEADER = "rule,start_ms,end_ms,heuristic_severity,detail"
 
-SCENE_FIELDS = ("center x", "center y", "center z", "radius", "value")
 SCENE_ROW = np.dtype([("id", np.int64), ("numbers", np.float64, (5,))])  # a scene line's first six fields
 
 PROFILE_KEYS = ("name", "age", "gender", "academic_background")
@@ -83,7 +83,9 @@ def parse_scene(path: str) -> PreparedScene:
     lines = _content_lines(path)
     texts = [text for _, text in lines]
     try:  # numpy reads a token as `int` or `float` does, or refuses it (also `1_0` and other scripts' digits)
-        rows = np.loadtxt(texts, SCENE_ROW, comments=None, usecols=range(6), ndmin=1) if texts else None
+        with warnings.catch_warnings():  # a numpy that still reads `2.7` as the id 2 only warns; raised, it refuses
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(texts, SCENE_ROW, comments=None, usecols=range(6), ndmin=1) if texts else None
     except ValueError:
         rows = None
     if rows is not None:
@@ -104,12 +106,17 @@ def parse_scene(path: str) -> PreparedScene:
         if len(tokens) < 6:
             raise ParseError(path, lineno, "expected 'id cx cy cz radius value [label]'")
         obj_id = _parse_int(path, lineno, tokens[0], "object id")
-        cx, cy, cz, radius, value = (_parse_float(path, lineno, *arg) for arg in zip(tokens[1:6], SCENE_FIELDS))
+        cx = _parse_float(path, lineno, tokens[1], "center x")
+        cy = _parse_float(path, lineno, tokens[2], "center y")
+        cz = _parse_float(path, lineno, tokens[3], "center z")
+        radius = _parse_float(path, lineno, tokens[4], "radius")
+        value = _parse_float(path, lineno, tokens[5], "value")
+        label = " ".join(tokens[6:])
         if obj_id in seen:
             raise ParseError(path, lineno, f"duplicate object id {obj_id}")
         seen.add(obj_id)
         try:
-            objects.append(SceneObject(obj_id, Vec3(cx, cy, cz), radius, value, " ".join(tokens[6:])))
+            objects.append(SceneObject(id=obj_id, center=Vec3(cx, cy, cz), radius=radius, value=value, label=label))
         except ValidationError as e:
             raise ParseError(path, lineno, str(e)) from None
         if not max(abs(cx), abs(cy), abs(cz), radius) <= MAX_COORD_M:

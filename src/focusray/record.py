@@ -35,7 +35,7 @@ class Record:
 
     def __setstate__(self, state):
         for name, value, read_only in zip(self.__match_args__, *state):
-            if read_only:
+            if read_only and value.flags.writeable:  # a numpy scalar is read-only already, and keeps its flags
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
 

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,28 @@ class TestParseScene:
         path = put(tmp_path, "scene.txt", "# header\n1 0 0 -4 0.5 0.2\nxx 0 0 -4 0.5 0.2\n")
         with pytest.raises(ParseError, match=r"scene\.txt:3: object id"):
             parse_scene(path)
+
+    def test_float_id_is_refused(self, tmp_path):
+        path = put(tmp_path, "scene.txt", "2.7 0 0 -4 0.5 0.2\n")
+        with pytest.raises(ParseError, match=r"scene\.txt:1: object id must be an integer, got '2\.7'"):
+            parse_scene(path)
+
+    def test_id_read_through_a_float_is_refused(self, tmp_path, monkeypatch):
+        """A numpy that still reads `2.7` as the int64 2 warns with a
+        `DeprecationWarning`, and turns that warning into a `ValueError` when
+        it is raised; `parse_scene` raises it, so the row parser names the id."""
+        real_loadtxt = np.loadtxt
+
+        def loadtxt(texts, dtype, **kwargs):  # such a numpy, on a body whose only id token is `2.7`
+            try:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            except DeprecationWarning as e:
+                raise ValueError("could not convert string '2.7' to int64 at row 0, column 1.") from e
+            return real_loadtxt([text.replace("2.7", "2", 1) for text in texts], dtype, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        with pytest.raises(ParseError, match="object id must be an integer, got '2.7'"):
+            parse_scene(put(tmp_path, "scene.txt", "2.7 0 0 -4 0.5 0.2\n"))
 
     def test_bad_radius_token(self, tmp_path):
         path = put(tmp_path, "scene.txt", "1 0 0 -4 wide 0.2\n")
@@ -199,7 +222,7 @@ class TestSceneParseFuzz:
     text. The example count comes from the `parse` settings profile; CI runs
     `parse-long`."""
 
-    @pytest.mark.filterwarnings("error")
+    @pytest.mark.filterwarnings("error::RuntimeWarning", "error::UserWarning")
     @settings(profile("parse"))
     @given(text=scene_files())
     def test_matches_the_row_parser(self, text):

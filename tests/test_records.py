@@ -167,6 +167,15 @@ def test_restored_writeable_arrays_stay_writeable():
         assert rec.ids[0] == 1
 
 
+def test_records_of_numpy_scalars_copy_and_pickle():
+    """A numpy scalar is read-only already: a record holding numpy scalars
+    copies, deep-copies and pickles to an equal record."""
+    recs = [Vec3(*np.array([1.0, 2.0, 3.0])), SceneObject(np.int64(7), V, np.float64(0.5), np.float64(0.25), "lamp")]
+    for rec in recs:
+        for restored in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+            assert restored == rec and repr(restored) == repr(rec)
+
+
 def test_cli_import_leaves_dataclasses_out():
     code = "import sys; assert 'dataclasses' not in sys.modules; import focusray.cli; print('dataclasses' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
