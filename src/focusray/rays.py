@@ -30,7 +30,7 @@ GOLDEN_ANGLE = 2.0 * math.pi * (1.0 - 2.0 / (1.0 + math.sqrt(5.0)))
 # float64 and a bool per ray and candidate of one frame (or GROUP_PAIRS), bounding its memory.
 MAX_RAYS = 65_536
 # Most ray and candidate pairs in one prefilter product over several frames: the replay's
-# 16-tick chunk at 4 x 64 rays against up to 64 candidates a tick.
+# 32-tick chunk at 4 x 64 rays against up to 32 candidates a tick; a wider chunk is split.
 GROUP_PAIRS = 262_144
 
 
@@ -131,9 +131,8 @@ def nearest_hit_indices(
     one frame's call on its own rows would give, offset by `starts[t]`.
     """
     rays = directions if directions.ndim == 2 else directions.reshape(-1, 3)
-    nearest = np.full(len(rays), -1, dtype=np.int64)
     if not len(spheres):
-        return nearest
+        return np.full(len(rays), -1, dtype=np.int64)
 
     rad = spheres[:, 3]
     # Fixed operand order (c = oc.oc - r^2, b = oc.d, disc = b*b - c), which
@@ -151,31 +150,36 @@ def nearest_hit_indices(
         ray, col = np.divmod(pairs, len(spheres))
     else:
         # the same per frame, each frame's rows padded to the widest frame's, a
-        # padding column bounded by -inf so that it keeps no pair; a pair is
-        # keyed (frame * R + ray) * width + column, and a kept column is its frame's row
-        per, width = directions.shape[1], max(b - a for a, b in zip(starts, starts[1:]))
-        cols = np.add.outer(starts[:-1], np.arange(width))
-        bounds = np.where(cols < np.array(starts[1:])[:, None], bound.take(cols, mode="clip"), -np.inf)[:, None]
-        step = max(1, GROUP_PAIRS // (per * width))
-        pairs = [(directions[g:g + step] @ oc.take(cols[g:g + step], axis=0, mode="clip").swapaxes(1, 2)
-                  <= bounds[g:g + step]).ravel().nonzero()[0] + g * per * width for g in range(0, len(directions), step)]
-        ray, col = np.divmod(np.concatenate(pairs), width)
-        col = cols[ray // per, col]
+        # padding row bounded by -inf so that it keeps no pair. The product is
+        # rows by rays, so that each compare runs over a contiguous row of a
+        # frame's rays, and a pair is keyed (frame * width + column) * R + ray.
+        # Each group pads its own frames: only the kept pairs grow with T.
+        per, first, end = directions.shape[1], np.array(starts[:-1]), np.array(starts[1:])
+        width = int((end - first).max())
+        step, pairs = max(1, GROUP_PAIRS // (per * width)), []
+        for g in range(0, len(directions), step):
+            cols = np.add.outer(first[g:g + step], np.arange(width))
+            bounds = np.where(cols < end[g:g + step, None], bound.take(cols, mode="clip"), -np.inf)[..., None]
+            keep = oc.take(cols, axis=0, mode="clip") @ directions[g:g + step].swapaxes(1, 2) <= bounds
+            pairs.append(keep.ravel().nonzero()[0] + g * width * per)
+        cell, ray = np.divmod(np.concatenate(pairs), per)
+        frame, col = np.divmod(cell, width)
+        ray += frame * per
+        col += first[frame]
     d, o = rays.take(ray, axis=0), oc.take(col, axis=0)
     b = dot_rows(o, d)
     disc = b * b - c[col]
     root = np.sqrt(np.maximum(disc, 0.0))
     # distance ahead: the near root, 0 from inside; inf on a miss or behind
     t = np.where((disc >= 0.0) & (root - b >= 0.0), np.maximum(-b - root, 0.0), np.inf)
-    # Sort-free nearest per ray: the per-ray minimum, then the first pair
-    # attaining it, which has the lowest column. `min` and `==` are exact.
-    tmin = np.full(len(nearest), np.inf)
+    # Sort-free nearest per ray: the per-ray minimum, then the lowest column
+    # among the pairs attaining it. `min` and `==` are exact.
+    tmin = np.full(len(rays), np.inf)
     np.minimum.at(tmin, ray, t)
     best = (t == tmin[ray]).nonzero()[0]
-    ray, col = ray[best], col[best]
-    hit_rays = (tmin < np.inf).nonzero()[0]
-    nearest[hit_rays] = col[ray.searchsorted(hit_rays)]
-    return nearest
+    lowest = np.full(len(rays), len(spheres))
+    np.minimum.at(lowest, ray[best], col[best])
+    return np.where(tmin < np.inf, lowest, -1)
 
 
 def rm_scores(

@@ -39,7 +39,7 @@ from .ssq import protocol_report
 # Most ticks `resample` builds: 4.4 hours at 16 ms, 133 times a 2-minute recording.
 MAX_TICKS = 1_000_000
 # Ticks the replay selects for in one `select_focus` call.
-CHUNK_TICKS = 16
+CHUNK_TICKS = 32
 # The highest score of levels 1 to 5; a higher score is level 6.
 _LEVEL_TOPS = (499, 1000, 2000, 3000, 5000)
 

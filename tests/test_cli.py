@@ -36,6 +36,20 @@ def run_files(tmp_path, scene="1 0 0 -10 1.0 1.0 orb\n", config="tick_ms = 100\n
     return paths
 
 
+# Tick positions of the replays that refuse a tick, from the chunk size: TICKS
+# ticks select in two full chunks and a short last one; FIRST lies in the
+# first chunk, MID in the middle of the second and LAST in the last. All
+# three are odd, so each can lie halfway between two rows.
+TICKS = 2 * simulate.CHUNK_TICKS + 7
+FIRST, MID, LAST = 1, simulate.CHUNK_TICKS * 3 // 2 + 1, 2 * simulate.CHUNK_TICKS + 5
+
+
+def check_chunk_positions():
+    chunk = simulate.CHUNK_TICKS
+    assert [FIRST // chunk, MID // chunk, LAST // chunk, TICKS // chunk] == [0, 1, 2, 2]
+    assert 0 < MID % chunk < chunk - 1 and TICKS % chunk and FIRST % 2 == MID % 2 == LAST % 2 == 1
+
+
 def ssq_files(tmp_path, q2="0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n", profile=None):
     zeros = "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
     if profile is None:
@@ -299,13 +313,13 @@ class TestRunCommand:
         assert f"{p['traj']}: tick at t_ms 100.0: degenerate rig" in err
 
     def test_position_too_far_in_mid_chunk_names_its_tick(self, tmp_path):
-        # 40 ticks of 100 ms: the replay selects in chunks, and tick 21 lies inside the second
-        rows = [f"{100 * i} {'1e20' if i == 21 else '0'} 0 0 0 0 -1 0 1 0 90 1 11.1\n" for i in range(40)]
-        assert 21 % simulate.CHUNK_TICKS not in (0, simulate.CHUNK_TICKS - 1)
+        # ticks of 100 ms: the replay selects in chunks, and tick MID lies inside the second
+        rows = [f"{100 * i} {'1e20' if i == MID else '0'} 0 0 0 0 -1 0 1 0 90 1 11.1\n" for i in range(TICKS)]
+        check_chunk_positions()
         p = run_files(tmp_path, traj=TRAJ.splitlines(keepends=True)[0] + "".join(rows))
         code, err = quiet_main(self.argv(p))
         assert code == EXIT_VALIDATION
-        assert err.startswith(f"focusray: {p['traj']}: tick at t_ms 2100.0: degenerate rig")
+        assert err.startswith(f"focusray: {p['traj']}: tick at t_ms {100.0 * MID!r}: degenerate rig")
         assert err.endswith(f" (ipd_m from {p['config']})\n")
         assert not os.path.exists(p["out"])
 
@@ -356,7 +370,7 @@ class TestRigRefusals:
     rig would rebuild an up off unit length is refused when it is read."""
 
     def check(self, tmp_path, traj, t_ms, message, tick_ms=100):
-        assert 39 % simulate.CHUNK_TICKS not in (0, simulate.CHUNK_TICKS - 1)  # 39 ticks end in a short chunk
+        check_chunk_positions()
         p = run_files(tmp_path, config=f"tick_ms = {tick_ms}\n", traj=traj)
         code, err = quiet_main(self.argv(p))
         assert code == EXIT_VALIDATION
@@ -368,17 +382,17 @@ class TestRigRefusals:
         return ["run", "--scene", p["scene"], "--trajectory", p["traj"], "--config", p["config"], "--out", p["out"]]
 
     def test_forward_parallel_to_up(self, tmp_path):
-        # 20 rows at 50 ms ticks: tick 2k + 1 lies halfway between rows k and k + 1, tick 1 is the earliest
-        for tick, later in ((1, 37), (21, 37), (37, None)):
+        # (TICKS + 1) / 2 rows at 50 ms ticks: tick 2k + 1 lies halfway between rows k and k + 1
+        for tick, later in ((FIRST, LAST), (MID, LAST), (LAST, None)):
             special = {(tick - 1) // 2: _TURN[0], (tick + 1) // 2: _TURN[1]}
             if later:
                 special.update({(later - 1) // 2: _TURN[0], (later + 1) // 2: _TURN[1]})
-            self.check(tmp_path, _rows(20, special), 50.0 * tick, "cannot normalize a near-zero vector", tick_ms=50)
+            self.check(tmp_path, _rows((TICKS + 1) // 2, special), 50.0 * tick, "cannot normalize a near-zero vector", tick_ms=50)
 
     def test_up_rebuilt_off_unit(self, tmp_path):
         # exit 3 at the first such row's line, with focus or without, and nothing written
-        for row, later in ((0, 20), (20, 36), (36, None)):
-            p = run_files(tmp_path, traj=_rows(39, {row: _NEAR_UP, **({later: _NEAR_UP} if later else {})}))
+        for row, later in ((0, MID), (MID, LAST), (LAST, None)):
+            p = run_files(tmp_path, traj=_rows(TICKS, {row: _NEAR_UP, **({later: _NEAR_UP} if later else {})}))
             for extra in ([], ["--no-focus"]):
                 code, err = quiet_main(self.argv(p) + extra)
                 assert code == EXIT_PARSE
@@ -387,20 +401,20 @@ class TestRigRefusals:
                 assert not os.path.exists(p["out"])
 
     def test_eyes_coincide(self, tmp_path):
-        for tick, later in ((0, 36), (20, 36), (36, None)):
+        for tick, later in ((0, LAST), (MID, LAST), (LAST, None)):
             special = {tick: _FAR, **({later: _FAR} if later else {})}
-            self.check(tmp_path, _rows(39, special), 100.0 * tick, "degenerate rig")
+            self.check(tmp_path, _rows(TICKS, special), 100.0 * tick, "degenerate rig")
 
     def test_flagged_tick_the_rig_accepts_replays(self, tmp_path):
         p = run_files(tmp_path, scene="1 0 0 -10 1.0 1.0 orb\n2 0.36 0.48 5 1 0.5\n",
-                      traj=_rows(39, {3: _FLAGGED_ONLY, 20: _FLAGGED_ONLY}))
+                      traj=_rows(TICKS, {3: _FLAGGED_ONLY, MID: _FLAGGED_ONLY}))
         ticks = simulate.resample(simulate.parse_trajectory(p["traj"]), 100.0)
-        assert np.flatnonzero(simulate.camera_rows(ticks, 0.064)[1]).tolist() == [3, 20]
+        assert np.flatnonzero(simulate.camera_rows(ticks, 0.064)[1]).tolist() == [3, MID]
         assert quiet_main(self.argv(p)) == (EXIT_OK, "")
         with open(p["out"], encoding="utf-8") as fh:
             doc = fh.read()
         assert doc == replay_by_rows(p["scene"], p["traj"], p["config"]).document
-        assert "\n300.000000,2," in doc and "\n2000.000000,2," in doc  # both flagged ticks select object 2
+        assert "\n300.000000,2," in doc and f"\n{100 * MID}.000000,2," in doc  # both flagged ticks select object 2
 
 
 def real(lo: float, hi: float):

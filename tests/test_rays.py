@@ -21,6 +21,7 @@ from focusray import (
 from focusray import rays
 from focusray.geometry import CameraRows, dot_rows, sphere_array
 from focusray.rays import GROUP_PAIRS, MAX_RAYS, nearest_hit_indices
+from focusray.simulate import CHUNK_TICKS
 from builders import FORWARD, UP, axial_cam, grazing_spheres, nearest_from, profile, rm_from
 from oracles import ray_sphere_t, rm_by_enumeration
 
@@ -475,6 +476,47 @@ def _per_frame(oc, directions, spheres, ococ, starts):
     return np.concatenate(out)
 
 
+# the six axis directions, exact unit vectors
+_AXES = np.concatenate([np.eye(3), -np.eye(3)])
+
+
+def _tied_frames(rng: np.random.Generator, t_n, k, n):
+    """Arguments of the frames form in which every frame holds exact ties,
+    and each frame's expected winner of its six axis rays.
+
+    Each frame casts the six axis rays, then a cone of k x n rays, from a
+    camera on the integer lattice. Along each axis it holds up to four
+    spheres of dyadic radii tangent to one plane across the axis at a
+    dyadic distance (four along one axis), so that the axis ray hits each
+    at exactly that distance, and a bit-identical duplicate of one of
+    them; its rows are shuffled. An axis ray's winner is the lowest of its
+    spheres' rows, -1 if the axis has none."""
+    yaw, pitch = rng.uniform(-math.pi, math.pi, t_n), rng.uniform(-1.2, 1.2, t_n)
+    fwd = np.stack([np.cos(pitch) * np.sin(yaw), np.sin(pitch), -np.cos(pitch) * np.cos(yaw)], axis=1)
+    up = np.stack([-np.sin(pitch) * np.sin(yaw), np.cos(pitch), np.sin(pitch) * np.cos(yaw)], axis=1)
+    m = rng.integers(-8, 9, (t_n, 3)).astype(np.float64)
+    cone = ray_bundle(RayConfig(k=k, n=n, half_angle=float(rng.uniform(0.05, 0.6))), CameraRows(m, fwd, up))
+    blocks, want, starts = [], [], [0]
+    for t in range(t_n):
+        counts = rng.integers(0, 5, len(_AXES))
+        counts[rng.integers(len(_AXES))] = 4
+        axis = np.repeat(np.arange(len(_AXES)), counts)
+        radius = np.concatenate([rng.choice((0.5, 1.0, 2.0, 4.0), c, replace=False) for c in counts])
+        dist = rng.choice((2.0, 4.0, 8.0), len(_AXES))[axis]
+        block = np.column_stack([m[t] + _AXES[axis] * (dist + radius)[:, None], radius])
+        twin = rng.integers(len(block))
+        order = rng.permutation(len(block) + 1)
+        block, axis = np.vstack([block, block[twin]])[order], np.append(axis, axis[twin])[order]
+        want.append([starts[-1] + int(np.flatnonzero(axis == a)[0]) if (axis == a).any() else -1
+                     for a in range(len(_AXES))])
+        blocks.append(block)
+        starts.append(starts[-1] + len(block))
+    spheres = np.concatenate(blocks)
+    oc = np.repeat(m, np.diff(starts), axis=0) - spheres[:, :3]
+    directions = np.concatenate([np.broadcast_to(_AXES, (t_n, *_AXES.shape)), cone.directions], axis=1)
+    return (oc, directions, spheres, dot_rows(oc, oc), starts), want
+
+
 class TestFramesForm:
     """`nearest_hit_indices` with (T, R, 3) directions, frames grouped into
     products of at most GROUP_PAIRS pairs of a ray and a row padded to the
@@ -500,6 +542,26 @@ class TestFramesForm:
         got = self.check((oc, directions, spheres, dot_rows(oc, oc), starts))
         assert got.tolist() == [0] * 16 + [-1] * 16 + [3] * 16
 
+    @pytest.mark.parametrize("ticks, k, n", [(CHUNK_TICKS, 2, 8), (2 * CHUNK_TICKS + 5, 4, 64)])
+    def test_ties_go_to_the_lowest_row_of_their_frame(self, ticks, k, n):
+        """A ray's pairs come frame by frame, row by row, so that they are not
+        in ray order: of the pairs at a ray's least distance the lowest row
+        wins. A chunk in one product, and one whose T * R * W exceeds
+        GROUP_PAIRS."""
+        args, want = _tied_frames(np.random.default_rng(ticks), ticks, k, n)
+        oc, directions, spheres, _, starts = args
+        width = max(np.diff(starts))
+        assert (ticks * directions.shape[1] * width > GROUP_PAIRS) == (k * n > 16)
+        for t, rows in enumerate(want):  # each axis ray hits its spheres, and only them, at one distance
+            origin = Vec3(*oc[starts[t]] + spheres[starts[t], :3])
+            for a, row in enumerate(rows):
+                hits = {j: ray_sphere_t(origin, Vec3(*_AXES[a]), Vec3(*spheres[j, :3]), spheres[j, 3])
+                        for j in range(starts[t], starts[t + 1])}
+                hits = {j: h for j, h in hits.items() if h is not None}
+                assert (row, len(set(hits.values()))) == ((min(hits), 1) if hits else (-1, 0))
+        got = self.check(args).reshape(ticks, -1)
+        assert got[:, :len(_AXES)].tolist() == want
+
     @pytest.mark.parametrize("k, n, widths", [(3, 500, [30, 0, 12, 30, 5, 30, 30]), (5, 1000, [30, 29]), (4, 1025, [70])])
     def test_chunks_beyond_one_product(self, k, n, widths):
         """k * n * T times the widest frame above GROUP_PAIRS: several products
@@ -521,10 +583,10 @@ class TestFramesForm:
         finally:
             rays.GROUP_PAIRS = saved
 
-    @pytest.mark.parametrize("k, n, widths", [(256, 256, [40, 0, 25, 40]), (4, 64, [2000, 1900, 0] + [2000] * 13)])
+    @pytest.mark.parametrize("k, n, widths", [(256, 256, [40, 0, 25, 40]), (4, 64, [2000, 1900, 0] + [2000] * (CHUNK_TICKS - 3))])
     def test_memory_of_a_chunk_is_one_frames_product(self, k, n, widths):
         """A chunk of 4 frames of MAX_RAYS rays each, and the replay's chunk of
-        16 frames of 4 x 64 rays each reaching some 2,000 rows: the traced peak
+        CHUNK_TICKS frames of 4 x 64 rays each reaching some 2,000 rows: the traced peak
         stays within 1.5 times one frame's product over the widest frame (a
         float64 and a bool per pair), so padding cannot grow it with the frame
         count."""

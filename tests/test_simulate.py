@@ -461,9 +461,9 @@ class TestReplayOracle:
         run_scenario(scene, traj, config, out, no_focus=no_focus)
         want = replay_by_rows(scene, traj, config, no_focus=no_focus)
         assert ticks == [(camera_row(tick.rig), roi_row(tick.roi), tick.winner) for tick in want.ticks]
-        # full chunks, then the rest: no lattice replay's tick count is a multiple of the chunk size
-        assert sizes[:-1] == [simulate.CHUNK_TICKS] * (len(sizes) - 1)
-        assert no_focus or 0 < sizes[-1] < simulate.CHUNK_TICKS
+        # full chunks, then a short one: no replay here spans a multiple of the chunk size
+        full, rest = divmod(len(want.ticks), simulate.CHUNK_TICKS)
+        assert no_focus or sizes == [simulate.CHUNK_TICKS] * full + [rest] and rest > 0
         assert reports == [want.report]
         assert open(out, "rb").read() == want.document.encode("utf-8")
         return scene, want.ticks
@@ -474,6 +474,7 @@ class TestReplayOracle:
         # p_rm, p_d, p_v: without rm, importance ties at lattice points
         for weights in ("0.0 0.5 0.5", "0.0 1.0 0.0", "0.5 0.3 0.2", "0.0 0.0 1.0"):
             _, trace = self.check(monkeypatch, tmp_path, _lattice_replay(rng, weights))
+            assert len(trace) > 2 * simulate.CHUNK_TICKS  # several full chunks
             for tick in trace:
                 before, after = tick.before, tick.after
                 seen["ties"] += sum(c.importance == getattr(tick.winner, "importance", None) for c in tick.candidates) > 1
