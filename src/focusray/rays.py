@@ -139,29 +139,35 @@ def nearest_hit_indices(
     # the scalar reference in tests/oracles.py mirrors.
     c = ococ - rad * rad
     # A ray hits a sphere ahead only if it holds the origin (c <= 0) or b <=
-    # -sqrt(c). The product sums b in another order; with the roundings of
-    # both tests that is a few ulps of the reach |oc| + r, far below a margin
-    # of 1e-6 of it. Within the margin of holding the origin, rounding can
-    # hit even a sphere behind it, so such a sphere keeps every ray.
-    margin = 1e-6 * (np.sqrt(ococ) + rad)
-    bound = np.where(c > margin * margin, margin - np.sqrt(np.maximum(c, 0.0)), np.inf)
+    # -sqrt(c). The product sums b in another order (in a chunk, less the
+    # bound); with the roundings of both tests that is a few ulps of the reach
+    # |oc| + r, far below a margin of 1e-6 of it. Within the margin of holding
+    # the origin, rounding can hit even a sphere behind it, so such a sphere
+    # keeps every ray: its bound, twice the reach plus 1, is above any b.
+    reach = np.sqrt(ococ) + rad
+    margin = 1e-6 * reach
+    bound = np.where(c > margin * margin, margin - np.sqrt(np.maximum(c, 0.0)), 2.0 * reach + 1.0)
     if directions.ndim == 2:
         pairs = (directions.dot(oc.T) <= bound).ravel().nonzero()[0]  # ray-major, columns ascending
         ray, col = np.divmod(pairs, len(spheres))
     else:
-        # the same per frame, each frame's rows padded to the widest frame's, a
-        # padding row bounded by -inf so that it keeps no pair. The product is
-        # rows by rays, so that each compare runs over a contiguous row of a
-        # frame's rays, and a pair is keyed (frame * width + column) * R + ray.
+        # the same per frame, each frame's rows padded to the widest frame's.
+        # The bound rides in the product as a fourth coordinate, rows (oc,
+        # bound) by rays (d, -1), so that one compare with 0 runs over the
+        # whole contiguous product; a padding row (0, 0, 0, -1) gives 1, so it
+        # keeps no pair. A pair is keyed (frame * width + column) * R + ray.
         # Each group pads its own frames: only the kept pairs grow with T.
         per, first, end = directions.shape[1], np.array(starts[:-1]), np.array(starts[1:])
         width = int((end - first).max())
         step, pairs = max(1, GROUP_PAIRS // (per * width)), []
         for g in range(0, len(directions), step):
             cols = np.add.outer(first[g:g + step], np.arange(width))
-            bounds = np.where(cols < end[g:g + step, None], bound.take(cols, mode="clip"), -np.inf)[..., None]
-            keep = oc.take(cols, axis=0, mode="clip") @ directions[g:g + step].swapaxes(1, 2) <= bounds
-            pairs.append(keep.ravel().nonzero()[0] + g * width * per)
+            block = np.empty((*cols.shape, 4))
+            block[..., :3], block[..., 3] = oc.take(cols, axis=0, mode="clip"), bound.take(cols, mode="clip")
+            block[cols >= end[g:g + step, None]] = (0.0, 0.0, 0.0, -1.0)
+            across = np.empty((len(cols), 4, per))
+            across[:, :3], across[:, 3] = directions[g:g + step].swapaxes(1, 2), -1.0
+            pairs.append((block @ across <= 0.0).ravel().nonzero()[0] + g * width * per)
         cell, ray = np.divmod(np.concatenate(pairs), per)
         frame, col = np.divmod(cell, width)
         ray += frame * per
