@@ -387,7 +387,8 @@ class TestRigRefusals:
             special = {(tick - 1) // 2: _TURN[0], (tick + 1) // 2: _TURN[1]}
             if later:
                 special.update({(later - 1) // 2: _TURN[0], (later + 1) // 2: _TURN[1]})
-            self.check(tmp_path, _rows((TICKS + 1) // 2, special), 50.0 * tick, "cannot normalize a near-zero vector", tick_ms=50)
+            self.check(tmp_path, _rows((TICKS + 1) // 2, special), 50.0 * tick, "cannot normalize a near-zero vector",
+                       tick_ms=50)
 
     def test_up_rebuilt_off_unit(self, tmp_path):
         # exit 3 at the first such row's line, with focus or without, and nothing written

@@ -583,13 +583,14 @@ class TestFramesForm:
         finally:
             rays.GROUP_PAIRS = saved
 
-    @pytest.mark.parametrize("k, n, widths", [(256, 256, [40, 0, 25, 40]), (4, 64, [2000, 1900, 0] + [2000] * (CHUNK_TICKS - 3))])
+    @pytest.mark.parametrize("k, n, widths", [(256, 256, [40, 0, 25, 40]),
+                                              (4, 64, [2000, 1900, 0] + [2000] * (CHUNK_TICKS - 3))])
     def test_memory_of_a_chunk_is_one_frames_product(self, k, n, widths):
         """A chunk of 4 frames of MAX_RAYS rays each, and the replay's chunk of
-        CHUNK_TICKS frames of 4 x 64 rays each reaching some 2,000 rows: the traced peak
-        stays within 1.5 times one frame's product over the widest frame (a
-        float64 and a bool per pair), so padding cannot grow it with the frame
-        count."""
+        CHUNK_TICKS frames of 4 x 64 rays each reaching some 2,000 rows: the
+        traced peak stays within 1.5 times one frame's product over the
+        widest frame (a float64 and a bool per pair), so padding cannot grow
+        it with the frame count."""
         args = _frames(np.random.default_rng(11), widths, k=k, n=n, ahead=0.1, size=(0.01, 0.05))
         nearest_hit_indices(*args)
         tracemalloc.start()
