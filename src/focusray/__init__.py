@@ -29,6 +29,7 @@ from .dynamics import (
     advance,
     apply_selection,
     blur_amount,
+    scan_focus,
     step,
 )
 from .errors import FocusrayError, GeometryError, OutputError, ParseError, ValidationError

@@ -19,7 +19,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .attention import FocusCandidate
 from .comfort import MIN_SAMPLES, ComfortReport, ComfortRule, Trajectory, TrajectorySample, invalid_sample_rows
 from .config import CONFIG_FIELD_NAMES, INT_FIELDS, SimConfig
 from .errors import GeometryError, OutputError, ParseError, ValidationError
@@ -286,21 +285,30 @@ def render_config_section(cfg: SimConfig) -> list[str]:
     return lines
 
 
-def render_timeline_section(
-    t_ms: np.ndarray, focus: Sequence[tuple[FocusCandidate | None, float, bool]] | None = None
-) -> list[str]:
-    """One row per tick time. `focus` holds each tick's winner, focal
-    distance and transition flag; without it every focus cell is empty."""
+def render_timeline_section(t_ms: np.ndarray, focus: Sequence[Sequence] | None = None) -> list[str]:
+    """One row per tick time. `focus` holds seven columns with an entry per
+    tick: the winner's object id (None where no object won), its importance,
+    rm, d and v (not read where there is no winner), the focal distance and
+    the transition flag. Without it every focus cell is empty. A column of
+    another length raises `ValidationError`.
+
+    Each row is one `%` template. Reals render as `format_real` does: adding
+    0.0 turns -0.0 into 0.0 and leaves every other float as it is."""
     lines = ["[TIMELINE]", TIMELINE_HEADER]
+    times = (np.asarray(t_ms, np.float64) + 0.0).tolist()
     if focus is None:
-        empty = "," * TIMELINE_HEADER.count(",")
-        return lines + [t + empty for t in map(format_real, t_ms.tolist())]
-    for t, (winner, focal, moving) in zip(t_ms.tolist(), focus):
-        if winner is None:
-            scores = ("",) * 5
+        return lines + ["%.6f,,,,,,," % t for t in times]
+    lengths = [len(c) for c in focus]
+    if lengths != [len(times)] * 7:
+        raise ValidationError(f"the timeline has {len(times)} tick times but focus columns of {lengths} rows")
+    ids, *reals, moving = focus
+    reals = [(np.asarray(c, np.float64) + 0.0).tolist() for c in reals]
+    for t, oid, imp, rm, d, v, focal, m in zip(times, ids, *reals, moving):
+        flag = "true" if m else "false"
+        if oid is None:
+            lines.append("%.6f,,,,,,%.6f,%s" % (t, focal, flag))
         else:
-            scores = (str(winner.object_id), *map(format_real, (winner.importance, winner.rm, winner.d, winner.v)))
-        lines.append(",".join((format_real(t), *scores, format_real(focal), "true" if moving else "false")))
+            lines.append("%.6f,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%s" % (t, oid, imp, rm, d, v, focal, flag))
     return lines
 
 

@@ -15,9 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .attention import FocusCandidate, select_focus
+from .attention import select_focus
 from .comfort import Trajectory, TrajectorySample, analyze_trajectory
-from .dynamics import FocusSelection, FocusState, advance, apply_selection
+# `apply_selection` is not called here: `perfbench/spans.py` wraps this binding for its
+# `dynamics.apply_selection` span, and a binding it cannot find fails the traced benchmark run
+from .dynamics import apply_selection, scan_focus  # noqa: F401
 from .errors import GeometryError, ValidationError
 from .geometry import (ORTHO_TOL, CameraRows, RoiRows, StereoRig, Vec3, dot_rows, norm_rows, view_frame,
                        view_frame_rows)
@@ -186,7 +188,7 @@ def run_scenario(
     except ValidationError as e:  # the recording, or its span, at the config's tick_ms
         raise ValidationError(f"{trajectory_path}: {e} (tick_ms from {config_path})") from None
     # without focus the timeline is the tick times alone, and no rig is built
-    focus: list[tuple[FocusCandidate | None, float, bool]] = []
+    focus = None
     if not no_focus:
         cams, flagged = camera_rows(ticks, cfg.ipd_m)
         for i in np.flatnonzero(flagged).tolist():  # the first tick whose rig is refused raises
@@ -200,24 +202,28 @@ def run_scenario(
         per_tick = np.repeat([[math.sin(roi_half)], [math.cos(roi_half)], [cfg.roi_z_far_m]], len(ticks), axis=1)
         rois = RoiRows(cams.m, cams.forward, *per_tick)
 
-        winners: list[FocusCandidate | None] = []
+        # each tick's winner as columns: its id (None where no object won), then the distance from the
+        # tick's camera to its center, as `Vec3.distance_to` computes it, and its importance, rm, d and v
+        held, won_ids, scores = [], [], []
         for a in range(0, len(ticks), CHUNK_TICKS):
             chunk = slice(a, a + CHUNK_TICKS)
             win, candidates = select_focus(scene, CameraRows(*(c[chunk] for c in cams)),
                                            RoiRows(*(c[chunk] for c in rois)), ray_cfg, weights)
-            winners += [candidates[w] if w >= 0 else None for w in win.tolist()]
-
-        # each winner's distance from its tick's camera, as `Vec3.distance_to` computes it
-        center_of = dict(zip(scene.ids.tolist(), scene.spheres[:, :3].tolist()))
-        won = [i for i, w in enumerate(winners) if w is not None]
-        centers = np.array([center_of[winners[i].object_id] for i in won], np.float64).reshape(-1, 3)
-        distances = iter(norm_rows(centers - cams.m[won]).tolist())
-        state = FocusState.initial()
-        for winner in winners:
-            selection = None if winner is None else FocusSelection(winner.object_id, next(distances))
-            applied = apply_selection(state, selection, dyn_cfg)
-            focus.append((winner, applied.focal_distance, applied.transition is not None))
-            state = advance(applied, selection is not None, cfg.tick_ms, dyn_cfg)
+            held.append(win >= 0)
+            w = win[held[-1]]
+            won_ids.append(candidates.ids[w])
+            scores.append([candidates.importance[w], candidates.rm[w], candidates.d[w], candidates.v[w]])
+        held, won_ids = np.concatenate(held), np.concatenate(won_ids)
+        by_id = scene.ids.argsort()
+        centers = scene.spheres[by_id[scene.ids[by_id].searchsorted(won_ids)], :3]
+        columns = np.zeros((5, len(ticks)))
+        columns[0, held] = norm_rows(centers - cams.m[held])
+        columns[1:, held] = np.concatenate(scores, axis=1)
+        ids = np.full(len(ticks), None, object)
+        ids[held] = won_ids
+        ids = ids.tolist()
+        focal, moving, _ = scan_focus(ids, columns[0].tolist(), cfg.tick_ms, dyn_cfg)
+        focus = (ids, *columns[1:], focal, moving)
 
     try:
         report = analyze_trajectory(traj, cfg=cfg.comfort_config())
@@ -226,7 +232,7 @@ def run_scenario(
     doc = render_document(
         (
             render_config_section(cfg),
-            render_timeline_section(ticks.t_ms, None if no_focus else focus),
+            render_timeline_section(ticks.t_ms, focus),
             render_comfort_section(report),
         )
     )

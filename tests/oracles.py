@@ -787,9 +787,17 @@ def replay_by_rows(scene_path: str, trajectory_path: str, config_path: str, no_f
         state = after
 
     report = analyze_by_rows(traj, cfg=cfg.comfort_config())
+    # the renderer's columns: each tick's winner id (None for none), its scores, the focal distance and flag
+    winners = [winner for winner, _, _ in focus]
+    columns = (
+        [None if w is None else w.object_id for w in winners],
+        *([0.0 if w is None else getattr(w, name) for w in winners] for name in ("importance", "rm", "d", "v")),
+        [focal for _, focal, _ in focus],
+        [moving for _, _, moving in focus],
+    )
     doc = render_document((
         render_config_section(cfg),
-        render_timeline_section(np.array([s.t_ms for s in ticks]), None if no_focus else focus),
+        render_timeline_section(np.array([s.t_ms for s in ticks]), None if no_focus else columns),
         render_comfort_section(report),
     ))
     return Replay(doc, report, trace)

@@ -14,7 +14,7 @@ PUBLIC = (
     "level_for_score", "parse_config", "parse_profile", "parse_scene", "parse_ssq_response", "parse_trajectory",
     "prepare_scene", "protocol_report", "ray_bundle", "render_comfort_section", "render_config_section",
     "render_document", "render_ssq_section", "render_timeline_section", "resample", "rig_from_pose", "roi_mask",
-    "run_scenario", "score_questionnaire", "score_ssq_files", "select_focus", "step", "write_document",
+    "run_scenario", "scan_focus", "score_questionnaire", "score_ssq_files", "select_focus", "step", "write_document",
 )
 
 

@@ -13,10 +13,12 @@ from focusray import (
     Transition,
     ValidationError,
     advance,
+    apply_selection,
     blur_amount,
+    scan_focus,
     step,
 )
-from focusray.dynamics import apply_selection
+from builders import profile
 
 CFG = DynamicsConfig()  # 500 ms refocus, 300 ms hold
 BLUR = BlurConfig()  # 0.5 per meter, cap 1.0
@@ -299,3 +301,79 @@ class TestTransitionValidation:
     def test_duration_must_be_positive(self):
         with pytest.raises(ValidationError):
             Transition(from_distance=0.0, to_distance=1.0, elapsed_ms=0.0, duration_ms=0.0)
+
+
+class TestScanAgainstStep:
+    """`scan_focus` against `step`, tick by tick, from `FocusState.initial()`:
+    the focal distance each tick starts at, the transition flag after the
+    selection, and each event checked against the states before and after
+    the tick. The sequences hold the same target at a changed distance,
+    distances equal to the focal distance or to the transition's
+    destination, gaps that end one tick before, at and after the hold
+    window (its length a whole number of ticks, so the persistence clock
+    reaches it exactly) and retargets mid-transition. The example count
+    comes from the `dynamics-scan` profile; CI runs `dynamics-scan-long`."""
+
+    @given(data=st.data())
+    @settings(profile("dynamics-scan"))
+    def test_scan_matches_step(self, data):
+        dt = data.draw(st.sampled_from([1.0, 12.5, 16.0, 50.0, 100.0]), label="dt_ms")
+        hold_ticks = data.draw(st.integers(0, 6), label="hold in ticks")
+        refocus = data.draw(st.one_of(st.integers(1, 8).map(lambda k: k * dt), st.floats(1e-3, 1e3)), label="refocus_ms")
+        cfg = DynamicsConfig(refocus_ms=refocus, persistence_hold_ms=hold_ticks * dt)
+        ids, dists, states = [], [], [FocusState.initial()]
+        for _ in range(data.draw(st.integers(1, 25), label="runs")):
+            state = states[-1]
+            kind = data.draw(st.sampled_from(["gap", "focal", "destination", "moved", "other"]))
+            if kind == "gap":
+                run = [(None, 0.0)] * data.draw(st.sampled_from([max(hold_ticks - 1, 1), max(hold_ticks, 1), hold_ticks + 1]))
+            else:
+                heading = state.transition.to_distance if state.transition else state.focal_distance
+                oid = data.draw(st.integers(1, 3)) if kind == "other" or state.current_target is None else state.current_target
+                dist = {"focal": state.focal_distance, "destination": heading}.get(kind)
+                dist = data.draw(distances) if dist is None else dist
+                run = [(oid, dist)] * data.draw(st.integers(1, 3))
+            for oid, dist in run:
+                ids.append(oid)
+                dists.append(dist)
+                states.append(step(states[-1], None if oid is None else FocusSelection(oid, dist), dt, cfg))
+
+        focal, moving, events = scan_focus(ids, dists, dt, cfg)
+        assert len(focal) == len(moving) == len(events) == len(ids)
+        for i, (oid, dist) in enumerate(zip(ids, dists)):
+            before, after = states[i], states[i + 1]
+            applied = apply_selection(before, None if oid is None else FocusSelection(oid, dist), cfg)
+            assert focal[i] == before.focal_distance == applied.focal_distance
+            assert moving[i] == (applied.transition is not None)
+            if oid is None:
+                assert events[i] == ("none" if before.current_target is None else
+                                     "hold" if after.current_target is not None else "expiry")
+                assert after.focal_distance == before.focal_distance
+                continue
+            heading = before.transition.to_distance if before.transition else before.focal_distance
+            assert events[i] == ("retarget" if oid != before.current_target or dist != heading else "refresh")
+            assert after.current_target == oid and after.persistence_elapsed_ms == 0.0
+            if events[i] == "refresh" and before.transition is not None and after.transition is not None:
+                assert after.transition.from_distance == before.transition.from_distance  # the same transition goes on
+                assert after.transition.elapsed_ms == before.transition.elapsed_ms + dt
+
+    def test_events_of_a_short_run(self):
+        cfg = DynamicsConfig(refocus_ms=32.0, persistence_hold_ms=32.0)
+        ids = [None, 7, 7, 7, 7, None, None, None, 7, 8]
+        dists = [0.0, 4.0, 4.0, 5.0, 5.0, 0.0, 0.0, 0.0, 5.0, 5.0]
+        focal, moving, events = scan_focus(ids, dists, 16.0, cfg)
+        assert events == ["none", "retarget", "refresh", "retarget", "refresh", "hold", "expiry", "none", "retarget",
+                          "retarget"]
+        assert focal == [0.0, 0.0, 2.0, 4.0, 4.5, 5.0, 5.0, 5.0, 5.0, 5.0]
+        assert moving == [False, True, True, True, True, False, False, False, False, False]
+
+    def test_checks_dt_once_and_distances_as_a_column(self):
+        for dt in (0.0, -5.0, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="^dt_ms must be positive"):
+                scan_focus([], [], dt, CFG)
+        for bad in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError) as refused:
+                FocusSelection(object_id=2, distance=bad)
+            with pytest.raises(ValidationError, match=f"^{re.escape(str(refused.value))}$"):
+                scan_focus([1, None, 2, 3], [4.0, 0.0, bad, -2.0], 16.0, CFG)
+        assert scan_focus([None, 1], [math.nan, 3.0], 16.0, CFG)[2] == ["none", "retarget"]  # a gap's distance is not read

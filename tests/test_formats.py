@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import focusray
 from focusray import (
     ComfortFinding,
-    FocusCandidate,
     ComfortReport,
     ComfortRule,
     ParseError,
@@ -526,6 +525,29 @@ class TestFormatReal:
         assert format_real(12.0934, 2) == "12.09"
 
 
+_REALS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1e-7, -1e-7, 5e-7, -5e-7, 1e300, -1e300, 2.0**63]))
+
+
+class TestTimelineTemplate:
+    """The timeline's row templates against `format_real`, cell by cell, on
+    drawn floats: -0.0 renders as 0.0, -1e-7 as -0.000000, and large values
+    with every digit."""
+
+    @given(rows=st.lists(st.tuples(_REALS, st.one_of(st.none(), st.integers(-(2**63), 2**63 - 1)),
+                                   st.lists(_REALS, min_size=4, max_size=4), _REALS, st.booleans()), max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_format_real(self, rows):
+        t_ms = np.array([t for t, *_ in rows], np.float64)
+        columns = [list(c) for c in zip(*rows)] or [[]] * 5
+        focus = (columns[1], *([scores[k] for scores in columns[2]] for k in range(4)), columns[3], columns[4])
+        want = []
+        for t, oid, scores, focal, moving in rows:
+            cells = ("",) * 5 if oid is None else (str(oid), *map(format_real, scores))
+            want.append(",".join((format_real(t), *cells, format_real(focal), "true" if moving else "false")))
+        assert render_timeline_section(t_ms, focus)[2:] == want
+        assert render_timeline_section(t_ms)[2:] == [format_real(t) + ",,,,,,," for t, *_ in rows]
+
+
 class TestRendering:
     def test_config_section_field_order_and_types(self):
         lines = render_config_section(SimConfig())
@@ -538,8 +560,9 @@ class TestRendering:
         assert len(lines) == 1 + len(SimConfig.__match_args__)
 
     def test_timeline_rows(self):
-        winner = FocusCandidate(object_id=2, rm=0.770833, d=0.879066, v=1.0, importance=0.849137)
-        lines = render_timeline_section(np.array([50.0, 100.0]), [(winner, 1.209339, True), (None, 2.5, False)])
+        # the columns: winner id, importance, rm, d, v, focal distance, in transition
+        focus = [2, None], [0.849137, 0.0], [0.770833, 0.0], [0.879066, 0.0], [1.0, 0.0], [1.209339, 2.5], [True, False]
+        lines = render_timeline_section(np.array([50.0, 100.0]), focus)
         assert lines[0] == "[TIMELINE]"
         assert lines[1] == "t_ms,selected_object_id,importance,rm,d,v,focal_distance_m,in_transition"
         assert lines[2] == "50.000000,2,0.849137,0.770833,0.879066,1.000000,1.209339,true"
@@ -550,6 +573,13 @@ class TestRendering:
         assert render_timeline_section(t_ms)[2:] == [
             "0.000000,,,,,,,", "16.000000,,,,,,,", "0.000000,,,,,,,", "0.000000,,,,,,,", "123456.789000,,,,,,,",
         ]
+
+    def test_timeline_refuses_columns_of_another_length(self):
+        with pytest.raises(ValidationError, match=r"^the timeline has 3 tick times but focus columns of \[1, 1, 1, 1, 1, 1, 1\] rows$"):
+            render_timeline_section(np.array([0.0, 16.0, 32.0]), ([None], [0.0], [0.0], [0.0], [0.0], [1.0], [False]))
+        with pytest.raises(ValidationError, match="2 tick times"):  # one column short, or one of them
+            render_timeline_section(np.array([0.0, 16.0]), ([7, 8], [0.5, 0.5], [0.1, 0.1], [0.2], [0.3, 0.3], [1.0, 1.0],
+                                                            [False, True]))
 
     def test_comfort_section_empty_report(self):
         report = ComfortReport(findings=(), counts={r: 0 for r in ComfortRule}, duration_ms=2000.0)

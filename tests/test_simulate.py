@@ -11,6 +11,7 @@ from focusray import (
     Vec3,
     level_for_score,
     parse_scene,
+    parse_trajectory,
     resample,
     rig_from_pose,
     run_scenario,
@@ -489,6 +490,19 @@ class TestReplayOracle:
         prepared = parse_scene(scene)
         assert all(culled(prepared, tick.roi)[1] < len(prepared) / 2 for tick in trace)
         assert sum(tick.winner is not None for tick in trace) >= len(trace) // 2
+
+    def test_negative_zeros_render_as_zero(self, monkeypatch, tmp_path):
+        # the recording starts at t_ms -0 and the only object's value is -0, so the first
+        # tick's time and every winner's v are -0.0, which the report writes as 0.000000
+        traj = STATIONARY_TRAJ.replace("\n0 0 0 0", "\n-0 0 0 0", 1)
+        texts = "1 0 0 -5 1 -0 lamp\n", traj, "tick_ms = 100\np_rm = 0.5\np_d = 0.5\np_v = 0.0\n"
+        _, trace = self.check(monkeypatch, tmp_path, texts)
+        first_tick = resample(parse_trajectory(str(tmp_path / "traj.txt")), 100.0).t_ms[0]
+        assert math.copysign(1.0, first_tick) == -1.0
+        assert all(tick.winner is not None and math.copysign(1.0, tick.winner.v) == -1.0 for tick in trace)
+        rows = timeline_rows(open(tmp_path / "out.txt", encoding="utf-8").read())
+        assert rows[0][0] == "0.000000" and {row[5] for row in rows} == {"0.000000"}
+        self.check(monkeypatch, tmp_path, texts, no_focus=True)
 
     def test_no_focus_replay(self, monkeypatch, tmp_path):
         _, trace = self.check(monkeypatch, tmp_path, _lattice_replay(random.Random(7)), no_focus=True)
