@@ -106,7 +106,7 @@ def select_focus(
     if not cols.size:
         scored = ids, *[np.empty(0)] * 4
     else:
-        spheres = prepared.spheres[cols]
+        spheres = prepared.spheres[cols]  # `take` would copy the whole column-major table first
         counts = None if one else np.diff(starts)
         # with the apex at the mid camera, the cull's vectors negated are camera
         # minus center up to the sign of a zero, with the same squared lengths
@@ -127,7 +127,8 @@ def select_focus(
             reach = cone_distance(dot_rows(oc, back), ococ, math.sin(h), math.cos(h))
             sub = (reach <= rad + 1e-6 * (dist + rad)).nonzero()[0]  # in id order
             rms = np.zeros(len(cols))
-            rms[sub] = rm_scores(oc[sub], bundle, spheres[sub], ococ[sub], sub.searchsorted(starts).tolist())
+            rms[sub] = rm_scores(oc.take(sub, axis=0), bundle, spheres.take(sub, axis=0), ococ[sub],
+                                 sub.searchsorted(starts).tolist())
 
         # d: 1 at the camera, falling linearly to 0 at the ROI's far limit
         v = prepared.values[cols]

@@ -250,12 +250,17 @@ def cone_mask(roi: Roi | RoiRows, spheres: np.ndarray) -> tuple[np.ndarray, np.n
     if isinstance(roi, Roi):
         apex, axis = (roi.apex.x, roi.apex.y, roi.apex.z), (roi.axis.x, roi.axis.y, roi.axis.z)
         sin_t, cos_t, z_far = math.sin(roi.half_angle), math.cos(roi.half_angle), roi.z_far
-    else:  # a leading axis of ROIs, broadcast over the rows of `spheres`
+        rel = spheres[:, :3] - apex
+        z = dot_rows(rel, axis)
+    else:  # a leading axis of ROIs, broadcast over the rows of `spheres` one coordinate at a time, which
+        # runs twice as fast as a (T, 1, 3) operand over (N, 3); z takes `dot_rows`'s products and sums
         apex, axis, sin_t, cos_t, z_far = (a[:, None] for a in roi)
+        rel = np.empty((len(apex), len(spheres), 3))
+        for k in range(3):
+            np.subtract(spheres[:, k], apex[..., k], out=rel[..., k])
+        z = rel[..., 0] * axis[..., 0] + rel[..., 1] * axis[..., 1] + rel[..., 2] * axis[..., 2]
     rad = spheres[:, 3]
-    rel = spheres[:, :3] - apex
     rr = dot_rows(rel, rel)
-    z = dot_rows(rel, axis)
     return (cone_distance(z, rr, sin_t, cos_t) <= rad) & (z - rad <= z_far), rel, rr
 
 
@@ -354,7 +359,7 @@ class PreparedScene(Record, Sequence[SceneObject]):
             keep, rel, rr = cone_mask(roi, self.spheres[first:last])
             kept = keep.nonzero()[0]
             kept = kept[self.ids[first:last][kept].argsort()]  # into id order
-            return first + kept, rel[kept], rr[kept], [0, len(kept)]
+            return first + kept, rel.take(kept, axis=0), rr[kept], [0, len(kept)]
         # the same boxes, one per ROI; fmin and fmax pass over a NaN, as min and max do a second operand
         near, ax = roi.apex[:, e], roi.axis
         with np.errstate(all="ignore"):
@@ -370,7 +375,7 @@ class PreparedScene(Record, Sequence[SceneObject]):
         keep, rel, rr = cone_mask(roi, self.spheres[first:last].take(order, axis=0))
         kept = keep.ravel().nonzero()[0]
         starts = kept.searchsorted(np.arange(len(near) + 1) * len(order)).tolist()
-        return first + order[kept % len(order)], rel.reshape(-1, 3)[kept], rr.ravel()[kept], starts
+        return first + order[kept % len(order)], rel.reshape(-1, 3).take(kept, axis=0), rr.ravel().take(kept), starts
 
 
 def prepare_scene(objects: Iterable[SceneObject]) -> PreparedScene:

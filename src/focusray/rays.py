@@ -149,7 +149,8 @@ def nearest_hit_indices(
     bound = np.where(c > margin * margin, margin - np.sqrt(np.maximum(c, 0.0)), 2.0 * reach + 1.0)
     if directions.ndim == 2:
         pairs = (directions.dot(oc.T) <= bound).ravel().nonzero()[0]  # ray-major, columns ascending
-        ray, col = np.divmod(pairs, len(spheres))
+        ray = pairs // len(spheres)  # `//` by a scalar runs several times faster than `%` or `divmod`
+        col = pairs - ray * len(spheres)
     else:
         # the same per frame, each frame's rows padded to the widest frame's.
         # The bound rides in the product as a fourth coordinate, rows (oc,
@@ -168,10 +169,11 @@ def nearest_hit_indices(
             across = np.empty((len(cols), 4, per))
             across[:, :3], across[:, 3] = directions[g:g + step].swapaxes(1, 2), -1.0
             pairs.append((block @ across <= 0.0).ravel().nonzero()[0] + g * width * per)
-        cell, ray = np.divmod(np.concatenate(pairs), per)
-        frame, col = np.divmod(cell, width)
-        ray += frame * per
-        col += first[frame]
+        key = np.concatenate(pairs)
+        cell = key // per
+        frame = cell // width
+        ray = key - (cell - frame) * per
+        col = cell - frame * width + first[frame]
     d, o = rays.take(ray, axis=0), oc.take(col, axis=0)
     b = dot_rows(o, d)
     disc = b * b - c[col]
