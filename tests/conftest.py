@@ -22,7 +22,6 @@ settings.register_profile("kernel-long", max_examples=300, deadline=None, phases
 # TestSceneParseFuzz); CI runs the longer one in a step of its own for each
 settings.register_profile("parse", max_examples=300, deadline=None)
 settings.register_profile("parse-long", max_examples=3000, deadline=None, phases=_NO_SHRINK)
-
 # Example counts of the dynamics scan against `step` (tests/test_dynamics.py's
 # TestScanAgainstStep); CI runs the longer one in a step of its own
 settings.register_profile("dynamics-scan", max_examples=200, deadline=None)
