@@ -103,11 +103,12 @@ class FocusState(Record):
 
 
 def _select(target, focal, tr, object_id, distance, refocus_ms):
-    """The retarget-or-refresh rule: whether a selection of `object_id` at
-    `distance` retargets, and the transition after it."""
-    if object_id != target or distance != (focal if tr is None else tr[1]):
-        return True, None if distance == focal else (focal, distance, 0.0, refocus_ms)
-    return False, tr
+    """The selection rule: what a selection of `object_id` at `distance`
+    does (`retarget`, `track` or `refresh`), and the transition after it."""
+    if object_id == target and distance == (focal if tr is None else tr[1]):
+        return "refresh", tr
+    event = "track" if object_id == target else "retarget"
+    return event, None if distance == focal else (focal, distance, 0.0, refocus_ms)
 
 
 def _elapse(target, focal, tr, held_ms, selected, dt_ms, hold_ms):
@@ -145,13 +146,13 @@ def _check_dt(dt_ms: float) -> None:
 
 
 def apply_selection(state: FocusState, selection: FocusSelection | None, cfg: DynamicsConfig) -> FocusState:
-    """Target bookkeeping half of step(): retarget or refresh, no time passing.
+    """Target bookkeeping half of step(): retarget, track or refresh, no time passing.
 
     A selection of a new target begins a transition from the instantaneous
     focal distance (so retargeting mid-flight restarts without a jump). The
-    same target at a changed distance retargets too; at an unchanged distance
-    it only refreshes the persistence clock. No selection leaves the state
-    untouched here; gap handling lives in advance().
+    same target at a changed distance starts one too (it tracks the target);
+    at an unchanged distance it only refreshes the persistence clock. No
+    selection leaves the state untouched here; gap handling lives in advance().
     """
     if selection is None:
         return state
@@ -200,9 +201,10 @@ def scan_focus(
     Per tick it returns the focal distance the tick starts at (which
     `apply_selection` leaves as it is), whether a transition is in flight
     after the selection, and what the tick did:
-    - `retarget`: a selection of another target, or of the same one at a
-      distance other than where focus is heading; a transition starts unless
-      focus is already there;
+    - `retarget`: a selection of another target; a transition to its
+      distance starts unless focus is already there;
+    - `track`: the same target at a distance other than where focus is
+      heading; a transition starts as for a retarget;
     - `refresh`: the same target at that distance; the persistence clock restarts;
     - `hold`: no selection, and the target is held through the persistence window;
     - `expiry`: no selection, and the window ends: the target and any
@@ -211,8 +213,11 @@ def scan_focus(
 
     `dt_ms` is checked once, and the distances of the selected ticks as one
     column, with `FocusSelection`'s message for the first refused one.
+    Columns of different lengths raise `ValidationError` naming both.
     """
     _check_dt(dt_ms)
+    if len(ids) != len(distances):
+        raise ValidationError(f"the scan has {len(ids)} ids but {len(distances)} distances")
     # the first selected distance that is not finite and >= 0, if any
     bad = next((d for i, d in zip(ids, distances) if i is not None and not 0.0 <= d < math.inf), 0.0)
     _require_non_negative("distance", float(bad))
@@ -221,18 +226,17 @@ def scan_focus(
     focals: list[float] = []
     moving: list[bool] = []
     events: list[str] = []
-    for object_id, distance in zip(ids, distances, strict=True):
+    for object_id, distance in zip(ids, distances):
         before = target
         if object_id is not None:
-            retarget, tr = _select(target, focal, tr, object_id, distance, refocus_ms)
+            event, tr = _select(target, focal, tr, object_id, distance, refocus_ms)
             target, held = object_id, 0.0
         focals.append(focal)
         moving.append(tr is not None)
         target, focal, tr, held = _elapse(target, focal, tr, held, object_id is not None, dt_ms, hold_ms)
-        if object_id is not None:
-            events.append("retarget" if retarget else "refresh")
-        else:
-            events.append("none" if before is None else "hold" if target is not None else "expiry")
+        if object_id is None:
+            event = "none" if before is None else "hold" if target is not None else "expiry"
+        events.append(event)
     return focals, moving, events
 
 

@@ -77,13 +77,17 @@ def layer_weight(i: int, k: int) -> float:
 @lru_cache(maxsize=16)
 def _cone_trig(config: RayConfig) -> tuple[np.ndarray, ...]:
     """Layers, weights, and cos/sin of each ray's polar angle and azimuth as
-    (1, R) rows: everything of the cone that does not depend on the camera."""
+    (1, R) rows: everything of the cone that does not depend on the camera.
+    The cosines and sines are scalar `math` mapped over the angles, as
+    NumPy's may differ from them in the last bit."""
     k, n = config.k, config.n
     layers = np.repeat(np.arange(1, k + 1), n)
     theta = config.half_angle * layers / k
     phi = np.arange(k * n, dtype=np.float64) * GOLDEN_ANGLE
     weights = np.repeat([layer_weight(i, k) for i in range(1, k + 1)], n) / n
-    arrays = (layers, weights, np.cos(theta)[None], np.sin(theta)[None], np.cos(phi)[None], np.sin(phi)[None])
+    trig = (np.fromiter(map(fn, x.tolist()), np.float64, k * n)[None]
+            for x in (theta, phi) for fn in (math.cos, math.sin))
+    arrays = (layers, weights, *trig)
     for arr in arrays:
         arr.flags.writeable = False
     return arrays

@@ -1,10 +1,11 @@
 """Deterministic scenario replay: the tick loop behind the CLI.
 
 A recorded trajectory is resampled onto a fixed tick grid (linear position,
-spherical orientation interpolation). Each tick derives the stereo rig from
-the head pose, runs focus selection, and feeds the result to the focus
-dynamics; the comfort rules then run over the original recording. The
-output document is byte-identical across runs for identical inputs.
+spherical orientation interpolation). `replay_focus` derives each tick's
+stereo rig from the head pose, runs focus selection and feeds the winners
+to the focus dynamics, returning the run as columns; the comfort rules then
+run over the original recording. The output document is byte-identical
+across runs for identical inputs.
 """
 
 from __future__ import annotations
@@ -17,25 +18,16 @@ import numpy as np
 
 from .attention import select_focus
 from .comfort import Trajectory, TrajectorySample, analyze_trajectory
+from .config import SimConfig
 # `apply_selection` is not called here: `perfbench/spans.py` wraps this binding for its
 # `dynamics.apply_selection` span, and a binding it cannot find fails the traced benchmark run
 from .dynamics import apply_selection, scan_focus  # noqa: F401
 from .errors import GeometryError, ValidationError
-from .geometry import (ORTHO_TOL, CameraRows, RoiRows, StereoRig, Vec3, dot_rows, norm_rows, view_frame,
-                       view_frame_rows)
-from .io_formats import (
-    parse_config,
-    parse_profile,
-    parse_scene,
-    parse_ssq_response,
-    parse_trajectory,
-    render_comfort_section,
-    render_config_section,
-    render_document,
-    render_ssq_section,
-    render_timeline_section,
-    write_document,
-)
+from .geometry import (ORTHO_TOL, CameraRows, PreparedScene, RoiRows, StereoRig, Vec3, dot_rows, norm_rows,
+                       view_frame, view_frame_rows)
+from .io_formats import (parse_config, parse_profile, parse_scene, parse_ssq_response, parse_trajectory,
+                         render_comfort_section, render_config_section, render_document, render_ssq_section,
+                         render_timeline_section, write_document)
 from .ssq import protocol_report
 
 # Most ticks `resample` builds: 4.4 hours at 16 ms, 133 times a 2-minute recording.
@@ -161,14 +153,55 @@ def camera_rows(ticks: Trajectory, ipd_m: float) -> tuple[CameraRows, np.ndarray
     return CameraRows((ol + or_) / 2.0, f, up), flagged
 
 
-def run_scenario(
-    scene_path: str,
-    trajectory_path: str,
-    config_path: str,
-    out_path: str,
-    no_focus: bool = False,
-) -> None:
-    """Replay a recorded scenario and write the timeline + comfort document.
+def replay_focus(scene: PreparedScene, ticks: Trajectory, cfg: SimConfig) -> tuple[list, ...]:
+    """The focus replay of `ticks` over `scene` as eight columns, an entry per
+    tick: the winner's object id (None where no object won), its importance,
+    rm, d and v (0.0 where none won), then `scan_focus`'s focal distance,
+    transition flag and event.
+
+    Each tick's rig is the pose's at `cfg.ipd_m`; the first refused one
+    raises its error's type as `tick at t_ms …: …`. Selection runs on
+    `CHUNK_TICKS` ticks a call; the scan reads each winner's distance from
+    the tick's mid camera to its center, as `Vec3.distance_to` computes it.
+    """
+    cams, flagged = camera_rows(ticks, cfg.ipd_m)
+    for i in np.flatnonzero(flagged).tolist():  # the first tick whose rig is refused raises
+        sample = ticks[i]
+        try:
+            rig_from_pose(sample, cfg.ipd_m)
+        except (GeometryError, ValidationError) as e:  # say forward along up, or eyes too far out to differ
+            raise type(e)(f"tick at t_ms {sample.t_ms!r}: {e}") from None
+    roi_half = math.radians(cfg.roi_half_angle_deg)
+    per_tick = np.repeat([[math.sin(roi_half)], [math.cos(roi_half)], [cfg.roi_z_far_m]], len(ticks), axis=1)
+    rois = RoiRows(cams.m, cams.forward, *per_tick)
+    ray_cfg, weights = cfg.ray_config(), cfg.heuristic_weights()
+
+    held, won_ids, scores = [], [], []
+    for a in range(0, len(ticks), CHUNK_TICKS):
+        chunk = slice(a, a + CHUNK_TICKS)
+        win, candidates = select_focus(scene, CameraRows(*(c[chunk] for c in cams)),
+                                       RoiRows(*(c[chunk] for c in rois)), ray_cfg, weights)
+        held.append(win >= 0)
+        w = win[held[-1]]
+        won_ids.append(candidates.ids[w])
+        scores.append([candidates.importance[w], candidates.rm[w], candidates.d[w], candidates.v[w]])
+    held, won_ids = np.concatenate(held), np.concatenate(won_ids)
+    by_id = scene.ids.argsort()
+    centers = scene.spheres[by_id[scene.ids[by_id].searchsorted(won_ids)], :3]
+    # the winners' distances, then their importance, rm, d and v; 0.0 where none won
+    columns = np.zeros((5, len(ticks)))
+    columns[0, held] = norm_rows(centers - cams.m[held])
+    columns[1:, held] = np.concatenate(scores, axis=1)
+    ids = np.full(len(ticks), None, object)
+    ids[held] = won_ids
+    ids = ids.tolist()
+    return (ids, *columns[1:].tolist(), *scan_focus(ids, columns[0].tolist(), cfg.tick_ms, cfg.dynamics_config()))
+
+
+def run_scenario(scene_path: str, trajectory_path: str, config_path: str, out_path: str,
+                 no_focus: bool = False) -> None:
+    """Replay a recorded scenario and write the timeline + comfort document:
+    parse, `resample`, `replay_focus`, `analyze_trajectory`, render and write.
 
     With no_focus, selection and focus dynamics are skipped; the timeline
     keeps its tick rows with empty focus columns and the comfort section is
@@ -177,12 +210,6 @@ def run_scenario(
     cfg = parse_config(config_path)
     scene = parse_scene(scene_path)
     traj = parse_trajectory(trajectory_path)
-
-    ray_cfg = cfg.ray_config()
-    weights = cfg.heuristic_weights()
-    dyn_cfg = cfg.dynamics_config()
-    roi_half = math.radians(cfg.roi_half_angle_deg)
-
     try:
         ticks = resample(traj, cfg.tick_ms)
     except ValidationError as e:  # the recording, or its span, at the config's tick_ms
@@ -190,53 +217,16 @@ def run_scenario(
     # without focus the timeline is the tick times alone, and no rig is built
     focus = None
     if not no_focus:
-        cams, flagged = camera_rows(ticks, cfg.ipd_m)
-        for i in np.flatnonzero(flagged).tolist():  # the first tick whose rig is refused raises
-            sample = ticks[i]
-            try:
-                rig_from_pose(sample, cfg.ipd_m)
-            except (GeometryError, ValidationError) as e:  # say forward along up, or eyes too far out to differ
-                raise type(e)(
-                    f"{trajectory_path}: tick at t_ms {sample.t_ms!r}: {e} (ipd_m from {config_path})"
-                ) from None
-        per_tick = np.repeat([[math.sin(roi_half)], [math.cos(roi_half)], [cfg.roi_z_far_m]], len(ticks), axis=1)
-        rois = RoiRows(cams.m, cams.forward, *per_tick)
-
-        # each tick's winner as columns: its id (None where no object won), then the distance from the
-        # tick's camera to its center, as `Vec3.distance_to` computes it, and its importance, rm, d and v
-        held, won_ids, scores = [], [], []
-        for a in range(0, len(ticks), CHUNK_TICKS):
-            chunk = slice(a, a + CHUNK_TICKS)
-            win, candidates = select_focus(scene, CameraRows(*(c[chunk] for c in cams)),
-                                           RoiRows(*(c[chunk] for c in rois)), ray_cfg, weights)
-            held.append(win >= 0)
-            w = win[held[-1]]
-            won_ids.append(candidates.ids[w])
-            scores.append([candidates.importance[w], candidates.rm[w], candidates.d[w], candidates.v[w]])
-        held, won_ids = np.concatenate(held), np.concatenate(won_ids)
-        by_id = scene.ids.argsort()
-        centers = scene.spheres[by_id[scene.ids[by_id].searchsorted(won_ids)], :3]
-        columns = np.zeros((5, len(ticks)))
-        columns[0, held] = norm_rows(centers - cams.m[held])
-        columns[1:, held] = np.concatenate(scores, axis=1)
-        ids = np.full(len(ticks), None, object)
-        ids[held] = won_ids
-        ids = ids.tolist()
-        focal, moving, _ = scan_focus(ids, columns[0].tolist(), cfg.tick_ms, dyn_cfg)
-        focus = (ids, *columns[1:], focal, moving)
-
+        try:
+            focus = replay_focus(scene, ticks, cfg)[:7]  # the timeline shows all but the events
+        except (GeometryError, ValidationError) as e:  # a tick whose rig is refused
+            raise type(e)(f"{trajectory_path}: {e} (ipd_m from {config_path})") from None
     try:
         report = analyze_trajectory(traj, cfg=cfg.comfort_config())
     except ValidationError as e:  # say rows so close in time that a speed overflows
         raise ValidationError(f"{trajectory_path}: {e}") from None
-    doc = render_document(
-        (
-            render_config_section(cfg),
-            render_timeline_section(ticks.t_ms, focus),
-            render_comfort_section(report),
-        )
-    )
-    write_document(out_path, doc)
+    sections = render_config_section(cfg), render_timeline_section(ticks.t_ms, focus), render_comfort_section(report)
+    write_document(out_path, render_document(sections))
 
 
 def score_ssq_files(q1_path: str, q2_path: str, q3_path: str, profile_path: str, out_path: str) -> None:

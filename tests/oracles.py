@@ -735,15 +735,30 @@ def rig_by_vectors(sample: TrajectorySample, ipd_m: float) -> StereoRig:
 @dataclass(frozen=True, slots=True)
 class ReplayTick:
     """What `replay_by_rows` did on one tick: the rig and ROI it selected
-    with, the winner and every candidate, and the focus state before and
-    after the tick."""
+    with, the winner and every candidate, the selection handed to the
+    dynamics, and the focus state before the tick, after `apply_selection`
+    and after the tick."""
 
     rig: StereoRig
     roi: Roi
     winner: FocusCandidate | None
     candidates: list[FocusCandidate]
+    selection: FocusSelection | None
     before: FocusState
+    applied: FocusState
     after: FocusState
+
+    @property
+    def event(self) -> str:
+        """What the tick did, in `scan_focus`'s words, read from the
+        selection and the states before and after the tick."""
+        before, after, selection = self.before, self.after, self.selection
+        if selection is None:
+            return "none" if before.current_target is None else "hold" if after.current_target is not None else "expiry"
+        if selection.object_id != before.current_target:
+            return "retarget"
+        heading = before.focal_distance if before.transition is None else before.transition.to_distance
+        return "track" if selection.distance != heading else "refresh"
 
 
 @dataclass(frozen=True, slots=True)
@@ -754,6 +769,20 @@ class Replay:
     document: str
     report: ComfortReport
     ticks: list[ReplayTick]
+
+
+def focus_columns(ticks: Sequence[ReplayTick]) -> tuple[list, ...]:
+    """`simulate.replay_focus`'s eight columns, from `replay_by_rows`'s ticks:
+    the winner's id (None for none), importance, rm, d and v (0.0 for none),
+    the focal distance and transition flag `apply_selection` left, and the event."""
+    winners = [tick.winner for tick in ticks]
+    return (
+        [None if w is None else w.object_id for w in winners],
+        *([0.0 if w is None else getattr(w, name) for w in winners] for name in ("importance", "rm", "d", "v")),
+        [tick.applied.focal_distance for tick in ticks],
+        [tick.applied.transition is not None for tick in ticks],
+        [tick.event for tick in ticks],
+    )
 
 
 def replay_by_rows(scene_path: str, trajectory_path: str, config_path: str, no_focus: bool = False) -> Replay:
@@ -768,7 +797,6 @@ def replay_by_rows(scene_path: str, trajectory_path: str, config_path: str, no_f
     ray_cfg, weights, dyn_cfg = cfg.ray_config(), cfg.heuristic_weights(), cfg.dynamics_config()
     center_of = {obj.id: obj.center for obj in scene}
 
-    focus: list[tuple[FocusCandidate | None, float, bool]] = []
     trace: list[ReplayTick] = []
     state = FocusState.initial()
     for sample in () if no_focus else ticks:
@@ -781,23 +809,15 @@ def replay_by_rows(scene_path: str, trajectory_path: str, config_path: str, no_f
         if winner is not None:
             selection = FocusSelection(object_id=winner.object_id, distance=center_of[winner.object_id].distance_to(cam.m))
         applied = apply_selection(state, selection, dyn_cfg)
-        focus.append((winner, applied.focal_distance, applied.transition is not None))
         after = step(state, selection, cfg.tick_ms, dyn_cfg)
-        trace.append(ReplayTick(rig, roi, winner, candidates, state, after))
+        trace.append(ReplayTick(rig, roi, winner, candidates, selection, state, applied, after))
         state = after
 
     report = analyze_by_rows(traj, cfg=cfg.comfort_config())
-    # the renderer's columns: each tick's winner id (None for none), its scores, the focal distance and flag
-    winners = [winner for winner, _, _ in focus]
-    columns = (
-        [None if w is None else w.object_id for w in winners],
-        *([0.0 if w is None else getattr(w, name) for w in winners] for name in ("importance", "rm", "d", "v")),
-        [focal for _, focal, _ in focus],
-        [moving for _, _, moving in focus],
-    )
+    focus = None if no_focus else focus_columns(trace)[:7]  # the renderer's columns
     doc = render_document((
         render_config_section(cfg),
-        render_timeline_section(np.array([s.t_ms for s in ticks]), None if no_focus else columns),
+        render_timeline_section(np.array([s.t_ms for s in ticks]), focus),
         render_comfort_section(report),
     ))
     return Replay(doc, report, trace)

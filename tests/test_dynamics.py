@@ -351,7 +351,8 @@ class TestScanAgainstStep:
                 assert after.focal_distance == before.focal_distance
                 continue
             heading = before.transition.to_distance if before.transition else before.focal_distance
-            assert events[i] == ("retarget" if oid != before.current_target or dist != heading else "refresh")
+            assert events[i] == ("retarget" if oid != before.current_target else
+                                 "track" if dist != heading else "refresh")
             assert after.current_target == oid and after.persistence_elapsed_ms == 0.0
             if events[i] == "refresh" and before.transition is not None and after.transition is not None:
                 assert after.transition.from_distance == before.transition.from_distance  # the same transition goes on
@@ -362,7 +363,7 @@ class TestScanAgainstStep:
         ids = [None, 7, 7, 7, 7, None, None, None, 7, 8]
         dists = [0.0, 4.0, 4.0, 5.0, 5.0, 0.0, 0.0, 0.0, 5.0, 5.0]
         focal, moving, events = scan_focus(ids, dists, 16.0, cfg)
-        assert events == ["none", "retarget", "refresh", "retarget", "refresh", "hold", "expiry", "none", "retarget",
+        assert events == ["none", "retarget", "refresh", "track", "refresh", "hold", "expiry", "none", "retarget",
                           "retarget"]
         assert focal == [0.0, 0.0, 2.0, 4.0, 4.5, 5.0, 5.0, 5.0, 5.0, 5.0]
         assert moving == [False, True, True, True, True, False, False, False, False, False]
@@ -377,3 +378,8 @@ class TestScanAgainstStep:
             with pytest.raises(ValidationError, match=f"^{re.escape(str(refused.value))}$"):
                 scan_focus([1, None, 2, 3], [4.0, 0.0, bad, -2.0], 16.0, CFG)
         assert scan_focus([None, 1], [math.nan, 3.0], 16.0, CFG)[2] == ["none", "retarget"]  # a gap's distance is not read
+
+    def test_columns_of_different_lengths_are_refused(self):
+        for ids, dists in (([1], []), ([], [4.0]), ([1, None], [4.0, 0.0, 5.0])):
+            with pytest.raises(ValidationError, match=f"^the scan has {len(ids)} ids but {len(dists)} distances$"):
+                scan_focus(ids, dists, 16.0, CFG)

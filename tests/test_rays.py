@@ -65,6 +65,22 @@ class TestGoldenAngleConstant:
         assert GOLDEN_ANGLE == TWO_PI * (1.0 - 2.0 / (1.0 + math.sqrt(5.0)))
 
 
+class TestConeTrig:
+    """The cone's cos/sin rows are scalar `math`'s, element for element, on
+    each ray's polar angle and azimuth, at the default cone and at `MAX_RAYS`
+    both ways (one ring of many azimuths and many rings of one)."""
+
+    @pytest.mark.parametrize("k, n", [(4, 64), (1, MAX_RAYS), (MAX_RAYS, 1), (256, 256)])
+    def test_rows_equal_math(self, k, n):
+        config = RayConfig(k=k, n=n, half_angle=math.radians(15.0))
+        layers, _, cos_t, sin_t, cos_p, sin_p = rays._cone_trig(config)
+        theta = (config.half_angle * layers / k).tolist()
+        phi = (np.arange(k * n, dtype=np.float64) * GOLDEN_ANGLE).tolist()
+        for row, fn, angles in ((cos_t, math.cos, theta), (sin_t, math.sin, theta),
+                                (cos_p, math.cos, phi), (sin_p, math.sin, phi)):
+            assert row.shape == (1, k * n) and row[0].tolist() == list(map(fn, angles))
+
+
 class TestRayConfig:
     def test_invalid_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,7 +1,9 @@
 """Differential replay fuzz: Hypothesis draws small whole scenarios, and each
 runs through `run_scenario` and through `oracles.replay_by_rows`, one tick
 and one object at a time. The report must match byte for byte, and each
-tick's mid camera, ROI and winner exactly.
+tick's mid camera, ROI and winner, and `replay_focus`'s eight columns
+(the winner's scores, the focal distance, the transition flag and the
+dynamics' event), exactly.
 
 Scenarios hold up to 30 objects on a 1/8 m lattice, with coincident twins,
 mirrored offsets and a short list of values (distance and importance ties),
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 
 from builders import camera_row, grazing_spheres, profile, roi_row, sample
 from focusray import RayConfig, Vec3, ray_bundle, rig_from_pose, simulate
-from oracles import replay_by_rows
+from oracles import focus_columns, replay_by_rows
 
 _PROFILE = profile("replay-fuzz")
 
@@ -104,6 +106,7 @@ def scenarios(draw):
 def test_replays_match_the_reference(scenario):
     scene_text, traj_text, config_text, n_ticks = scenario
     select, seen = simulate.select_focus, []
+    replay, replays = simulate.replay_focus, []
 
     def select_spy(scene, cams, rois, *args):
         win, candidates = select(scene, cams, rois, *args)
@@ -111,17 +114,22 @@ def test_replays_match_the_reference(scenario):
         seen.extend(zip(zip(*(c.tolist() for c in cams)), zip(*(r.tolist() for r in rois)), winners, strict=True))
         return win, candidates
 
+    def replay_spy(*args):
+        replays.append(replay(*args))
+        return replays[-1]
+
     with tempfile.TemporaryDirectory() as tmp:
         paths = {name: str(Path(tmp) / f"{name}.txt") for name in ("scene", "traj", "config", "out")}
         for name, text in (("scene", scene_text), ("traj", traj_text), ("config", config_text)):
             Path(paths[name]).write_text(text, encoding="utf-8")
-        simulate.select_focus = select_spy
+        simulate.select_focus, simulate.replay_focus = select_spy, replay_spy
         try:
             simulate.run_scenario(paths["scene"], paths["traj"], paths["config"], paths["out"])
         finally:
-            simulate.select_focus = select
+            simulate.select_focus, simulate.replay_focus = select, replay
         want = replay_by_rows(paths["scene"], paths["traj"], paths["config"])
         assert len(want.ticks) == n_ticks
         assert [winner for *_, winner in seen] == [tick.winner for tick in want.ticks]
         assert seen == [(camera_row(tick.rig), roi_row(tick.roi), tick.winner) for tick in want.ticks]
+        assert replays == [focus_columns(want.ticks)]
         assert Path(paths["out"]).read_text(encoding="utf-8") == want.document

@@ -20,7 +20,7 @@ from focusray import (
 from focusray import simulate
 from focusray.cli import EXIT_OK, main
 from builders import FORWARD, UP, NoArrays, camera_row, culled, roi_row, sample, sample_bits, write_large_scenario
-from oracles import replay_by_rows
+from oracles import focus_columns, replay_by_rows
 
 
 class TestLevelForScore:
@@ -440,11 +440,13 @@ class TestReplayOracle:
     the slab cull, lattice ties, occluder chains, ticks with no winner,
     persistence expiries and retargets mid-transition: the report byte for
     byte and, since it rounds to 6 decimals, each tick's mid camera and ROI
-    rows, its winner and the comfort report exactly."""
+    rows, its winner, `replay_focus`'s eight columns and the comfort report
+    exactly."""
 
     def check(self, monkeypatch, tmp_path, texts, no_focus=False):
         scene, traj, config, out = scenario_files(tmp_path, texts[0], config_text=texts[2], traj_text=texts[1])
         select, analyze, ticks, reports, sizes = simulate.select_focus, simulate.analyze_trajectory, [], [], []
+        replay, replays = simulate.replay_focus, []
 
         def select_spy(scene, cams, rois, *args):  # the replay selects a chunk of ticks per call, as rows
             win, candidates = select(scene, cams, rois, *args)
@@ -457,11 +459,17 @@ class TestReplayOracle:
             reports.append(analyze(*args, **kwargs))
             return reports[-1]
 
+        def replay_spy(*args):
+            replays.append(replay(*args))
+            return replays[-1]
+
         monkeypatch.setattr(simulate, "select_focus", select_spy)
         monkeypatch.setattr(simulate, "analyze_trajectory", analyze_spy)
+        monkeypatch.setattr(simulate, "replay_focus", replay_spy)
         run_scenario(scene, traj, config, out, no_focus=no_focus)
         want = replay_by_rows(scene, traj, config, no_focus=no_focus)
         assert ticks == [(camera_row(tick.rig), roi_row(tick.roi), tick.winner) for tick in want.ticks]
+        assert replays == ([] if no_focus else [focus_columns(want.ticks)])
         # full chunks, then a short one: no replay here spans a multiple of the chunk size
         full, rest = divmod(len(want.ticks), simulate.CHUNK_TICKS)
         assert no_focus or sizes == [simulate.CHUNK_TICKS] * full + [rest] and rest > 0
@@ -483,7 +491,8 @@ class TestReplayOracle:
                 seen["expiry"] += before.current_target is not None and after.current_target is None
                 seen["retarget mid-transition"] += (
                     before.transition is not None and after.current_target not in (None, before.current_target))
-        assert min(seen.values()) >= 3, seen
+                seen[f"event {tick.event}"] = seen.get(f"event {tick.event}", 0) + 1
+        assert min(seen.values()) >= 3 and len(seen) == 10, seen  # every event occurs
 
     def test_wide_replay_takes_the_slab_path(self, monkeypatch, tmp_path):
         scene, trace = self.check(monkeypatch, tmp_path, _wide_replay(random.Random(800)))
