@@ -1,7 +1,10 @@
 import contextlib
 import io
 import os
+import re
 import stat
+import subprocess
+import sys
 import tempfile
 import threading
 import warnings
@@ -707,3 +710,65 @@ class TestSsqCommand:
         p["q3"] = str(tmp_path / "missing.txt")
         code, _ = quiet_main(self.argv(p))
         assert code == EXIT_PARSE
+
+
+PACKAGE_ROOT = str(Path(simulate.__file__).resolve().parent.parent)
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+# Loaded by a child's `site` before its main module: reports at exit whether
+# anything froze the collector's heap
+REPORT_FREEZE = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print(f'frozen={gc.get_freeze_count() > 0}', file=sys.stderr))\n"
+)
+# What the installer's `focusray` script does with its [project.scripts] target
+RUN_SCRIPT_TARGET = (
+    "import importlib, sys\n"
+    "module, _, name = sys.argv.pop(1).partition(':')\n"
+    "sys.exit(getattr(importlib.import_module(module), name)())\n"
+)
+
+
+def script_target():
+    match = re.search(r'^\[project\.scripts\]\nfocusray = "([\w.]+:\w+)"$', PYPROJECT.read_text(encoding="utf-8"), re.M)
+    assert match, "pyproject.toml names no focusray script"
+    return match.group(1)
+
+
+class TestProcessEntry:
+    """Both process entries freeze the import-time heap before the command
+    runs; importing the package or calling `main` in-process does not."""
+
+    def launch(self, tmp_path, argv):
+        (tmp_path / "sitecustomize.py").write_text(REPORT_FREEZE, encoding="utf-8")
+        env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join([str(tmp_path), PACKAGE_ROOT])}
+        proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def entries(self):
+        return {"-m": ["-m", "focusray.cli"], "script": ["-c", RUN_SCRIPT_TARGET, script_target()]}
+
+    def test_script_names_the_process_entry(self):
+        assert script_target() == "focusray.cli:console_main"
+
+    def test_each_entry_runs_frozen(self, tmp_path):
+        for name, entry in self.entries().items():
+            assert self.launch(tmp_path, [*entry, "level", "1250"]) == (EXIT_OK, "3\n", "frozen=True\n"), name
+
+    def test_each_entry_keeps_the_usage_exit(self, tmp_path):
+        for name, entry in self.entries().items():
+            code, out, err = self.launch(tmp_path, [*entry, "level", "abc"])
+            assert (code, out) == (EXIT_USAGE, ""), name
+            assert "score must be an integer, got 'abc'" in err and err.endswith("frozen=True\n"), name
+
+    def test_import_and_in_process_main_leave_the_collector(self, tmp_path):
+        code = (
+            "import gc\n"
+            "import focusray\n"
+            "counts = [gc.get_freeze_count()]\n"
+            "import focusray.cli\n"
+            "counts.append(gc.get_freeze_count())\n"
+            "assert focusray.cli.main(['level', '7']) == 0\n"
+            "counts.append(gc.get_freeze_count())\n"
+            "print(counts)\n"
+        )
+        assert self.launch(tmp_path, ["-c", code]) == (EXIT_OK, "1\n[0, 0, 0]\n", "frozen=False\n")
