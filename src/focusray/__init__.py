@@ -62,8 +62,10 @@ from .geometry import (
 )
 from .rays import (
     GOLDEN_ANGLE,
+    ConeFrame,
     RayBundle,
     RayConfig,
+    cone_frame,
     layer_weight,
     ray_bundle,
 )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import CameraRows, Roi, RoiRows, SceneObject, StereoRig, cone_distance, dot_rows, norm_rows, prepare_scene
-from .rays import RayBundle, RayConfig, ray_bundle, rm_scores
+from .rays import RayConfig, cone_frame, ray_bundle, rm_scores
 from .record import Record, record
 
 WEIGHT_SUM_TOL = 1e-9
@@ -116,10 +116,10 @@ def select_focus(
             oc = np.subtract(rig.midpoint() if one else np.repeat(rig.m, counts, axis=0), spheres[:, :3])
             ococ = dot_rows(oc, oc)
         dist = np.sqrt(ococ)
-        bundle: RayBundle = ray_bundle(ray_cfg, rig)
         if one:
-            rms = rm_scores(oc, bundle, spheres, ococ, starts)
+            rms = rm_scores(oc, cone_frame(ray_cfg, rig), spheres, ococ)
         else:
+            bundle = ray_bundle(ray_cfg, rig)
             # Only candidates the solid ray cone about the bundle's axis reaches (oc along its reverse is
             # the center's depth), each sphere grown by 1e-6 of |c - m| + r; no ray hits another: rm 0.0.
             back = np.repeat(-rig.forward / norm_rows(rig.forward)[:, None], counts, axis=0)

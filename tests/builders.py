@@ -11,7 +11,7 @@ from hypothesis import settings
 import focusray.geometry
 from focusray import CameraRows, MidCamera, PreparedScene, RayBundle, Roi, RoiRows, StereoRig, TrajectorySample, Vec3
 from focusray.geometry import dot_rows
-from focusray.rays import nearest_hit_indices, rm_scores
+from focusray.rays import ConeFrame, nearest_hit_indices, rm_scores
 
 FORWARD = Vec3(0.0, 0.0, -1.0)
 UP = Vec3(0.0, 1.0, 0.0)
@@ -88,16 +88,19 @@ def _camera_rows(origin: Vec3, spheres: np.ndarray) -> tuple[np.ndarray, np.ndar
     return oc, dot_rows(oc, oc)
 
 
-def nearest_from(origin: Vec3, directions: np.ndarray, spheres: np.ndarray) -> np.ndarray:
-    """`nearest_hit_indices` for rays cast from `origin`."""
+def nearest_from(origin: Vec3, rays: ConeFrame | np.ndarray, spheres: np.ndarray) -> np.ndarray:
+    """`nearest_hit_indices` for rays cast from `origin`: a cone, or any (R,
+    3) directions as the one frame of the kernel's frames form."""
     oc, ococ = _camera_rows(origin, spheres)
-    return nearest_hit_indices(oc, directions, spheres, ococ)
+    if isinstance(rays, ConeFrame):
+        return nearest_hit_indices(oc, rays, spheres, ococ)
+    return nearest_hit_indices(oc, rays[None], spheres, ococ, [0, len(spheres)])
 
 
-def rm_from(origin: Vec3, bundle: RayBundle, spheres: np.ndarray) -> np.ndarray:
+def rm_from(origin: Vec3, cone: ConeFrame, spheres: np.ndarray) -> np.ndarray:
     """`rm_scores` for a cone cast from `origin`."""
     oc, ococ = _camera_rows(origin, spheres)
-    return rm_scores(oc, bundle, spheres, ococ)
+    return rm_scores(oc, cone, spheres, ococ)
 
 
 def culled(prepared: PreparedScene, roi: Roi) -> tuple[list[int], int]:

@@ -13,8 +13,9 @@ settings.register_profile("replay-fuzz", max_examples=50, deadline=None)
 settings.register_profile("replay-fuzz-long", max_examples=400, deadline=None, phases=_NO_SHRINK)
 # Example counts of the ray kernel's property tests: the reach cut through
 # select_focus's chunks and its rows form against the oracle
-# (tests/test_attention.py), and nearest_hit_indices' frames form
-# (tests/test_rays.py); CI runs the longer one in a step of its own
+# (tests/test_attention.py), and nearest_hit_indices' frames and
+# camera-frame forms (tests/test_rays.py); CI runs the longer one in a step
+# of its own
 settings.register_profile("kernel", max_examples=25, deadline=None)
 settings.register_profile("kernel-long", max_examples=300, deadline=None, phases=_NO_SHRINK)
 # Example counts of the trajectory and scene parse fuzzes against the row oracles

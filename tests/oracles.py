@@ -7,6 +7,9 @@ ray cone from `ray_bundle` (checked on its own by the ray-cone tests), the
 midpoint camera from `derive_mid_camera` and, for the scene and trajectory
 references, the comment-stripped lines of `io_formats._content_lines` (the
 scene reference returns its objects as a `PreparedScene`, built from them).
+The exception is `nearest_hits_world`, the nearest-hit kernel vectorized in
+world coordinates, against which the camera-frame and frames forms of
+`rays.nearest_hit_indices` are held bit for bit.
 The whole-replay reference `replay_by_rows` also takes the parsed config,
 the focus dynamics and the renderers from the library as they are.
 """
@@ -53,7 +56,7 @@ from focusray import (
 )
 from focusray import simulate
 from focusray.comfort import _RULE_ORDER, MIN_SAMPLES
-from focusray.geometry import MAX_COORD_M
+from focusray.geometry import MAX_COORD_M, dot_rows
 from focusray.io_formats import TRAJECTORY_HEADER, _content_lines
 
 
@@ -100,6 +103,33 @@ def rm_by_enumeration(cam: MidCamera, bundle: RayBundle, scene: list[SceneObject
         if best_id is not None:
             scores[best_id] += weight
     return scores
+
+
+def nearest_hits_world(oc: np.ndarray, directions: np.ndarray, spheres: np.ndarray, ococ: np.ndarray) -> np.ndarray:
+    """Row of `spheres` hit nearest by each of the (R, 3) `directions`, -1 on
+    a miss, for rays cast from the origin that `oc` (N, 3) is relative to,
+    `ococ` its squared lengths: one product `directions @ oc.T` against each
+    row's bound, as wide as the rays and rows, then `nearest_hit_indices`'
+    exact test and tail on the kept pairs in ray order. Any directions, not
+    only a cone's; the bound and its 1e-6 margin are the library's."""
+    if not len(spheres):
+        return np.full(len(directions), -1, dtype=np.int64)
+    rad = spheres[:, 3]
+    c = ococ - rad * rad
+    reach = np.sqrt(ococ) + rad
+    margin = 1e-6 * reach
+    bound = np.where(c > margin * margin, margin - np.sqrt(np.maximum(c, 0.0)), 2.0 * reach + 1.0)
+    ray, col = (directions.dot(oc.T) <= bound).nonzero()
+    b = dot_rows(oc[col], directions[ray])
+    disc = b * b - c[col]
+    root = np.sqrt(np.maximum(disc, 0.0))
+    t = np.where((disc >= 0.0) & (root - b >= 0.0), np.maximum(-b - root, 0.0), np.inf)
+    nearest = np.full(len(directions), -1, dtype=np.int64)
+    best = np.full(len(directions), np.inf)
+    for r, j, tj in zip(ray.tolist(), col.tolist(), t.tolist()):  # columns ascending per ray: strict <
+        if tj < best[r]:
+            best[r], nearest[r] = tj, j
+    return nearest
 
 
 def point_cone_distance(p: Vec3, apex: Vec3, axis: Vec3, half_angle: float) -> float:

@@ -30,6 +30,7 @@ from focusray import (
     TrajectorySample,
     Vec3,
     analyze_trajectory,
+    cone_frame,
     derive_mid_camera,
     layer_weight,
     level_for_score,
@@ -142,7 +143,7 @@ def test_criterion_2_rm_matches_enumeration_bitwise(criterion):
             bundle = ray_bundle(cfg, cam)
             want = rm_by_enumeration(cam, bundle, scene)
             ordered = sorted(scene, key=lambda o: o.id)
-            scores = dict(zip((o.id for o in ordered), rm_from(cam.m, bundle, sphere_array(ordered))))
+            scores = dict(zip((o.id for o in ordered), rm_from(cam.m, cone_frame(cfg, cam), sphere_array(ordered))))
             for oid in ids:
                 got = scores[oid]
                 assert got == want[oid], (oid, got, want[oid])

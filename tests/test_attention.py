@@ -742,9 +742,9 @@ class TestRayReach:
                  for i, row in enumerate(rows)]
         real, seen = focusray.attention.rm_scores, []
 
-        def spy(oc, bundle, spheres, ococ, starts):
+        def spy(oc, rays, spheres, ococ, starts=()):
             seen.append((spheres, starts))
-            return real(oc, bundle, spheres, ococ, starts)
+            return real(oc, rays, spheres, ococ, starts)
 
         focusray.attention.rm_scores = spy
         try:  # the chunk's call comes first, and calls the kernel when the chunk has candidates

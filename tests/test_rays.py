@@ -19,11 +19,11 @@ from focusray import (
     ray_bundle,
 )
 from focusray import rays
-from focusray.geometry import CameraRows, dot_rows, sphere_array
-from focusray.rays import GROUP_PAIRS, MAX_RAYS, nearest_hit_indices
+from focusray.geometry import MAX_COORD_M, CameraRows, dot_rows, sphere_array
+from focusray.rays import GROUP_PAIRS, MAX_RAYS, cone_frame, nearest_hit_indices, rm_scores
 from focusray.simulate import CHUNK_TICKS
 from builders import FORWARD, UP, axial_cam, grazing_spheres, nearest_from, profile, rm_from
-from oracles import ray_sphere_t, rm_by_enumeration
+from oracles import nearest_hits_world, ray_sphere_t, rm_by_enumeration
 
 TWO_PI = 2.0 * math.pi
 
@@ -206,23 +206,19 @@ class TestNearestHits:
     cam = axial_cam(0.0, 0.0, 0.0)
 
     def test_empty_scene_all_miss(self):
-        b = ray_bundle(cfg(), self.cam)
-        nearest = nearest_from(self.cam.m, b.directions, sphere_array([]))
-        assert (nearest == -1).all()
+        nearest = nearest_from(self.cam.m, cone_frame(cfg(), self.cam), sphere_array([]))
+        assert nearest.shape == (30,) and (nearest == -1).all()
 
     def test_occluder_wins(self):
-        b = ray_bundle(cfg(k=1, n=1), self.cam)
         scene = [obj(1, 0, 0, -20, 3.0), obj(2, 0, 0, -5, 2.0)]
-        nearest = nearest_from(self.cam.m, b.directions, sphere_array(scene))
+        nearest = nearest_from(self.cam.m, cone_frame(cfg(k=1, n=1), self.cam), sphere_array(scene))
         assert nearest[0] == 1  # index of the closer sphere
 
     def test_tie_goes_to_earlier_entry(self):
-        # two coincident spheres: identical hit t on an exact axial ray
-        d = np.array([[0.0, 0.0, -1.0]])
-        d.flags.writeable = False
+        # two coincident spheres: identical hit t on the one ray, 5 degrees off axis
         scene = [obj(7, 0, 0, -10, 2.0), obj(9, 0, 0, -10, 2.0)]
-        nearest = nearest_from(self.cam.m, d, sphere_array(scene))
-        assert nearest[0] == 0
+        nearest = nearest_from(self.cam.m, cone_frame(cfg(k=1, n=1, half_deg=5.0), self.cam), sphere_array(scene))
+        assert nearest.tolist() == [0]
 
 
 class TestComputeRm:
@@ -231,7 +227,7 @@ class TestComputeRm:
     cam = axial_cam(0.0, 0.0, 0.0)
 
     def rm(self, scene, target, **kw):
-        scores = rm_from(self.cam.m, ray_bundle(cfg(**kw), self.cam), sphere_array(scene))
+        scores = rm_from(self.cam.m, cone_frame(cfg(**kw), self.cam), sphere_array(scene))
         return dict(zip((o.id for o in scene), scores))[target]
 
     def test_enclosing_sphere_scores_one(self):
@@ -271,7 +267,7 @@ class TestComputeRm:
             n = rng.randint(1, 24)
             half = math.radians(rng.uniform(5.0, 40.0))
             cam = axial_cam(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
-            bundle = ray_bundle(RayConfig(k=k, n=n, half_angle=half), cam)
+            config = RayConfig(k=k, n=n, half_angle=half)
             scene = [
                 obj(
                     oid,
@@ -282,8 +278,8 @@ class TestComputeRm:
                 )
                 for oid in range(1, rng.randint(2, 9))
             ]
-            want = rm_by_enumeration(cam, bundle, scene)
-            got = rm_from(cam.m, bundle, sphere_array(scene))  # built in ascending id order
+            want = rm_by_enumeration(cam, ray_bundle(config, cam), scene)
+            got = rm_from(cam.m, cone_frame(config, cam), sphere_array(scene))  # built in ascending id order
             for o, score in zip(scene, got):
                 assert score == want[o.id], f"trial {trial} target {o.id}"
 
@@ -291,9 +287,8 @@ class TestComputeRm:
 class TestRmScoresBundleForm:
     def test_scores_align_with_object_order(self):
         cam = axial_cam(0.0, 0.0, 0.0)
-        b = ray_bundle(cfg(k=2, n=16, half_deg=20.0), cam)
         scene = [obj(1, 0, 0, -5, 1.2), obj(2, 0, 0, -12, 5.0)]
-        scores = rm_from(cam.m, b, sphere_array(scene))
+        scores = rm_from(cam.m, cone_frame(cfg(k=2, n=16, half_deg=20.0), cam), sphere_array(scene))
         assert scores[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert scores[1] == pytest.approx(1.0 / 3.0, rel=1e-12)
 
@@ -327,7 +322,8 @@ class TestRayConeCull:
         for _ in range(60):
             cam = _tilted_cam(rng)
             k = rng.randint(1, 4)
-            bundle = ray_bundle(RayConfig(k=k, n=rng.randint(4, 24), half_angle=math.radians(rng.uniform(2.0, 60.0))), cam)
+            config = RayConfig(k=k, n=rng.randint(4, 24), half_angle=math.radians(rng.uniform(2.0, 60.0)))
+            bundle, cone = ray_bundle(config, cam), cone_frame(config, cam)
             rows = grazing_spheres(rng, cam.m, cam.forward, bundle)
             spheres = np.array(rows)
             for col, sphere in enumerate(spheres.tolist()):
@@ -335,11 +331,11 @@ class TestRayConeCull:
                 hits += any(want)
                 misses += not any(want)
                 # the pair prefilter keeps every ray the exact test hits
-                got = nearest_from(cam.m, bundle.directions, spheres[col:col + 1])
+                got = nearest_from(cam.m, cone, spheres[col:col + 1])
                 assert (got == 0).tolist() == want, (col, sphere)
             scene = [obj(col, *row) for col, row in enumerate(rows)]
             scores = rm_by_enumeration(cam, bundle, scene)
-            assert rm_from(cam.m, bundle, spheres).tolist() == [scores[o.id] for o in scene]
+            assert rm_from(cam.m, cone, spheres).tolist() == [scores[o.id] for o in scene]
         assert hits >= 500 and misses >= 500
 
 
@@ -349,7 +345,7 @@ class TestSparseTailTies:
     def test_duplicate_spheres_go_to_the_first_column(self):
         rng = random.Random(4242)
         cam = axial_cam(0.0, 0.0, 0.0)
-        bundle = ray_bundle(cfg(k=3, n=24, half_deg=25.0), cam)
+        bundle, cone = ray_bundle(cfg(k=3, n=24, half_deg=25.0), cam), cone_frame(cfg(k=3, n=24, half_deg=25.0), cam)
         ties = 0
         for _ in range(40):
             base = [
@@ -359,7 +355,7 @@ class TestSparseTailTies:
             base.append((0.0, 0.0, rng.uniform(-1.0, 1.0), 1.5))  # encloses the camera: hits at t = 0
             rows = [rng.choice(base) for _ in range(rng.randint(4, 14))]
             spheres = np.array(rows)
-            got = nearest_from(cam.m, bundle.directions, spheres).tolist()
+            got = nearest_from(cam.m, cone, spheres).tolist()
             for j, d in enumerate(bundle.directions.tolist()):
                 best, best_t = -1, math.inf
                 for col, (cx, cy, cz, r) in enumerate(rows):
@@ -372,9 +368,8 @@ class TestSparseTailTies:
 
     def test_duplicate_takes_the_whole_weight(self):
         cam = axial_cam(0.0, 0.0, 0.0)
-        bundle = ray_bundle(cfg(k=1, n=16, half_deg=20.0), cam)
         twin = (0.0, 0.0, -10.0, 500.0)
-        scores = rm_from(cam.m, bundle, np.array([twin, twin, twin]))
+        scores = rm_from(cam.m, cone_frame(cfg(k=1, n=16, half_deg=20.0), cam), np.array([twin, twin, twin]))
         assert scores.tolist() == [1.0, 0.0, 0.0]
 
 
@@ -404,7 +399,8 @@ class TestNearestHitScan:
         from_inside = tangent_hits = tangent_misses = tied = 0
         for scene in range(4):
             cam = _tilted_cam(rng)
-            bundle = ray_bundle(RayConfig(k=4, n=16, half_angle=math.radians(rng.uniform(10.0, 40.0))), cam)
+            config = RayConfig(k=4, n=16, half_angle=math.radians(rng.uniform(10.0, 40.0)))
+            bundle = ray_bundle(config, cam)
             directions = bundle.directions.tolist()
             rows, kinds = [], []
 
@@ -440,7 +436,7 @@ class TestNearestHitScan:
                 rows.insert(j, rows[i])
                 kinds.insert(j, kinds[i])
             assert len(rows) >= 200
-            got = nearest_from(cam.m, bundle.directions, np.array(rows)).tolist()
+            got = nearest_from(cam.m, cone_frame(config, cam), np.array(rows)).tolist()
             scan = _strict_scan(cam, bundle.directions, rows)
             want = [best for best, _ in scan]
             assert got == want
@@ -454,6 +450,106 @@ class TestNearestHitScan:
         # exercised: rays won from inside, ties, and both sides of tangency
         assert from_inside >= 20 and tied >= 50
         assert tangent_hits >= 20 and tangent_misses >= 20
+
+
+def _cone_scene(rng: random.Random, cam: MidCamera, bundle, scale: float) -> list[tuple]:
+    """Spheres, as (x, y, z, r), about a cone cast from `cam`, distances
+    `scale` times 0.1 to 100: spheres holding the camera, with it on their
+    surface within a few ulps, or within the prefilter's 1e-6 margin of
+    holding it; centers on the cone's axis ahead and behind; `grazing_spheres`
+    on the outermost rays; spheres near random rays ahead and behind; and
+    bit-identical twins of some of them."""
+    m, axis = cam.m, cam.forward.normalized()
+    rows = []
+    for _ in range(rng.randint(1, 3)):  # the camera on or near the surface, or inside
+        u = Vec3(rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1)).normalized()
+        dist = scale * 10.0 ** rng.uniform(-1.0, 2.0)
+        off = rng.choice((0.0, rng.randint(-3, 3) * 1e-16, rng.uniform(-1.0, 1.0) * 1e-12, rng.uniform(0.1, 2.0)))
+        c = m + u * dist
+        rows.append((c.x, c.y, c.z, c.distance_to(m) * (1.0 + off)))
+    for _ in range(rng.randint(1, 3)):  # on the cone's axis
+        c = m + axis * (rng.choice((1.0, -1.0)) * scale * 10.0 ** rng.uniform(-1.0, 2.0))
+        rows.append((c.x, c.y, c.z, c.distance_to(m) * 10.0 ** rng.uniform(-4.0, -0.2)))
+    rows += grazing_spheres(rng, m, axis, bundle, per_ray=1)[:rng.randint(0, 6)]
+    directions = bundle.directions.tolist()
+    for _ in range(rng.randint(0, 12)):  # near a ray, ahead or behind
+        d = Vec3(*rng.choice(directions)) * rng.choice((1.0, 1.0, -1.0))
+        jitter = Vec3(rng.gauss(0, 0.05), rng.gauss(0, 0.05), rng.gauss(0, 0.05))
+        dist = scale * 10.0 ** rng.uniform(-1.0, 2.0)
+        c = m + (d + jitter) * dist
+        rows.append((c.x, c.y, c.z, dist * 10.0 ** rng.uniform(-3.0, -0.5)))
+    for _ in range(rng.randint(0, 3)):  # twins at later rows
+        i = rng.randrange(len(rows))
+        rows.insert(rng.randrange(i + 1, len(rows) + 1), rows[i])
+    return rows
+
+
+class TestConeFrameForm:
+    """`nearest_hit_indices` and `rm_scores` on one camera's `ConeFrame`,
+    prefiltered in the camera's frame in blocks of rows, against
+    `nearest_hits_world` over `ray_bundle`'s directions: nearest rows and rm
+    bit for bit; and, a sphere at a time, the kernel hits a ray exactly where
+    the scalar reference's exact test does, so that its kept pairs hold every
+    pair that test hits."""
+
+    KERNEL = profile("kernel")
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), n=st.integers(1, 40),
+           half=st.floats(0.01, 1.5), scale=st.sampled_from((1.0, 1e-3, 1e3, 1e97)),
+           short=st.sampled_from((0.0, 0.999e-9, -0.999e-9)), group=st.sampled_from((1, 7, 500, GROUP_PAIRS)))
+    @settings(KERNEL)
+    def test_matches_the_world_frame_reference(self, seed, k, n, half, scale, short, group):
+        """Cameras anywhere (coordinates up to about 1.5e99 at the largest
+        scale, near `MAX_COORD_M`), looking anywhere, forward up to 1e-9 off
+        unit length; a product per row, several blocks of rows, or one."""
+        rng = random.Random(seed)
+        tilted = _tilted_cam(rng)
+        cam = MidCamera(m=tilted.m * scale, forward=tilted.forward * (1.0 + short), up=tilted.up)
+        assert cam.forward.is_unit() and (abs(cam.forward.norm() - 1.0) > 9e-10) == (short != 0.0)
+        config = RayConfig(k=k, n=n, half_angle=half)
+        bundle, cone = ray_bundle(config, cam), cone_frame(config, cam)
+        spheres = np.array(_cone_scene(rng, cam, bundle, scale))
+        assert np.abs(spheres).max() <= MAX_COORD_M
+        oc = np.subtract((cam.m.x, cam.m.y, cam.m.z), spheres[:, :3])
+        ococ = dot_rows(oc, oc)
+        saved, rays.GROUP_PAIRS = rays.GROUP_PAIRS, group
+        try:
+            got = nearest_hit_indices(oc, cone, spheres, ococ)
+            rm = rm_scores(oc, cone, spheres, ococ)
+            alone = [nearest_hit_indices(oc[j:j + 1], cone, spheres[j:j + 1], ococ[j:j + 1])
+                     for j in range(len(spheres))]
+        finally:
+            rays.GROUP_PAIRS = saved
+        want = nearest_hits_world(oc, bundle.directions, spheres, ococ)
+        assert got.tolist() == want.tolist()
+        assert rm.tobytes() == np.bincount(want + 1, weights=bundle.weights, minlength=len(spheres) + 1)[1:].tobytes()
+        for j, (cx, cy, cz, r) in enumerate(spheres.tolist()):
+            hit = [ray_sphere_t(cam.m, Vec3(*d), Vec3(cx, cy, cz), r) is not None for d in bundle.directions.tolist()]
+            assert (alone[j] == 0).tolist() == hit, j
+
+    @pytest.mark.parametrize("rows", [64, 2000])
+    def test_memory_of_a_frame_is_one_group(self, rows):
+        """`MAX_RAYS` rays against 64 and 2,000 candidates ahead, each within
+        0.6 rad of the axis of a 0.3 rad cone: the traced peak stays within
+        1.5 times a product of GROUP_PAIRS pairs (a float64 and a bool each),
+        while one product over all pairs would hold 11 and 333 times that."""
+        rng = np.random.default_rng(rows)
+        config = RayConfig(k=256, n=256, half_angle=0.3)
+        cam = axial_cam(1.0, 2.0, 3.0)
+        polar, azimuth, dist = rng.uniform(0.0, 0.6, rows), rng.uniform(0.0, TWO_PI, rows), rng.uniform(2.0, 50.0, rows)
+        ahead = np.column_stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), -np.cos(polar)])
+        spheres = np.column_stack([(cam.m.x, cam.m.y, cam.m.z) + ahead * dist[:, None], dist * 2e-4])
+        oc = np.subtract((cam.m.x, cam.m.y, cam.m.z), spheres[:, :3])
+        args = oc, cone_frame(config, cam), spheres, dot_rows(oc, oc)
+        nearest_hit_indices(*args)  # the cone's trig and table are cached on the first call
+        tracemalloc.start()
+        try:
+            nearest = nearest_hit_indices(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert nearest.shape == (MAX_RAYS,) and (nearest >= 0).any()
+        assert MAX_RAYS * rows * 9 > 1.5 * GROUP_PAIRS * 9 >= peak, peak
 
 
 def _frames(rng: np.random.Generator, widths, k=2, n=8, dup=False, ahead=0.75, size=(0.02, 1.2)):
@@ -484,10 +580,10 @@ def _frames(rng: np.random.Generator, widths, k=2, n=8, dup=False, ahead=0.75, s
 
 
 def _per_frame(oc, directions, spheres, ococ, starts):
-    """One 2-D call per frame on its own rows, offset by its start."""
+    """The world-frame reference per frame on its own rows, offset by its start."""
     out = []
     for t, (a, b) in enumerate(zip(starts, starts[1:])):
-        near = nearest_hit_indices(oc[a:b], directions[t], spheres[a:b], ococ[a:b])
+        near = nearest_hits_world(oc[a:b], directions[t], spheres[a:b], ococ[a:b])
         out.append(np.where(near >= 0, near + a, -1))
     return np.concatenate(out)
 
@@ -536,7 +632,7 @@ def _tied_frames(rng: np.random.Generator, t_n, k, n):
 class TestFramesForm:
     """`nearest_hit_indices` with (T, R, 3) directions, frames grouped into
     products of at most GROUP_PAIRS pairs of a ray and a row padded to the
-    widest frame, against one 2-D call per frame."""
+    widest frame, against the world-frame reference per frame."""
 
     KERNEL = profile("kernel")
 

@@ -22,10 +22,10 @@ import pytest
 
 import focusray
 from focusray import (
-    BlurConfig, Candidates, ComfortConfig, ComfortFinding, ComfortReport, ComfortRule, DynamicsConfig, FocusCandidate,
-    FocusSelection, FocusState, HeuristicWeights, MidCamera, PreparedScene, Profile, ProtocolReport, RayBundle,
-    RayConfig, Roi, SceneObject, SimConfig, SsqResponse, SsqScore, StereoRig, Trajectory, TrajectorySample,
-    Transition, Vec3,
+    BlurConfig, Candidates, ComfortConfig, ComfortFinding, ComfortReport, ComfortRule, ConeFrame, DynamicsConfig,
+    FocusCandidate, FocusSelection, FocusState, HeuristicWeights, MidCamera, PreparedScene, Profile, ProtocolReport,
+    RayBundle, RayConfig, Roi, SceneObject, SimConfig, SsqResponse, SsqScore, StereoRig, Trajectory,
+    TrajectorySample, Transition, Vec3,
 )
 from focusray.record import Record
 
@@ -46,6 +46,7 @@ SAMPLES = {
     Roi: [(V, FORWARD, 0.5, 100.0), (V, FORWARD, 0.5, 50.0)],
     RayConfig: [(4, 64, 0.25), (4, 32, 0.25)],
     RayBundle: [(np.zeros((2, 3)), np.ones(2, int), np.full(2, 0.5)), (np.ones((2, 3)), np.ones(2, int), np.full(2, 0.5))],
+    ConeFrame: [(RayConfig(4, 64, 0.25), np.eye(3)), (RayConfig(4, 32, 0.25), np.eye(3))],
     HeuristicWeights: [(0.5, 0.3, 0.2), (0.2, 0.3, 0.5)],
     FocusCandidate: [(7, 0.5, 0.25, 1.0, 0.6), (8, 0.5, 0.25, 1.0, 0.6)],
     TrajectorySample: [(0.0, V, FORWARD, UP, 90.0, True, 11.1), (16.0, V, FORWARD, UP, 90.0, True, 11.1)],
