@@ -86,36 +86,36 @@ def layer_weight(i: int, k: int) -> float:
 
 
 @lru_cache(maxsize=16)
-def _cone_trig(config: RayConfig) -> tuple[np.ndarray, ...]:
-    """Layers, weights, and cos/sin of each ray's polar angle and azimuth as
-    (1, R) rows: everything of the cone that does not depend on the camera.
-    The cosines and sines are scalar `math` mapped over the angles, as
-    NumPy's may differ from them in the last bit."""
+def _cone(config: RayConfig) -> tuple[np.ndarray, ...]:
+    """Everything of the cone that does not depend on the camera: layers,
+    weights, a (4, R) array of rows cos t, cos p, sin p and sin t of each
+    ray's polar angle t and azimuth p, which `_directions` takes, and an
+    (R, 4) prefilter table of rows (cos t, sin t cos p, sin t sin p, -1): each
+    ray along forward, right and up, and a -1 that takes a candidate's bound
+    off in the product. The cosines and sines are scalar `math` mapped over
+    the angles, as NumPy's may differ from them in the last bit."""
     k, n = config.k, config.n
     layers = np.repeat(np.arange(1, k + 1), n)
     theta = config.half_angle * layers / k
     phi = np.arange(k * n, dtype=np.float64) * GOLDEN_ANGLE
     weights = np.repeat([layer_weight(i, k) for i in range(1, k + 1)], n) / n
-    trig = (np.fromiter(map(fn, x.tolist()), np.float64, k * n)[None]
-            for x in (theta, phi) for fn in (math.cos, math.sin))
-    arrays = (layers, weights, *trig)
+    trig = np.stack([np.fromiter(map(fn, x.tolist()), np.float64, k * n)
+                     for fn, x in ((math.cos, theta), (math.cos, phi), (math.sin, phi), (math.sin, theta))])
+    cos_t, cos_p, sin_p, sin_t = trig
+    table = np.column_stack((cos_t, sin_t * cos_p, sin_t * sin_p, np.full_like(cos_t, -1.0)))
+    arrays = (layers, weights, trig, table)
     for arr in arrays:
         arr.flags.writeable = False
     return arrays
 
 
-@lru_cache(maxsize=16)
-def _cone_table(config: RayConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The cone in its camera's frame: an (R, 4) table of rows (cos t, sin t
-    cos p, sin t sin p, -1), each ray's direction along forward, right and up
-    and a -1 that takes a candidate's bound off in the prefilter product; and
-    `_cone_trig`'s cos t, cos p, sin p and sin t, the first three the factors
-    of forward, right and up in `ray_bundle`, as the rows of a (4, R) array."""
-    _, _, cos_t, sin_t, cos_p, sin_p = _cone_trig(config)
-    table = np.concatenate((cos_t, sin_t * cos_p, sin_t * sin_p, np.full_like(cos_t, -1.0))).T.copy()
-    trig = np.concatenate((cos_t, cos_p, sin_p, sin_t))
-    table.flags.writeable = trig.flags.writeable = False
-    return table, trig
+def _directions(trig: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """cos t * forward + sin t * (cos p * right + sin p * up) per element, for
+    the R columns of `_cone`'s rows `trig` about `frames`, rows forward, right
+    and up of a (3, 3) array, or of T frames as (3, T, 3): (3, R) or (T, 3, R)."""
+    # cos t * forward, cos p * right and sin p * up as one product, (3, 3, R) or (3, T, 3, R)
+    terms = trig[(slice(3),) + (None,) * (frames.ndim - 1)] * frames[..., None]
+    return terms[0] + trig[3] * (terms[1] + terms[2])
 
 
 def cone_frame(config: RayConfig, cam: MidCamera | StereoRig) -> ConeFrame:
@@ -133,18 +133,15 @@ def ray_bundle(config: RayConfig, cam: MidCamera | StereoRig | CameraRows) -> Ra
     the frame `cone_frame` makes of `cam`. Given the `CameraRows` of T
     cameras, the cone of each, as (T, R, 3) directions, each frame computed
     as for one camera."""
-    layers, weights, cos_t, sin_t, cos_p, sin_p = _cone_trig(config)
+    layers, weights, trig, _ = _cone(config)
     if isinstance(cam, CameraRows):
         f = cam.forward / norm_rows(cam.forward)[:, None]
         frames = np.array((f, *view_frame_rows(f, cam.up)[:2]))
     else:
         frames = cone_frame(config, cam).frame
-    # fwd, right and up as (3, 1) columns, or (T, 3, 1): the products run with
-    # the rays innermost, and the directions are their (R, 3) or (T, R, 3)
-    # view, which the chunk kernel reads back rays-innermost
-    fwd, right, up = frames[..., None]
-    lateral = cos_p * right + sin_p * up
-    directions = (cos_t * fwd + sin_t * lateral).swapaxes(-1, -2)
+    # the products run with the rays innermost, and the directions are their
+    # (R, 3) or (T, R, 3) view, which the chunk kernel reads back rays-innermost
+    directions = _directions(trig, frames).swapaxes(-1, -2)
     directions.flags.writeable = False
     return RayBundle(directions, layers, weights)
 
@@ -183,7 +180,7 @@ def nearest_hit_indices(
     """
     one = isinstance(rays, ConeFrame)
     if one:
-        table, trig = _cone_table(rays.config)
+        _, _, trig, table = _cone(rays.config)
         count = len(table)
     else:
         count = rays.shape[0] * rays.shape[1]
@@ -220,10 +217,7 @@ def nearest_hit_indices(
             blocks = [_kept(table @ local[:, a:a + step]) for a in firsts]
             ray = np.concatenate([r for r, _ in blocks])
             col = np.concatenate([k + a for a, (_, k) in zip(firsts, blocks)])
-        # cos t * fwd + sin t * (cos p * right + sin p * up) per element, as `ray_bundle` computes it, (3, P)
-        factors = trig.take(ray, axis=1)
-        terms = factors[:3, None] * rays.frame[..., None]
-        d = terms[0] + factors[3] * (terms[1] + terms[2])
+        d = _directions(trig.take(ray, axis=1), rays.frame)  # (3, P), each as `ray_bundle` computes it
     else:
         # the same per frame in world coordinates, each frame's rows padded to
         # the widest frame's. The bound rides in the product as a fourth
@@ -278,7 +272,7 @@ def rm_scores(
     each row is hit by one frame's rays only), so the sum is deterministic.
     """
     if isinstance(rays, ConeFrame):
-        nearest, weights = nearest_hit_indices(oc, rays, spheres, ococ), _cone_trig(rays.config)[1]
+        nearest, weights = nearest_hit_indices(oc, rays, spheres, ococ), _cone(rays.config)[1]
     else:
         nearest = nearest_hit_indices(oc, rays.directions, spheres, ococ, starts)
         weights = np.tile(rays.weights, len(rays.directions))

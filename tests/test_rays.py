@@ -66,19 +66,37 @@ class TestGoldenAngleConstant:
 
 
 class TestConeTrig:
-    """The cone's cos/sin rows are scalar `math`'s, element for element, on
-    each ray's polar angle and azimuth, at the default cone and at `MAX_RAYS`
-    both ways (one ring of many azimuths and many rings of one)."""
+    """The cone's cached cos/sin rows are scalar `math`'s, element for
+    element, on each ray's polar angle and azimuth, and its prefilter table
+    is their products, at the default cone and at `MAX_RAYS` both ways (one
+    ring of many azimuths and many rings of one)."""
 
     @pytest.mark.parametrize("k, n", [(4, 64), (1, MAX_RAYS), (MAX_RAYS, 1), (256, 256)])
     def test_rows_equal_math(self, k, n):
         config = RayConfig(k=k, n=n, half_angle=math.radians(15.0))
-        layers, _, cos_t, sin_t, cos_p, sin_p = rays._cone_trig(config)
+        layers, _, trig, table = rays._cone(config)
+        cos_t, cos_p, sin_p, sin_t = trig.tolist()
         theta = (config.half_angle * layers / k).tolist()
         phi = (np.arange(k * n, dtype=np.float64) * GOLDEN_ANGLE).tolist()
+        assert trig.shape == (4, k * n) and table.shape == (k * n, 4)
         for row, fn, angles in ((cos_t, math.cos, theta), (sin_t, math.sin, theta),
                                 (cos_p, math.cos, phi), (sin_p, math.sin, phi)):
-            assert row.shape == (1, k * n) and row[0].tolist() == list(map(fn, angles))
+            assert row == list(map(fn, angles))
+        assert table.tolist() == [[ct, st * cp, st * sp, -1.0] for ct, cp, sp, st in zip(cos_t, cos_p, sin_p, sin_t)]
+
+    def test_memory_of_a_max_rays_cone(self):
+        """The cache of a `MAX_RAYS` cone holds its layers, weights, rows and
+        table at 80 bytes a ray, about 5.25 MB; a second cache of the rows
+        and table beside it held 7.35 MB."""
+        config = RayConfig(k=256, n=256, half_angle=0.3)
+        rays._cone.cache_clear()
+        tracemalloc.start()
+        try:
+            rays._cone(config)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 81 * MAX_RAYS, held
 
 
 class TestRayConfig:
@@ -306,6 +324,45 @@ def _oracle_hits(cam, bundle, sphere):
     cx, cy, cz, r = sphere
     center = Vec3(cx, cy, cz)
     return [ray_sphere_t(cam.m, Vec3(*d), center, r) is not None for d in bundle.directions.tolist()]
+
+
+class TestDirectionsBitForBit:
+    """Every direction of the cone comes from one expression: each frame of
+    `ray_bundle` over `CameraRows` is the one-camera bundle of that camera,
+    and the one-frame kernel's direction of a kept pair, from the cached rows
+    at its ray and the `ConeFrame`'s frame, is the bundle's, bit for bit, at
+    the default cone and at `MAX_RAYS`."""
+
+    @staticmethod
+    def cameras(rng, count):
+        """Cameras looking anywhere, forward up to 1e-9 off unit length."""
+        cams = []
+        for _ in range(count):
+            cam = _tilted_cam(rng)
+            short = rng.choice((0.0, 0.999e-9, -0.999e-9))
+            cams.append(MidCamera(m=cam.m, forward=cam.forward * (1.0 + short), up=cam.up))
+        return cams
+
+    @pytest.mark.parametrize("k, n, count", [(4, 64, 400), (256, 256, 4)])
+    def test_frames_of_camera_rows_are_one_camera_bundles(self, k, n, count):
+        config = RayConfig(k=k, n=n, half_angle=0.3)
+        cams = self.cameras(random.Random(k * n), count)
+        rows = CameraRows(*(np.array([(getattr(c, name).x, getattr(c, name).y, getattr(c, name).z) for c in cams])
+                            for name in ("m", "forward", "up")))
+        bundle = ray_bundle(config, rows)
+        assert bundle.directions.shape == (count, k * n, 3)
+        for t, cam in enumerate(cams):
+            assert bundle.directions[t].tobytes() == ray_bundle(config, cam).directions.tobytes(), t
+
+    @pytest.mark.parametrize("k, n, count", [(4, 64, 400), (256, 256, 4)])
+    def test_kept_pair_directions_are_the_bundles(self, k, n, count):
+        config = RayConfig(k=k, n=n, half_angle=0.3)
+        rng = random.Random(k + n)
+        trig = rays._cone(config)[2]
+        for cam in self.cameras(rng, count):
+            picked = np.array([rng.randrange(k * n) for _ in range(rng.randint(1, 300))])
+            d = rays._directions(trig.take(picked, axis=1), cone_frame(config, cam).frame)
+            assert d.T.tobytes() == ray_bundle(config, cam).directions[picked].tobytes()
 
 
 class TestRayConeCull:
