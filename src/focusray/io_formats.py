@@ -47,12 +47,12 @@ def _content_lines(path: str) -> list[tuple[int, str]]:
         # number lines as splitlines() below does, with "x" standing in for the bad byte
         lineno = len((data[: e.start].decode("utf-8") + "x").splitlines())
         raise ParseError(path, lineno, f"invalid UTF-8 byte 0x{data[e.start]:02x}") from None
-    out: list[tuple[int, str]] = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        text = line.partition("#")[0].strip()
-        if text:
-            out.append((lineno, text))
-    return out
+    lines = raw.splitlines()
+    # one pass over the lines: comments are cut only from text that has one
+    texts = [line.partition("#")[0].strip() for line in lines] if "#" in raw else list(map(str.strip, lines))
+    if all(texts):
+        return list(zip(range(1, len(texts) + 1), texts))
+    return [(lineno, text) for lineno, text in enumerate(texts, start=1) if text]
 
 
 def _parse_float(path: str, lineno: int, token: str, name: str) -> float:
@@ -292,12 +292,13 @@ def render_timeline_section(t_ms: np.ndarray, focus: Sequence[Sequence] | None =
     the transition flag. Without it every focus cell is empty. A column of
     another length raises `ValidationError`.
 
-    Each row is one `%` template. Reals render as `format_real` does: adding
+    Each row is one `%` template; without focus, all rows are one template
+    over the tuple of tick times. Reals render as `format_real` does: adding
     0.0 turns -0.0 into 0.0 and leaves every other float as it is."""
     lines = ["[TIMELINE]", TIMELINE_HEADER]
     times = (np.asarray(t_ms, np.float64) + 0.0).tolist()
     if focus is None:
-        return lines + ["%.6f,,,,,,," % t for t in times]
+        return ("\n".join(lines) + ("\n%.6f,,,,,,," * len(times) % tuple(times))).split("\n")
     lengths = [len(c) for c in focus]
     if lengths != [len(times)] * 7:
         raise ValidationError(f"the timeline has {len(times)} tick times but focus columns of {lengths} rows")

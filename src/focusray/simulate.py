@@ -1,11 +1,11 @@
 """Deterministic scenario replay: the tick loop behind the CLI.
 
-A recorded trajectory is resampled onto a fixed tick grid (linear position,
-spherical orientation interpolation). `replay_focus` derives each tick's
-stereo rig from the head pose, runs focus selection and feeds the winners
-to the focus dynamics, returning the run as columns; the comfort rules then
-run over the original recording. The output document is byte-identical
-across runs for identical inputs.
+A recorded trajectory is resampled onto a fixed tick grid (`tick_grid`;
+linear position, spherical orientation interpolation). `replay_focus`
+derives each tick's stereo rig from the head pose, runs focus selection and
+feeds the winners to the focus dynamics, returning the run as columns; the
+comfort rules then run over the original recording. The output document is
+byte-identical across runs for identical inputs.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .config import SimConfig
 # `dynamics.apply_selection` span, and a binding it cannot find fails the traced benchmark run
 from .dynamics import apply_selection, scan_focus  # noqa: F401
 from .errors import GeometryError, ValidationError
-from .geometry import (ORTHO_TOL, CameraRows, PreparedScene, RoiRows, StereoRig, Vec3, dot_rows, norm_rows,
-                       view_frame, view_frame_rows)
+from .geometry import (MAX_FRAME_MS, ORTHO_TOL, CameraRows, PreparedScene, RoiRows, StereoRig, Vec3, dot_rows,
+                       norm_rows, view_frame, view_frame_rows)
 from .io_formats import (parse_config, parse_profile, parse_scene, parse_ssq_response, parse_trajectory,
                          render_comfort_section, render_config_section, render_document, render_ssq_section,
                          render_timeline_section, write_document)
@@ -72,8 +72,25 @@ def _slerp(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, int
     return out, int(opposite[0]) if len(opposite) else len(s)
 
 
+def tick_grid(traj: Trajectory, tick_ms: float) -> np.ndarray:
+    """The tick times `resample` interpolates at: every `tick_ms` from the
+    first sample's time while within the span to the last (up to 1e-9 of a
+    tick past it). More than `MAX_TICKS` ticks raise `ValidationError`, checked
+    before any tick is built."""
+    if not (math.isfinite(tick_ms) and tick_ms > 0.0):
+        raise ValidationError(f"tick_ms must be positive, got {tick_ms!r}")
+    t0 = float(traj.t_ms[0])
+    span = float(traj.t_ms[-1]) - t0
+    steps = span / tick_ms + 1e-9
+    n_ticks = math.floor(steps) + 1 if math.isfinite(steps) else steps
+    if not n_ticks <= MAX_TICKS:
+        raise ValidationError(f"resampling at tick_ms = {tick_ms!r} needs more than {MAX_TICKS} ticks")
+    return t0 + np.arange(max(n_ticks, 0)) * tick_ms
+
+
 def resample(traj: Sequence[TrajectorySample], tick_ms: float) -> Trajectory:
-    """Resample a trajectory onto the tick grid anchored at its first sample.
+    """Resample a trajectory onto its tick grid (`tick_grid`), anchored at its
+    first sample.
 
     Ticks that land exactly on a recorded sample copy it unchanged, so an
     already-aligned trajectory round-trips identically. Between samples,
@@ -86,14 +103,7 @@ def resample(traj: Sequence[TrajectorySample], tick_ms: float) -> Trajectory:
     if len(traj) < 2:
         raise ValidationError(f"resampling needs at least 2 samples, got {len(traj)}")
     traj = Trajectory.from_samples(traj)
-
-    t0 = float(traj.t_ms[0])
-    span = float(traj.t_ms[-1]) - t0
-    steps = span / tick_ms + 1e-9
-    n_ticks = math.floor(steps) + 1 if math.isfinite(steps) else steps
-    if not n_ticks <= MAX_TICKS:  # checked before any column is built
-        raise ValidationError(f"resampling at tick_ms = {tick_ms!r} needs more than {MAX_TICKS} ticks")
-    t = t0 + np.arange(max(n_ticks, 0)) * tick_ms
+    t = tick_grid(traj, tick_ms)
     # each tick's segment starts at the last sample before it, as a scan that
     # only moves forward finds it (the running maximum keeps that true for
     # samples out of time order)
@@ -125,6 +135,23 @@ def resample(traj: Sequence[TrajectorySample], tick_ms: float) -> Trajectory:
                 f" at t_ms {tl[k].item()!r} and {tr[k].item()!r}"
             )
     return Trajectory(**cols)
+
+
+def _tick_times(traj: Trajectory, tick_ms: float) -> np.ndarray:
+    """`resample(traj, tick_ms).t_ms` of a trajectory in time order (a zero's
+    sign aside, which the report drops), or `resample`'s refusal. Only the
+    tick grid is built unless an interpolated tick could be refused: where a
+    segment's forward or up turns by more than 120 degrees (so may be
+    opposite), the last tick lies past the last sample (so is extrapolated),
+    or the fov or frame time column comes within a 1e-15 share of its upper
+    bound or of its largest value (an interpolated value may stray from its
+    segment's ends by an ulp or two)."""
+    t = tick_grid(traj, tick_ms)
+    if (t[-1] <= traj.t_ms[-1] and all((dot_rows(v[:-1], v[1:]) >= -0.5).all() for v in (traj.fwd, traj.up))
+            and all(c.max() * 1e-15 < c.min() and c.max() < top * (1.0 - 1e-15)
+                    for c, top in ((traj.fov, 180.0), (traj.frame_ms, MAX_FRAME_MS)))):
+        return t
+    return resample(traj, tick_ms).t_ms
 
 
 def rig_from_pose(sample: TrajectorySample, ipd_m: float) -> StereoRig:
@@ -205,16 +232,17 @@ def run_scenario(scene_path: str, trajectory_path: str, config_path: str, out_pa
 
     With no_focus, selection and focus dynamics are skipped; the timeline
     keeps its tick rows with empty focus columns and the comfort section is
-    unchanged.
+    unchanged. Only the tick grid (`tick_grid`) is built then, unless
+    `resample` could refuse an interpolated tick, so the refusals stay
+    `resample`'s.
     """
     cfg = parse_config(config_path)
     scene = parse_scene(scene_path)
     traj = parse_trajectory(trajectory_path)
-    try:
-        ticks = resample(traj, cfg.tick_ms)
+    try:  # without focus the timeline is the tick times alone, and no rig is built
+        ticks = _tick_times(traj, cfg.tick_ms) if no_focus else resample(traj, cfg.tick_ms)
     except ValidationError as e:  # the recording, or its span, at the config's tick_ms
         raise ValidationError(f"{trajectory_path}: {e} (tick_ms from {config_path})") from None
-    # without focus the timeline is the tick times alone, and no rig is built
     focus = None
     if not no_focus:
         try:
@@ -225,8 +253,8 @@ def run_scenario(scene_path: str, trajectory_path: str, config_path: str, out_pa
         report = analyze_trajectory(traj, cfg=cfg.comfort_config())
     except ValidationError as e:  # say rows so close in time that a speed overflows
         raise ValidationError(f"{trajectory_path}: {e}") from None
-    sections = render_config_section(cfg), render_timeline_section(ticks.t_ms, focus), render_comfort_section(report)
-    write_document(out_path, render_document(sections))
+    timeline = render_timeline_section(ticks if no_focus else ticks.t_ms, focus)
+    write_document(out_path, render_document((render_config_section(cfg), timeline, render_comfort_section(report))))
 
 
 def score_ssq_files(q1_path: str, q2_path: str, q3_path: str, profile_path: str, out_path: str) -> None:

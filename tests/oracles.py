@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -292,6 +293,31 @@ def ssq_scores_by_matrix(ratings: tuple[int, ...]) -> tuple[float, float, float,
         raw_d * 13.92,
         (raw_n + raw_o + raw_d) * 3.74,
     )
+
+
+# --- the comment-stripped lines, kept as the reference for `_content_lines` ---
+#
+# `io_formats._content_lines` as it was written before it stripped the line
+# list in one pass: a loop over `splitlines()`, cutting each line at its
+# first `#`. `tests/test_formats.py` requires the same (line number, text)
+# pairs.
+
+
+def content_lines_by_loop(path: str) -> list[tuple[int, str]]:
+    """Non-empty lines with comments stripped, as (line number, text) pairs."""
+    data = Path(path).read_bytes()
+    try:
+        raw = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # number lines as splitlines() below does, with "x" standing in for the bad byte
+        lineno = len((data[: e.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(path, lineno, f"invalid UTF-8 byte 0x{data[e.start]:02x}") from None
+    out: list[tuple[int, str]] = []
+    for lineno, line in enumerate(raw.splitlines(), start=1):
+        text = line.partition("#")[0].strip()
+        if text:
+            out.append((lineno, text))
+    return out
 
 
 # --- the row-wise scene parse, kept as the reference for `parse_scene` ---

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -36,7 +37,9 @@ from focusray import (
 )
 from focusray import io_formats
 from builders import profile
-from oracles import parse_scene_by_rows
+from focusray.io_formats import TIMELINE_HEADER
+from focusray.simulate import MAX_TICKS
+from oracles import content_lines_by_loop, parse_scene_by_rows
 
 
 def put(tmp_path, name, text):
@@ -474,6 +477,69 @@ class TestUndecodableInput:
         path.write_bytes(b"name = P01\r\n\rage = \x80\n")
         with pytest.raises(ParseError, match=r"profile\.txt:3: invalid UTF-8 byte 0x80"):
             parse_profile(str(path))
+
+
+# every line break `str.splitlines` honours, and spaces `str.strip` removes beside tokens
+_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+_SPACES = (" ", "\t", "\xa0", "\u3000")
+
+
+class TestContentLines:
+    """`_content_lines` against the per-line loop it replaced
+    (`oracles.content_lines_by_loop`): the same (line number, text) pairs."""
+
+    @staticmethod
+    def check(directory, text: str) -> None:
+        path = os.path.join(directory, "input.txt")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        assert io_formats._content_lines(path) == content_lines_by_loop(path)
+
+    @pytest.mark.parametrize("text", [
+        "", "a", "a\n", "a\nb", "a\n\n", "\n", "   \n\t\n", "a # note\n#\n  # only a note\nb#c\n  d  #",
+        "a\r\nb\rc\n\r\n", "a\x0bb\x0cc\x1cd\x1de\x1ef\x85g\u2028h\u2029i",
+        "\xa0a\u3000b\xa0\n\u3000\n\xa0#\u3000", "\xa0a\u3000b\xa0\n\u3000\n\u3000c",
+        "a\n \n#\nb", "x = 1\r\n\r\ny = 2",
+    ], ids=repr)
+    def test_cases(self, tmp_path, text):
+        self.check(tmp_path, text)
+
+    @settings(profile("parse"))
+    @given(text=st.lists(st.tuples(st.text(st.sampled_from(("a", "1", "#", "=", *_SPACES)), max_size=6),
+                                   st.sampled_from(_BREAKS)), max_size=12).map(lambda rows: "".join(sum(rows, ()))),
+           last=st.text(st.sampled_from(("a", "#", " ", "\xa0")), max_size=3))
+    def test_drawn_text(self, text, last):
+        with tempfile.TemporaryDirectory() as directory:
+            self.check(directory, text + last)
+
+
+class TestEmptyTimeline:
+    """`render_timeline_section(t, None)`, one template over every row,
+    byte for byte against one `%` format per row, as it was written before."""
+
+    @staticmethod
+    def per_row(t_ms) -> list[str]:
+        times = (np.asarray(t_ms, np.float64) + 0.0).tolist()
+        return ["[TIMELINE]", TIMELINE_HEADER] + ["%.6f,,,,,,," % t for t in times]
+
+    # 1/128 and 3/128 lie exactly on a tie at the 6th decimal
+    @pytest.mark.parametrize("t_ms", [
+        [], [0.0], [-0.0], [5e-324], [-5e-324], [-0.0, 0.0, 5e-324, -5e-324], [0.0078125, 0.0234375, -0.0078125],
+        [1e15, -1e15], [16.0 * i for i in range(40)],
+    ], ids=repr)
+    def test_rows(self, t_ms):
+        got = render_timeline_section(np.array(t_ms, np.float64))
+        assert "\n".join(got).encode() == "\n".join(self.per_row(t_ms)).encode()
+        assert len(got) == 2 + len(t_ms)
+
+    def test_tie_rounds_half_to_even(self):
+        assert render_timeline_section(np.array([0.0078125, 0.0234375]))[2:] == ["0.007812,,,,,,,", "0.023438,,,,,,,"]
+
+    def test_grid_of_max_ticks(self):
+        t_ms = 16.0 * np.arange(MAX_TICKS)
+        got = render_timeline_section(t_ms)
+        assert len(got) == 2 + MAX_TICKS
+        assert got == self.per_row(t_ms)
 
 
 # parser vocabulary, so the fuzzer also reaches past the first token

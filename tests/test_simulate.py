@@ -1,11 +1,19 @@
+import contextlib
 import hashlib
 import math
+import os
 import random
+import tempfile
 import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focusray import (
+    FocusrayError,
     TrajectorySample,
     ValidationError,
     Vec3,
@@ -19,7 +27,10 @@ from focusray import (
 )
 from focusray import simulate
 from focusray.cli import EXIT_OK, main
-from builders import FORWARD, UP, NoArrays, camera_row, culled, roi_row, sample, sample_bits, write_large_scenario
+from focusray.geometry import MAX_FRAME_MS
+from focusray.io_formats import TRAJECTORY_HEADER
+from builders import (FORWARD, UP, NoArrays, camera_row, culled, profile, roi_row, sample, sample_bits,
+                      write_large_scenario)
 from oracles import focus_columns, replay_by_rows
 
 
@@ -152,6 +163,168 @@ class TestResample:
             resample(traj, 0.0)
         with pytest.raises(ValidationError):
             resample(traj[:1], 16.0)
+
+
+_TOP_FOV = math.nextafter(180.0, 0.0)
+# turns whose dots are 1, cos 0.4, just above -0.5, then just below it, just above it and -1
+_TURNS = (0.0, 0.4, 2.0 * math.pi / 3.0 - 1e-9, 2.0 * math.pi / 3.0 + 1e-9, 2.0 * math.pi / 3.0 - 1e-12, math.pi)
+_FOVS, _EDGE_FOVS = (90.0, 60.0, 33.3, 110.5, 170.0, 5.0), (_TOP_FOV, 179.9999999999, 1e-300, 5e-324)
+_FRAMES, _EDGE_FRAMES = (11.1, 16.0, 45.5), (MAX_FRAME_MS, math.nextafter(MAX_FRAME_MS, 0.0), 1e-300, 5e-324)
+
+
+@st.composite
+def no_focus_recordings(draw) -> tuple[str, float, str]:
+    """A trajectory file that parses, its tick_ms and a `MAX_TICKS` mode:
+    ticks on samples or between them, a last sample just short of a tick (and
+    maybe the one before it just short of that), a first sample so far back
+    that a tick's interpolation weight rounds to 1; forward and up turning by
+    0, 0.4 rad, 120 degrees either side of a dot of -0.5, or 180 degrees, or
+    flipped; fov and frame times beside their bounds."""
+    layout = draw(st.sampled_from(("aligned", "free", "short", "far")))
+    tick = 1e13 if layout == "far" else draw(st.sampled_from((16.0, 10.0, 0.75)))
+    n = draw(st.integers(3, 7))
+    t = [-1e17] if layout == "far" else [draw(st.sampled_from((0.0, -0.0, 1000.0, -48.0)))]
+    for i in range(1, n):
+        if layout == "far":
+            t.append(float(i))
+        elif layout == "free":
+            t.append(t[-1] + draw(st.floats(0.01, 3.0 * tick)))
+        else:
+            t.append(t[-1] + tick * draw(st.integers(1, 3)))
+    if layout == "short":  # the grid's slack puts a tick past the last sample, maybe segments past the one before
+        t[-1] -= tick * draw(st.sampled_from((1e-10, 4e-10, 1e-12)))
+        t[-2] = max(t[-2], t[-1] - tick * draw(st.sampled_from((1e-10, 2e-10, 1e-3))))
+    # a third of the recordings turn by 120 degrees and more, and a third come beside the bounds
+    risky, edges = draw(st.sampled_from((False, False, True))), draw(st.sampled_from((False, False, True)))
+    yaw = roll = 0.0
+    sign_f = sign_u = 1.0
+    rows = []
+    for i in range(n):
+        if i:
+            move = draw(st.sampled_from(("yaw", "roll", "flip forward", "flip up")[: 2 + 2 * risky]))
+            if move == "flip forward":
+                sign_f = -sign_f
+            elif move == "flip up":
+                sign_u = -sign_u
+            elif move == "yaw":
+                yaw += draw(st.sampled_from(_TURNS[: 3 + 3 * risky]))
+            else:
+                roll += draw(st.sampled_from(_TURNS[: 3 + 3 * risky]))
+        # up is rolled about forward, so the two stay perpendicular
+        f = [sign_f * math.sin(yaw), 0.0, -sign_f * math.cos(yaw)]
+        u = [sign_u * math.sin(roll) * math.cos(yaw), sign_u * math.cos(roll), sign_u * math.sin(roll) * math.sin(yaw)]
+        pos = [draw(st.floats(-5.0, 5.0)) for _ in range(3)]
+        fov = draw(st.sampled_from(_FOVS + _EDGE_FOVS * edges))
+        frame = draw(st.sampled_from(_FRAMES + _EDGE_FRAMES * edges))
+        rows.append([*map(repr, [t[i], *pos, *f, *u, fov]), draw(st.sampled_from("01")), repr(frame)])
+    return _recording(rows), tick, draw(st.sampled_from(("none", "at", "over")))
+
+
+def _recording(rows) -> str:
+    """A trajectory file's text: the header, then one line per row of tokens."""
+    return "\n".join([" ".join(TRAJECTORY_HEADER), *(" ".join(map(str, row)) for row in rows)]) + "\n"
+
+
+class TestTickGrid:
+    """`run_scenario(..., no_focus=True)` builds only `tick_grid` unless
+    `resample` could refuse an interpolated tick. Its tick times must be
+    `resample`'s bit for bit, except that a tick on a sample recorded at -0.0
+    copies it there (the report adds 0.0 to every time), and its refusals
+    must be `resample`'s in type and message, wrapped in `(tick_ms from …)`.
+    The example count comes from the `parse` settings profile; CI runs
+    `parse-long`."""
+
+    @staticmethod
+    def check(traj_text: str, tick_ms: float, limit: str = "none") -> None:
+        """Hold the run to `resample` on the parsed recording, with `MAX_TICKS`
+        unchanged, or set to the tick count ("at") or one below it ("over")."""
+        with tempfile.TemporaryDirectory() as directory:
+            paths = [os.path.join(directory, name) for name in ("scene.txt", "traj.txt", "config.txt", "out.txt")]
+            for path, text in zip(paths, ("", traj_text, f"tick_ms = {tick_ms!r}\n")):
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            traj = parse_trajectory(paths[1])
+            max_ticks = simulate.MAX_TICKS
+            if limit != "none":
+                with contextlib.suppress(ValidationError):
+                    max_ticks = len(resample(traj, tick_ms)) - (limit == "over")
+            seen = []
+            render = simulate.render_timeline_section
+            with (mock.patch.object(simulate, "MAX_TICKS", max_ticks),
+                  mock.patch.object(simulate, "render_timeline_section", lambda t, f: seen.append(t) or render(t, f))):
+                try:
+                    want, refused = resample(traj, tick_ms).t_ms, None
+                except FocusrayError as e:  # the run must raise the same
+                    want, refused = None, e
+                if refused is not None:
+                    with pytest.raises(type(refused)) as got:
+                        run_scenario(*paths, no_focus=True)
+                    wrap = "{}: {} (tick_ms from {})" if isinstance(refused, ValidationError) else "{1}"
+                    assert type(got.value) is type(refused)
+                    assert str(got.value) == wrap.format(paths[1], refused, paths[2])
+                    return
+                run_scenario(*paths, no_focus=True)
+        (t,) = seen
+        assert t.dtype == np.float64 and t.shape == want.shape
+        assert ((t.view(np.int64) == want.view(np.int64)) | ((t == 0.0) & (want == 0.0))).all()
+
+    @settings(profile("parse"))
+    @given(case=no_focus_recordings())
+    def test_matches_resample(self, case):
+        self.check(*case)
+
+    def test_opposite_orientations_keep_their_refusal(self):
+        text = _recording([t, 0, 0, 0, 0, 0, f, 0, 1, 0, 90, 1, 11.1] for t, f in ((0, -1), (100, 1), (200, 1)))
+        with pytest.raises(ValidationError, match="interpolate forward between opposite orientations at t_ms 0.0"):
+            resample(parse_recording(text), 50.0)
+        self.check(text, 50.0)
+
+    def test_an_extrapolated_last_tick_keeps_its_refusal(self):
+        """The last tick, at 16 ms, lies 1e-8 ms past the last sample, within
+        the grid's slack, and as far again past the sample before: its fov is
+        extrapolated to about 100 + 2 * 70, and `resample` refuses it."""
+        rows = ((0.0, 90.0), (16.0 - 2e-8, 100.0), (16.0 - 1e-8, 170.0))
+        text = _recording([repr(t), 0, 0, 0, 0, 0, -1, 0, 1, 0, repr(fov), 1, 11.1] for t, fov in rows)
+        with pytest.raises(ValidationError, match=r"fov_deg must be in \(0, 180\), got 2[34]\d\."):
+            resample(parse_recording(text), 16.0)
+        self.check(text, 16.0)
+
+    @pytest.mark.parametrize(("first", "second", "got"), ((33.3, _TOP_FOV, "180.0"), (170.0, 5e-324, "0.0")))
+    def test_an_interpolation_weight_of_one_keeps_its_refusal(self, first, second, got):
+        """From a first sample at -1e17 ms, the tick at 0 ms lies 1 ms before
+        the next sample, under the ulp of its segment's length, so its weight
+        is 1, and its fov `first + (second - first)` rounds out of (0, 180)."""
+        rows = ((-1e17, first), (1.0, second), (2.0, 90.0))
+        text = _recording([repr(t), 0, 0, 0, 0, 0, -1, 0, 1, 0, repr(fov), 1, 11.1] for t, fov in rows)
+        with pytest.raises(ValidationError, match=rf"fov_deg must be in \(0, 180\), got {got}$"):
+            resample(parse_recording(text), 1e13)
+        self.check(text, 1e13)
+
+    @pytest.mark.parametrize("limit", ("at", "over"))
+    def test_tick_limits_match(self, limit):
+        self.check(_recording([t, 0, 0, 0, 0, 0, -1, 0, 1, 0, 90, 1, 11.1] for t in (0, 64, 80)), 16.0, limit)
+
+    def test_one_tick_over_the_real_limit(self):
+        self.check(_recording([repr(t), 0, 0, 0, 0, 0, -1, 0, 1, 0, 90, 1, 11.1]
+                              for t in (0.0, 1.0, 16.0 * simulate.MAX_TICKS)), 16.0)
+
+    def test_builds_only_the_grid(self, tmp_path, monkeypatch):
+        """On a recording with none of the screened risks, `resample` is not called."""
+        def no_resample(*args):
+            raise AssertionError("resample was called")
+
+        monkeypatch.setattr(simulate, "resample", no_resample)
+        run_scenario(*scenario_files(tmp_path, ""), no_focus=True)
+        assert [row[0] for row in timeline_rows((tmp_path / "out.txt").read_text())] == [
+            f"{t}.000000" for t in range(0, 2001, 100)]
+
+
+def parse_recording(text: str):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "traj.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return parse_trajectory(path)
 
 
 class TestRigFromPose:
