@@ -47,11 +47,7 @@ def _content_lines(path: str) -> list[tuple[int, str]]:
         # number lines as splitlines() below does, with "x" standing in for the bad byte
         lineno = len((data[: e.start].decode("utf-8") + "x").splitlines())
         raise ParseError(path, lineno, f"invalid UTF-8 byte 0x{data[e.start]:02x}") from None
-    lines = raw.splitlines()
-    # one pass over the lines: comments are cut only from text that has one
-    texts = [line.partition("#")[0].strip() for line in lines] if "#" in raw else list(map(str.strip, lines))
-    if all(texts):
-        return list(zip(range(1, len(texts) + 1), texts))
+    texts = [line.partition("#")[0].strip() for line in raw.splitlines()]
     return [(lineno, text) for lineno, text in enumerate(texts, start=1) if text]
 
 

@@ -75,10 +75,13 @@ def _slerp(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, int
 def tick_grid(traj: Trajectory, tick_ms: float) -> np.ndarray:
     """The tick times `resample` interpolates at: every `tick_ms` from the
     first sample's time while within the span to the last (up to 1e-9 of a
-    tick past it). More than `MAX_TICKS` ticks raise `ValidationError`, checked
+    tick past it). A `tick_ms` that is not positive, fewer than 2 samples or
+    more than `MAX_TICKS` ticks raise `ValidationError`, checked in that order
     before any tick is built."""
     if not (math.isfinite(tick_ms) and tick_ms > 0.0):
         raise ValidationError(f"tick_ms must be positive, got {tick_ms!r}")
+    if len(traj) < 2:
+        raise ValidationError(f"resampling needs at least 2 samples, got {len(traj)}")
     t0 = float(traj.t_ms[0])
     span = float(traj.t_ms[-1]) - t0
     steps = span / tick_ms + 1e-9
@@ -98,10 +101,6 @@ def resample(traj: Sequence[TrajectorySample], tick_ms: float) -> Trajectory:
     spherically; user_initiated holds the left sample's value. `traj` is any
     sequence of samples; a `Trajectory` is read as it is.
     """
-    if not (math.isfinite(tick_ms) and tick_ms > 0.0):
-        raise ValidationError(f"tick_ms must be positive, got {tick_ms!r}")
-    if len(traj) < 2:
-        raise ValidationError(f"resampling needs at least 2 samples, got {len(traj)}")
     traj = Trajectory.from_samples(traj)
     t = tick_grid(traj, tick_ms)
     # each tick's segment starts at the last sample before it, as a scan that
@@ -125,6 +124,7 @@ def resample(traj: Sequence[TrajectorySample], tick_ms: float) -> Trajectory:
         for name, label in (("fwd", "forward"), ("up", "up")):
             cols[name][mid], k = _slerp(getattr(traj, name)[left], getattr(traj, name)[right], s)
             opposite.setdefault(k, label)
+    # `_tick_times` screens for the refusals below and `Trajectory`'s: change them there too
     k = min(opposite)
     if k < len(mid):
         tick = mid[k]

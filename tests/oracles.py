@@ -297,9 +297,9 @@ def ssq_scores_by_matrix(ratings: tuple[int, ...]) -> tuple[float, float, float,
 
 # --- the comment-stripped lines, kept as the reference for `_content_lines` ---
 #
-# `io_formats._content_lines` as it was written before it stripped the line
-# list in one pass: a loop over `splitlines()`, cutting each line at its
-# first `#`. `tests/test_formats.py` requires the same (line number, text)
+# `io_formats._content_lines` as it was written before it became two list
+# comprehensions: a loop over `splitlines()`, cutting each line at its first
+# `#`. `tests/test_formats.py` requires the same (line number, text)
 # pairs.
 
 

@@ -159,10 +159,14 @@ class TestResample:
 
     def test_validation(self):
         traj = [sample(0.0, Vec3(0, 0, 0)), sample(100.0, Vec3(0, 0, 0))]
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^tick_ms must be positive, got 0\.0$"):
             resample(traj, 0.0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^resampling needs at least 2 samples, got 1$"):
             resample(traj[:1], 16.0)
+        with pytest.raises(ValidationError, match="^resampling needs at least 2 samples, got 0$"):
+            resample([], 16.0)
+        with pytest.raises(ValidationError, match="^tick_ms must be positive, got nan$"):  # checked first
+            resample(traj[:1], math.nan)
 
 
 _TOP_FOV = math.nextafter(180.0, 0.0)
